@@ -5,16 +5,16 @@ Two independent computation paths:
 * ``alexander_matrix`` — a determinant formula on the Gauss diagram, built
   from the diagonal sign matrix S and the integer "trapping" matrix T that
   records which crossings an over-strand traps under itself along the long
-  line.  Works for every w-knot diagram.
+  line.  Works for every w-knot diagram.  One Bareiss determinant over
+  ℤ[X, X^{-1}] gives both the polynomial and, by substituting X = e^x, the
+  power series A(e^x) of the expansion bridge.
 * ``alexander_fox`` — the classical route: Wirtinger presentation from a
   planar-diagram code, free (Fox) differential calculus, minor determinant.
   Only valid for classical diagrams; used as an oracle for the first path.
 """
 
-from .rational import rat
-from .rings import LaurentPoly, TruncSeries, laurent_normalize
-from .linalg import RatMatrix, det_series
-from .gauss import GaussDiagram
+from .rings import LaurentPoly, laurent_at_exp, laurent_normalize
+from .linalg import RatMatrix
 
 
 def _ordered_arrows(k):
@@ -51,49 +51,28 @@ def build_T(k):
     return T
 
 
+def alexander_det(k):
+    """The raw determinant D(X) = det(I − diag(X^{s_i} − 1) · T) over
+    ℤ[X, X^{-1}], before unit normalization; D(1) = 1."""
+    S, T = build_S(k), build_T(k)
+    one = LaurentPoly.const(1)
+    rows = [[(one if i == j else 0) - (LaurentPoly.x(S[i][i]) - one) * T[i][j]
+             for j in range(len(T))] for i in range(len(T))]
+    return RatMatrix(rows).det(one)
+
+
 def alexander_matrix(k, d=5):
     """Alexander polynomial of a Gauss diagram: (series in x, Laurent in X).
 
-    Evaluates det(I − diag(X^{s_i} − 1) · T) twice: once over ℤ[X, X^{-1}]
-    (then unit-normalized), once over truncated power series with X = e^x
-    (left un-normalized, so the constant term is A(1) = 1).  Both paths are
-    the same determinant, evaluated in two rings.
+    Both come from the one determinant D of ``alexander_det``: D unit-
+    normalized, and D(e^x) truncated at degree d, whose constant term is
+    D(1) = 1.  X ↦ e^x is a ring map, so D(e^x) is also the determinant
+    of the matrix with X = e^x substituted entry by entry.
     """
-    arrows = _ordered_arrows(k)
-    n = len(arrows)
-    S = build_S(k)
-    T = build_T(k)
-
-    one = LaurentPoly.const(1)
-    rows = []
-    for i in range(n):
-        xs = LaurentPoly.x(S[i][i])  # X^{s_i}
-        rows.append([(one if i == j else LaurentPoly.const(0))
-                     - (xs - one) * T[i][j] for j in range(n)])
-    if n == 0:
-        laurent = laurent_normalize(one)
-    else:
-        laurent = laurent_normalize(RatMatrix(rows).det(one))
-
     if d < 1:
         raise ValueError("series truncation degree must be >= 1")
-    one_s = TruncSeries.const(d, 1)
-    x = TruncSeries.x(d)
-    # e^{s·x} − 1, truncated
-    def exp_minus_one(s):
-        out = TruncSeries.const(d, 0)
-        term = one_s
-        for m in range(1, d + 1):
-            term = term * x * rat(s, m)
-            out = out + term
-        return out
-    srows = []
-    for i in range(n):
-        e = exp_minus_one(S[i][i])
-        srows.append([(one_s if i == j else TruncSeries.const(d, 0))
-                      - e * T[i][j] for j in range(n)])
-    series = det_series(RatMatrix(srows), cap=d)
-    return series, laurent
+    raw = alexander_det(k)
+    return laurent_at_exp(raw, d), laurent_normalize(raw)
 
 
 # --------------------------------------------------------------------------

@@ -220,6 +220,7 @@ def build_parser():
 
     q = sub.add_parser("check", help="run the verification suites")
     q.add_argument("--suite", default="all",
+                   choices=[name for name, _ in checks.ALL_CHECKS] + ["all"],
                    help="one suite name, or 'all'")
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(fn=cmd_check)
@@ -230,6 +231,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "degree", 0) < 0:
+            parser.error("--degree must be >= 0")
     except SystemExit as e:
         return USAGE_ERROR if e.code else 0
     try:

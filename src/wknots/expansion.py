@@ -9,11 +9,11 @@ same coordinates from the Alexander polynomial alone.
 """
 
 from .rational import rat
-from .rings import TruncSeries, series_log
+from .rings import laurent_at_exp, series_log
 from .arrows import LONG, strands, ArrowVector, canonical_long, canonical_word, quotient
 from .jacobi import monomial_to_arrows, wheel_monomial_basis, concat
 from .gauss import GaussDiagram, self_linking
-from .alexander import alexander_matrix
+from .alexander import alexander_det
 from .wbraid import BraidWord
 
 
@@ -244,13 +244,13 @@ def _solve(cols, target):
 def predicted_from_alexander(g, d, flags=frozenset({"RI"})):
     """Wheel-monomial coordinates predicted by the Alexander polynomial.
 
-    Computes A(e^x) as a truncated series, takes log, maps x^k to the
-    k-wheel for k ≥ 2 (the x^1 coefficient is a unit-normalization artifact
-    and its carrier dies in the RI quotient), adds sl·(single arrow) in
-    degree 1, exponentiates, and reads off wheel-monomial coordinates.
+    Reads the raw determinant D of ``alexander_det`` at X = e^{−x} (the
+    sign of x matters only when D is not palindromic), takes log, maps x^k
+    to the k-wheel for k ≥ 2 (the x^1 coefficient is a unit-normalization
+    artifact and its carrier dies in the RI quotient), adds sl·(single
+    arrow) in degree 1, exponentiates, and reads off wheel coordinates.
     """
-    series, _ = alexander_matrix(g, d)
-    phi = series_log(series)
+    phi = series_log(laurent_at_exp(alexander_det(g).mirror(), d))
     e = TruncatedExpansion(LONG, d)
     if d >= 1:
         e.comps[1].add_term(((1, 2),), rat(self_linking(g)))

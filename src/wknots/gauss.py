@@ -232,14 +232,6 @@ def braid_closure(b):
 # Reidemeister-type moves on Gauss diagrams
 # --------------------------------------------------------------------------
 
-def _shift_slots(arrows, at, by):
-    """Shift every slot >= at by `by`."""
-    out = []
-    for t, h, s in arrows:
-        out.append((t + by if t >= at else t, h + by if h >= at else h, s))
-    return out
-
-
 def apply_move(d, move, *args):
     """Apply a named move to a Gauss diagram, returning a new diagram.
 

@@ -1,15 +1,20 @@
-"""Exact sparse echelon reduction and small dense determinants.
+"""Exact sparse echelon reduction and fraction-free determinants.
 
 The echelon form produced here is the canonical reduced row-echelon form
 of the row space: pivot columns are the leftmost possible, pivot entries
 are 1, and pivots are eliminated from every other row.  Because RREF is
 unique per subspace, the output is bit-identical no matter the order in
 which rows are fed in.
+
+Determinants use one algorithm for every ring: Bareiss elimination
+(Math. Comp. 22, 1968), which divides only exactly, so it runs over
+ℤ[X^±1], Q and truncated power series alike.
 """
 
 from __future__ import annotations
 
 from .rational import Rat
+from .rings import TruncSeries
 
 
 class SparseEchelon:
@@ -71,25 +76,10 @@ class SparseEchelon:
     def pivots(self):
         return sorted(self.rows)
 
-    def contains(self, row) -> bool:
-        return not self.reduce(row)
-
-
-def echelon_reduce(rows):
-    """Reduce a list of sparse rational rows to canonical RREF.
-
-    Returns (pivot column list, list of reduced rows sorted by pivot).
-    """
-    ech = SparseEchelon()
-    for r in rows:
-        ech.add(r)
-    piv = ech.pivots()
-    return piv, [ech.rows[p] for p in piv]
-
 
 class RatMatrix:
-    """A small dense rectangular matrix; entries are any ring values
-    supporting +, -, * (rationals, TruncSeries, LaurentPoly)."""
+    """A small dense rectangular matrix; entries are ring values supporting
+    +, -, * and exact division ``/`` (rationals, TruncSeries, LaurentPoly)."""
 
     def __init__(self, rows):
         self.data = [list(r) for r in rows]
@@ -98,63 +88,66 @@ class RatMatrix:
         if any(len(r) != self.ncols for r in self.data):
             raise ValueError("ragged matrix")
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     def det(self, one):
-        """Exact determinant by division-free Laplace expansion with
-        memoization on column subsets.  `one` is the ring's unit."""
+        """Exact determinant by fraction-free Bareiss elimination with row
+        pivoting, in O(n^3) ring operations.  `one` is the ring's unit.
+
+        Step k replaces each a[i][j] (i, j > k) by
+        (a[k][k]·a[i][j] − a[i][k]·a[k][j]) / prev, prev being the previous
+        pivot.  The division is exact: the new entry is the minor on rows
+        0..k, i and columns 0..k, j, so every entry stays in the ring.
+        """
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return one
-        memo = {}
-
-        def minor(row, cols):
-            # determinant of rows row..n-1 on the column bitmask `cols`
-            if row == n:
-                return one
-            key = cols
-            if key in memo:
-                return memo[key]
-            total = None
-            sign = 1
-            k = 0
-            for j in range(n):
-                if not (cols >> j) & 1:
-                    continue
-                entry = self.data[row][j]
-                is_zero = getattr(entry, "is_zero", None)
-                nonzero = not is_zero() if is_zero else bool(entry)
-                if nonzero:
-                    sub = minor(row + 1, cols & ~(1 << j))
-                    term = entry * sub if sign > 0 else -(entry * sub)
-                    total = term if total is None else total + term
+        a = [list(r) for r in self.data]
+        n = len(a)
+        sign, prev = 1, one
+        for k in range(n):
+            p = next((i for i in range(k, n) if _is_pivot(a[i][k])), None)
+            if p is None:
+                out = _det_without_pivot([r[k:] for r in a[k:]], one)
+                for _ in range(n - k - 1):  # Sylvester's identity
+                    out = out / prev
+                return out if sign > 0 else -out
+            if p != k:
+                a[k], a[p] = a[p], a[k]
                 sign = -sign
-                k += 1
-            if total is None:
-                total = one - one
-            memo[key] = total
-            return total
+            row, piv = a[k], a[k][k]
+            for i in range(k + 1, n):
+                ai = a[i]
+                f = ai[k]
+                for j in range(k + 1, n):
+                    ai[j] = (piv * ai[j] - f * row[j]) / prev
+            prev = piv
+        return prev if sign > 0 else -prev
 
-        return minor(0, (1 << n) - 1)
+
+def _is_pivot(v):
+    """Nonzero; for a truncated series, a unit, since only a unit divides
+    exactly when entries are known modulo x^(cap+1)."""
+    if isinstance(v, TruncSeries):
+        return bool(v.coeffs[0])
+    return not v.is_zero() if hasattr(v, "is_zero") else bool(v)
+
+
+def _det_without_pivot(b, one):
+    """det(b) when column 0 of the square b holds no pivot.
+
+    Over Q or ℤ[X^±1] the column is zero.  Over series truncated at cap d
+    it is divisible by x: b = b'·diag(x, 1, ..., 1), and det(b') is needed
+    only modulo x^d, so it is taken at cap d−1.
+    """
+    if not isinstance(one, TruncSeries) or one.cap == 0:
+        return one - one
+    d = one.cap
+    low = RatMatrix([[TruncSeries(d - 1, v.coeffs[1:] if j == 0 else v.coeffs)
+                      for j, v in enumerate(row)] for row in b])
+    return TruncSeries(d, [0] + low.det(TruncSeries.const(d - 1, 1)).coeffs)
 
 
 def det_series(m: RatMatrix, cap=None):
-    """Determinant of a square matrix of TruncSeries.
-
-    For the empty (0x0) matrix the degree cap must be passed explicitly;
-    the result is then the constant series 1.
-    """
-    from .rings import TruncSeries
-
-    if m.nrows != m.ncols:
-        raise ValueError("determinant of non-square matrix")
-    if m.nrows == 0:
-        if cap is None:
-            raise ValueError("empty matrix: pass the degree cap")
-        return TruncSeries.const(cap, 1)
-    cap = m.data[0][0].cap
-    return m.det(TruncSeries.const(cap, 1))
+    """Determinant of a square matrix of TruncSeries.  The cap is read from
+    the entries; the empty (0x0) matrix needs it passed, and gives 1."""
+    if m.nrows == 0 and cap is None:
+        raise ValueError("empty matrix: pass the degree cap")
+    return m.det(TruncSeries.const(m.data[0][0].cap if m.nrows else cap, 1))

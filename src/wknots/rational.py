@@ -4,7 +4,7 @@ Every computation in this package is exact.  The hot loops (echelon
 reduction, series products) spend most of their time in rational
 arithmetic, so we use gmpy2's mpq when it is installed and fall back to
 the stdlib Fraction otherwise.  Both backends are drop-in compatible for
-the operations used here; `scripts/bench_backends.py` compares them.
+the operations used here.
 """
 
 import os

@@ -99,6 +99,30 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
+    def divexact(self, other):
+        """The q with q * other == self, by long division from the top
+        exponent down; ArithmeticError if there is no such q."""
+        if other.is_zero():
+            raise ZeroDivisionError("Laurent division by zero")
+        rem, q = dict(self.coeffs), {}
+        top = other.max_exp()
+        lowest = min(rem, default=0) - other.min_exp()
+        while rem:
+            e = max(rem) - top
+            c, r = divmod(rem[e + top], other.coeffs[top])
+            if r or e < lowest:  # below any exponent of an exact q
+                raise ArithmeticError("inexact Laurent division")
+            q[e] = c
+            for f, v in other.coeffs.items():
+                w = rem.get(e + f, 0) - c * v
+                if w:
+                    rem[e + f] = w
+                else:
+                    del rem[e + f]
+        return LaurentPoly(q)
+
+    __truediv__ = divexact
+
     def min_exp(self):
         return min(self.coeffs)
 
@@ -229,11 +253,18 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        r = TruncSeries.const(self.cap, 1)
-        for _ in range(n):
-            r = r * self
-        return r
+    def divexact(self, other):
+        """self / other for a unit `other` (nonzero constant term)."""
+        self._check(other)
+        b = other.coeffs
+        if not b[0]:
+            raise ZeroDivisionError("series division by a non-unit")
+        q = []
+        for k, a in enumerate(self.coeffs):
+            q.append((a - sum(b[j] * q[k - j] for j in range(1, k + 1))) / b[0])
+        return TruncSeries(self.cap, q)
+
+    __truediv__ = divexact
 
     def is_zero(self):
         return all(not c for c in self.coeffs)
@@ -244,6 +275,13 @@ class TruncSeries:
     def __repr__(self):
         parts = [f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c]
         return " + ".join(parts) if parts else "0"
+
+
+def laurent_at_exp(p: LaurentPoly, d: int) -> TruncSeries:
+    """p(e^x) truncated at degree d: the x^k coefficient is
+    sum_e c_e e^k / k!."""
+    return TruncSeries(d, [rat(sum(c * e ** k for e, c in p.coeffs.items()),
+                               math.factorial(k)) for k in range(d + 1)])
 
 
 def series_exp(s: TruncSeries) -> TruncSeries:

@@ -98,11 +98,6 @@ def word(n, tokens, extended=False, group="w"):
 
 # --- skeleton ---------------------------------------------------------------
 
-def perm_compose(p, q):
-    """Apply p, then q (both are tuples with 1-based values)."""
-    return tuple(q[p[i] - 1] for i in range(len(p)))
-
-
 def perm_identity(n):
     return tuple(range(1, n + 1))
 

@@ -83,3 +83,29 @@ def test_usage_errors(tmp_path, capsys):
     bad.write_text("Y[1,2,3,4]\n")
     assert main(["alexander", str(bad)]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_zed_check_alexander_w_knot(capsys, tmp_path):
+    # non-palindromic Alexander polynomial: odd wheels are nonzero
+    f = tmp_path / "w.braid"
+    f.write_text("n=4\nS3 v2 S2 s1 s2\n")
+    assert main(["--machine", "zed", str(f), "--degree", "3",
+                 "--check-alexander"]) == 0
+    out = dict(line.split("=", 1)
+               for line in capsys.readouterr().out.splitlines())
+    assert out["degree3"] == "w3:1"
+    assert out["alexander_match"] == "match"
+
+
+def test_unknown_suite_rejected(capsys):
+    assert main(["check", "--suite", "nope"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["zed", "KNOT", "--degree", "-1"],
+                                  ["dims", "--degree", "-1"],
+                                  ["wheels", "--degree", "-2"]])
+def test_negative_degree_rejected(argv, capsys):
+    argv = [os.path.join(DATA, "3_1.pd") if a == "KNOT" else a for a in argv]
+    assert main(argv) == 2
+    assert "--degree must be >= 0" in capsys.readouterr().err
