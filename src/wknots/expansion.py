@@ -3,15 +3,21 @@
 ``zed_braid`` sends each crossing of a w-braid word to the exponential of a
 single arrow between the two crossing strands (tail on the over strand);
 ``zed_knot`` does the same along a long-knot Gauss diagram.  Both truncate
-at a degree cap.  The wheels reduction expresses a long-strand expansion in
-the wheel-monomial basis, and ``predicted_from_alexander`` computes the
-same coordinates from the Alexander polynomial alone.
+at a degree cap.  On the long strand the quotient A^w(↑) is the
+commutative polynomial algebra on the single arrow ``a`` and the wheels;
+``wheels_reduce`` reads an expansion in that wheel-monomial basis, and
+``predicted_from_alexander`` computes the same coordinates from the
+Alexander polynomial alone, inside the monomial algebra.
 """
+
+from functools import cache
+from math import factorial
 
 from .rational import rat
 from .rings import laurent_at_exp, series_log
 from .arrows import LONG, strands, ArrowVector, canonical_long, canonical_word, quotient
 from .jacobi import monomial_to_arrows, wheel_monomial_basis, concat
+from .linalg import SparseEchelon
 from .gauss import GaussDiagram, self_linking
 from .alexander import alexander_det
 from .wbraid import BraidWord
@@ -66,14 +72,7 @@ def expansion_exp(e):
     for k in range(1, e.d + 1):
         term = term * e
         for m in range(e.d + 1):
-            out.comps[m] = out.comps[m] + term.comps[m] * rat(1, fact(k))
-    return out
-
-
-def fact(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
+            out.comps[m] = out.comps[m] + term.comps[m] * rat(1, factorial(k))
     return out
 
 
@@ -108,7 +107,7 @@ def zed_braid(b, d, start=None):
                     src = z.comps[m - k]
                     if src.is_zero():
                         continue
-                    coeff = rat(sgn ** k, fact(k))
+                    coeff = rat(sgn ** k, factorial(k))
                     for w, c in src.terms.items():
                         nz.comps[m].add_term(
                             canonical_word(w + (letter,) * k, n), c * coeff)
@@ -147,7 +146,7 @@ def zed_knot(g, d, normalize=False):
         while used + k <= d:
             copies = [(t * B + j, h * B + j) for j in range(k)]
             rec(idx + 1, used + k, placed + copies,
-                coeff * rat(s ** k, fact(k)))
+                coeff * rat(s ** k, factorial(k)))
             k += 1
 
     rec(0, 0, [], rat(1))
@@ -164,14 +163,12 @@ def zed_knot(g, d, normalize=False):
 # Quotient projection and the wheels reduction
 # --------------------------------------------------------------------------
 
-_QUOTIENTS = {}
-
-
 def get_quotient(skeleton, m, relset):
-    key = (skeleton, m, frozenset(relset))
-    if key not in _QUOTIENTS:
-        _QUOTIENTS[key] = quotient(skeleton, m, relset)
-    return _QUOTIENTS[key]
+    """``arrows.quotient``, built once per process and argument set."""
+    return _quotient(skeleton, m, frozenset(relset))
+
+
+_quotient = cache(quotient)
 
 
 def project_expansion(z, flags=frozenset()):
@@ -183,58 +180,45 @@ def project_expansion(z, flags=frozenset()):
     return out
 
 
+@cache
+def _wheel_echelon(m, flags):
+    """Echelon form of the rows [image of monomial j | e_j] for the
+    wheel monomials of degree m, images taken in {TC,4T} + flags."""
+    q = get_quotient(LONG, m, {"TC", "4T"} | flags)
+    ech = SparseEchelon()
+    for j, mono in enumerate(wheel_monomial_basis(m, flags)):
+        row = dict(enumerate(q.project(monomial_to_arrows(mono))))
+        row[q.dim + j] = rat(1)
+        ech.add(row)
+    return ech
+
+
 def wheels_reduce(z, flags=frozenset({"RI"})):
     """Coordinates of a long-strand expansion in the wheel-monomial basis.
 
-    Returns a list (per degree) of {monomial: coefficient} dicts.  Raises
-    if some component lies outside the span of the monomial images (the
-    residual is reported), which would contradict the wheels description
-    of the quotient at this degree.
+    Returns a list (per degree) of {monomial: coefficient} dicts.  The
+    rows [P_j | e_j], P_j the quotient image of monomial j, are echelonized
+    once per degree and flag set; reducing [target | 0] against them leaves
+    [residual | −x] with Σ x_j P_j + residual = target.  A nonzero residual
+    (the component lies outside the monomial span, contradicting the
+    wheels description of the quotient) raises and is reported.
     """
     if z.skeleton != LONG:
         raise ValueError("long-strand expansions only")
+    flags = frozenset(flags)
     out = []
     for m in range(z.d + 1):
-        q = get_quotient(LONG, m, {"TC", "4T"} | set(flags))
+        q = get_quotient(LONG, m, {"TC", "4T"} | flags)
         monos = wheel_monomial_basis(m, flags)
-        cols = [q.project(monomial_to_arrows(mono)) for mono in monos]
-        target = q.project(z.comps[m])
-        coeffs = _solve(cols, target)
-        if coeffs is None:
+        row = _wheel_echelon(m, flags).reduce(
+            dict(enumerate(q.project(z.comps[m]))))
+        residual = {c: v for c, v in row.items() if c < q.dim}
+        if residual:
             raise ValueError("component of degree %d outside the wheel "
-                             "monomial span; residual %r" % (m, target))
-        out.append({mono: c for mono, c in zip(monos, coeffs) if c})
+                             "monomial span; residual %r" % (m, residual))
+        out.append({mono: -row[q.dim + j] for j, mono in enumerate(monos)
+                    if q.dim + j in row})
     return out
-
-
-def _solve(cols, target):
-    """Solve sum_j x_j cols[j] = target exactly; None if inconsistent."""
-    rows = len(target)
-    ncols = len(cols)
-    aug = [[cols[j][i] for j in range(ncols)] + [target[i]]
-           for i in range(rows)]
-    piv = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, rows) if aug[i][c]), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, rows):
-        if aug[i][ncols]:
-            return None
-    sol = [rat(0)] * ncols
-    for i, c in enumerate(piv):
-        sol[c] = aug[i][ncols]
-    return sol
 
 
 # --------------------------------------------------------------------------
@@ -245,19 +229,27 @@ def predicted_from_alexander(g, d, flags=frozenset({"RI"})):
     """Wheel-monomial coordinates predicted by the Alexander polynomial.
 
     Reads the raw determinant D of ``alexander_det`` at X = e^{−x} (the
-    sign of x matters only when D is not palindromic), takes log, maps x^k
-    to the k-wheel for k ≥ 2 (the x^1 coefficient is a unit-normalization
-    artifact and its carrier dies in the RI quotient), adds sl·(single
-    arrow) in degree 1, exponentiates, and reads off wheel coordinates.
+    sign of x matters only when D is not palindromic) and takes log; its
+    x^k coefficient c_k (k ≥ 2) is the k-wheel's coefficient (the x^1
+    coefficient is a unit-normalization artifact whose carrier dies in the
+    RI quotient), and the single arrow gets sl.  exp(sl·a + Σ c_k w_k) is
+    taken in the wheel-monomial algebra: juxtaposition of monomial images
+    is its product and it is commutative, so the exponential factors and
+    monomial Π g^{n_g} gets Π coef(g)^{n_g} / n_g!, as on the arrow side.
+    Generators without a coefficient (w1) count as 0.
     """
     phi = series_log(laurent_at_exp(alexander_det(g).mirror(), d))
-    e = TruncatedExpansion(LONG, d)
-    if d >= 1:
-        e.comps[1].add_term(((1, 2),), rat(self_linking(g)))
-    for k in range(2, d + 1):
-        ck = phi[k]
-        if ck:
-            wk = monomial_to_arrows((("w", k),))
-            e.comps[k] = e.comps[k] + wk * ck
-    z = expansion_exp(e)
-    return wheels_reduce(z, flags)
+    coef = {"a": rat(self_linking(g))}
+    coef.update((("w", k), phi[k]) for k in range(2, d + 1))
+    out = []
+    for m in range(d + 1):
+        coords = {}
+        for mono in wheel_monomial_basis(m, flags):
+            c = rat(1)
+            for gen in set(mono):
+                n = mono.count(gen)
+                c *= coef.get(gen, rat(0)) ** n / factorial(n)
+            if c:
+                coords[mono] = c
+        out.append(coords)
+    return out

@@ -13,9 +13,7 @@ off along each strand in order and multiplied left to right, then
 straightened into the PBW order (all φ before all x, each block sorted).
 """
 
-from fractions import Fraction
-
-from .rational import rat
+from .rational import Rat, rat
 from .arrows import LONG
 
 
@@ -50,7 +48,7 @@ def lie_from_text(text):
             raise ValueError("bad line: %r" % ln)
         lhs, q = ln.split("=", 1)
         j, k, l = (int(x) for x in lhs[2:-1].split(","))
-        c.setdefault((j, k), {})[l] = rat(Fraction(q))
+        c.setdefault((j, k), {})[l] = Rat(q)
     if r is None:
         raise ValueError("missing dim= line")
     return LieData(r, c)

@@ -7,23 +7,14 @@ the stdlib Fraction otherwise.  Both backends are drop-in compatible for
 the operations used here.
 """
 
-import os
+try:
+    from gmpy2 import mpq as Rat
 
-_FORCED = os.environ.get("WKNOTS_BACKEND")
-
-if _FORCED == "fractions":
+    BACKEND = "gmpy2"
+except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Rat
 
     BACKEND = "fractions"
-else:
-    try:
-        from gmpy2 import mpq as Rat
-
-        BACKEND = "gmpy2"
-    except ImportError:  # pragma: no cover - exercised only without gmpy2
-        from fractions import Fraction as Rat
-
-        BACKEND = "fractions"
 
 ZERO = Rat(0)
 ONE = Rat(1)

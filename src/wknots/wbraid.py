@@ -12,7 +12,10 @@ only a sound one-sided refutation is offered there.
 
 from __future__ import annotations
 
+import ast
+import operator
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .freegroup import FreeAut, aut_apply, aut_compose, word_inverse, word_reduce
@@ -91,7 +94,7 @@ def braid_from_text(text):
     return BraidWord(n, tuple(letters), extended=extended)
 
 
-def word(n, tokens, extended=False, group="w"):
+def word(n, tokens, extended=False):
     """Convenience constructor from tokens like 's1 S2 v1'."""
     return braid_from_text(f"n={n}" + (" extended" if extended else "") + " " + tokens)
 
@@ -239,56 +242,102 @@ def braid_clone_strand(b: BraidWord, k: int) -> BraidWord:
 
 # --- relation table ----------------------------------------------------------
 
-def _load_relation_templates():
-    text = resources.files("wknots.data").joinpath("wbraid_relations.txt").read_text()
+_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub}
+_COMPARE = {ast.Lt: operator.lt, ast.LtE: operator.le, ast.Gt: operator.gt,
+            ast.GtE: operator.ge, ast.Eq: operator.eq, ast.NotEq: operator.ne}
+
+
+def _expression(text, lineno):
+    """Compile an index or guard expression over i, j, n into a function
+    of the variable dict.  Allowed: integers, the names i, j, n, binary
+    + and -, abs(), parentheses, chained comparisons, and/or."""
+
+    def build(node):
+        kind = type(node)
+        if kind is ast.Constant and type(node.value) is int:
+            return lambda env: node.value
+        if kind is ast.Name and node.id in ("i", "j", "n"):
+            return lambda env: env[node.id]
+        if kind is ast.BinOp and type(node.op) in _ARITH:
+            op, a, b = _ARITH[type(node.op)], build(node.left), build(node.right)
+            return lambda env: op(a(env), b(env))
+        if (kind is ast.Call and type(node.func) is ast.Name
+                and node.func.id == "abs" and len(node.args) == 1
+                and not node.keywords):
+            a = build(node.args[0])
+            return lambda env: abs(a(env))
+        if kind is ast.Compare and all(type(o) in _COMPARE for o in node.ops):
+            ops = [_COMPARE[type(o)] for o in node.ops]
+            terms = [build(t) for t in [node.left] + node.comparators]
+
+            def compare(env):
+                vals = [t(env) for t in terms]
+                return all(op(x, y) for op, x, y in zip(ops, vals, vals[1:]))
+            return compare
+        if kind is ast.BoolOp:
+            parts = [build(v) for v in node.values]
+            join = all if type(node.op) is ast.And else any
+            return lambda env: join(p(env) for p in parts)
+        raise ValueError("line %d of the relation table: %r is not allowed "
+                         "in %r" % (lineno, ast.dump(node), text))
+
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError:
+        raise ValueError("line %d of the relation table: cannot parse %r"
+                         % (lineno, text)) from None
+    return build(tree.body)
+
+
+def _template_word(text, lineno):
+    """Tokens `s<e>`, `S<e>`, `v<e>`, `f<e>` as (kind, index function);
+    `-` is the empty word."""
+    return tuple((tok[0], _expression(tok[1:].strip("<>"), lineno))
+                 for tok in text.split() if tok != "-")
+
+
+def parse_relation_templates(text):
+    """Parse the relation-table format: `name | guard | left | right` lines;
+    blank lines and `#` comments are skipped.  Guards and indices are
+    compiled once, here."""
     templates = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        name, guard, left, right = [p.strip() for p in line.split("|")]
-        templates.append((name, guard, left, right))
+        fields = [p.strip() for p in line.split("|")]
+        if len(fields) != 4:
+            raise ValueError("line %d of the relation table: expected "
+                             "name | guard | left | right" % lineno)
+        name, guard, left, right = fields
+        templates.append((name, "j" in guard, _expression(guard, lineno),
+                          _template_word(left, lineno),
+                          _template_word(right, lineno)))
     return templates
 
 
-_TEMPLATES = None
-
-
+@cache
 def relation_templates():
-    global _TEMPLATES
-    if _TEMPLATES is None:
-        _TEMPLATES = _load_relation_templates()
-    return _TEMPLATES
+    return parse_relation_templates(resources.files("wknots.data").joinpath(
+        "wbraid_relations.txt").read_text())
 
 
-def _instantiate(template_word, n, env):
-    toks = []
-    for tok in template_word.split():
-        if tok == "-":
-            continue
-        kind = tok[0]
-        idx = eval(tok[1:].strip("<>"), {}, env) if not tok[1:].isdigit() else int(tok[1:])
-        toks.append(f"{kind}{idx}")
-    return " ".join(toks)
-
-
+@cache
 def relation_table(n, extended=False):
     """All instances of the defining relations of wB_n (plus the flip
-    relations when extended).  Returns a list of (name, left BraidWord,
-    right BraidWord)."""
+    relations when extended), as a tuple of (name, left BraidWord, right
+    BraidWord)."""
     out = []
-    for name, guard, left, right in relation_templates():
-        is_flip = any(t[0] == "f" for t in (left + " " + right).split() if t != "-")
-        if is_flip and not extended:
+    for name, two_index, guard, left, right in relation_templates():
+        if not extended and any(k == "f" for k, _ in left + right):
             continue
         for i in range(1, n + 1):
-            for j in range(1, n + 1):
+            for j in range(1, n + 1) if two_index else (None,):
                 env = {"i": i, "j": j, "n": n}
-                if not eval(guard, {}, env):
+                if not guard(env):
                     continue
-                lw = word(n, _instantiate(left, n, env), extended=extended)
-                rw = word(n, _instantiate(right, n, env), extended=extended)
-                out.append((f"{name}[i={i},j={j}]" if "j" in guard else f"{name}[i={i}]", lw, rw))
-                if "j" not in guard:
-                    break  # inner loop only matters for two-index families
-    return out
+                lw, rw = (word(n, " ".join(k + str(idx(env)) for k, idx in w),
+                               extended=extended) for w in (left, right))
+                out.append((f"{name}[i={i},j={j}]" if two_index
+                            else f"{name}[i={i}]", lw, rw))
+    return tuple(out)

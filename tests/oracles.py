@@ -3,9 +3,14 @@ against.  They are exponential and only fit small inputs."""
 
 import math
 
-from wknots.alexander import build_S, build_T
+from wknots.alexander import alexander_det, build_S, build_T
+from wknots.arrows import LONG
+from wknots.expansion import TruncatedExpansion, expansion_exp, wheels_reduce
+from wknots.gauss import self_linking
+from wknots.jacobi import monomial_to_arrows
 from wknots.rational import rat
-from wknots.rings import LaurentPoly, TruncSeries, laurent_normalize
+from wknots.rings import (LaurentPoly, TruncSeries, laurent_at_exp,
+                          laurent_normalize, series_log)
 
 
 def is_zero(v):
@@ -60,3 +65,16 @@ def laplace_alexander_matrix(k, d):
     return (laplace_det(srows, one_s),
             laurent_normalize(laplace_det(rows, one)))
 
+
+def arrow_side_prediction(g, d, flags=frozenset({"RI"})):
+    """The Alexander prediction computed among arrow diagrams: build
+    sl·a + Σ_k c_k·(k-wheel) as an expansion, exponentiate it by repeated
+    juxtaposition and read the result in wheel coordinates."""
+    phi = series_log(laurent_at_exp(alexander_det(g).mirror(), d))
+    e = TruncatedExpansion(LONG, d)
+    if d >= 1:
+        e.comps[1].add_term(((1, 2),), rat(self_linking(g)))
+    for k in range(2, d + 1):
+        if phi[k]:
+            e.comps[k] = e.comps[k] + monomial_to_arrows((("w", k),)) * phi[k]
+    return wheels_reduce(expansion_exp(e), flags)

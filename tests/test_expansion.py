@@ -5,12 +5,23 @@ from fractions import Fraction
 import pytest
 
 from wknots.rational import rat
-from wknots.wbraid import word, relation_table
-from wknots.gauss import GaussDiagram, braid_closure, apply_move
+from wknots.wbraid import word, braid_from_text, relation_table
+from wknots.gauss import GaussDiagram, braid_closure, apply_move, pd_to_gauss
+from wknots.alexander import knot_inventory
 from wknots.arrows import LONG
 from wknots.expansion import (TruncatedExpansion, expansion_exp, zed_braid,
                               zed_knot, project_expansion, wheels_reduce,
                               predicted_from_alexander)
+
+from oracles import arrow_side_prediction
+
+# w-braids whose closures have non-palindromic Alexander polynomials
+W_BRAIDS = (
+    "n=4\nS3 v2 S2 s1 s2",
+    "n=3\nv2 v1 S1 s2 s1 s1 S1 v1 S1 s2",
+    "n=4\ns3 v3 v2 v2 s1 v2 S3 s1 v2 v3 s2 v1 s2 s2 S1",
+    "n=3\ns1 S2 S2 v1 v2 s1 S1 S1 s2 v2 S1 S1",
+)
 
 
 def test_crossing_is_exponential():
@@ -106,3 +117,22 @@ def test_expansion_exp_inverts_nothing_low_degree():
     assert z.comps[0].terms == {(): rat(1)}
     assert z.comps[1].terms == {((1, 2),): rat(1)}
     assert z.comps[2].terms == {((1, 2), (3, 4)): rat(Fraction(1, 2))}
+
+
+def test_prediction_matches_arrow_side_oracle():
+    # the wheel-algebra exponential equals the exponential taken among
+    # arrow diagrams and reduced to wheel coordinates, key order included
+    from wknots.checks import random_knot_diagram
+    knots = [pd_to_gauss(pd) for pd in knot_inventory().values()]
+    knots.append(GaussDiagram(()))
+    knots += [braid_closure(braid_from_text(t)) for t in W_BRAIDS]
+    rng = random.Random(33)
+    knots += [random_knot_diagram(rng, length=rng.randrange(3, 9))
+              for _ in range(20)]
+    for flags in (frozenset({"RI"}), frozenset(), frozenset({"FI"})):
+        for g in knots:
+            for d in range(5):
+                got = predicted_from_alexander(g, d, flags)
+                want = arrow_side_prediction(g, d, flags)
+                assert got == want
+                assert [list(c) for c in got] == [list(c) for c in want]

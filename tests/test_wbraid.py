@@ -6,7 +6,8 @@ from wknots.freegroup import word_from_text, aut_apply
 from wknots.wbraid import (BraidWord, word, braid_from_text, braid_action,
                            braid_skeleton, braid_equal, braid_distinct,
                            braid_invert, braid_delete_strand,
-                           braid_clone_strand, relation_table)
+                           braid_clone_strand, relation_table,
+                           parse_relation_templates)
 from wknots.checks import random_braid
 
 
@@ -21,6 +22,33 @@ def test_braid_validation():
         word(2, "s2")
     with pytest.raises(ValueError):
         word(3, "f1")  # flips need the extended flag
+
+
+def test_word_has_no_group_parameter():
+    with pytest.raises(TypeError):
+        word(2, "s1", group="v")
+
+
+def test_relation_templates_reject_malformed_expressions():
+    good = parse_relation_templates(
+        "# comment\nR | 1 <= i <= n-1 and abs(i-j) >= 2 | s<i> s<i+1> | -")
+    name, two_index, guard, left, right = good[0]
+    assert (name, two_index, right) == ("R", True, ())
+    assert guard({"i": 1, "j": 3, "n": 4}) and not guard({"i": 1, "j": 2, "n": 4})
+    assert [(k, idx({"i": 2})) for k, idx in left] == [("s", 2), ("s", 3)]
+    for guard in ("__import__('os').system('true')", "i * 2 > 1", "i <= ",
+                  "i.real > 0", "max(i, j) > 1", "k >= 1", "True"):
+        with pytest.raises(ValueError, match="line 2"):
+            parse_relation_templates("# comment\nBad | %s | s<i> | -" % guard)
+    with pytest.raises(ValueError, match="line 1"):
+        parse_relation_templates("Bad | 1 <= i | s<i**2> | -")
+    with pytest.raises(ValueError, match="line 1"):
+        parse_relation_templates("Bad | 1 <= i | s<i>")
+
+
+def test_relation_table_is_cached():
+    assert relation_table(3) is relation_table(3)
+    assert isinstance(relation_table(3, extended=True), tuple)
 
 
 def test_generator_action_pinned():
