@@ -15,8 +15,16 @@ Relation sets: TC (tails commute), 4T (four-term arrow relation), 6T
 independence: left and right isolated arrows agree), FI (framing
 independence: isolated arrows vanish), CC (commutators commute,
 instantiated through the trivalent-diagram module).
+
+TC, 4T and 6T are written once, in ``TWO_ARROW_RELATIONS``, as signed
+products of two arrows among three points, and placed on either skeleton:
+the points are three distinct strands, with the two letters inserted into
+a word of degree m−2; or three sites in the gaps of a long diagram of
+degree m−2, placed by ``place_long``, which also inserts the isolated
+arrows of RI/FI and the commutator blocks of CC.
 """
 
+from functools import partial
 from itertools import combinations_with_replacement, permutations, product
 
 from .rational import rat
@@ -152,167 +160,90 @@ class ArrowVector:
 
 
 # --------------------------------------------------------------------------
-# Relator generation: long strand
+# Relator generation
 # --------------------------------------------------------------------------
 
-def _insert_long(context, placements):
-    """Insert endpoints into a long diagram.
+# TC, 4T and 6T as signed products of two arrows among three points 0, 1, 2
+# (strands, or sites on the long strand).  An arrow is (tail, head); the
+# first arrow of a product comes first: earlier in the word, or first at a
+# site that both arrows touch.
+TWO_ARROW_RELATIONS = {
+    "TC": ((((0, 1), (0, 2)), 1), (((0, 2), (0, 1)), -1)),
+    "4T": ((((0, 1), (1, 2)), 1), (((1, 2), (0, 1)), -1),
+           (((0, 2), (1, 2)), 1), (((1, 2), (0, 2)), -1)),
+    "6T": ((((0, 1), (0, 2)), 1), (((0, 1), (1, 2)), 1),
+           (((0, 2), (1, 2)), 1), (((0, 2), (0, 1)), -1),
+           (((1, 2), (0, 1)), -1), (((1, 2), (0, 2)), -1)),
+}
 
-    context -- canonical degree-c diagram; placements -- list of arrows as
-    ((gap, rank), (gap, rank)) tail/head pseudo-positions, where gap is in
-    0..2c and rank orders multiple insertions inside one gap.
+
+def place_long(context, gaps, arrows):
+    """Canonical long diagram: new arrows inserted into a canonical context.
+
+    Point u lies in gap ``gaps[u]`` of the context, gap g coming right
+    after slot g (gap 0 is before slot 1).  Points sharing a gap keep their
+    index order, and endpoints at one point keep the order of ``arrows``,
+    a sequence of (tail point, head point) pairs.
     """
-    big = [(3 * t, 3 * h) for t, h in context]
-    # inserted endpoint at gap g, rank r -> position 3g + 1 + r/(R+1), but
-    # integer arithmetic: scale everything by a common factor
-    scale = 64
-    big = [(scale * t, scale * h) for t, h in big]
-    for (gt, rt), (gh, rh) in placements:
-        big.append((scale * 3 * gt + scale + rt, scale * 3 * gh + scale + rh))
-    return canonical_long(big)
+    keys = [((t, 0, 0), (h, 0, 0)) for t, h in context]
+    keys += [((gaps[u], 1 + u, i), (gaps[v], 1 + v, i))
+             for i, (u, v) in enumerate(arrows)]
+    slot = {k: s for s, k in
+            enumerate(sorted(k for arrow in keys for k in arrow), start=1)}
+    return tuple(sorted((slot[t], slot[h]) for t, h in keys))
 
 
-def _sites_long(context, count):
-    """All ordered site triples/pairs: (gap, site-rank) positions.
-
-    Sites are disjoint insertion points on the line, possibly inside the
-    same gap of the context (then ordered by site rank).
-    """
-    c = len(context)
-    gaps = range(0, 2 * c + 1)
-    return list(combinations_with_replacement(gaps, count))
-
-
-def _term_long(context, sites, letters):
-    """Long diagram for a 2-letter product at 3 sites.
-
-    sites -- tuple of 3 gaps (non-decreasing); letters -- ordered pairs
-    (u, v) with u, v in {0,1,2} indexing the sites: earlier letters place
-    their endpoints before later ones within a shared site.
-    """
-    placements = []
-    for idx, (u, v) in enumerate(letters):
-        # rank: site index separates sites sharing a gap; letter index
-        # orders endpoints within one site
-        rt = 8 * u + idx
-        rh = 8 * v + idx
-        placements.append(((sites[u], rt), (sites[v], rh)))
-    return _insert_long(context, placements)
+def _placements(skeleton, ctx):
+    """Ways to put three points on a context diagram, each a map from
+    arrows between the points to a canonical diagram.  The points are
+    sites 0, 1, 2 on the long strand, and strands 1..n otherwise."""
+    if skeleton == LONG:
+        for gaps in combinations_with_replacement(range(2 * len(ctx) + 1), 3):
+            yield partial(place_long, ctx, gaps)
+    else:
+        n = skeleton[1]
+        for pos in range(len(ctx) + 1):
+            pre, post = ctx[:pos], ctx[pos:]
+            yield (lambda arrows, pre=pre, post=post:
+                   canonical_word(pre + arrows + post, n))
 
 
-def _relators_long(m, relset):
+def _two_arrow_relators(skeleton, m, relset):
+    points = range(3) if skeleton == LONG else range(1, skeleton[1] + 1)
+    # each relation with its roles 0, 1, 2 sent to three distinct points p;
+    # TC is antisymmetric in its two heads, so the other order of p[1], p[2]
+    # would only repeat it negated
+    instances = [[(tuple((p[t], p[h]) for t, h in arrows), rat(sign))
+                  for arrows, sign in terms]
+                 for p in permutations(points, 3)
+                 for name, terms in TWO_ARROW_RELATIONS.items()
+                 if name in relset and not (name == "TC" and p[1] > p[2])]
     out = []
-    if "TC" in relset:
-        for d in enumerate_diagrams(LONG, m):
-            tails = {t for t, _ in d}
-            for i in range(1, 2 * m):
-                if i in tails and i + 1 in tails:
-                    swapped = canonical_long(
-                        [(i + 1 if t == i else (i if t == i + 1 else t), h)
-                         for t, h in d])
-                    v = ArrowVector(LONG, m)
-                    v.add_term(d, rat(1))
-                    v.add_term(swapped, rat(-1))
-                    if not v.is_zero():
-                        out.append(v)
-    if ("4T" in relset or "6T" in relset) and m >= 2:
-        for context in enumerate_diagrams(LONG, m - 2):
-            for sites in _sites_long(context, 3):
-                for i, j, k in permutations(range(3)):
-                    if "4T" in relset:
-                        v = ArrowVector(LONG, m)
-                        v.add_term(_term_long(context, sites, [(i, j), (j, k)]), rat(1))
-                        v.add_term(_term_long(context, sites, [(j, k), (i, j)]), rat(-1))
-                        v.add_term(_term_long(context, sites, [(i, k), (j, k)]), rat(1))
-                        v.add_term(_term_long(context, sites, [(j, k), (i, k)]), rat(-1))
-                        if not v.is_zero():
-                            out.append(v)
-                    if "6T" in relset:
-                        v = ArrowVector(LONG, m)
-                        for (a, b), sgn in [(((i, j), (i, k)), 1),
-                                            (((i, j), (j, k)), 1),
-                                            (((i, k), (j, k)), 1),
-                                            (((i, k), (i, j)), -1),
-                                            (((j, k), (i, j)), -1),
-                                            (((j, k), (i, k)), -1)]:
-                            v.add_term(_term_long(context, sites, [a, b]), rat(sgn))
-                        if not v.is_zero():
-                            out.append(v)
-    if ("RI" in relset or "FI" in relset) and m >= 1:
-        for context in enumerate_diagrams(LONG, m - 1):
-            for g in range(0, 2 * (m - 1) + 1):
-                right = _insert_long(context, [(((g, 0)), ((g, 1)))])
-                left = _insert_long(context, [(((g, 1)), ((g, 0)))])
-                if "RI" in relset:
-                    v = ArrowVector(LONG, m)
-                    v.add_term(right, rat(1))
-                    v.add_term(left, rat(-1))
-                    if not v.is_zero():
-                        out.append(v)
-                if "FI" in relset:
-                    for d in (right, left):
-                        v = ArrowVector(LONG, m)
-                        v.add_term(d, rat(1))
-                        out.append(v)
-    if "CC" in relset and m >= 4:
-        from .jacobi import cc_arrow_relators
-        out.extend(cc_arrow_relators(m))
+    if m < 2 or not instances:
+        return out
+    for ctx in enumerate_diagrams(skeleton, m - 2):
+        for place in _placements(skeleton, ctx):
+            for terms in instances:
+                v = ArrowVector(skeleton, m)
+                for arrows, sign in terms:
+                    v.add_term(place(arrows), sign)
+                if not v.is_zero():
+                    out.append(v)
     return out
 
 
-# --------------------------------------------------------------------------
-# Relator generation: strands
-# --------------------------------------------------------------------------
-
-def _relators_strands(n, m, relset):
+def _isolated_arrow_relators(m, relset):
+    """RI (right isolated arrow = left one) and FI (both vanish)."""
     out = []
-    skel = strands(n)
-    letters = [(p, q) for p in range(1, n + 1) for q in range(1, n + 1)
-               if p != q]
-
-    def vec(pairs):
-        v = ArrowVector(skel, m)
-        for w, c in pairs:
-            v.add_term(canonical_word(w, n), rat(c))
-        return v
-
-    if "TC" in relset and m >= 2:
-        for ctx in enumerate_diagrams(skel, m - 2):
-            for pos in range(m - 1):
-                for a in letters:
-                    for b in letters:
-                        if a[0] != b[0] or a >= b:
-                            continue
-                        pre, post = ctx[:pos], ctx[pos:]
-                        v = vec([(pre + (a, b) + post, 1),
-                                 (pre + (b, a) + post, -1)])
-                        if not v.is_zero():
-                            out.append(v)
-    if ("4T" in relset or "6T" in relset) and m >= 2:
-        trips = [t for t in permutations(range(1, n + 1), 3)]
-        for ctx in enumerate_diagrams(skel, m - 2):
-            for pos in range(m - 1):
-                pre, post = ctx[:pos], ctx[pos:]
-                for i, j, k in trips:
-                    aij, aik, ajk = (i, j), (i, k), (j, k)
-                    if "4T" in relset:
-                        v = vec([(pre + (aij, ajk) + post, 1),
-                                 (pre + (ajk, aij) + post, -1),
-                                 (pre + (aik, ajk) + post, 1),
-                                 (pre + (ajk, aik) + post, -1)])
-                        if not v.is_zero():
-                            out.append(v)
-                    if "6T" in relset:
-                        v = vec([(pre + (aij, aik) + post, 1),
-                                 (pre + (aij, ajk) + post, 1),
-                                 (pre + (aik, ajk) + post, 1),
-                                 (pre + (aik, aij) + post, -1),
-                                 (pre + (ajk, aij) + post, -1),
-                                 (pre + (ajk, aik) + post, -1)])
-                        if not v.is_zero():
-                            out.append(v)
-    if "RI" in relset or "FI" in relset or "CC" in relset:
-        raise ValueError("RI/FI/CC apply to the long strand only")
+    for ctx in enumerate_diagrams(LONG, m - 1):
+        for g in range(2 * (m - 1) + 1):
+            right = place_long(ctx, (g, g), ((0, 1),))
+            left = place_long(ctx, (g, g), ((1, 0),))
+            if "RI" in relset:
+                out.append(ArrowVector(LONG, m, {right: rat(1), left: rat(-1)}))
+            if "FI" in relset:
+                out.append(ArrowVector(LONG, m, {right: rat(1)}))
+                out.append(ArrowVector(LONG, m, {left: rat(1)}))
     return out
 
 
@@ -322,11 +253,18 @@ def generate_relations(skeleton, m, relset):
     known = {"TC", "4T", "6T", "RI", "FI", "CC"}
     if not relset <= known:
         raise ValueError("unknown relation ids: %r" % (relset - known,))
-    if skeleton == LONG:
-        return _relators_long(m, relset)
-    if skeleton[0] == "strands":
-        return _relators_strands(skeleton[1], m, relset)
-    raise ValueError("unknown skeleton %r" % (skeleton,))
+    if skeleton != LONG:
+        if skeleton[0] != "strands":
+            raise ValueError("unknown skeleton %r" % (skeleton,))
+        if relset & {"RI", "FI", "CC"}:
+            raise ValueError("RI/FI/CC apply to the long strand only")
+    out = _two_arrow_relators(skeleton, m, relset)
+    if skeleton == LONG and relset & {"RI", "FI"} and m >= 1:
+        out += _isolated_arrow_relators(m, relset)
+    if skeleton == LONG and "CC" in relset and m >= 4:
+        from .jacobi import cc_arrow_relators
+        out += cc_arrow_relators(m)
+    return out
 
 
 # --------------------------------------------------------------------------

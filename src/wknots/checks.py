@@ -14,12 +14,11 @@ from .rational import rat
 from .freegroup import aut_is_basis_conjugating
 from .wbraid import (SIGMA, VIRT, BraidWord, braid_action, braid_equal,
                      braid_skeleton, braid_invert, relation_table)
-from .gauss import GaussDiagram, braid_closure, apply_move, self_linking
-from .rings import laurent_normalize
+from .gauss import GaussDiagram, braid_closure, apply_move
 from .alexander import alexander_matrix, alexander_fox, knot_inventory
 from .arrows import LONG, generate_relations
 from .jacobi import (as_instances, ihx_instances, cc_arrow_relators,
-                     wheel_monomial_basis, monomial_to_arrows, concat)
+                     wheel_monomial_basis, concat)
 from .expansion import (zed_braid, zed_knot, get_quotient, project_expansion,
                         wheels_reduce, predicted_from_alexander)
 from . import lieweights as lw

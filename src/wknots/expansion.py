@@ -230,17 +230,19 @@ def predicted_from_alexander(g, d, flags=frozenset({"RI"})):
 
     Reads the raw determinant D of ``alexander_det`` at X = e^{−x} (the
     sign of x matters only when D is not palindromic) and takes log; its
-    x^k coefficient c_k (k ≥ 2) is the k-wheel's coefficient (the x^1
-    coefficient is a unit-normalization artifact whose carrier dies in the
-    RI quotient), and the single arrow gets sl.  exp(sl·a + Σ c_k w_k) is
-    taken in the wheel-monomial algebra: juxtaposition of monomial images
-    is its product and it is commutative, so the exponential factors and
-    monomial Π g^{n_g} gets Π coef(g)^{n_g} / n_g!, as on the arrow side.
-    Generators without a coefficient (w1) count as 0.
+    x^k coefficient c_k (k ≥ 2) is the k-wheel's coefficient, the 1-wheel
+    (left arrow minus right arrow, which dies under RI and under FI) gets
+    −c_1, and the single arrow gets sl.  exp(sl·a − c_1 w_1 + Σ c_k w_k)
+    is taken in the wheel-monomial algebra: juxtaposition of monomial
+    images is its product and it is commutative, so the exponential
+    factors and monomial Π g^{n_g} gets Π coef(g)^{n_g} / n_g!, as on the
+    arrow side.
     """
     phi = series_log(laurent_at_exp(alexander_det(g).mirror(), d))
     coef = {"a": rat(self_linking(g))}
     coef.update((("w", k), phi[k]) for k in range(2, d + 1))
+    if d >= 1:
+        coef[("w", 1)] = -phi[1]
     out = []
     for m in range(d + 1):
         coords = {}
@@ -248,7 +250,7 @@ def predicted_from_alexander(g, d, flags=frozenset({"RI"})):
             c = rat(1)
             for gen in set(mono):
                 n = mono.count(gen)
-                c *= coef.get(gen, rat(0)) ** n / factorial(n)
+                c *= coef[gen] ** n / factorial(n)
             if c:
                 coords[mono] = c
         out.append(coords)

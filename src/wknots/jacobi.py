@@ -18,7 +18,8 @@ The canonical stored form of every element is a pure-arrow ArrowVector.
 """
 
 from .rational import rat
-from .arrows import LONG, ArrowVector, canonical_long
+from .arrows import (LONG, ArrowVector, canonical_long, enumerate_diagrams,
+                     place_long)
 
 
 class TrivalentDiagram:
@@ -240,7 +241,6 @@ def cc_arrow_relators(m):
     block slid through another (every interleaving of the two blocks' legs
     equals the separated placement), inserted at every gap of every
     degree-(m−4) context diagram."""
-    from .arrows import enumerate_diagrams
     if m < 4:
         return []
 
@@ -270,9 +270,8 @@ def cc_arrow_relators(m):
             for base in bases:
                 v = ArrowVector(LONG, m)
                 for d, c in base.terms.items():
-                    arrows = [(16 * t, 16 * h) for t, h in ctx]
-                    arrows += [(16 * g + t, 16 * g + h) for t, h in d]
-                    v.add_term(canonical_long(arrows), c)
+                    block = [(t - 1, h - 1) for t, h in d]
+                    v.add_term(place_long(ctx, (g,) * 8, block), c)
                 if not v.is_zero():
                     out.append(v)
     return out

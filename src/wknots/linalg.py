@@ -8,13 +8,12 @@ which rows are fed in.
 
 Determinants use one algorithm for every ring: Bareiss elimination
 (Math. Comp. 22, 1968), which divides only exactly, so it runs over
-ℤ[X^±1], Q and truncated power series alike.
+ℤ[X^±1] and Q alike.
 """
 
 from __future__ import annotations
 
 from .rational import Rat
-from .rings import TruncSeries
 
 
 class SparseEchelon:
@@ -79,7 +78,7 @@ class SparseEchelon:
 
 class RatMatrix:
     """A small dense rectangular matrix; entries are ring values supporting
-    +, -, * and exact division ``/`` (rationals, TruncSeries, LaurentPoly)."""
+    +, -, * and exact division ``/`` (rationals, LaurentPoly)."""
 
     def __init__(self, rows):
         self.data = [list(r) for r in rows]
@@ -103,12 +102,9 @@ class RatMatrix:
         n = len(a)
         sign, prev = 1, one
         for k in range(n):
-            p = next((i for i in range(k, n) if _is_pivot(a[i][k])), None)
+            p = next((i for i in range(k, n) if _nonzero(a[i][k])), None)
             if p is None:
-                out = _det_without_pivot([r[k:] for r in a[k:]], one)
-                for _ in range(n - k - 1):  # Sylvester's identity
-                    out = out / prev
-                return out if sign > 0 else -out
+                return one - one
             if p != k:
                 a[k], a[p] = a[p], a[k]
                 sign = -sign
@@ -122,32 +118,5 @@ class RatMatrix:
         return prev if sign > 0 else -prev
 
 
-def _is_pivot(v):
-    """Nonzero; for a truncated series, a unit, since only a unit divides
-    exactly when entries are known modulo x^(cap+1)."""
-    if isinstance(v, TruncSeries):
-        return bool(v.coeffs[0])
+def _nonzero(v):
     return not v.is_zero() if hasattr(v, "is_zero") else bool(v)
-
-
-def _det_without_pivot(b, one):
-    """det(b) when column 0 of the square b holds no pivot.
-
-    Over Q or ℤ[X^±1] the column is zero.  Over series truncated at cap d
-    it is divisible by x: b = b'·diag(x, 1, ..., 1), and det(b') is needed
-    only modulo x^d, so it is taken at cap d−1.
-    """
-    if not isinstance(one, TruncSeries) or one.cap == 0:
-        return one - one
-    d = one.cap
-    low = RatMatrix([[TruncSeries(d - 1, v.coeffs[1:] if j == 0 else v.coeffs)
-                      for j, v in enumerate(row)] for row in b])
-    return TruncSeries(d, [0] + low.det(TruncSeries.const(d - 1, 1)).coeffs)
-
-
-def det_series(m: RatMatrix, cap=None):
-    """Determinant of a square matrix of TruncSeries.  The cap is read from
-    the entries; the empty (0x0) matrix needs it passed, and gives 1."""
-    if m.nrows == 0 and cap is None:
-        raise ValueError("empty matrix: pass the degree cap")
-    return m.det(TruncSeries.const(m.data[0][0].cap if m.nrows else cap, 1))

@@ -253,19 +253,6 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def divexact(self, other):
-        """self / other for a unit `other` (nonzero constant term)."""
-        self._check(other)
-        b = other.coeffs
-        if not b[0]:
-            raise ZeroDivisionError("series division by a non-unit")
-        q = []
-        for k, a in enumerate(self.coeffs):
-            q.append((a - sum(b[j] * q[k - j] for j in range(1, k + 1))) / b[0])
-        return TruncSeries(self.cap, q)
-
-    __truediv__ = divexact
-
     def is_zero(self):
         return all(not c for c in self.coeffs)
 

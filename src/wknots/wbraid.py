@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
-from .freegroup import FreeAut, aut_apply, aut_compose, word_inverse, word_reduce
+from .freegroup import FreeAut, aut_compose, word_reduce
 
 SIGMA, VIRT, FLIP = "s", "v", "f"
 

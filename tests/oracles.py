@@ -2,9 +2,10 @@
 against.  They are exponential and only fit small inputs."""
 
 import math
+from itertools import combinations_with_replacement, permutations
 
 from wknots.alexander import alexander_det, build_S, build_T
-from wknots.arrows import LONG
+from wknots.arrows import LONG, ArrowVector, canonical_long, enumerate_diagrams
 from wknots.expansion import TruncatedExpansion, expansion_exp, wheels_reduce
 from wknots.gauss import self_linking
 from wknots.jacobi import monomial_to_arrows
@@ -68,13 +69,78 @@ def laplace_alexander_matrix(k, d):
 
 def arrow_side_prediction(g, d, flags=frozenset({"RI"})):
     """The Alexander prediction computed among arrow diagrams: build
-    sl·a + Σ_k c_k·(k-wheel) as an expansion, exponentiate it by repeated
-    juxtaposition and read the result in wheel coordinates."""
+    sl·a − c_1·(1-wheel) + Σ_{k≥2} c_k·(k-wheel) as an expansion,
+    exponentiate it by repeated juxtaposition and read the result in wheel
+    coordinates."""
     phi = series_log(laurent_at_exp(alexander_det(g).mirror(), d))
     e = TruncatedExpansion(LONG, d)
     if d >= 1:
         e.comps[1].add_term(((1, 2),), rat(self_linking(g)))
+        e.comps[1] = e.comps[1] - monomial_to_arrows((("w", 1),)) * phi[1]
     for k in range(2, d + 1):
         if phi[k]:
             e.comps[k] = e.comps[k] + monomial_to_arrows((("w", k),)) * phi[k]
     return wheels_reduce(expansion_exp(e), flags)
+
+
+def _insert_long(context, placements):
+    """Insert arrows ((gap, rank), (gap, rank)) into a long context diagram
+    by scaling its slots apart and placing the new endpoints in between."""
+    big = [(192 * t, 192 * h) for t, h in context]
+    for (gt, rt), (gh, rh) in placements:
+        big.append((192 * gt + 64 + rt, 192 * gh + 64 + rh))
+    return canonical_long(big)
+
+
+def _term_long(context, sites, letters):
+    """A two-letter product at three sites (gaps) of a long context: site
+    index, then letter index, orders endpoints inside one gap."""
+    return _insert_long(context, [((sites[u], 8 * u + i), (sites[v], 8 * v + i))
+                                  for i, (u, v) in enumerate(letters)])
+
+
+def long_relators(m, relset):
+    """Long-strand TC/4T/6T/RI/FI relators, each relation written out on
+    its own; TC swaps every pair of adjacent tails of every diagram."""
+    out = []
+
+    def emit(pairs):
+        v = ArrowVector(LONG, m)
+        for d, c in pairs:
+            v.add_term(d, rat(c))
+        if not v.is_zero():
+            out.append(v)
+
+    if "TC" in relset:
+        for d in enumerate_diagrams(LONG, m):
+            tails = {t for t, _ in d}
+            for i in range(1, 2 * m):
+                if i in tails and i + 1 in tails:
+                    swap = {i: i + 1, i + 1: i}
+                    emit([(d, 1), (canonical_long([(swap.get(t, t), h)
+                                                   for t, h in d]), -1)])
+    if ("4T" in relset or "6T" in relset) and m >= 2:
+        for ctx in enumerate_diagrams(LONG, m - 2):
+            for sites in combinations_with_replacement(range(2 * m - 3), 3):
+                for i, j, k in permutations(range(3)):
+                    def term(a, b):
+                        return _term_long(ctx, sites, [a, b])
+                    ij, ik, jk = (i, j), (i, k), (j, k)
+                    if "4T" in relset:
+                        emit([(term(ij, jk), 1), (term(jk, ij), -1),
+                              (term(ik, jk), 1), (term(jk, ik), -1)])
+                    if "6T" in relset:
+                        emit([(term(ij, ik), 1), (term(ij, jk), 1),
+                              (term(ik, jk), 1), (term(ik, ij), -1),
+                              (term(jk, ij), -1), (term(jk, ik), -1)])
+    if m >= 1:
+        for ctx in enumerate_diagrams(LONG, m - 1):
+            for g in range(2 * m - 1):
+                right = _insert_long(ctx, [((g, 0), (g, 1))])
+                left = _insert_long(ctx, [((g, 1), (g, 0))])
+                if "RI" in relset:
+                    emit([(right, 1), (left, -1)])
+                if "FI" in relset:
+                    emit([(right, 1)])
+                    emit([(left, 1)])
+    return out

@@ -7,7 +7,7 @@ import pytest
 from wknots.rational import rat
 from wknots.rings import (LaurentPoly, TruncSeries, laurent_normalize,
                           series_exp, series_log)
-from wknots.linalg import SparseEchelon, RatMatrix, det_series
+from wknots.linalg import SparseEchelon
 
 
 def test_laurent_normalize_examples():
@@ -135,15 +135,3 @@ def test_echelon_rank_order_invariant():
             ech.add(dict(r))
         ranks.add(ech.rank)
     assert len(ranks) == 1
-
-
-def test_det_series_examples():
-    one = TruncSeries.const(2, 1)
-    x = TruncSeries.x(2)
-    zero = TruncSeries.const(2, 0)
-    assert det_series(RatMatrix([]), cap=2) == one
-    ident = RatMatrix([[one, zero, zero], [zero, one, zero],
-                       [zero, zero, one]])
-    assert det_series(ident) == one
-    m = RatMatrix([[one + x, x], [x, one - x]])
-    assert det_series(m) == one - x * x - x * x

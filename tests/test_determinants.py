@@ -11,7 +11,7 @@ from wknots.alexander import alexander_fox, alexander_matrix
 from wknots.gauss import braid_closure, gauss_to_pd
 from wknots.linalg import RatMatrix
 from wknots.rational import rat
-from wknots.rings import LaurentPoly, TruncSeries
+from wknots.rings import LaurentPoly
 from wknots.wbraid import BraidWord
 
 laurents = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3),
@@ -22,25 +22,6 @@ rationals = st.builds(rat, st.integers(-2, 2), st.integers(1, 3))
 def square(entries, n):
     row = st.lists(entries, min_size=n, max_size=n)
     return st.lists(row, min_size=n, max_size=n)
-
-
-@st.composite
-def series_matrices(draw, strip_column):
-    """A square matrix of series at one cap; with ``strip_column`` one
-    column has zero constant terms throughout, so it holds no unit."""
-    cap = draw(st.integers(0, 4))
-    n = draw(st.integers(1 if strip_column else 0, 6))
-    # constant terms are often zero, so the constant-term matrix is often
-    # singular and elimination meets columns without a unit
-    head = st.sampled_from((0, 0, 1, -1, 2))
-    entry = st.builds(lambda c, cs: TruncSeries(cap, [c] + cs), head,
-                      st.lists(rationals, min_size=cap, max_size=cap))
-    rows = draw(square(entry, n))
-    if strip_column:
-        c = draw(st.integers(0, n - 1))
-        for row in rows:
-            row[c] = TruncSeries(cap, [0] + row[c].coeffs[1:])
-    return cap, rows
 
 
 @settings(max_examples=150, deadline=None)
@@ -54,22 +35,6 @@ def test_bareiss_matches_laplace_over_laurent(rows):
 @given(st.integers(0, 6).flatmap(lambda n: square(rationals, n)))
 def test_bareiss_matches_laplace_over_rationals(rows):
     assert RatMatrix(rows).det(rat(1)) == laplace_det(rows, rat(1))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.booleans().flatmap(series_matrices))
-def test_bareiss_matches_laplace_over_series(m):
-    cap, rows = m
-    one = TruncSeries.const(cap, 1)
-    assert RatMatrix(rows).det(one) == laplace_det(rows, one)
-
-
-def test_series_column_without_unit():
-    one, x = TruncSeries.const(3, 1), TruncSeries.x(3)
-    rows = [[x, one], [x * x, x + one]]
-    assert RatMatrix(rows).det(one) == x  # x(x + 1) − x^2
-    rows = [[x, x * x], [x * x, x]]
-    assert RatMatrix(rows).det(one) == x * x
 
 
 def random_closure(rng, crossings, virtual_rate):
@@ -130,12 +95,3 @@ def test_laurent_divexact_raises_on_inexact():
             a.divexact(b)
     with pytest.raises(ZeroDivisionError):
         X(1).divexact(LaurentPoly())
-
-
-def test_series_divexact():
-    x, one = TruncSeries.x(3), TruncSeries.const(3, 1)
-    u = one + x * 2 - x * x
-    p = one * 3 + x * x * x
-    assert (p * u).divexact(u) == p
-    with pytest.raises(ZeroDivisionError):
-        p.divexact(x)

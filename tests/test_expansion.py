@@ -119,9 +119,9 @@ def test_expansion_exp_inverts_nothing_low_degree():
     assert z.comps[2].terms == {((1, 2), (3, 4)): rat(Fraction(1, 2))}
 
 
-def test_prediction_matches_arrow_side_oracle():
-    # the wheel-algebra exponential equals the exponential taken among
-    # arrow diagrams and reduced to wheel coordinates, key order included
+def bridge_knots():
+    """The 14 bundled knots, the unknot, the four w-braid closures and 20
+    seeded random long knots."""
     from wknots.checks import random_knot_diagram
     knots = [pd_to_gauss(pd) for pd in knot_inventory().values()]
     knots.append(GaussDiagram(()))
@@ -129,6 +129,23 @@ def test_prediction_matches_arrow_side_oracle():
     rng = random.Random(33)
     knots += [random_knot_diagram(rng, length=rng.randrange(3, 9))
               for _ in range(20)]
+    return knots
+
+
+def test_prediction_without_flags_matches_zed():
+    # without RI or FI the 1-wheel survives; Z carries it as −c_1
+    for g in bridge_knots():
+        for d in range(5):
+            got = predicted_from_alexander(g, d, frozenset())
+            want = wheels_reduce(zed_knot(g, d), frozenset())
+            assert got == want
+            assert [list(c) for c in got] == [list(c) for c in want]
+
+
+def test_prediction_matches_arrow_side_oracle():
+    # the wheel-algebra exponential equals the exponential taken among
+    # arrow diagrams and reduced to wheel coordinates, key order included
+    knots = bridge_knots()
     for flags in (frozenset({"RI"}), frozenset(), frozenset({"FI"})):
         for g in knots:
             for d in range(5):
