@@ -233,8 +233,8 @@ def _two_arrow_relators(skeleton, m, relset):
 
 
 def _isolated_arrow_relators(m, relset):
-    """RI (right isolated arrow = left one) and FI (both vanish)."""
-    out = []
+    """RI (right isolated arrow = left one) and FI (both vanish, once each)."""
+    out, killed = [], {}
     for ctx in enumerate_diagrams(LONG, m - 1):
         for g in range(2 * (m - 1) + 1):
             right = place_long(ctx, (g, g), ((0, 1),))
@@ -242,9 +242,8 @@ def _isolated_arrow_relators(m, relset):
             if "RI" in relset:
                 out.append(ArrowVector(LONG, m, {right: rat(1), left: rat(-1)}))
             if "FI" in relset:
-                out.append(ArrowVector(LONG, m, {right: rat(1)}))
-                out.append(ArrowVector(LONG, m, {left: rat(1)}))
-    return out
+                killed.update(dict.fromkeys((right, left)))
+    return out + [ArrowVector(LONG, m, {d: rat(1)}) for d in killed]
 
 
 def generate_relations(skeleton, m, relset):
@@ -292,11 +291,15 @@ class QuotientSpace:
         dead = [False] * n     # class known to be zero
 
         def find(i):
-            if parent[i] == i:
-                return i, rat(1)
-            r, w = find(parent[i])
-            parent[i], weight[i] = r, weight[i] * w
-            return r, weight[i]
+            path = []
+            while parent[i] != i:
+                path.append(i)
+                i = parent[i]
+            w = rat(1)
+            for j in reversed(path):  # point the path straight at the root
+                w = weight[j] = weight[j] * w
+                parent[j] = i
+            return i, w
 
         relators = generate_relations(skeleton, m, relset)
         rest = []
@@ -325,14 +328,13 @@ class QuotientSpace:
                     dead[min(r1, r2)] = True
             else:
                 rest.append(v)
-        # propagate deadness to roots once more
+        # propagate deadness to roots; after this, i = weight[i] * parent[i]
         for i in range(n):
             r, _ = find(i)
             if dead[i]:
                 dead[r] = True
 
-        self._find = find
-        self._dead = dead
+        self._parent, self._weight, self._dead = parent, weight, dead
         self._ech = SparseEchelon()
         seen_rows = set()
         for v in rest:
@@ -341,8 +343,7 @@ class QuotientSpace:
             if row and key not in seen_rows:
                 seen_rows.add(key)
                 self._ech.add(row)
-        reps = sorted({find(i)[0] for i in range(n)
-                       if not dead[find(i)[0]]})
+        reps = sorted({r for r in parent if not dead[r]})
         pivots = set(self._ech.pivots())
         self.basis = [self._diagrams[r] for r in reps if r not in pivots]
         self._basis_index = {d: i for i, d in enumerate(self.basis)}
@@ -350,10 +351,11 @@ class QuotientSpace:
     def _to_row(self, v):
         row = {}
         for d, c in v.terms.items():
-            r, w = self._find(self._index[d])
+            i = self._index[d]
+            r = self._parent[i]
             if self._dead[r]:
                 continue
-            cw = row.get(r, rat(0)) + c * w
+            cw = row.get(r, rat(0)) + c * self._weight[i]
             if cw:
                 row[r] = cw
             else:

@@ -2,8 +2,9 @@
 
 ``zed_braid`` sends each crossing of a w-braid word to the exponential of a
 single arrow between the two crossing strands (tail on the over strand);
-``zed_knot`` does the same along a long-knot Gauss diagram.  Both truncate
-at a degree cap.  On the long strand the quotient A^w(↑) is the
+``zed_knot`` does the same along a long-knot Gauss diagram, summing over
+arrow supports.  Both truncate at a degree cap d and sum integer
+numerators over d!.  On the long strand the quotient A^w(↑) is the
 commutative polynomial algebra on the single arrow ``a`` and the wheels;
 ``wheels_reduce`` reads an expansion in that wheel-monomial basis, and
 ``predicted_from_alexander`` computes the same coordinates from the
@@ -11,11 +12,12 @@ Alexander polynomial alone, inside the monomial algebra.
 """
 
 from functools import cache
+from itertools import combinations
 from math import factorial
 
 from .rational import rat
 from .rings import laurent_at_exp, series_log
-from .arrows import LONG, strands, ArrowVector, canonical_long, canonical_word, quotient
+from .arrows import LONG, strands, ArrowVector, canonical_word, quotient
 from .jacobi import monomial_to_arrows, wheel_monomial_basis, concat
 from .linalg import SparseEchelon
 from .gauss import GaussDiagram, self_linking
@@ -26,15 +28,10 @@ from .wbraid import BraidWord
 class TruncatedExpansion:
     """Per-degree arrow-vector components 0..d on one skeleton."""
 
-    def __init__(self, skeleton, d, comps=None):
+    def __init__(self, skeleton, d):
         self.skeleton = skeleton
         self.d = d
-        self.comps = {}
-        for m in range(d + 1):
-            self.comps[m] = ArrowVector(skeleton, m)
-        if comps:
-            for m, v in comps.items():
-                self.comps[m] = v
+        self.comps = {m: ArrowVector(skeleton, m) for m in range(d + 1)}
 
     @classmethod
     def unit(cls, skeleton, d):
@@ -87,33 +84,30 @@ def zed_braid(b, d, start=None):
     under strand; virtual crossings only permute.  ``start`` optionally
     gives the strand occupying each position initially (for composing
     expansions across a split word).  Flip letters are not supported.
+    Every coefficient is a sum of products Π ±1/k! with Σk ≤ d, so d! times
+    it is an integer; those numerators are summed and divided by d! once.
     """
     if not isinstance(b, BraidWord):
         raise TypeError("expected a BraidWord")
     n = b.n
-    skel = strands(n)
     pos = list(start) if start else list(range(1, n + 1))
-    z = TruncatedExpansion.unit(skel, d)
+    nums = [{(): factorial(d)}] + [{} for _ in range(d)]
     for kind, i, sgn in b.letters:
         if kind == "f":
             raise ValueError("flip letters have no arrow-valued expansion")
         lo, hi = pos[i - 1], pos[i]
         if kind == "s":
-            over, under = (lo, hi) if sgn > 0 else (hi, lo)
-            letter = (over, under)
-            nz = TruncatedExpansion(skel, d)
+            letter = (lo, hi) if sgn > 0 else (hi, lo)  # (over, under)
+            new = [{} for _ in range(d + 1)]
             for m in range(d + 1):
-                for k in range(0, m + 1):
-                    src = z.comps[m - k]
-                    if src.is_zero():
-                        continue
-                    coeff = rat(sgn ** k, factorial(k))
-                    for w, c in src.terms.items():
-                        nz.comps[m].add_term(
-                            canonical_word(w + (letter,) * k, n), c * coeff)
-            z = nz
+                for k in range(m + 1):
+                    sign, kf = sgn ** k, factorial(k)
+                    for w, c in nums[m - k].items():
+                        key = canonical_word(w + (letter,) * k, n)
+                        new[m][key] = new[m].get(key, 0) + sign * c // kf
+            nums = [{w: c for w, c in acc.items() if c} for acc in new]
         pos[i - 1], pos[i] = pos[i], pos[i - 1]
-    return z
+    return _from_numerators(strands(n), d, nums)
 
 
 # --------------------------------------------------------------------------
@@ -123,39 +117,60 @@ def zed_braid(b, d, start=None):
 def zed_knot(g, d, normalize=False):
     """Truncated expansion of a long w-knot Gauss diagram.
 
-    Each crossing contributes exp(s·a) of its arrow; expanding the product
-    along the strand amounts to summing over per-crossing multiplicities
-    (k_1..k_n), placing k_c parallel copies of arrow c (order-preserving in
-    both endpoint bundles) with coefficient Π s_c^{k_c} / k_c!.
+    Each crossing contributes exp(s·a) of its arrow.  The product along the
+    strand is a sum over supports: each set S of at most d arrows, in slot
+    order, with each positive composition (k_c) of at most d over S, gives
+    k_c parallel copies of arrow c with coefficient Π s_c^{k_c} / k_c!.  An
+    endpoint of c sits at 1 + the sum of k_c' over the endpoints of S before
+    it, copy j at (tail + j, head + j): the diagram is already canonical.
+    Coefficients are summed as integer numerators over d!.
 
     With ``normalize`` the result is multiplied by exp(−sl·arrow), killing
     the writhe dependence (full kink removal on top of the kink-flip move).
     """
     if not isinstance(g, GaussDiagram):
         raise TypeError("expected a GaussDiagram")
-    arrows = list(g.canonical())
-    z = TruncatedExpansion(LONG, d)
-    B = d + 2  # sub-slot scale for parallel copies
-
-    def rec(idx, used, placed, coeff):
-        if idx == len(arrows):
-            z.comps[used].add_term(canonical_long(placed), coeff)
-            return
-        t, h, s = arrows[idx]
-        k = 0
-        while used + k <= d:
-            copies = [(t * B + j, h * B + j) for j in range(k)]
-            rec(idx + 1, used + k, placed + copies,
-                coeff * rat(s ** k, factorial(k)))
-            k += 1
-
-    rec(0, 0, [], rat(1))
+    arrows = g.canonical()
+    nums = [{} for _ in range(d + 1)]
+    for p in range(min(len(arrows), d) + 1):
+        for sub in combinations(arrows, p):
+            # endpoint 2c is the tail of sub[c], 2c + 1 its head
+            order = sorted(range(2 * p), key=lambda e: sub[e >> 1][e & 1])
+            negative = [c for c in range(p) if sub[c][2] < 0]
+            slot = [0] * (2 * p)
+            for ks, m, num in _compositions(p, d):
+                s = 1
+                for e in order:
+                    slot[e], s = s, s + ks[e >> 1]
+                diagram = tuple((slot[2 * c] + j, slot[2 * c + 1] + j)
+                                for c in range(p) for j in range(ks[c]))
+                if sum(ks[c] for c in negative) & 1:
+                    num = -num
+                nums[m][diagram] = nums[m].get(diagram, 0) + num
+    z = _from_numerators(LONG, d, nums)
     if normalize:
-        sl = self_linking(g)
         e = TruncatedExpansion(LONG, d)
         if d >= 1:
-            e.comps[1].add_term(((1, 2),), rat(-sl))
+            e.comps[1].add_term(((1, 2),), rat(-self_linking(g)))
         z = z * expansion_exp(e)
+    return z
+
+
+@cache
+def _compositions(p, d):
+    """(ks, m, d!/Π k_c!) for each p-tuple ks of positive ints, sum m ≤ d."""
+    if p == 0:
+        return (((), 0, factorial(d)),)
+    return tuple((ks + (k,), m + k, num // factorial(k))
+                 for ks, m, num in _compositions(p - 1, d)
+                 for k in range(1, d - m + 1))
+
+
+def _from_numerators(skeleton, d, nums):
+    """The expansion whose degree-m terms are nums[m] / d!."""
+    z, fact = TruncatedExpansion(skeleton, d), factorial(d)
+    for comp, acc in zip(z.comps.values(), nums):
+        comp.terms = {w: rat(c, fact) for w, c in acc.items() if c}
     return z
 
 

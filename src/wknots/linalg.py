@@ -112,8 +112,13 @@ class RatMatrix:
             for i in range(k + 1, n):
                 ai = a[i]
                 f = ai[k]
-                for j in range(k + 1, n):
-                    ai[j] = (piv * ai[j] - f * row[j]) / prev
+                if _nonzero(f):
+                    for j in range(k + 1, n):
+                        ai[j] = (piv * ai[j] - f * row[j]) / prev
+                else:  # the update is piv·a[i][j] / prev; zeros stay zero
+                    for j in range(k + 1, n):
+                        if _nonzero(ai[j]):
+                            ai[j] = piv * ai[j] / prev
             prev = piv
         return prev if sign > 0 else -prev
 

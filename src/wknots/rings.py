@@ -50,12 +50,12 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         if isinstance(other, int):
             other = LaurentPoly.const(other)
         c = dict(self.coeffs)
         for e, v in other.coeffs.items():
-            w = c.get(e, 0) + v
+            w = c.get(e, 0) + sign * v
             if w:
                 c[e] = w
             else:
@@ -72,9 +72,7 @@ class LaurentPoly:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other

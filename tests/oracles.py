@@ -5,7 +5,8 @@ import math
 from itertools import combinations_with_replacement, permutations
 
 from wknots.alexander import alexander_det, build_S, build_T
-from wknots.arrows import LONG, ArrowVector, canonical_long, enumerate_diagrams
+from wknots.arrows import (LONG, ArrowVector, canonical_long, canonical_word,
+                           enumerate_diagrams, strands)
 from wknots.expansion import TruncatedExpansion, expansion_exp, wheels_reduce
 from wknots.gauss import self_linking
 from wknots.jacobi import monomial_to_arrows
@@ -81,6 +82,61 @@ def arrow_side_prediction(g, d, flags=frozenset({"RI"})):
         if phi[k]:
             e.comps[k] = e.comps[k] + monomial_to_arrows((("w", k),)) * phi[k]
     return wheels_reduce(expansion_exp(e), flags)
+
+
+def zed_braid_fractions(b, d, start=None):
+    """``zed_braid`` with one rational per term and crossing: each letter
+    multiplies every term by exp(ε·a) in place."""
+    n = b.n
+    skel = strands(n)
+    pos = list(start) if start else list(range(1, n + 1))
+    z = TruncatedExpansion.unit(skel, d)
+    for kind, i, sgn in b.letters:
+        lo, hi = pos[i - 1], pos[i]
+        if kind == "s":
+            over, under = (lo, hi) if sgn > 0 else (hi, lo)
+            letter = (over, under)
+            nz = TruncatedExpansion(skel, d)
+            for m in range(d + 1):
+                for k in range(0, m + 1):
+                    src = z.comps[m - k]
+                    if src.is_zero():
+                        continue
+                    coeff = rat(sgn ** k, math.factorial(k))
+                    for w, c in src.terms.items():
+                        nz.comps[m].add_term(
+                            canonical_word(w + (letter,) * k, n), c * coeff)
+            z = nz
+        pos[i - 1], pos[i] = pos[i], pos[i - 1]
+    return z
+
+
+def zed_knot_recursive(g, d, normalize=False):
+    """``zed_knot`` by recursion over the multiplicities (k_1..k_n) of all
+    arrows, with one rational per node and ``canonical_long`` per leaf."""
+    arrows = list(g.canonical())
+    z = TruncatedExpansion(LONG, d)
+    B = d + 2  # sub-slot scale for parallel copies
+
+    def rec(idx, used, placed, coeff):
+        if idx == len(arrows):
+            z.comps[used].add_term(canonical_long(placed), coeff)
+            return
+        t, h, s = arrows[idx]
+        k = 0
+        while used + k <= d:
+            copies = [(t * B + j, h * B + j) for j in range(k)]
+            rec(idx + 1, used + k, placed + copies,
+                coeff * rat(s ** k, math.factorial(k)))
+            k += 1
+
+    rec(0, 0, [], rat(1))
+    if normalize:
+        e = TruncatedExpansion(LONG, d)
+        if d >= 1:
+            e.comps[1].add_term(((1, 2),), rat(-self_linking(g)))
+        z = z * expansion_exp(e)
+    return z
 
 
 def _insert_long(context, placements):

@@ -114,7 +114,7 @@ RELATOR_COUNTS = {
     (LONG, "4T"): [0, 0, 6, 120, 2520],
     (LONG, "6T"): [0, 0, 6, 120, 2520],
     (LONG, "RI"): [0, 1, 6, 60, 840],
-    (LONG, "FI"): [0, 2, 12, 120, 1680],
+    (LONG, "FI"): [0, 2, 8, 80, 1104],
     (strands(3), "TC"): [0, 0, 3, 36],
     (strands(3), "4T"): [0, 0, 6, 72],
     (strands(3), "6T"): [0, 0, 6, 72],

@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wknots.rational import rat
+from wknots.rational import Rat, rat
 from wknots.wbraid import word, braid_from_text, relation_table
 from wknots.gauss import GaussDiagram, braid_closure, apply_move, pd_to_gauss
 from wknots.alexander import knot_inventory
@@ -13,7 +14,8 @@ from wknots.expansion import (TruncatedExpansion, expansion_exp, zed_braid,
                               zed_knot, project_expansion, wheels_reduce,
                               predicted_from_alexander)
 
-from oracles import arrow_side_prediction
+from oracles import (arrow_side_prediction, zed_braid_fractions,
+                     zed_knot_recursive)
 
 # w-braids whose closures have non-palindromic Alexander polynomials
 W_BRAIDS = (
@@ -153,3 +155,60 @@ def test_prediction_matches_arrow_side_oracle():
                 want = arrow_side_prediction(g, d, flags)
                 assert got == want
                 assert [list(c) for c in got] == [list(c) for c in want]
+
+
+# --------------------------------------------------------------------------
+# the integer kernels of zed_knot and zed_braid against the rational oracles
+# --------------------------------------------------------------------------
+
+def assert_same_terms(z, oracle):
+    # equal terms with Rat values; the key order may differ where terms
+    # cancel, and neither ArrowVector.__eq__ nor project reads it
+    assert (z.skeleton, z.d) == (oracle.skeleton, oracle.d)
+    assert z.comps.keys() == oracle.comps.keys()
+    for m, v in z.comps.items():
+        assert v.terms == oracle.comps[m].terms
+        assert all(type(c) is Rat for c in v.terms.values())
+
+
+@st.composite
+def gauss_diagrams(draw):
+    """Up to five arrows on random slots with random signs; half of them
+    get a parallel R2 pair of opposite signs, whose terms cancel."""
+    k = draw(st.integers(0, 5))
+    slots = draw(st.permutations(range(1, 2 * k + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k))
+    g = GaussDiagram([(slots[2 * i], slots[2 * i + 1], s)
+                      for i, s in enumerate(signs)])
+    if k and draw(st.booleans()):
+        gaps = draw(st.lists(st.integers(0, 2 * k), min_size=2, max_size=2,
+                             unique=True))
+        g = apply_move(g, "r2", *gaps, draw(st.sampled_from((1, -1))), False)
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(gauss_diagrams(), st.integers(0, 6), st.booleans())
+def test_zed_knot_matches_recursive_oracle(g, d, normalize):
+    assert_same_terms(zed_knot(g, d, normalize),
+                      zed_knot_recursive(g, d, normalize))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 4), st.integers(0, 8),
+       st.integers(0, 5))
+def test_zed_braid_matches_rational_oracle(seed, n, length, d):
+    from wknots.checks import random_braid
+    b = random_braid(random.Random(seed), n, length)
+    assert_same_terms(zed_braid(b, d), zed_braid_fractions(b, d))
+
+
+def test_zed_matches_oracles_on_bundled_knots():
+    knots = [pd_to_gauss(pd) for pd in knot_inventory().values()]
+    for text in W_BRAIDS:
+        b = braid_from_text(text)
+        assert_same_terms(zed_braid(b, 5), zed_braid_fractions(b, 5))
+        knots.append(braid_closure(b))
+    assert len(knots) == 18
+    for g in knots:
+        assert_same_terms(zed_knot(g, 5), zed_knot_recursive(g, 5))
