@@ -24,8 +24,10 @@ degree m−2, placed by ``place_long``, which also inserts the isolated
 arrows of RI/FI and the commutator blocks of CC.
 """
 
+from bisect import bisect_left
 from functools import partial
-from itertools import combinations_with_replacement, permutations, product
+from itertools import (chain, combinations_with_replacement, permutations,
+                       product)
 
 from .rational import rat
 from .linalg import SparseEchelon
@@ -34,7 +36,10 @@ LONG = ("long",)
 
 
 def strands(n):
-    return ("strands", int(n))
+    n = int(n)
+    if n < 1:
+        raise ValueError("a strands skeleton needs at least one strand")
+    return ("strands", n)
 
 
 # --------------------------------------------------------------------------
@@ -185,12 +190,17 @@ def place_long(context, gaps, arrows):
     index order, and endpoints at one point keep the order of ``arrows``,
     a sequence of (tail point, head point) pairs.
     """
-    keys = [((t, 0, 0), (h, 0, 0)) for t, h in context]
-    keys += [((gaps[u], 1 + u, i), (gaps[v], 1 + v, i))
-             for i, (u, v) in enumerate(arrows)]
-    slot = {k: s for s, k in
-            enumerate(sorted(k for arrow in keys for k in arrow), start=1)}
-    return tuple(sorted((slot[t], slot[h]) for t, h in keys))
+    # the new endpoints in line order: by gap, point, then arrow
+    ends = sorted([(gaps[u], 1 + u, i, e) for i, arrow in enumerate(arrows)
+                   for e, u in enumerate(arrow)])
+    placed = [[0, 0] for _ in arrows]
+    below = []
+    for k, (g, _, i, e) in enumerate(ends, start=1):
+        placed[i][e] = g + k  # after g context slots and k - 1 new endpoints
+        below.append(g)
+    # context slot s moves up by the number of new endpoints in gaps g < s
+    return tuple(sorted([(t + bisect_left(below, t), h + bisect_left(below, h))
+                         for t, h in context] + [tuple(a) for a in placed]))
 
 
 def _placements(skeleton, ctx):
@@ -213,42 +223,50 @@ def _two_arrow_relators(skeleton, m, relset):
     # each relation with its roles 0, 1, 2 sent to three distinct points p;
     # TC is antisymmetric in its two heads, so the other order of p[1], p[2]
     # would only repeat it negated
-    instances = [[(tuple((p[t], p[h]) for t, h in arrows), rat(sign))
+    instances = [[(tuple((p[t], p[h]) for t, h in arrows), sign)
                   for arrows, sign in terms]
                  for p in permutations(points, 3)
                  for name, terms in TWO_ARROW_RELATIONS.items()
                  if name in relset and not (name == "TC" and p[1] > p[2])]
-    out = []
     if m < 2 or not instances:
-        return out
+        return
+    # the instances repeat products (30 terms hold the 24 distinct ones for
+    # {TC,4T}, 42 for {TC,6T}), so a placement places each product once
+    products = {arrows for terms in instances for arrows, _ in terms}
     for ctx in enumerate_diagrams(skeleton, m - 2):
         for place in _placements(skeleton, ctx):
+            placed = {arrows: place(arrows) for arrows in products}
             for terms in instances:
-                v = ArrowVector(skeleton, m)
+                row = {}
                 for arrows, sign in terms:
-                    v.add_term(place(arrows), sign)
-                if not v.is_zero():
-                    out.append(v)
-    return out
+                    d = placed[arrows]
+                    c = row.get(d, 0) + sign
+                    if c:
+                        row[d] = c
+                    else:
+                        del row[d]
+                if row:
+                    yield row
 
 
 def _isolated_arrow_relators(m, relset):
     """RI (right isolated arrow = left one) and FI (both vanish, once each)."""
-    out, killed = [], {}
+    killed = {}
     for ctx in enumerate_diagrams(LONG, m - 1):
         for g in range(2 * (m - 1) + 1):
             right = place_long(ctx, (g, g), ((0, 1),))
             left = place_long(ctx, (g, g), ((1, 0),))
             if "RI" in relset:
-                out.append(ArrowVector(LONG, m, {right: rat(1), left: rat(-1)}))
+                yield {right: 1, left: -1}
             if "FI" in relset:
                 killed.update(dict.fromkeys((right, left)))
-    return out + [ArrowVector(LONG, m, {d: rat(1)}) for d in killed]
+    for d in killed:
+        yield {d: 1}
 
 
-def generate_relations(skeleton, m, relset):
-    """All relator vectors of degree m for the given relation ids."""
-    relset = frozenset(relset)
+def _relators(skeleton, m, relset):
+    """The relators of ``generate_relations`` as {diagram: coefficient}
+    dicts, produced lazily; TC, 4T, 6T, RI and FI have int coefficients."""
     known = {"TC", "4T", "6T", "RI", "FI", "CC"}
     if not relset <= known:
         raise ValueError("unknown relation ids: %r" % (relset - known,))
@@ -257,12 +275,22 @@ def generate_relations(skeleton, m, relset):
             raise ValueError("unknown skeleton %r" % (skeleton,))
         if relset & {"RI", "FI", "CC"}:
             raise ValueError("RI/FI/CC apply to the long strand only")
-    out = _two_arrow_relators(skeleton, m, relset)
+    parts = [_two_arrow_relators(skeleton, m, relset)]
     if skeleton == LONG and relset & {"RI", "FI"} and m >= 1:
-        out += _isolated_arrow_relators(m, relset)
+        parts.append(_isolated_arrow_relators(m, relset))
     if skeleton == LONG and "CC" in relset and m >= 4:
         from .jacobi import cc_arrow_relators
-        out += cc_arrow_relators(m)
+        parts.append(v.terms for v in cc_arrow_relators(m))
+    return chain.from_iterable(parts)
+
+
+def generate_relations(skeleton, m, relset):
+    """All relator vectors of degree m for the given relation ids."""
+    out = []
+    for terms in _relators(skeleton, m, frozenset(relset)):
+        v = ArrowVector(skeleton, m)
+        v.terms = {d: rat(c) for d, c in terms.items()}
+        out.append(v)
     return out
 
 
@@ -273,9 +301,11 @@ def generate_relations(skeleton, m, relset):
 class QuotientSpace:
     """Per-degree quotient of the diagram span by a relation set.
 
-    Two-term ±1 relators are folded into a signed union-find first; the
-    remaining relators are echelonized over the surviving class
-    representatives.  The quotient basis is the set of non-pivot classes.
+    Two-term ±1 relators are folded into a signed union-find first, whose
+    weights are the ints ±1; the remaining relators are echelonized over
+    the surviving class representatives.  Relators and their rows are
+    int dicts, and ``Rat`` enters the echelon only at a pivot that is not
+    ±1.  The quotient basis is the set of non-pivot classes.
     """
 
     def __init__(self, skeleton, m, relset):
@@ -287,7 +317,7 @@ class QuotientSpace:
         self._diagrams = diagrams
         n = len(diagrams)
         parent = list(range(n))
-        weight = [rat(1)] * n  # diagram = weight * rep(diagram)
+        weight = [1] * n       # diagram = weight * rep(diagram)
         dead = [False] * n     # class known to be zero
 
         def find(i):
@@ -295,39 +325,34 @@ class QuotientSpace:
             while parent[i] != i:
                 path.append(i)
                 i = parent[i]
-            w = rat(1)
+            w = 1
             for j in reversed(path):  # point the path straight at the root
                 w = weight[j] = weight[j] * w
                 parent[j] = i
             return i, w
 
-        relators = generate_relations(skeleton, m, relset)
         rest = []
-        for v in relators:
-            items = sorted(v.terms.items())
-            if len(items) == 1:
-                r, _ = find(self._index[items[0][0]])
+        for terms in _relators(skeleton, m, self.relset):
+            if len(terms) == 1:
+                r, _ = find(self._index[next(iter(terms))])
                 dead[r] = True
-            elif (len(items) == 2 and abs(items[0][1]) == 1
-                  and abs(items[1][1]) == 1):
-                (d1, c1), (d2, c2) = items
+            elif len(terms) == 2 and all(abs(c) == 1 for c in terms.values()):
+                (d1, c1), (d2, c2) = terms.items()
                 r1, w1 = find(self._index[d1])
                 r2, w2 = find(self._index[d2])
                 if r1 == r2:
                     if c1 * w1 + c2 * w2 != 0:
                         dead[r1] = True
                     continue
-                # c1*w1*r1 + c2*w2*r2 = 0  =>  r1 = (-c2*w2/(c1*w1)) * r2
-                if r1 < r2:
-                    parent[r2] = r1
-                    weight[r2] = -c1 * w1 / (c2 * w2)
-                else:
-                    parent[r1] = r2
-                    weight[r1] = -c2 * w2 / (c1 * w1)
-                if dead[max(r1, r2)]:
-                    dead[min(r1, r2)] = True
+                # c1*w1*r1 + c2*w2*r2 = 0 with every factor ±1, so each
+                # root is -c1*w1*c2*w2 times the other
+                lo, hi = min(r1, r2), max(r1, r2)
+                parent[hi] = lo
+                weight[hi] = -1 if c1 * w1 == c2 * w2 else 1
+                if dead[hi]:
+                    dead[lo] = True
             else:
-                rest.append(v)
+                rest.append(terms)
         # propagate deadness to roots; after this, i = weight[i] * parent[i]
         for i in range(n):
             r, _ = find(i)
@@ -337,8 +362,8 @@ class QuotientSpace:
         self._parent, self._weight, self._dead = parent, weight, dead
         self._ech = SparseEchelon()
         seen_rows = set()
-        for v in rest:
-            row = self._to_row(v)
+        for terms in rest:
+            row = self._to_row(terms)
             key = tuple(sorted(row.items()))
             if row and key not in seen_rows:
                 seen_rows.add(key)
@@ -348,14 +373,14 @@ class QuotientSpace:
         self.basis = [self._diagrams[r] for r in reps if r not in pivots]
         self._basis_index = {d: i for i, d in enumerate(self.basis)}
 
-    def _to_row(self, v):
+    def _to_row(self, terms):
         row = {}
-        for d, c in v.terms.items():
+        for d, c in terms.items():
             i = self._index[d]
             r = self._parent[i]
             if self._dead[r]:
                 continue
-            cw = row.get(r, rat(0)) + c * self._weight[i]
+            cw = row.get(r, 0) + c * self._weight[i]
             if cw:
                 row[r] = cw
             else:
@@ -370,7 +395,7 @@ class QuotientSpace:
         """Coordinates of an ArrowVector in the quotient basis."""
         if (v.skeleton, v.m) != (self.skeleton, self.m):
             raise ValueError("degree/skeleton mismatch")
-        row = self._ech.reduce(self._to_row(v))
+        row = self._ech.reduce(self._to_row(v.terms))
         out = [rat(0)] * self.dim
         for r, c in row.items():
             d = self._diagrams[r]

@@ -14,7 +14,7 @@ from .wbraid import braid_from_text, braid_equal, braid_action
 from .gauss import pd_from_text, pd_to_gauss, gauss_from_text, self_linking
 from .rings import series_log
 from .alexander import alexander_matrix, alexander_fox
-from .arrows import LONG, quotient
+from .arrows import LONG, quotient, strands
 from .jacobi import wheel_monomial_basis
 from .expansion import zed_knot, project_expansion, wheels_reduce
 from . import checks
@@ -129,7 +129,7 @@ def _parse_skeleton(text):
     if text == "long":
         return LONG
     if text.startswith("strands:"):
-        return ("strands", int(text.split(":", 1)[1]))
+        return strands(text.split(":", 1)[1])
     raise ValueError("skeleton must be 'long' or 'strands:<n>'")
 
 

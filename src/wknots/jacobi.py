@@ -158,8 +158,12 @@ def wheel_monomial_basis(m, flags=frozenset()):
 
     Generators: "a" (a single arrow) and ("w", k) (the k-wheel).  Under RI
     the 1-wheel dies (left and right arrows agree); under FI both die.
+    Any other flag raises ``ValueError``.
     """
     flags = frozenset(flags)
+    if not flags <= {"RI", "FI"}:
+        raise ValueError("unknown flags %s; expected RI and/or FI"
+                         % ",".join(sorted(flags - {"RI", "FI"})))
     gens = []
     if "FI" not in flags:
         gens.append(("a", 1))

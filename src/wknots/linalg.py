@@ -4,7 +4,13 @@ The echelon form produced here is the canonical reduced row-echelon form
 of the row space: pivot columns are the leftmost possible, pivot entries
 are 1, and pivots are eliminated from every other row.  Because RREF is
 unique per subspace, the output is bit-identical no matter the order in
-which rows are fed in.
+which rows are fed in.  Stored entries are Python ints wherever they are
+integral.  The relators of the arrow-diagram quotients have coefficients
+±1 and nearly all of them reduce to rows whose pivot entry is ±1, so
+those builds run in integer arithmetic; ``Rat`` appears only where a
+pivot is not ±1 (a few rows per space) or an input row is not integral,
+and integral results go back to ints.  Every value handed back to
+callers is a ``Rat``.
 
 Determinants use one algorithm for every ring: Bareiss elimination
 (Math. Comp. 22, 1968), which divides only exactly, so it runs over
@@ -19,18 +25,25 @@ from .rational import Rat
 class SparseEchelon:
     """Incremental reduced row-echelon form over Q.
 
-    Rows are sparse dicts column -> nonzero rational.  After every
-    insertion the stored rows satisfy: each row's minimal column is its
-    pivot, the pivot coefficient is 1, and no other stored row has
-    support on any pivot column.
+    Rows are sparse dicts column -> nonzero value, int or ``Rat``.  After
+    every insertion the stored rows satisfy: each row's minimal column is
+    its pivot, the pivot coefficient is 1, no other stored row has support
+    on any pivot column, and every integral entry is an int.  A new row
+    whose pivot entry is ±1 is normalized by negation, so integer rows
+    with unit pivots never leave the integers; any other pivot entry is
+    divided out in ``Rat``.
     """
 
     def __init__(self):
         self.rows = {}  # pivot column -> row dict
 
     def reduce(self, row):
-        """Return row reduced against all stored pivots (a fresh dict)."""
-        row = {c: Rat(v) for c, v in row.items() if v}
+        """Return row reduced against all stored pivots (a fresh dict of
+        ``Rat`` values)."""
+        return {c: Rat(v) for c, v in self._reduce(row).items()}
+
+    def _reduce(self, row):
+        row = {c: v for c, v in row.items() if v}
         for c in sorted(row):
             if c not in row:
                 continue
@@ -39,7 +52,7 @@ class SparseEchelon:
                 continue
             factor = row[c]
             for pc, pv in piv.items():
-                w = row.get(pc, Rat(0)) - factor * pv
+                w = row.get(pc, 0) - factor * pv
                 if w:
                     row[pc] = w
                 else:
@@ -48,23 +61,32 @@ class SparseEchelon:
 
     def add(self, row) -> bool:
         """Insert a row; returns True if the rank increased."""
-        row = self.reduce(row)
+        row = self._reduce(row)
         if not row:
             return False
         p = min(row)
-        inv = 1 / row[p]
-        row = {c: v * inv for c, v in row.items()}
+        head = row[p]
+        if head == -1:
+            row = {c: -v for c, v in row.items()}
+        elif head != 1:
+            inv = 1 / Rat(head)
+            row = {c: v * inv for c, v in row.items()}
+        integral = _narrow(row)
         # eliminate the new pivot from existing rows
-        for q, r in self.rows.items():
+        for r in self.rows.values():
             f = r.get(p)
             if f is None:
                 continue
             for c, v in row.items():
-                w = r.get(c, Rat(0)) - f * v
+                w = r.get(c, 0) - f * v
                 if w:
                     r[c] = w
                 else:
                     r.pop(c, None)
+            # int - int·int stays an int, and a non-integral entry minus
+            # an int stays non-integral; only other updates need narrowing
+            if not (integral and type(f) is int):
+                _narrow(r)
         self.rows[p] = row
         return True
 
@@ -74,6 +96,19 @@ class SparseEchelon:
 
     def pivots(self):
         return sorted(self.rows)
+
+
+def _narrow(row):
+    """Turn the integral values of a row into ints, in place; returns
+    whether every value is now an int."""
+    integral = True
+    for c, v in row.items():
+        if type(v) is not int:
+            if v.denominator == 1:
+                row[c] = int(v)
+            else:
+                integral = False
+    return integral
 
 
 class RatMatrix:

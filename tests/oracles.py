@@ -1,5 +1,6 @@
 """Reference implementations that the fast paths in ``src/`` are tested
-against.  They are exponential and only fit small inputs."""
+against: the slower paths they replaced, most of them exponential, so
+they only fit small inputs."""
 
 import math
 from itertools import combinations_with_replacement, permutations
@@ -10,7 +11,7 @@ from wknots.arrows import (LONG, ArrowVector, canonical_long, canonical_word,
 from wknots.expansion import TruncatedExpansion, expansion_exp, wheels_reduce
 from wknots.gauss import self_linking
 from wknots.jacobi import monomial_to_arrows
-from wknots.rational import rat
+from wknots.rational import Rat, rat
 from wknots.rings import (LaurentPoly, TruncSeries, laurent_at_exp,
                           laurent_normalize, series_log)
 
@@ -18,6 +19,58 @@ from wknots.rings import (LaurentPoly, TruncSeries, laurent_at_exp,
 def is_zero(v):
     f = getattr(v, "is_zero", None)
     return f() if f else not v
+
+
+class FractionEchelon:
+    """``linalg.SparseEchelon`` with every value a ``Rat``: incremental
+    reduced row-echelon form, rows as dicts column -> nonzero rational."""
+
+    def __init__(self):
+        self.rows = {}  # pivot column -> row dict
+
+    def reduce(self, row):
+        row = {c: Rat(v) for c, v in row.items() if v}
+        for c in sorted(row):
+            if c not in row:
+                continue
+            piv = self.rows.get(c)
+            if piv is None:
+                continue
+            factor = row[c]
+            for pc, pv in piv.items():
+                w = row.get(pc, Rat(0)) - factor * pv
+                if w:
+                    row[pc] = w
+                else:
+                    row.pop(pc, None)
+        return row
+
+    def add(self, row):
+        row = self.reduce(row)
+        if not row:
+            return False
+        p = min(row)
+        inv = 1 / row[p]
+        row = {c: v * inv for c, v in row.items()}
+        for r in self.rows.values():
+            f = r.get(p)
+            if f is None:
+                continue
+            for c, v in row.items():
+                w = r.get(c, Rat(0)) - f * v
+                if w:
+                    r[c] = w
+                else:
+                    r.pop(c, None)
+        self.rows[p] = row
+        return True
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def pivots(self):
+        return sorted(self.rows)
 
 
 def laplace_det(rows, one):

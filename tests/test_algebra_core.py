@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wknots.rational import rat
+from wknots.rational import Rat, rat
 from wknots.rings import (LaurentPoly, TruncSeries, laurent_normalize,
                           series_exp, series_log)
 from wknots.linalg import SparseEchelon
+
+from oracles import FractionEchelon
 
 
 def test_laurent_normalize_examples():
@@ -135,3 +138,45 @@ def test_echelon_rank_order_invariant():
             ech.add(dict(r))
         ranks.add(ech.rank)
     assert len(ranks) == 1
+
+
+_INTEGERS = st.integers(-4, 4).filter(bool)
+_RATIONALS = st.builds(rat, _INTEGERS, st.integers(1, 4))
+
+
+@st.composite
+def sparse_rows(draw):
+    """Rows over 10 columns: integer rows (whose pivots are often not ±1),
+    rational rows, or mixed ones; values passed as int or ``Rat``."""
+    kind = draw(st.sampled_from(("integer", "rational", "mixed")))
+    values = {"integer": _INTEGERS, "rational": _RATIONALS,
+              "mixed": _INTEGERS | _RATIONALS}[kind]
+    rows = []
+    for _ in range(draw(st.integers(1, 14))):
+        cols = draw(st.lists(st.integers(0, 9), min_size=1, max_size=5,
+                             unique=True))
+        row = {}
+        for c in cols:
+            v = draw(values)
+            row[c] = rat(v) if draw(st.booleans()) else v
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_rows(), sparse_rows())
+def test_echelon_matches_fraction_oracle(rows, probes):
+    ech, oracle = SparseEchelon(), FractionEchelon()
+    for row in rows:
+        assert ech.add(dict(row)) == oracle.add(dict(row))
+        # stored values: ints where integral, Rat otherwise
+        for r in ech.rows.values():
+            for v in r.values():
+                assert type(v) is (int if v.denominator == 1 else Rat)
+    assert ech.rows == oracle.rows
+    assert ech.rank == oracle.rank
+    assert ech.pivots() == oracle.pivots()
+    for row in rows + probes:
+        got = ech.reduce(dict(row))
+        assert got == oracle.reduce(dict(row))
+        assert all(type(v) is Rat for v in got.values())

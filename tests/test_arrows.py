@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from wknots.rational import rat
+from wknots.rational import Rat, rat
 from wknots.arrows import (LONG, strands, canonical_long, canonical_word,
                            enumerate_diagrams, ArrowVector,
                            generate_relations, place_long)
@@ -74,6 +74,18 @@ def test_projection_kills_relators():
                 assert not any(q.project(vec))
 
 
+@pytest.mark.parametrize("skel, rels, mmax", [
+    (LONG, {"TC", "4T"}, 4), (LONG, {"TC", "4T", "RI"}, 4),
+    (LONG, {"TC", "4T", "FI"}, 4), (LONG, {"TC", "4T", "CC"}, 4),
+    (strands(3), {"TC", "6T"}, 3)])
+def test_projections_are_rat(skel, rels, mmax):
+    # the quotient is built in integer arithmetic; project hands back Rat
+    for m in range(mmax + 1):
+        q = quotient(skel, m, rels)
+        for d in enumerate_diagrams(skel, m)[:300]:
+            assert all(type(c) is Rat for c in q.project_diagram(d))
+
+
 def test_projection_fixes_basis():
     q = quotient(LONG, 2, {"TC", "4T"})
     for i, d in enumerate(q.basis):
@@ -124,9 +136,11 @@ RELATOR_COUNTS = {
 @pytest.mark.parametrize("skel, rel", sorted(RELATOR_COUNTS))
 def test_relator_counts(skel, rel):
     # TC is generated once per pair of heads, not once with each sign
-    got = [len(generate_relations(skel, m, {rel}))
-           for m in range(len(RELATOR_COUNTS[skel, rel]))]
-    assert got == RELATOR_COUNTS[skel, rel]
+    relators = [generate_relations(skel, m, {rel})
+                for m in range(len(RELATOR_COUNTS[skel, rel]))]
+    assert [len(vecs) for vecs in relators] == RELATOR_COUNTS[skel, rel]
+    assert all(type(c) is Rat
+               for vecs in relators for v in vecs for c in v.terms.values())
 
 
 def up_to_sign(v):

@@ -109,3 +109,14 @@ def test_negative_degree_rejected(argv, capsys):
     argv = [os.path.join(DATA, "3_1.pd") if a == "KNOT" else a for a in argv]
     assert main(argv) == 2
     assert "--degree must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["wheels", "--flags", "xyz"],
+                                  ["wheels", "--flags", "ri,tc"],
+                                  ["dims", "--skeleton", "strands:0"],
+                                  ["dims", "--skeleton", "strands:-3"]])
+def test_out_of_domain_arguments_rejected(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")

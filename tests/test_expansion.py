@@ -157,6 +157,17 @@ def test_prediction_matches_arrow_side_oracle():
                 assert [list(c) for c in got] == [list(c) for c in want]
 
 
+def test_wheel_coordinates_are_rat():
+    # the quotients are built in integer arithmetic; their coordinates are
+    # handed back as Rat all the same
+    for pd in knot_inventory().values():
+        g = pd_to_gauss(pd)
+        for coords in (wheels_reduce(zed_knot(g, 5)),
+                       predicted_from_alexander(g, 5)):
+            assert all(type(c) is Rat for comp in coords
+                       for c in comp.values())
+
+
 # --------------------------------------------------------------------------
 # the integer kernels of zed_knot and zed_braid against the rational oracles
 # --------------------------------------------------------------------------
