@@ -16,7 +16,7 @@ from .wbraid import (SIGMA, VIRT, BraidWord, braid_action, braid_equal,
                      braid_skeleton, braid_invert, relation_table)
 from .gauss import GaussDiagram, braid_closure, apply_move
 from .alexander import alexander_matrix, alexander_fox, knot_inventory
-from .arrows import LONG, generate_relations
+from .arrows import LONG, ArrowVector, canonical_long, generate_relations
 from .jacobi import (as_instances, ihx_instances, cc_arrow_relators,
                      wheel_monomial_basis, concat)
 from .expansion import (zed_braid, zed_knot, get_quotient, project_expansion,
@@ -304,7 +304,6 @@ def check_weight_systems(mmax=3, seed=3):
                         bad.append("%s/%r/m=%d" % (name, skel, m))
                         break
     rng = random.Random(seed)
-    from .arrows import ArrowVector, canonical_long
     for name, L, _ in fixtures:
         for _ in range(10):
             def rnd(m):

@@ -9,9 +9,11 @@ abelian with dual basis φ^1..φ^r and g acts by the coadjoint action:
 
 An arrow diagram maps into U(Ig) (one tensor factor per strand) by summing
 over a basis index per arrow: the tail contributes φ^i, the head x_i, read
-off along each strand in order and multiplied left to right, then
-straightened into the PBW order (all φ before all x, each block sorted).
+off along each strand in order and multiplied left to right in the PBW
+basis (all φ before all x, each block sorted).
 """
+
+import functools
 
 from .rational import Rat, rat
 from .arrows import LONG
@@ -22,8 +24,14 @@ class LieData:
 
     def __init__(self, r, c):
         self.r = int(r)
+        if self.r < 0:
+            raise ValueError("dimension %d is negative" % self.r)
         self.c = {}
+        self._times = None  # built by _times_table on first use
         for (j, k), row in c.items():
+            bad = [i for i in (j, k, *row) if not 1 <= i <= self.r]
+            if bad:
+                raise ValueError("index %s outside 1..%d" % (bad[0], self.r))
             row = {l: rat(v) for l, v in row.items() if v}
             if row:
                 self.c[(j, k)] = row
@@ -98,10 +106,10 @@ def lie_sl2():
 # --------------------------------------------------------------------------
 # PBW elements
 # --------------------------------------------------------------------------
-# generators: ("p", a) for φ^a, ("x", j) for x_j; PBW order sorts all φ
-# before all x, each block by index.  A monomial is a tuple of generators;
-# a PBWElement maps monomials (or tuples of per-strand monomials) to
-# rationals.
+# generators: ("p", a) for φ^a, ("x", j) for x_j; PBW order is tuple order,
+# all φ before all x ("p" < "x"), each block by index.  A monomial is a
+# tuple of generators; a PBWElement maps monomials (or tuples of per-strand
+# monomials) to rationals.
 
 class PBWElement:
     def __init__(self, terms=None):
@@ -127,132 +135,106 @@ class PBWElement:
         return "PBWElement(%r)" % (self.terms,)
 
 
-def _ordered(g1, g2):
-    if g1[0] == "p" and g2[0] == "x":
-        return True
-    if g1[0] == "x" and g2[0] == "p":
-        return False
-    return g1[1] <= g2[1]
+def _times_table(L):
+    """``times(mono, g)``: a PBW-normal monomial times one generator,
+    straightened, as ((monomial, coeff), ...).  Built and memoized once per
+    algebra, after checking its constants."""
+    if L._times is None:
+        if not lie_validate(L):
+            raise ValueError("invalid Lie structure constants")
+        # [g1, g2] for g1 after g2: [x_j, x_k] = Σ c_jk^l x_l and
+        # [x_j, φ^a] = −Σ_m c_jm^a φ^m; duals commute
+        bracket = {}
+        for j in range(1, L.r + 1):
+            for k in range(1, j):
+                bracket[("x", j), ("x", k)] = [(("x", l), v) for l, v
+                                               in L.bracket(j, k).items()]
+            for a in range(1, L.r + 1):
+                bracket[("x", j), ("p", a)] = [
+                    (("p", m), -L.bracket(j, m)[a])
+                    for m in range(1, L.r + 1) if a in L.bracket(j, m)]
 
+        @functools.cache
+        def times(mono, g):
+            if not mono or mono[-1] <= g:
+                return ((mono + (g,), rat(1)),)
+            # h·last·g = (h·g)·last + h·[last, g]
+            h, last = mono[:-1], mono[-1]
+            out = {}
+            for n, c in times(h, g):
+                for n2, c2 in times(n, last):
+                    out[n2] = out.get(n2, rat(0)) + c * c2
+            for b, cb in bracket.get((last, g), ()):
+                for n, c in times(h, b):
+                    out[n] = out.get(n, rat(0)) + cb * c
+            return tuple((n, c) for n, c in out.items() if c)
 
-def _swap_terms(g1, g2, L):
-    """g1 g2 = g2 g1 + [g1, g2]; returns the bracket as {mono: coeff}."""
-    out = {}
-    if g1[0] == "x" and g2[0] == "x":
-        for l, v in L.bracket(g1[1], g2[1]).items():
-            out[(("x", l),)] = v
-    elif g1[0] == "x" and g2[0] == "p":
-        # [x_j, φ^a] = −Σ_m c_jm^a φ^m
-        j, a = g1[1], g2[1]
-        for m in range(1, L.r + 1):
-            v = L.bracket(j, m).get(a, rat(0))
-            if v:
-                out[(("p", m),)] = out.get((("p", m),), rat(0)) - v
-    elif g1[0] == "p" and g2[0] == "x":
-        j, a = g2[1], g1[1]
-        for m in range(1, L.r + 1):
-            v = L.bracket(j, m).get(a, rat(0))
-            if v:
-                out[(("p", m),)] = out.get((("p", m),), rat(0)) + v
-    return {m: c for m, c in out.items() if c}
-
-
-def pbw_normalize(terms, L):
-    """Straighten a {monomial: coeff} dict into PBW order."""
-    out = PBWElement()
-    stack = list(terms.items())
-    while stack:
-        mono, coeff = stack.pop()
-        if not coeff:
-            continue
-        for i in range(len(mono) - 1):
-            if not _ordered(mono[i], mono[i + 1]):
-                swapped = mono[:i] + (mono[i + 1], mono[i]) + mono[i + 2:]
-                stack.append((swapped, coeff))
-                for bmono, bc in _swap_terms(mono[i], mono[i + 1], L).items():
-                    stack.append((mono[:i] + bmono + mono[i + 2:],
-                                  coeff * bc))
-                break
-        else:
-            out.add(mono, coeff)
-    return out
+        L._times = times
+    return L._times
 
 
 def pbw_mul(u, v, L):
-    """Product of two single-factor PBW elements."""
-    raw = {}
-    for m1, c1 in u.terms.items():
-        for m2, c2 in v.terms.items():
-            raw[m1 + m2] = raw.get(m1 + m2, rat(0)) + c1 * c2
-    return pbw_normalize(raw, L)
+    """Product u·v of single-factor elements, u PBW-normal: u times each
+    word of v, one generator at a time."""
+    times = _times_table(L)
+    out = PBWElement()
+    for word, cv in v.terms.items():
+        acc = u.terms
+        for g in word:
+            nxt = {}
+            for mono, c in acc.items():
+                for n, cn in times(mono, g):
+                    nxt[n] = nxt.get(n, rat(0)) + c * cn
+            acc = nxt
+        for mono, c in acc.items():
+            out.add(mono, c * cv)
+    return out
+
+
+def pbw_normalize(terms, L):
+    """Straighten a {word: coeff} dict into PBW order."""
+    return pbw_mul(PBWElement({(): rat(1)}), PBWElement(terms), L)
 
 
 # --------------------------------------------------------------------------
 # The weight system
 # --------------------------------------------------------------------------
 
-def _diagram_strand_words(skeleton, diagram):
-    """Per-strand generator sequences of one diagram (indices symbolic:
-    returns list of (strand sequences) where each entry is ("p"|"x",
-    arrow number))."""
-    if skeleton == LONG:
-        n_strands = 1
-        seqs = [[]]
-        events = []
-        for a, (t, h) in enumerate(diagram):
-            events.append((t, ("p", a)))
-            events.append((h, ("x", a)))
-        for _, g in sorted(events):
-            seqs[0].append(g)
-        return seqs
-    n = skeleton[1]
-    seqs = [[] for _ in range(n)]
-    for a, (p, q) in enumerate(diagram):
-        seqs[p - 1].append(("p", a))
-        seqs[q - 1].append(("x", a))
-    return seqs
-
-
 def weight_system(dvec, L):
     """Image of an ArrowVector in U(Ig)^(⊗ strands), PBW-normalized.
 
-    Monomial keys are tuples of per-strand PBW monomials (a single strand
-    for the long skeleton still uses a 1-tuple wrapper for uniformity
-    only when the skeleton has several strands; the long strand returns
-    plain monomials).
+    Endpoints are read in slot order on the long strand, and letter by
+    letter (tail strand first) on strands(n); each is multiplied onto its
+    strand's monomial.  An arrow's basis index is summed at its first
+    endpoint and carried to its second.  Keys are plain monomials on the
+    long strand and tuples of per-strand monomials on strands(n).
     """
-    if not lie_validate(L):
-        raise ValueError("invalid Lie structure constants")
+    times = _times_table(L)
+    long = dvec.skeleton == LONG
+    n = 1 if long else dvec.skeleton[1]
     total = PBWElement()
-    r = L.r
     for diagram, coeff in dvec.terms.items():
-        seqs = _diagram_strand_words(dvec.skeleton, diagram)
-        m = len(diagram)
-        # sum over one basis index per arrow
-        idx = [1] * m
-        while True:
-            raws = []
-            for seq in seqs:
-                raws.append(tuple((kind, idx[a]) for kind, a in seq))
-            if dvec.skeleton == LONG:
-                norm = pbw_normalize({raws[0]: coeff}, L)
-                for mono, c in norm.terms.items():
-                    total.add(mono, c)
-            else:
-                parts = [pbw_normalize({w: rat(1)}, L) for w in raws]
-                combos = [((), coeff)]
-                for part in parts:
-                    combos = [(acc + (mono,), c * pc)
-                              for acc, c in combos
-                              for mono, pc in part.terms.items()]
-                for key, c in combos:
-                    total.add(key, c)
-            # advance the index vector
-            pos = m - 1
-            while pos >= 0 and idx[pos] == r:
-                idx[pos] = 1
-                pos -= 1
-            if pos < 0:
-                break
-            idx[pos] += 1
+        ends = [(s, kind, a) for a, arrow in enumerate(diagram)
+                for s, kind in zip(arrow, "px")]
+        if long:  # one strand, read in slot order
+            ends = [(1, kind, a) for _, kind, a in sorted(ends)]
+        # state: (open index per arrow, 0 if not open; monomial per strand)
+        states = {((0,) * len(diagram), ((),) * n): coeff}
+        for s, kind, a in ends:
+            s -= 1
+            nxt = {}
+            for (idx, monos), c in states.items():
+                if idx[a]:
+                    choices = ((idx[a], idx[:a] + (0,) + idx[a + 1:]),)
+                else:
+                    choices = [(i, idx[:a] + (i,) + idx[a + 1:])
+                               for i in range(1, L.r + 1)]
+                for i, idx2 in choices:
+                    for mono, cm in times(monos[s], (kind, i)):
+                        key = (idx2, monos[:s] + (mono,) + monos[s + 1:])
+                        cm *= c
+                        nxt[key] = nxt[key] + cm if key in nxt else cm
+            states = {k: c for k, c in nxt.items() if c}
+        for (_, monos), c in states.items():
+            total.add(monos[0] if long else monos, c)
     return total

@@ -16,9 +16,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
     BACKEND = "fractions"
 
-ZERO = Rat(0)
-ONE = Rat(1)
-
 
 def rat(p, q=1):
     """Build a rational number p/q."""

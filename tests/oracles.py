@@ -3,7 +3,7 @@ against: the slower paths they replaced, most of them exponential, so
 they only fit small inputs."""
 
 import math
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 from wknots.alexander import alexander_det, build_S, build_T
 from wknots.arrows import (LONG, ArrowVector, canonical_long, canonical_word,
@@ -11,6 +11,7 @@ from wknots.arrows import (LONG, ArrowVector, canonical_long, canonical_word,
 from wknots.expansion import TruncatedExpansion, expansion_exp, wheels_reduce
 from wknots.gauss import self_linking
 from wknots.jacobi import monomial_to_arrows
+from wknots.lieweights import PBWElement, lie_validate
 from wknots.rational import Rat, rat
 from wknots.rings import (LaurentPoly, TruncSeries, laurent_at_exp,
                           laurent_normalize, series_log)
@@ -253,3 +254,110 @@ def long_relators(m, relset):
                     emit([(right, 1)])
                     emit([(left, 1)])
     return out
+
+
+# --------------------------------------------------------------------------
+# PBW straightening by a rewrite stack, and the index-vector weight system
+# --------------------------------------------------------------------------
+
+def _ordered(g1, g2):
+    if g1[0] == "p" and g2[0] == "x":
+        return True
+    if g1[0] == "x" and g2[0] == "p":
+        return False
+    return g1[1] <= g2[1]
+
+
+def _swap_terms(g1, g2, L):
+    """g1 g2 = g2 g1 + [g1, g2]; returns the bracket as {mono: coeff}."""
+    out = {}
+    if g1[0] == "x" and g2[0] == "x":
+        for l, v in L.bracket(g1[1], g2[1]).items():
+            out[(("x", l),)] = v
+    elif g1[0] == "x" and g2[0] == "p":
+        # [x_j, φ^a] = −Σ_m c_jm^a φ^m
+        j, a = g1[1], g2[1]
+        for m in range(1, L.r + 1):
+            v = L.bracket(j, m).get(a, rat(0))
+            if v:
+                out[(("p", m),)] = out.get((("p", m),), rat(0)) - v
+    elif g1[0] == "p" and g2[0] == "x":
+        j, a = g2[1], g1[1]
+        for m in range(1, L.r + 1):
+            v = L.bracket(j, m).get(a, rat(0))
+            if v:
+                out[(("p", m),)] = out.get((("p", m),), rat(0)) + v
+    return {m: c for m, c in out.items() if c}
+
+
+def stack_pbw_normalize(terms, L):
+    """Straighten a {word: coeff} dict into PBW order by swapping the first
+    out-of-order adjacent pair of each word until none is left."""
+    out = PBWElement()
+    stack = list(terms.items())
+    while stack:
+        mono, coeff = stack.pop()
+        if not coeff:
+            continue
+        for i in range(len(mono) - 1):
+            if not _ordered(mono[i], mono[i + 1]):
+                swapped = mono[:i] + (mono[i + 1], mono[i]) + mono[i + 2:]
+                stack.append((swapped, coeff))
+                for bmono, bc in _swap_terms(mono[i], mono[i + 1], L).items():
+                    stack.append((mono[:i] + bmono + mono[i + 2:],
+                                  coeff * bc))
+                break
+        else:
+            out.add(mono, coeff)
+    return out
+
+
+def stack_pbw_mul(u, v, L):
+    """Product of two single-factor PBW elements: concatenate, straighten."""
+    raw = {}
+    for m1, c1 in u.terms.items():
+        for m2, c2 in v.terms.items():
+            raw[m1 + m2] = raw.get(m1 + m2, rat(0)) + c1 * c2
+    return stack_pbw_normalize(raw, L)
+
+
+def _diagram_strand_words(skeleton, diagram):
+    """Per-strand generator sequences of one diagram, with each index the
+    arrow number: ("p", a) for the tail of arrow a, ("x", a) for its head."""
+    if skeleton == LONG:
+        events = []
+        for a, (t, h) in enumerate(diagram):
+            events.append((t, ("p", a)))
+            events.append((h, ("x", a)))
+        return [[g for _, g in sorted(events)]]
+    seqs = [[] for _ in range(skeleton[1])]
+    for a, (p, q) in enumerate(diagram):
+        seqs[p - 1].append(("p", a))
+        seqs[q - 1].append(("x", a))
+    return seqs
+
+
+def index_vector_weight_system(dvec, L):
+    """``lieweights.weight_system`` as a loop over all r^m index vectors,
+    each strand word straightened on its own by the rewrite stack."""
+    if not lie_validate(L):
+        raise ValueError("invalid Lie structure constants")
+    total = PBWElement()
+    for diagram, coeff in dvec.terms.items():
+        seqs = _diagram_strand_words(dvec.skeleton, diagram)
+        for idx in product(range(1, L.r + 1), repeat=len(diagram)):
+            raws = [tuple((kind, idx[a]) for kind, a in seq) for seq in seqs]
+            if dvec.skeleton == LONG:
+                norm = stack_pbw_normalize({raws[0]: coeff}, L)
+                for mono, c in norm.terms.items():
+                    total.add(mono, c)
+                continue
+            parts = [stack_pbw_normalize({w: rat(1)}, L) for w in raws]
+            combos = [((), coeff)]
+            for part in parts:
+                combos = [(acc + (mono,), c * pc)
+                          for acc, c in combos
+                          for mono, pc in part.terms.items()]
+            for key, c in combos:
+                total.add(key, c)
+    return total

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a ``wknots`` module imports is used in it."""
+"""Source hygiene: every name a ``wknots`` module imports is used in it, and
+every name it defines at top level is referenced somewhere in the project."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,9 @@ import pytest
 import wknots
 
 MODULES = sorted(Path(wknots.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+PROJECT = sorted(p for d in ("src", "tests", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -34,3 +38,56 @@ def test_unused_import_is_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == set()
+
+
+def top_level_names(source):
+    """Functions, classes and assigned names a module defines at top
+    level, including inside top-level ``if`` and ``try`` blocks."""
+    names = set()
+    stmts = list(ast.parse(source).body)
+    while stmts:
+        node = stmts.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.If, ast.Try)):
+            stmts += node.body + node.orelse + getattr(node, "finalbody", [])
+            stmts += [s for h in getattr(node, "handlers", []) for s in h.body]
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def referenced_names(source):
+    """Names a source reads, imports by name, reads as an attribute, or
+    spells out as a whole string constant (as ``perfbench/trace.py`` names
+    the functions it wraps)."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def test_unreferenced_name_is_detected():
+    src = ("try:\n    A = 1\nexcept ImportError:\n    B = 2\n"
+           "def f():\n    return A\nclass C:\n    pass\n__all__ = []\n")
+    assert top_level_names(src) == {"A", "B", "f", "C"}
+    assert top_level_names(src) - referenced_names(src + "g = C\n") == \
+        {"B", "f"}
+
+
+def test_every_top_level_name_is_referenced():
+    refs = set()
+    for path in PROJECT:
+        refs |= referenced_names(path.read_text(encoding="utf-8"))
+    unused = {path.stem: sorted(top_level_names(
+        path.read_text(encoding="utf-8")) - refs) for path in MODULES}
+    assert {k: v for k, v in unused.items() if v} == {}

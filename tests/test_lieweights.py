@@ -1,15 +1,26 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wknots.rational import rat
+from wknots.rational import Rat, rat
+from wknots.alexander import alexander_det, knot_inventory
 from wknots.arrows import (LONG, strands, ArrowVector, canonical_long,
-                           generate_relations)
-from wknots.jacobi import concat
+                           enumerate_diagrams, generate_relations)
+from wknots.expansion import zed_knot
+from wknots.gauss import braid_closure, pd_to_gauss
+from wknots.jacobi import concat, wheel_to_arrows
 from wknots.lieweights import (LieData, lie_from_text, lie_validate,
                                lie_abelian, lie_nonabelian2, lie_sl2,
                                PBWElement, pbw_normalize, pbw_mul,
                                weight_system)
+from wknots.rings import LaurentPoly, TruncSeries, laurent_at_exp
+from wknots.wbraid import braid_from_text
+
+from oracles import (index_vector_weight_system, stack_pbw_mul,
+                     stack_pbw_normalize)
+from test_expansion import W_BRAIDS
 
 SL2_TEXT = """\
 dim=3
@@ -44,6 +55,16 @@ def test_invalid_constants_rejected():
                     (2, 3): {2: 1}, (3, 2): {2: -1},
                     (1, 3): {1: 1}, (3, 1): {1: -1}})
     assert not lie_validate(L)
+
+
+def test_out_of_range_index_rejected():
+    with pytest.raises(ValueError, match="index 3 outside 1..2"):
+        lie_from_text("dim=2\nc[1,3,1]=1\nc[3,1,1]=-1")
+    for c in ({(0, 1): {1: 1}}, {(1, 2): {5: 1}}):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            LieData(2, c)
+    with pytest.raises(ValueError, match="negative"):
+        lie_from_text("dim=-2")
 
 
 def test_pbw_straightening_sl2():
@@ -115,3 +136,92 @@ def test_invalid_algebra_rejected_by_weight_system():
     v = ArrowVector(LONG, 1, {canonical_long(((1, 2),)): rat(1)})
     with pytest.raises(ValueError):
         weight_system(v, bad)
+
+
+# --------------------------------------------------------------------------
+# the straightening against the rewrite-stack and index-vector oracles
+# --------------------------------------------------------------------------
+
+FIXTURES = (lie_abelian(2), lie_nonabelian2(), lie_sl2())
+coeffs = st.builds(rat, st.integers(-3, 3), st.integers(1, 4))
+
+
+@functools.cache
+def diagrams(skeleton, m):
+    return enumerate_diagrams(skeleton, m)
+
+
+@st.composite
+def arrow_vectors(draw, skeletons=(LONG, strands(2), strands(3))):
+    skel = draw(st.sampled_from(skeletons))
+    m = draw(st.integers(0, 3))
+    terms = draw(st.lists(st.tuples(st.sampled_from(diagrams(skel, m)),
+                                    coeffs), min_size=1, max_size=4))
+    return ArrowVector(skel, m, terms)
+
+
+@st.composite
+def words(draw, r):
+    gens = st.tuples(st.sampled_from("px"), st.integers(1, r))
+    return {tuple(w): c for w, c in draw(st.lists(
+        st.tuples(st.lists(gens, max_size=5), coeffs), max_size=4))}
+
+
+def assert_same(a, b):
+    assert a.terms == b.terms
+    assert all(type(c) is Rat for t in (a, b) for c in t.terms.values())
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FIXTURES), arrow_vectors())
+def test_weight_system_matches_oracle(L, v):
+    assert_same(weight_system(v, L), index_vector_weight_system(v, L))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FIXTURES), st.data())
+def test_pbw_mul_matches_oracle(L, data):
+    u = data.draw(words(L.r))
+    v = data.draw(words(L.r))
+    nu = pbw_normalize(u, L)
+    assert_same(nu, stack_pbw_normalize(u, L))
+    assert_same(pbw_mul(nu, PBWElement(v), L),
+                stack_pbw_mul(nu, PBWElement(v), L))
+    a, b = (data.draw(arrow_vectors(skeletons=(LONG,))) for _ in range(2))
+    wa, wb = weight_system(a, L), weight_system(b, L)
+    assert_same(pbw_mul(wa, wb, L), stack_pbw_mul(wa, wb, L))
+
+
+# --------------------------------------------------------------------------
+# the 2-dimensional algebra [x1, x2] = x2 sees the Alexander polynomial
+# --------------------------------------------------------------------------
+
+def phi1(k):
+    return (("p", 1),) * k
+
+
+def test_wheels_in_2d_algebra():
+    L = lie_nonabelian2()
+    assert weight_system(wheel_to_arrows(1), L).terms == {phi1(1): rat(1)}
+    for k in range(2, 6):
+        assert weight_system(wheel_to_arrows(k), L).terms == \
+            {phi1(k): rat(-1)}
+
+
+def test_2d_weight_of_z_is_inverse_alexander():
+    # the φ¹-only part of W(Z), graded by length, is 1/D(e^−φ), with D the
+    # determinant before unit normalization (1/D(e^φ) fails already on 3_1)
+    L = lie_nonabelian2()
+    knots = [pd_to_gauss(pd) for pd in knot_inventory().values()]
+    knots += [braid_closure(braid_from_text(t)) for t in W_BRAIDS]
+    assert len(knots) == 18
+    for g in knots:
+        z = zed_knot(g, 4, normalize=True)
+        series = TruncSeries(4)
+        for m in range(5):
+            for mono, c in weight_system(z.comps[m], L).terms.items():
+                if mono == phi1(len(mono)):
+                    series.coeffs[len(mono)] += c
+        D = alexander_det(g)
+        reflected = LaurentPoly({-e: c for e, c in D.coeffs.items()})
+        assert series * laurent_at_exp(reflected, 4) == 1
