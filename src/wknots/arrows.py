@@ -21,11 +21,14 @@ products of two arrows among three points, and placed on either skeleton:
 the points are three distinct strands, with the two letters inserted into
 a word of degree m−2; or three sites in the gaps of a long diagram of
 degree m−2, placed by ``place_long``, which also inserts the isolated
-arrows of RI/FI and the commutator blocks of CC.
+arrows of RI/FI and the commutator blocks of CC.  Sites come in
+nondecreasing gap order, so a product's new endpoints lie in (point,
+arrow, end) order whatever the gaps, and a placement lifts the context
+once per count of endpoints at each point (three for TC/4T/6T).
 """
 
 from bisect import bisect_left
-from functools import partial
+from functools import cache
 from itertools import (chain, combinations_with_replacement, permutations,
                        product)
 
@@ -57,12 +60,12 @@ def canonical_long(arrows):
 
 
 def _letters_disjoint(a, b):
-    return not (set(a) & set(b))
+    return a[0] not in b and a[1] not in b
 
 
 def canonical_word(word, n):
     """Lex-least representative of a word modulo disjoint-letter commutation."""
-    w = list(tuple(l) for l in word)
+    w = [tuple(l) for l in word]
     for p, q in w:
         if not (1 <= p <= n and 1 <= q <= n) or p == q:
             raise ValueError("bad letter %r" % ((p, q),))
@@ -186,36 +189,57 @@ def place_long(context, gaps, arrows):
     """Canonical long diagram: new arrows inserted into a canonical context.
 
     Point u lies in gap ``gaps[u]`` of the context, gap g coming right
-    after slot g (gap 0 is before slot 1).  Points sharing a gap keep their
-    index order, and endpoints at one point keep the order of ``arrows``,
-    a sequence of (tail point, head point) pairs.
+    after slot g (gap 0 is before slot 1); ``arrows`` are (tail point,
+    head point) pairs.  Gaps must be nondecreasing in u (else
+    ``ValueError``), so the new endpoints lie in (point, arrow, end) order
+    and ``_place`` lifts the context once for them.
     """
-    # the new endpoints in line order: by gap, point, then arrow
-    ends = sorted([(gaps[u], 1 + u, i, e) for i, arrow in enumerate(arrows)
-                   for e, u in enumerate(arrow)])
-    placed = [[0, 0] for _ in arrows]
-    below = []
-    for k, (g, _, i, e) in enumerate(ends, start=1):
-        placed[i][e] = g + k  # after g context slots and k - 1 new endpoints
-        below.append(g)
-    # context slot s moves up by the number of new endpoints in gaps g < s
-    return tuple(sorted([(t + bisect_left(below, t), h + bisect_left(below, h))
-                         for t, h in context] + [tuple(a) for a in placed]))
+    if any(g > h for g, h in zip(gaps, gaps[1:])):
+        raise ValueError("gaps must be nondecreasing, got %r" % (gaps,))
+    return next(_place(context, gaps, [_plan(tuple(arrows))]))
 
 
-def _placements(skeleton, ctx):
-    """Ways to put three points on a context diagram, each a map from
-    arrows between the points to a canonical diagram.  The points are
-    sites 0, 1, 2 on the long strand, and strands 1..n otherwise."""
+@cache
+def _plan(arrows):
+    """A product's new endpoints in line order for any nondecreasing gaps:
+    the point of each, and each arrow's (tail, head) ranks among them."""
+    ends = sorted((u, i, e) for i, arrow in enumerate(arrows)
+                  for e, u in enumerate(arrow))
+    rank = {(i, e): k for k, (_, i, e) in enumerate(ends)}
+    return (tuple(u for u, _, _ in ends),
+            tuple((rank[i, 0], rank[i, 1]) for i in range(len(arrows))))
+
+
+def _place(context, gaps, plans):
+    """Planned products placed into a context, lifted once per sequence
+    of endpoint points: slot s moves up by the new endpoints in gaps
+    g < s, and new endpoint k (from 0) in gap g lands at g + k + 1."""
+    lifts = {}
+    for points, ranks in plans:
+        if points not in lifts:
+            below = [gaps[u] for u in points]
+            lifts[points] = below, [(t + bisect_left(below, t),
+                                     h + bisect_left(below, h))
+                                    for t, h in context]
+        below, lifted = lifts[points]
+        yield tuple(sorted(lifted + [(below[a] + a + 1, below[b] + b + 1)
+                                     for a, b in ranks]))
+
+
+def _placements(skeleton, ctx, products):
+    """Ways to put three points on a context diagram, each the map from
+    every product (arrows between the points) to its canonical diagram.
+    The points are sites 0, 1, 2 on the long strand, and strands 1..n."""
     if skeleton == LONG:
+        plans = [_plan(arrows) for arrows in products]
         for gaps in combinations_with_replacement(range(2 * len(ctx) + 1), 3):
-            yield partial(place_long, ctx, gaps)
+            yield dict(zip(products, _place(ctx, gaps, plans)))
     else:
         n = skeleton[1]
         for pos in range(len(ctx) + 1):
             pre, post = ctx[:pos], ctx[pos:]
-            yield (lambda arrows, pre=pre, post=post:
-                   canonical_word(pre + arrows + post, n))
+            yield {arrows: canonical_word(pre + arrows + post, n)
+                   for arrows in products}
 
 
 def _two_arrow_relators(skeleton, m, relset):
@@ -232,10 +256,10 @@ def _two_arrow_relators(skeleton, m, relset):
         return
     # the instances repeat products (30 terms hold the 24 distinct ones for
     # {TC,4T}, 42 for {TC,6T}), so a placement places each product once
-    products = {arrows for terms in instances for arrows, _ in terms}
+    products = tuple({arrows for terms in instances
+                      for arrows, _ in terms})
     for ctx in enumerate_diagrams(skeleton, m - 2):
-        for place in _placements(skeleton, ctx):
-            placed = {arrows: place(arrows) for arrows in products}
+        for placed in _placements(skeleton, ctx, products):
             for terms in instances:
                 row = {}
                 for arrows, sign in terms:
@@ -395,7 +419,12 @@ class QuotientSpace:
         """Coordinates of an ArrowVector in the quotient basis."""
         if (v.skeleton, v.m) != (self.skeleton, self.m):
             raise ValueError("degree/skeleton mismatch")
-        row = self._ech.reduce(self._to_row(v.terms))
+        try:
+            row = self._to_row(v.terms)
+        except KeyError as e:
+            raise ValueError("%r is not a canonical degree-%d diagram on %r"
+                             % (e.args[0], self.m, self.skeleton)) from None
+        row = self._ech.reduce(row)
         out = [rat(0)] * self.dim
         for r, c in row.items():
             d = self._diagrams[r]

@@ -58,7 +58,13 @@ def check_action_well_defined(nmax=6):
         for name, lhs, rhs in relation_table(n, extended=True):
             if braid_action(lhs) != braid_action(rhs):
                 bad.append((n, name))
-    return not bad, "checked n=2..%d, %d failures" % (nmax, len(bad))
+    return not bad, "checked n=2..%d, %s" % (nmax, _failures(bad))
+
+
+def _failures(bad):
+    """The failure count, and the first failing case if there is one."""
+    first = "; first: %r" % (bad[0],) if bad else ""
+    return "%d failures%s" % (len(bad), first)
 
 
 def _rewritten(rng, b):
@@ -86,33 +92,35 @@ def check_word_problem(seed=0, trials=1000):
     decides them; they are distinct because σ_i² ≠ 1 and conjugation
     preserves that."""
     rng = random.Random(seed)
-    bad = 0
+    bad = []
     for _ in range(trials):
         n = rng.randrange(2, 5)
         a = random_braid(rng, n, rng.randrange(1, 7))
-        if not braid_equal(a, _rewritten(rng, a)):
-            bad += 1
+        b = _rewritten(rng, a)
+        if not braid_equal(a, b):
+            bad.append(("should be equal", a.to_text(), b.to_text()))
     for _ in range(trials):
         n = rng.randrange(2, 5)
         a = random_braid(rng, n, rng.randrange(1, 7))
         g = random_braid(rng, n, rng.randrange(3))
         square = ((SIGMA, rng.randrange(1, n), rng.choice((1, -1))),) * 2
-        if braid_equal(a, a * g * BraidWord(n, square) * braid_invert(g)):
-            bad += 1
-    return bad == 0, "%d equal + %d distinct pairs, %d failures" % (
-        trials, trials, bad)
+        b = a * g * BraidWord(n, square) * braid_invert(g)
+        if braid_equal(a, b):
+            bad.append(("should differ", a.to_text(), b.to_text()))
+    return not bad, "%d equal + %d distinct pairs, %s" % (
+        trials, trials, _failures(bad))
 
 
 def check_basis_conjugating(seed=1, trials=500):
     """Every braid acts by a basis-conjugating automorphism."""
     rng = random.Random(seed)
-    bad = 0
+    bad = []
     for _ in range(trials):
         b = random_braid(rng, rng.randrange(2, 6), rng.randrange(0, 9))
         ok, pi, _ = aut_is_basis_conjugating(braid_action(b))
         if not ok or [pi[i] for i in sorted(pi)] != list(braid_skeleton(b)):
-            bad += 1
-    return bad == 0, "%d braids, %d failures" % (trials, bad)
+            bad.append(b.to_text())
+    return not bad, "%d braids, %s" % (trials, _failures(bad))
 
 
 # --------------------------------------------------------------------------
@@ -166,7 +174,7 @@ def check_zed_moves(seed=2, trials=200, d=4):
     """The projected expansion (with the rotation-number relation switched
     on) is unchanged by every knot move."""
     rng = random.Random(seed)
-    bad = 0
+    bad = []
     tried = {}
     for _ in range(trials):
         if rng.random() < 0.35:
@@ -198,9 +206,9 @@ def check_zed_moves(seed=2, trials=200, d=4):
         za = project_expansion(zed_knot(g, d), flags={"RI"})
         zb = project_expansion(zed_knot(g2, d), flags={"RI"})
         if za != zb:
-            bad += 1
+            bad.append((g, mv))
     names = ",".join("%s:%d" % kv for kv in sorted(tried.items()))
-    return bad == 0, "%d cases (%s), %d failures" % (trials, names, bad)
+    return not bad, "%d cases (%s), %s" % (trials, names, _failures(bad))
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The echelon form produced here is the canonical reduced row-echelon form
 of the row space: pivot columns are the leftmost possible, pivot entries
 are 1, and pivots are eliminated from every other row.  Because RREF is
 unique per subspace, the output is bit-identical no matter the order in
-which rows are fed in.  Stored entries are Python ints wherever they are
+which rows are fed in; a column index finds the rows that a new pivot
+must be eliminated from.  Stored entries are Python ints wherever they are
 integral.  The relators of the arrow-diagram quotients have coefficients
 ±1 and nearly all of them reduce to rows whose pivot entry is ±1, so
 those builds run in integer arithmetic; ``Rat`` appears only where a
@@ -32,10 +33,15 @@ class SparseEchelon:
     whose pivot entry is ±1 is normalized by negation, so integer rows
     with unit pivots never leave the integers; any other pivot entry is
     divided out in ``Rat``.
+
+    ``holders`` maps each column to the pivots of the stored rows that
+    hold it off their pivot, so ``add`` eliminates a new pivot only from
+    the rows that contain it, updating the map as entries appear and cancel.
     """
 
     def __init__(self):
         self.rows = {}  # pivot column -> row dict
+        self.holders = {}  # column -> pivots of the rows holding it
 
     def reduce(self, row):
         """Return row reduced against all stored pivots (a fresh dict of
@@ -72,21 +78,27 @@ class SparseEchelon:
             inv = 1 / Rat(head)
             row = {c: v * inv for c, v in row.items()}
         integral = _narrow(row)
-        # eliminate the new pivot from existing rows
-        for r in self.rows.values():
-            f = r.get(p)
-            if f is None:
-                continue
-            for c, v in row.items():
+        holders = self.holders
+        rest = [(c, v) for c, v in row.items() if c != p]
+        # eliminate the new pivot from the existing rows that hold it
+        for q in holders.pop(p, ()):
+            r = self.rows[q]
+            f = r.pop(p)
+            for c, v in rest:
                 w = r.get(c, 0) - f * v
                 if w:
+                    if c not in r:
+                        holders.setdefault(c, set()).add(q)
                     r[c] = w
                 else:
-                    r.pop(c, None)
+                    del r[c]
+                    holders[c].discard(q)
             # int - int·int stays an int, and a non-integral entry minus
             # an int stays non-integral; only other updates need narrowing
             if not (integral and type(f) is int):
                 _narrow(r)
+        for c, _ in rest:
+            holders.setdefault(c, set()).add(p)
         self.rows[p] = row
         return True
 

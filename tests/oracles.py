@@ -3,11 +3,13 @@ against: the slower paths they replaced, most of them exponential, so
 they only fit small inputs."""
 
 import math
+from bisect import bisect_left
 from itertools import combinations_with_replacement, permutations, product
 
 from wknots.alexander import alexander_det, build_S, build_T
-from wknots.arrows import (LONG, ArrowVector, canonical_long, canonical_word,
-                           enumerate_diagrams, strands)
+from wknots.arrows import (LONG, TWO_ARROW_RELATIONS, ArrowVector,
+                           canonical_long, canonical_word, enumerate_diagrams,
+                           strands)
 from wknots.expansion import TruncatedExpansion, expansion_exp, wheels_reduce
 from wknots.gauss import self_linking
 from wknots.jacobi import monomial_to_arrows
@@ -254,6 +256,60 @@ def long_relators(m, relset):
                     emit([(right, 1)])
                     emit([(left, 1)])
     return out
+
+
+def per_product_place_long(context, gaps, arrows):
+    """``arrows.place_long`` placing one product at a time, for any gaps:
+    the new endpoints sorted by (gap, point, arrow, end), and the context
+    lifted past them anew for every product."""
+    ends = sorted([(gaps[u], 1 + u, i, e) for i, arrow in enumerate(arrows)
+                   for e, u in enumerate(arrow)])
+    placed = [[0, 0] for _ in arrows]
+    below = []
+    for k, (g, _, i, e) in enumerate(ends, start=1):
+        placed[i][e] = g + k
+        below.append(g)
+    return tuple(sorted([(t + bisect_left(below, t), h + bisect_left(below, h))
+                         for t, h in context] + [tuple(a) for a in placed]))
+
+
+def per_product_two_arrow_relators(skeleton, m, relset):
+    """The TC/4T/6T relators of ``arrows._relators``, in the same order,
+    each distinct product placed on its own by ``per_product_place_long``
+    or by inserting its letters into a strand word."""
+    points = range(3) if skeleton == LONG else range(1, skeleton[1] + 1)
+    instances = [[(tuple((p[t], p[h]) for t, h in arrows), sign)
+                  for arrows, sign in terms]
+                 for p in permutations(points, 3)
+                 for name, terms in TWO_ARROW_RELATIONS.items()
+                 if name in relset and not (name == "TC" and p[1] > p[2])]
+    if m < 2 or not instances:
+        return
+    products = {arrows for terms in instances for arrows, _ in terms}
+    for ctx in enumerate_diagrams(skeleton, m - 2):
+        if skeleton == LONG:
+            places = [lambda arrows, gaps=gaps:
+                      per_product_place_long(ctx, gaps, arrows)
+                      for gaps in combinations_with_replacement(
+                          range(2 * len(ctx) + 1), 3)]
+        else:
+            places = [lambda arrows, pos=pos:
+                      canonical_word(ctx[:pos] + arrows + ctx[pos:],
+                                     skeleton[1])
+                      for pos in range(len(ctx) + 1)]
+        for place in places:
+            placed = {arrows: place(arrows) for arrows in products}
+            for terms in instances:
+                row = {}
+                for arrows, sign in terms:
+                    d = placed[arrows]
+                    c = row.get(d, 0) + sign
+                    if c:
+                        row[d] = c
+                    else:
+                        del row[d]
+                if row:
+                    yield row
 
 
 # --------------------------------------------------------------------------

@@ -169,11 +169,17 @@ def test_echelon_matches_fraction_oracle(rows, probes):
     ech, oracle = SparseEchelon(), FractionEchelon()
     for row in rows:
         assert ech.add(dict(row)) == oracle.add(dict(row))
+        assert ech.rows == oracle.rows
         # stored values: ints where integral, Rat otherwise
         for r in ech.rows.values():
             for v in r.values():
                 assert type(v) is (int if v.denominator == 1 else Rat)
-    assert ech.rows == oracle.rows
+        # the column index lists pivot q under column c exactly when
+        # c is off the pivot of row q
+        columns = set(ech.holders).union(*ech.rows.values())
+        for c in columns:
+            assert ech.holders.get(c, set()) == {
+                q for q, r in ech.rows.items() if c != q and c in r}
     assert ech.rank == oracle.rank
     assert ech.pivots() == oracle.pivots()
     for row in rows + probes:

@@ -1,15 +1,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wknots.rational import Rat, rat
 from wknots.arrows import (LONG, strands, canonical_long, canonical_word,
-                           enumerate_diagrams, ArrowVector,
+                           enumerate_diagrams, ArrowVector, _relators,
                            generate_relations, place_long)
 from wknots.expansion import get_quotient as quotient
 from wknots.linalg import SparseEchelon
 
-from oracles import long_relators
+from oracles import (long_relators, per_product_place_long,
+                     per_product_two_arrow_relators)
 
 
 def test_long_diagram_counts():
@@ -119,6 +121,59 @@ def test_place_long_shared_gap_and_shared_point():
     # two tails at point 0 keep the order of the arrows
     assert place_long((), (0, 0, 0), ((0, 1), (0, 2))) == ((1, 3), (2, 4))
     assert place_long((), (0, 0, 0), ((0, 2), (0, 1))) == ((1, 4), (2, 3))
+
+
+@st.composite
+def long_placements(draw):
+    """A canonical context, gaps for 2-5 points (sorted or not, often
+    shared) and 1-4 arrows between distinct points."""
+    m = draw(st.integers(0, 3))
+    ctx = draw(st.sampled_from(enumerate_diagrams(LONG, m)))
+    npoints = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.integers(0, 2 * len(ctx)), min_size=npoints,
+                         max_size=npoints))
+    if draw(st.booleans()):
+        gaps.sort()
+    arrow = st.tuples(st.integers(0, npoints - 1), st.integers(0, npoints - 1))
+    arrows = draw(st.lists(arrow.filter(lambda a: a[0] != a[1]),
+                           min_size=1, max_size=4))
+    return ctx, tuple(gaps), arrows
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_placements())
+def test_place_long_matches_per_product_oracle(case):
+    ctx, gaps, arrows = case
+    if list(gaps) == sorted(gaps):
+        assert (place_long(ctx, gaps, arrows)
+                == per_product_place_long(ctx, gaps, arrows))
+    else:
+        with pytest.raises(ValueError):
+            place_long(ctx, gaps, arrows)
+
+
+@pytest.mark.parametrize("skel, mmax", [(LONG, 4), (strands(3), 3)])
+@pytest.mark.parametrize("rels", ["TC", "4T", "6T", "TC 4T", "TC 6T"])
+def test_relators_match_per_product_oracle(skel, mmax, rels):
+    # lifting each context once per count vector gives the relators of
+    # placing every product on its own: same order, key order and types
+    def listed(relators):
+        return [[(d, type(c), c) for d, c in r.items()] for r in relators]
+
+    rels = frozenset(rels.split())
+    for m in range(mmax + 1):
+        assert (listed(_relators(skel, m, rels))
+                == listed(per_product_two_arrow_relators(skel, m, rels)))
+
+
+def test_project_rejects_foreign_diagrams():
+    q = quotient(LONG, 2, {"TC", "4T"})
+    with pytest.raises(ValueError, match=r"\(\(1, 2\),\) is not"):
+        q.project_diagram(((1, 2),))
+    with pytest.raises(ValueError, match=r"\(5, 9\)"):
+        q.project(ArrowVector(LONG, 2, {((1, 2), (5, 9)): rat(1)}))
+    with pytest.raises(ValueError, match="degree-1"):
+        quotient(strands(3), 1, {"TC", "4T"}).project_diagram(((1, 2), (2, 3)))
 
 
 RELATOR_COUNTS = {
