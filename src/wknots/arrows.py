@@ -31,6 +31,7 @@ from bisect import bisect_left
 from functools import cache
 from itertools import (chain, combinations_with_replacement, permutations,
                        product)
+from math import lcm
 
 from .rational import rat
 from .linalg import SparseEchelon
@@ -69,6 +70,8 @@ def canonical_word(word, n):
     for p, q in w:
         if not (1 <= p <= n and 1 <= q <= n) or p == q:
             raise ValueError("bad letter %r" % ((p, q),))
+    if n < 4:  # two disjoint letters need four strands
+        return tuple(w)
     changed = True
     while changed:
         changed = False
@@ -329,7 +332,8 @@ class QuotientSpace:
     weights are the ints ±1; the remaining relators are echelonized over
     the surviving class representatives.  Relators and their rows are
     int dicts, and ``Rat`` enters the echelon only at a pivot that is not
-    ±1.  The quotient basis is the set of non-pivot classes.
+    ±1.  The quotient basis is the set of non-pivot classes.  A vector is
+    projected in ints over the lcm of its denominators.
     """
 
     def __init__(self, skeleton, m, relset):
@@ -394,8 +398,9 @@ class QuotientSpace:
                 self._ech.add(row)
         reps = sorted({r for r in parent if not dead[r]})
         pivots = set(self._ech.pivots())
-        self.basis = [self._diagrams[r] for r in reps if r not in pivots]
-        self._basis_index = {d: i for i, d in enumerate(self.basis)}
+        basis = [r for r in reps if r not in pivots]
+        self._position = {r: i for i, r in enumerate(basis)}
+        self.basis = [self._diagrams[r] for r in basis]
 
     def _to_row(self, terms):
         row = {}
@@ -415,23 +420,34 @@ class QuotientSpace:
     def dim(self):
         return len(self.basis)
 
-    def project(self, v):
-        """Coordinates of an ArrowVector in the quotient basis."""
+    def _scaled_row(self, v):
+        """(den·v folded onto the classes, den), den the lcm of v's
+        denominators (d! for Z), so the row and its reduction stay in ints."""
         if (v.skeleton, v.m) != (self.skeleton, self.m):
             raise ValueError("degree/skeleton mismatch")
+        den = lcm(*(c.denominator for c in v.terms.values()))
         try:
-            row = self._to_row(v.terms)
+            return self._to_row({d: c.numerator * (den // c.denominator)
+                                 for d, c in v.terms.items()}), den
         except KeyError as e:
             raise ValueError("%r is not a canonical degree-%d diagram on %r"
                              % (e.args[0], self.m, self.skeleton)) from None
-        row = self._ech.reduce(row)
-        out = [rat(0)] * self.dim
-        for r, c in row.items():
-            d = self._diagrams[r]
-            if d not in self._basis_index:
-                raise AssertionError("reduced row touches a pivot class")
-            out[self._basis_index[d]] = c
-        return out
+
+    def _positions(self, row):
+        """A reduced row, keyed by basis position instead of class."""
+        if not row.keys() <= self._position.keys():
+            raise AssertionError("reduced row touches a pivot class")
+        return {self._position[r]: c for r, c in row.items()}
+
+    def project(self, v):
+        """Coordinates of an ArrowVector in the quotient basis, as ``Rat``."""
+        coords = self._positions(self._ech.reduce(*self._scaled_row(v)))
+        return [coords.get(i, rat(0)) for i in range(self.dim)]
+
+    def scaled_coordinates(self, v):
+        """({basis position: den times v's coordinate}, den), undivided."""
+        row, den = self._scaled_row(v)
+        return self._positions(self._ech._reduce(row)), den
 
     def project_diagram(self, d):
         v = ArrowVector(self.skeleton, self.m)

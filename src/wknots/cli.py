@@ -101,6 +101,7 @@ def cmd_zed(args):
     g = _load_diagram(args.diagram)
     _emit(args.machine, "self_linking", "self-linking %s", self_linking(g))
     z = zed_knot(g, args.degree)
+    coords = None
     if args.basis == "wheels":
         coords = wheels_reduce(z)
         for m, comp in enumerate(coords):
@@ -116,7 +117,9 @@ def cmd_zed(args):
                   " ".join(str(c) for c in comp) or "0")
     if args.check_alexander:
         from .expansion import predicted_from_alexander
-        if wheels_reduce(z) != predicted_from_alexander(g, args.degree):
+        if coords is None:
+            coords = wheels_reduce(z)
+        if coords != predicted_from_alexander(g, args.degree):
             _emit(args.machine, "alexander_match",
                   "Alexander prediction: %s", "MISMATCH")
             return CHECK_FAILURE

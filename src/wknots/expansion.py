@@ -3,14 +3,16 @@
 ``zed_braid`` sends each crossing of a w-braid word to the exponential of a
 single arrow between the two crossing strands (tail on the over strand);
 ``zed_knot`` does the same along a long-knot Gauss diagram, summing over
-arrow supports.  Both truncate at a degree cap d and sum integer
-numerators over d!.  On the long strand the quotient A^w(↑) is the
-commutative polynomial algebra on the single arrow ``a`` and the wheels;
-``wheels_reduce`` reads an expansion in that wheel-monomial basis, and
+arrow supports counted per shape, each shape's terms memoized.  Both
+truncate at a degree cap d and sum integer numerators over d!.  On the
+long strand the quotient A^w(↑) is the commutative polynomial algebra on
+the single arrow ``a`` and the wheels; ``wheels_reduce`` reads an
+expansion in that wheel-monomial basis, in ints over one denominator, and
 ``predicted_from_alexander`` computes the same coordinates from the
 Alexander polynomial alone, inside the monomial algebra.
 """
 
+from collections import Counter
 from functools import cache
 from itertools import combinations
 from math import factorial
@@ -120,9 +122,9 @@ def zed_knot(g, d, normalize=False):
     Each crossing contributes exp(s·a) of its arrow.  The product along the
     strand is a sum over supports: each set S of at most d arrows, in slot
     order, with each positive composition (k_c) of at most d over S, gives
-    k_c parallel copies of arrow c with coefficient Π s_c^{k_c} / k_c!.  An
-    endpoint of c sits at 1 + the sum of k_c' over the endpoints of S before
-    it, copy j at (tail + j, head + j): the diagram is already canonical.
+    k_c parallel copies of arrow c with coefficient Π s_c^{k_c} / k_c!.
+    Supports are counted per shape (endpoint order, negative arrows), and
+    each shape's terms are laid out once by ``_support_terms``.
     Coefficients are summed as integer numerators over d!.
 
     With ``normalize`` the result is multiplied by exp(−sl·arrow), killing
@@ -131,22 +133,20 @@ def zed_knot(g, d, normalize=False):
     if not isinstance(g, GaussDiagram):
         raise TypeError("expected a GaussDiagram")
     arrows = g.canonical()
-    nums = [{} for _ in range(d + 1)]
+    shapes = Counter()
     for p in range(min(len(arrows), d) + 1):
         for sub in combinations(arrows, p):
             # endpoint 2c is the tail of sub[c], 2c + 1 its head
             order = sorted(range(2 * p), key=lambda e: sub[e >> 1][e & 1])
-            negative = [c for c in range(p) if sub[c][2] < 0]
-            slot = [0] * (2 * p)
-            for ks, m, num in _compositions(p, d):
-                s = 1
-                for e in order:
-                    slot[e], s = s, s + ks[e >> 1]
-                diagram = tuple((slot[2 * c] + j, slot[2 * c + 1] + j)
-                                for c in range(p) for j in range(ks[c]))
-                if sum(ks[c] for c in negative) & 1:
-                    num = -num
-                nums[m][diagram] = nums[m].get(diagram, 0) + num
+            neg = sum(1 << c for c in range(p) if sub[c][2] < 0)
+            shapes[tuple(order), neg] += 1
+    nums = [{} for _ in range(d + 1)]
+    for (order, neg), mult in shapes.items():
+        for m, diagram, num, odd in _support_terms(order, d):
+            # Π s_c^{k_c} is −1 when an odd number of negative k_c are odd
+            if (odd & neg).bit_count() & 1:
+                num = -num
+            nums[m][diagram] = nums[m].get(diagram, 0) + mult * num
     z = _from_numerators(LONG, d, nums)
     if normalize:
         e = TruncatedExpansion(LONG, d)
@@ -154,6 +154,24 @@ def zed_knot(g, d, normalize=False):
             e.comps[1].add_term(((1, 2),), rat(-self_linking(g)))
         z = z * expansion_exp(e)
     return z
+
+
+@cache
+def _support_terms(order, d):
+    """(m, diagram, d!/Π k_c!, odd mask of ks) for each composition ks of a
+    support whose endpoints lie in slot order ``order``.  An endpoint of
+    arrow c sits at 1 + the sum of k_c' over the endpoints before it, copy j
+    at (tail + j, head + j): the diagram is already canonical."""
+    p, out = len(order) // 2, []
+    slot = [0] * (2 * p)
+    for ks, m, num in _compositions(p, d):
+        s = 1
+        for e in order:
+            slot[e], s = s, s + ks[e >> 1]
+        out.append((m, tuple((slot[2 * c] + j, slot[2 * c + 1] + j)
+                             for c in range(p) for j in range(ks[c])),
+                    num, sum(1 << c for c in range(p) if ks[c] & 1)))
+    return tuple(out)
 
 
 @cache
@@ -214,9 +232,10 @@ def wheels_reduce(z, flags=frozenset({"RI"})):
     Returns a list (per degree) of {monomial: coefficient} dicts.  The
     rows [P_j | e_j], P_j the quotient image of monomial j, are echelonized
     once per degree and flag set; reducing [target | 0] against them leaves
-    [residual | −x] with Σ x_j P_j + residual = target.  A nonzero residual
-    (the component lies outside the monomial span, contradicting the
-    wheels description of the quotient) raises and is reported.
+    [residual | −x] with Σ x_j P_j + residual = target, where the target
+    is den·z in ints (``scaled_coordinates``), divided by den at the end.
+    A nonzero residual (the component lies outside the monomial span,
+    contradicting the wheels description of the quotient) raises.
     """
     if z.skeleton != LONG:
         raise ValueError("long-strand expansions only")
@@ -226,7 +245,7 @@ def wheels_reduce(z, flags=frozenset({"RI"})):
         q = get_quotient(LONG, m, {"TC", "4T"} | flags)
         monos = wheel_monomial_basis(m, flags)
         row = _wheel_echelon(m, flags).reduce(
-            dict(enumerate(q.project(z.comps[m]))))
+            *q.scaled_coordinates(z.comps[m]))
         residual = {c: v for c, v in row.items() if c < q.dim}
         if residual:
             raise ValueError("component of degree %d outside the wheel "

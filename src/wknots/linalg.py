@@ -11,7 +11,8 @@ integral.  The relators of the arrow-diagram quotients have coefficients
 those builds run in integer arithmetic; ``Rat`` appears only where a
 pivot is not ±1 (a few rows per space) or an input row is not integral,
 and integral results go back to ints.  Every value handed back to
-callers is a ``Rat``.
+callers is a ``Rat``; ``reduce`` divides a row given as ints over one
+common denominator only at the end, so projections reduce in ints too.
 
 Determinants use one algorithm for every ring: Bareiss elimination
 (Math. Comp. 22, 1968), which divides only exactly, so it runs over
@@ -43,10 +44,11 @@ class SparseEchelon:
         self.rows = {}  # pivot column -> row dict
         self.holders = {}  # column -> pivots of the rows holding it
 
-    def reduce(self, row):
-        """Return row reduced against all stored pivots (a fresh dict of
-        ``Rat`` values)."""
-        return {c: Rat(v) for c, v in self._reduce(row).items()}
+    def reduce(self, row, den=1):
+        """Return row / den reduced against all stored pivots (a fresh dict
+        of ``Rat`` values); a row of ints over den is reduced in ints."""
+        return {c: Rat(v, den) if type(v) is int else v / den
+                for c, v in self._reduce(row).items()}
 
     def _reduce(self, row):
         row = {c: v for c, v in row.items() if v}

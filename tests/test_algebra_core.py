@@ -1,3 +1,4 @@
+import math
 import random
 
 from fractions import Fraction
@@ -183,6 +184,14 @@ def test_echelon_matches_fraction_oracle(rows, probes):
     assert ech.rank == oracle.rank
     assert ech.pivots() == oracle.pivots()
     for row in rows + probes:
+        want = oracle.reduce(dict(row))
         got = ech.reduce(dict(row))
-        assert got == oracle.reduce(dict(row))
+        assert got == want
         assert all(type(v) is Rat for v in got.values())
+        # the same row scaled to ints over a common denominator (the least
+        # one and a multiple of it), divided back by reduce
+        lcd = math.lcm(*(rat(v).denominator for v in row.values()))
+        for den in (lcd, 6 * lcd):
+            got = ech.reduce({c: int(v * den) for c, v in row.items()}, den)
+            assert got == want
+            assert all(type(v) is Rat for v in got.values())

@@ -45,6 +45,19 @@ def test_canonical_word_far_commutation():
     assert canonical_word((a, c), 4) != canonical_word((c, a), 4)
 
 
+def test_canonical_word_on_three_strands_is_the_word():
+    # on at most three strands no two letters are disjoint
+    for n in (2, 3):
+        letters = [(p, q) for p in range(1, n + 1) for q in range(1, n + 1)
+                   if p != q]
+        for w in [(l,) for l in letters] + [(a, b, c) for a in letters
+                                             for b in letters
+                                             for c in letters]:
+            assert canonical_word(w, n) == w
+    with pytest.raises(ValueError):
+        canonical_word(((1, 4),), 3)
+
+
 LONG_DIMS = {
     frozenset({"TC", "4T"}): [1, 2, 4, 7, 12, 19],
     frozenset({"TC", "4T", "RI"}): [1, 1, 2, 3, 5, 7],
@@ -164,6 +177,35 @@ def test_relators_match_per_product_oracle(skel, mmax, rels):
     for m in range(mmax + 1):
         assert (listed(_relators(skel, m, rels))
                 == listed(per_product_two_arrow_relators(skel, m, rels)))
+
+
+@st.composite
+def rational_combinations(draw):
+    """A quotient and a combination of its diagrams with integer and
+    rational coefficients of mixed denominators."""
+    skel, rels, m = draw(st.sampled_from(
+        [(LONG, {"TC", "4T", "RI"}, m) for m in range(5)]
+        + [(strands(3), {"TC", "4T"}, m) for m in range(4)]))
+    q = quotient(skel, m, rels)
+    diagrams = q._diagrams
+    coeffs = st.integers(-6, 6) | st.builds(
+        rat, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6, 9, 120)))
+    terms = draw(st.lists(st.tuples(st.sampled_from(diagrams), coeffs),
+                          max_size=8))
+    return q, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_combinations())
+def test_project_is_linear(case):
+    q, terms = case
+    v = ArrowVector(q.skeleton, q.m, terms)
+    want = [rat(0)] * q.dim
+    for d, c in terms:
+        want = [w + c * x for w, x in zip(want, q.project_diagram(d))]
+    got = q.project(v)
+    assert got == want
+    assert all(type(c) is Rat for c in got)
 
 
 def test_project_rejects_foreign_diagrams():

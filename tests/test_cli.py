@@ -97,6 +97,38 @@ def test_zed_check_alexander_w_knot(capsys, tmp_path):
     assert out["alexander_match"] == "match"
 
 
+ZED_5_2 = ["self_linking=4", "degree0=1:1", "degree1=a:4",
+           "degree2=a*a:8 w2:2", "degree3=a*a*a:32/3 a*w2:8"]
+
+
+@pytest.mark.parametrize("basis, lines", [
+    ("wheels", ZED_5_2),
+    ("projected", ZED_5_2[:1] + ["degree0=1", "degree1=4", "degree2=6 2",
+                                 "degree3=0 8 8/3"])])
+@pytest.mark.parametrize("agree", [True, False])
+def test_zed_check_alexander_reduces_once(basis, lines, agree, capsys,
+                                          monkeypatch):
+    import wknots.cli
+    import wknots.expansion
+    calls = []
+    reduce = wknots.cli.wheels_reduce
+
+    def counted(z):
+        calls.append(z)
+        return reduce(z)
+    monkeypatch.setattr(wknots.cli, "wheels_reduce", counted)
+    if not agree:
+        monkeypatch.setattr(wknots.expansion, "predicted_from_alexander",
+                            lambda g, d: [{}] * (d + 1))
+    pd = os.path.join(DATA, "5_2.pd")
+    code = main(["--machine", "zed", pd, "--degree", "3", "--basis", basis,
+                 "--check-alexander"])
+    assert code == (0 if agree else 1)
+    assert capsys.readouterr().out.splitlines() == lines + [
+        "alexander_match=" + ("match" if agree else "MISMATCH")]
+    assert len(calls) == 1
+
+
 def test_unknown_suite_rejected(capsys):
     assert main(["check", "--suite", "nope"]) == 2
     assert "invalid choice" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ from wknots.alexander import knot_inventory
 from wknots.arrows import LONG
 from wknots.expansion import (TruncatedExpansion, expansion_exp, zed_braid,
                               zed_knot, project_expansion, wheels_reduce,
-                              predicted_from_alexander)
+                              predicted_from_alexander, _support_terms)
 
 from oracles import (arrow_side_prediction, zed_braid_fractions,
                      zed_knot_recursive)
@@ -206,6 +207,15 @@ def test_zed_knot_matches_recursive_oracle(g, d, normalize):
 
 
 @settings(max_examples=40, deadline=None)
+@given(gauss_diagrams(), st.integers(0, 6))
+def test_zed_knot_same_with_cold_and_warm_shapes(g, d):
+    # a cached support shape must come back unchanged after use
+    _support_terms.cache_clear()
+    cold = zed_knot(g, d)
+    assert_same_terms(zed_knot(g, d), cold)
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(2, 4), st.integers(0, 8),
        st.integers(0, 5))
 def test_zed_braid_matches_rational_oracle(seed, n, length, d):
@@ -223,3 +233,27 @@ def test_zed_matches_oracles_on_bundled_knots():
     assert len(knots) == 18
     for g in knots:
         assert_same_terms(zed_knot(g, 5), zed_knot_recursive(g, 5))
+
+
+# sha256 of the degree-5 projected Z ({TC,4T,RI}) and of its wheel
+# coordinates on the 14 bundled knots and the 4 w-braid closures, values
+# written with str so that the digest does not depend on the rational
+# backend.  RREF is canonical, so any correct change keeps these digests.
+PROJECTED_DIGEST = (
+    "2c204e13ace6fcded36a806722b68040c6b35626e2845f84b2e539383bce69ff")
+WHEELS_DIGEST = (
+    "df50886c6100b6432100fe1801e6e5734c962688646ad8a164a69b1aa346db36")
+
+
+def test_projected_z_digest():
+    knots = [pd_to_gauss(pd) for pd in knot_inventory().values()]
+    knots += [braid_closure(braid_from_text(t)) for t in W_BRAIDS]
+    proj, wheels = hashlib.sha256(), hashlib.sha256()
+    for g in knots:
+        z = zed_knot(g, 5)
+        proj.update(repr([[str(c) for c in comp] for comp in
+                          project_expansion(z, {"RI"})]).encode())
+        wheels.update(repr([[(mono, str(c)) for mono, c in comp.items()]
+                            for comp in wheels_reduce(z)]).encode())
+    assert proj.hexdigest() == PROJECTED_DIGEST
+    assert wheels.hexdigest() == WHEELS_DIGEST
