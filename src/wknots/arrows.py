@@ -422,12 +422,13 @@ class QuotientSpace:
 
     def _scaled_row(self, v):
         """(den·v folded onto the classes, den), den the lcm of v's
-        denominators (d! for Z), so the row and its reduction stay in ints."""
+        denominators (d! for Z), so the row and its reduction stay in Python
+        ints (not gmpy2's mpz parts, which would divide to floats)."""
         if (v.skeleton, v.m) != (self.skeleton, self.m):
             raise ValueError("degree/skeleton mismatch")
         den = lcm(*(c.denominator for c in v.terms.values()))
         try:
-            return self._to_row({d: c.numerator * (den // c.denominator)
+            return self._to_row({d: int(c.numerator * den // c.denominator)
                                  for d, c in v.terms.items()}), den
         except KeyError as e:
             raise ValueError("%r is not a canonical degree-%d diagram on %r"
@@ -447,7 +448,7 @@ class QuotientSpace:
     def scaled_coordinates(self, v):
         """({basis position: den times v's coordinate}, den), undivided."""
         row, den = self._scaled_row(v)
-        return self._positions(self._ech._reduce(row)), den
+        return self._positions(self._ech.reduce(row)), den
 
     def project_diagram(self, d):
         v = ArrowVector(self.skeleton, self.m)

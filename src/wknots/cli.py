@@ -117,9 +117,8 @@ def cmd_zed(args):
                   " ".join(str(c) for c in comp) or "0")
     if args.check_alexander:
         from .expansion import predicted_from_alexander
-        if coords is None:
-            coords = wheels_reduce(z)
-        if coords != predicted_from_alexander(g, args.degree):
+        if (coords or wheels_reduce(z)) != predicted_from_alexander(
+                g, args.degree):
             _emit(args.machine, "alexander_match",
                   "Alexander prediction: %s", "MISMATCH")
             return CHECK_FAILURE

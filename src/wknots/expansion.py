@@ -13,7 +13,7 @@ Alexander polynomial alone, inside the monomial algebra.
 """
 
 from collections import Counter
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import factorial
 
@@ -156,12 +156,13 @@ def zed_knot(g, d, normalize=False):
     return z
 
 
-@cache
+@lru_cache(maxsize=4096)
 def _support_terms(order, d):
     """(m, diagram, d!/Π k_c!, odd mask of ks) for each composition ks of a
     support whose endpoints lie in slot order ``order``.  An endpoint of
     arrow c sits at 1 + the sum of k_c' over the endpoints before it, copy j
-    at (tail + j, head + j): the diagram is already canonical."""
+    at (tail + j, head + j): the diagram is already canonical.  Shapes
+    recur across knots; entries grow with d, so the memo is bounded."""
     p, out = len(order) // 2, []
     slot = [0] * (2 * p)
     for ks, m, num in _compositions(p, d):
@@ -232,10 +233,10 @@ def wheels_reduce(z, flags=frozenset({"RI"})):
     Returns a list (per degree) of {monomial: coefficient} dicts.  The
     rows [P_j | e_j], P_j the quotient image of monomial j, are echelonized
     once per degree and flag set; reducing [target | 0] against them leaves
-    [residual | −x] with Σ x_j P_j + residual = target, where the target
-    is den·z in ints (``scaled_coordinates``), divided by den at the end.
-    A nonzero residual (the component lies outside the monomial span,
-    contradicting the wheels description of the quotient) raises.
+    [residual | −x] with Σ x_j P_j + residual = target = den·z reduced in
+    the quotient (``scaled_coordinates``), divided by den at the end.  A
+    nonzero residual (outside the monomial span, contradicting the wheels
+    description of the quotient) raises.
     """
     if z.skeleton != LONG:
         raise ValueError("long-strand expansions only")

@@ -11,8 +11,7 @@ integral.  The relators of the arrow-diagram quotients have coefficients
 those builds run in integer arithmetic; ``Rat`` appears only where a
 pivot is not ±1 (a few rows per space) or an input row is not integral,
 and integral results go back to ints.  Every value handed back to
-callers is a ``Rat``; ``reduce`` divides a row given as ints over one
-common denominator only at the end, so projections reduce in ints too.
+callers is a ``Rat``; a row of ints over a denominator is divided last.
 
 Determinants use one algorithm for every ring: Bareiss elimination
 (Math. Comp. 22, 1968), which divides only exactly, so it runs over
@@ -47,7 +46,7 @@ class SparseEchelon:
     def reduce(self, row, den=1):
         """Return row / den reduced against all stored pivots (a fresh dict
         of ``Rat`` values); a row of ints over den is reduced in ints."""
-        return {c: Rat(v, den) if type(v) is int else v / den
+        return {c: v / den if type(v) is Rat else Rat(v, den)
                 for c, v in self._reduce(row).items()}
 
     def _reduce(self, row):

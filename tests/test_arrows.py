@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +207,48 @@ def test_project_is_linear(case):
     got = q.project(v)
     assert got == want
     assert all(type(c) is Rat for c in got)
+
+
+class _Mpz(int):
+    """An int that stays an _Mpz under arithmetic and divides to a float,
+    as gmpy2's mpz does."""
+    for _op in ("add", "radd", "sub", "rsub", "mul", "rmul", "floordiv",
+                "rfloordiv", "neg"):
+        def _f(self, *o, _op="__%s__" % _op):
+            r = getattr(int, _op)(self, *o)
+            return r if r is NotImplemented else _Mpz(r)
+        locals()["__%s__" % _op] = _f
+    del _op, _f
+
+    def __truediv__(self, other):
+        return float(self) / other
+
+
+class _Mpq(Fraction):
+    """A rational whose parts are _Mpz, as gmpy2's mpq has mpz parts."""
+    numerator = property(lambda self: _Mpz(self._numerator))
+    denominator = property(lambda self: _Mpz(self._denominator))
+
+
+def test_projection_exact_with_mpz_parts():
+    # the integer read path must stay exact when a backend's rationals
+    # have non-int parts whose true division is inexact
+    q = quotient(LONG, 3, {"TC", "4T", "RI"})
+    plain = ArrowVector(LONG, 3, [(d, rat(i % 5 - 2, 1 + i % 4))
+                                  for i, d in enumerate(q._diagrams[::7])])
+    v = ArrowVector(LONG, 3)
+    v.terms = {d: _Mpq(c) for d, c in plain.terms.items()}
+    assert all(type(c) is int for c in q._scaled_row(v)[0].values())
+    got = q.project(v)
+    assert got == q.project(plain) and any(got)
+    assert all(type(c) is Rat for c in got)
+    coords, den = q.scaled_coordinates(v)
+    assert type(den) is int and all(type(c) is Rat for c in coords.values())
+    ech = SparseEchelon()
+    ech.add({0: 1, 2: 3})
+    got = ech.reduce({0: _Mpz(2), 1: _Mpz(5)}, 3)
+    assert got == {1: rat(5, 3), 2: rat(-2)}
+    assert all(type(c) is Rat for c in got.values())
 
 
 def test_project_rejects_foreign_diagrams():
