@@ -3,9 +3,9 @@
 Modules
 -------
 rational / rings / linalg
-    Exact arithmetic: rationals (gmpy2 or stdlib fractions), Laurent
-    polynomials, truncated power series, sparse echelon reduction, and
-    exact determinants.
+    Exact arithmetic: rationals (stdlib fractions), Laurent polynomials,
+    truncated power series, sparse echelon reduction, and exact
+    determinants.
 freegroup / wbraid
     Words and automorphisms of free groups; w-braid words, their action
     on the free group (which solves the word problem), strand deletion

@@ -423,12 +423,12 @@ class QuotientSpace:
     def _scaled_row(self, v):
         """(den·v folded onto the classes, den), den the lcm of v's
         denominators (d! for Z), so the row and its reduction stay in Python
-        ints (not gmpy2's mpz parts, which would divide to floats)."""
+        ints."""
         if (v.skeleton, v.m) != (self.skeleton, self.m):
             raise ValueError("degree/skeleton mismatch")
         den = lcm(*(c.denominator for c in v.terms.values()))
         try:
-            return self._to_row({d: int(c.numerator * den // c.denominator)
+            return self._to_row({d: c.numerator * den // c.denominator
                                  for d, c in v.terms.items()}), den
         except KeyError as e:
             raise ValueError("%r is not a canonical degree-%d diagram on %r"

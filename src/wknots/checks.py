@@ -137,7 +137,7 @@ def check_zed_relations(nmax=4, d=4):
             zr = project_expansion(zed_braid(rhs, d))
             if zl != zr:
                 bad.append((n, name))
-    return not bad, "n=2..%d at degree %d, %d failures" % (nmax, d, len(bad))
+    return not bad, "n=2..%d at degree %d, %s" % (nmax, d, _failures(bad))
 
 
 def _legal_moves(g):

@@ -11,7 +11,8 @@ import sys
 
 from .freegroup import word_from_text, word_to_text, aut_apply
 from .wbraid import braid_from_text, braid_equal, braid_action
-from .gauss import pd_from_text, pd_to_gauss, gauss_from_text, self_linking
+from .gauss import (pd_from_text, pd_to_gauss, gauss_from_text, self_linking,
+                    braid_closure)
 from .rings import series_log
 from .alexander import alexander_matrix, alexander_fox
 from .arrows import LONG, quotient, strands
@@ -34,14 +35,15 @@ def _emit(machine, key, human_fmt, value):
         print(human_fmt % (value,))
 
 
-def _load_diagram(path):
-    """A Gauss diagram from a .pd, .gauss, or .braid file."""
-    text = _read(path)
-    head = text.split(None, 1)[0] if text.split() else ""
-    if head.startswith("X["):
+def _is_pd(text):
+    return text.lstrip().startswith("X[")
+
+
+def _load_diagram(path, text):
+    """A Gauss diagram from the text of a .pd, .gauss, or .braid file."""
+    if _is_pd(text):
         return pd_to_gauss(pd_from_text(text))
-    if head.startswith("n="):
-        from .gauss import braid_closure
+    if text.lstrip().startswith("n="):
         try:
             return gauss_from_text(text)
         except ValueError:
@@ -78,19 +80,24 @@ def cmd_braid_act(args):
 
 
 def cmd_alexander(args):
+    text = _read(args.diagram)
+    method = args.method or ("both" if _is_pd(text) else "matrix")
+    if method != "matrix" and not _is_pd(text):
+        raise ValueError("--method %s: the Fox calculus needs a PD code, "
+                         "and %s is not one" % (method, args.diagram))
     results = {}
-    if args.method in ("matrix", "both"):
-        g = _load_diagram(args.diagram)
+    if method in ("matrix", "both"):
+        g = _load_diagram(args.diagram, text)
         series, poly = alexander_matrix(g, d=args.degree)
         results["matrix"] = poly
         if args.series:
             _emit(args.machine, "series", "A(e^x) = %s", series)
             _emit(args.machine, "log_series", "log A(e^x) = %s",
                   series_log(series))
-    if args.method in ("fox", "both"):
-        results["fox"] = alexander_fox(pd_from_text(_read(args.diagram)))
-    for method, poly in sorted(results.items()):
-        _emit(args.machine, method, "%s: %%s" % method, poly)
+    if method in ("fox", "both"):
+        results["fox"] = alexander_fox(pd_from_text(text))
+    for name, poly in sorted(results.items()):
+        _emit(args.machine, name, "%s: %%s" % name, poly)
     if len(results) == 2 and results["matrix"] != results["fox"]:
         _emit(args.machine, "agree", "methods agree: %s", "false")
         return CHECK_FAILURE
@@ -98,7 +105,7 @@ def cmd_alexander(args):
 
 
 def cmd_zed(args):
-    g = _load_diagram(args.diagram)
+    g = _load_diagram(args.diagram, _read(args.diagram))
     _emit(args.machine, "self_linking", "self-linking %s", self_linking(g))
     z = zed_knot(g, args.degree)
     coords = None
@@ -194,7 +201,8 @@ def build_parser():
     q = sub.add_parser("alexander", help="Alexander polynomial of a knot")
     q.add_argument("diagram")
     q.add_argument("--method", choices=("matrix", "fox", "both"),
-                   default="both")
+                   help="default: both for a PD code, matrix otherwise "
+                   "(Fox needs a PD code)")
     q.add_argument("--degree", type=int, default=5,
                    help="series truncation degree")
     q.add_argument("--series", action="store_true",

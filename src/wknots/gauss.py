@@ -8,6 +8,9 @@ the identity; the remaining moves (R1 direction flip, R2, R3, and the
 overcrossings-commute move) are implemented as explicit rewrites.
 """
 
+import os
+from functools import cache
+
 from .wbraid import BraidWord, braid_skeleton
 
 SIGNS = {"+": 1, "-": -1}
@@ -337,26 +340,15 @@ def apply_move(d, move, *args):
     raise ValueError("unknown move %r" % move)
 
 
-_R3_CACHE = None
-
-
+@cache
 def _r3_patterns():
     """Legal three-arrow slide configurations, loaded from the data table."""
-    global _R3_CACHE
-    if _R3_CACHE is None:
-        import os
-        path = os.path.join(os.path.dirname(__file__), "data", "r3_patterns.txt")
-        pats = set()
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                pats.add(tuple(sorted(
-                    tuple(int(x) for x in chunk.split())
-                    for chunk in line.split(";"))))
-        _R3_CACHE = pats
-    return _R3_CACHE
+    path = os.path.join(os.path.dirname(__file__), "data", "r3_patterns.txt")
+    with open(path) as fh:
+        lines = [line.strip() for line in fh]
+    return frozenset(tuple(sorted(tuple(int(x) for x in chunk.split())
+                                  for chunk in line.split(";")))
+                     for line in lines if line and not line.startswith("#"))
 
 
 def _renumber(arrows):

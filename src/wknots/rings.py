@@ -233,7 +233,7 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int) or isinstance(other, type(Rat(0))):
+        if isinstance(other, (int, Rat)):
             return TruncSeries(self.cap, [a * Rat(other) for a in self.coeffs])
         if not isinstance(other, TruncSeries):
             return NotImplemented

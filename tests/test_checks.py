@@ -46,6 +46,15 @@ def test_zed_moves_names_first_diagram_and_move(monkeypatch):
     assert ", 2 failures; first: (GaussDiagram([" in detail
 
 
+def test_zed_relations_names_first_relation(monkeypatch):
+    fresh = count()
+    monkeypatch.setattr(checks, "project_expansion", lambda z: next(fresh))
+    ok, detail = checks.check_zed_relations(nmax=3, d=1)
+    assert not ok
+    assert detail == ("n=2..3 at degree 1, 14 failures; "
+                      "first: (2, 'R2a[i=1]')")
+
+
 def test_passing_detail_lines_unchanged():
     assert checks.check_action_well_defined(nmax=3) == (
         True, "checked n=2..3, 0 failures")
@@ -53,3 +62,5 @@ def test_passing_detail_lines_unchanged():
         True, "5 equal + 5 distinct pairs, 0 failures")
     assert checks.check_basis_conjugating(seed=1, trials=5) == (
         True, "5 braids, 0 failures")
+    assert checks.check_zed_relations(nmax=3, d=2) == (
+        True, "n=2..3 at degree 2, 0 failures")

@@ -45,6 +45,29 @@ def test_alexander_both(capsys):
     assert out["fox"] == out["matrix"] == "1 - 3*X + 1*X^2"
 
 
+def test_alexander_default_method(capsys, tmp_path):
+    # both methods on a PD code, the matrix alone on any other diagram
+    pd = os.path.join(DATA, "4_1.pd")
+    assert main(["--machine", "alexander", pd]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "fox=1 - 3*X + 1*X^2", "matrix=1 - 3*X + 1*X^2"]
+    f = tmp_path / "t.braid"
+    f.write_text("n=2\ns1 s1 s1\n")
+    assert main(["--machine", "alexander", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["matrix=1 - 1*X + 1*X^2"]
+
+
+@pytest.mark.parametrize("method", ["fox", "both"])
+def test_alexander_fox_needs_pd_code(method, capsys, tmp_path):
+    f = tmp_path / "t.braid"
+    f.write_text("n=2\ns1 s1 s1\n")
+    assert main(["alexander", str(f), "--method", method]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --method %s: " % method)
+    assert "needs a PD code" in err
+
+
 def test_zed_wheels(capsys, tmp_path):
     f = tmp_path / "t.braid"
     f.write_text("n=2\ns1 s1 s1\n")
@@ -146,8 +169,12 @@ def test_negative_degree_rejected(argv, capsys):
 @pytest.mark.parametrize("argv", [["wheels", "--flags", "xyz"],
                                   ["wheels", "--flags", "ri,tc"],
                                   ["dims", "--skeleton", "strands:0"],
-                                  ["dims", "--skeleton", "strands:-3"]])
-def test_out_of_domain_arguments_rejected(argv, capsys):
+                                  ["dims", "--skeleton", "strands:-3"],
+                                  ["zed", "NO_STRANDS"]])
+def test_out_of_domain_arguments_rejected(argv, capsys, tmp_path):
+    braid = tmp_path / "none.braid"
+    braid.write_text("n=-2\n")
+    argv = [str(braid) if a == "NO_STRANDS" else a for a in argv]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,8 +7,7 @@ from wknots.freegroup import word_from_text, aut_apply
 from wknots.wbraid import (BraidWord, word, braid_from_text, braid_action,
                            braid_skeleton, braid_equal, braid_distinct,
                            braid_invert, braid_delete_strand,
-                           braid_clone_strand, relation_table,
-                           parse_relation_templates)
+                           braid_clone_strand, relation_table)
 from wknots.checks import random_braid
 
 
@@ -22,6 +22,9 @@ def test_braid_validation():
         word(2, "s2")
     with pytest.raises(ValueError):
         word(3, "f1")  # flips need the extended flag
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="needs a strand"):
+            braid_from_text("n=%d" % n)
 
 
 def test_word_has_no_group_parameter():
@@ -29,21 +32,22 @@ def test_word_has_no_group_parameter():
         word(2, "s1", group="v")
 
 
-def test_relation_templates_reject_malformed_expressions():
-    good = parse_relation_templates(
-        "# comment\nR | 1 <= i <= n-1 and abs(i-j) >= 2 | s<i> s<i+1> | -")
-    name, two_index, guard, left, right = good[0]
-    assert (name, two_index, right) == ("R", True, ())
-    assert guard({"i": 1, "j": 3, "n": 4}) and not guard({"i": 1, "j": 2, "n": 4})
-    assert [(k, idx({"i": 2})) for k, idx in left] == [("s", 2), ("s", 3)]
-    for guard in ("__import__('os').system('true')", "i * 2 > 1", "i <= ",
-                  "i.real > 0", "max(i, j) > 1", "k >= 1", "True"):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_relation_templates("# comment\nBad | %s | s<i> | -" % guard)
-    with pytest.raises(ValueError, match="line 1"):
-        parse_relation_templates("Bad | 1 <= i | s<i**2> | -")
-    with pytest.raises(ValueError, match="line 1"):
-        parse_relation_templates("Bad | 1 <= i | s<i>")
+# (plain, extended) instance counts of relation_table(n), n = 1..8
+RELATION_COUNTS = [(0, 1), (3, 10), (11, 29), (25, 59), (45, 100),
+                   (71, 152), (103, 215), (141, 289)]
+
+
+def test_relation_table_pinned():
+    # names, words and order: check_word_problem draws relations by index
+    assert [(len(relation_table(n)), len(relation_table(n, True)))
+            for n in range(1, 9)] == RELATION_COUNTS
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for extended in (False, True):
+            for name, lhs, rhs in relation_table(n, extended):
+                h.update(repr((name, lhs.to_text(), rhs.to_text())).encode())
+    assert h.hexdigest() == ("6da91d3557804162d7fbb029d17d431d"
+                             "586f96d3d5af7bc2d37d3b51bb90247e")
 
 
 def test_relation_table_is_cached():
