@@ -20,18 +20,26 @@ TC, 4T and 6T are written once, in ``TWO_ARROW_RELATIONS``, as signed
 products of two arrows among three points, and placed on either skeleton:
 the points are three distinct strands, with the two letters inserted into
 a word of degree m−2; or three sites in the gaps of a long diagram of
-degree m−2, placed by ``place_long``, which also inserts the isolated
-arrows of RI/FI and the commutator blocks of CC.  Sites come in
-nondecreasing gap order, so a product's new endpoints lie in (point,
-arrow, end) order whatever the gaps, and a placement lifts the context
-once per count of endpoints at each point (three for TC/4T/6T).
+degree m−2, placed by ``place_long``, which also inserts the commutator
+blocks of CC.  Sites come in nondecreasing gap order, so a product's new
+endpoints lie in (point, arrow, end) order whatever the gaps, and a
+placement lifts the context once per count of endpoints at each point
+(three for TC/4T/6T).  RI and FI are read off the degree-m diagrams: an
+arrow (s, s+1) is isolated.
+
+A long-strand quotient with TC generates no TC relator: the TC class of a
+diagram has a least member, ``tc_canonical`` (heads sorted within each
+run of adjacent tails), and ``QuotientSpace`` starts its union-find
+there.  It then skips the 4T/6T placements whose rows repeat others up to
+TC, and holds the longer rows as packed diagram indices, not dicts.
 """
 
+from array import array
 from bisect import bisect_left
 from functools import cache
 from itertools import (chain, combinations_with_replacement, permutations,
                        product)
-from math import lcm
+from math import factorial, lcm
 
 from .rational import rat
 from .linalg import SparseEchelon
@@ -58,6 +66,26 @@ def canonical_long(arrows):
         raise ValueError("duplicate endpoint slot")
     remap = {old: new for new, old in enumerate(used, start=1)}
     return tuple(sorted((remap[t], remap[h]) for t, h in arrows))
+
+
+def tc_canonical(diagram):
+    """The least diagram in the TC class of a canonical long diagram.
+
+    TC lets adjacent tails swap, so the heads of a maximal run of tails at
+    slots s, s+1, ... may be permuted at will.  The run's arrows sit next to
+    each other in the sorted tuple, and sorting their heads gives the least
+    tuple of the class.
+    """
+    out = list(diagram)
+    start = 0
+    for k in range(1, len(out) + 1):
+        if k == len(out) or out[k][0] != out[k - 1][0] + 1:
+            if k - start > 1:
+                run = out[start:k]
+                heads = sorted(h for _, h in run)
+                out[start:k] = [(t, h) for (t, _), h in zip(run, heads)]
+            start = k
+    return tuple(out)
 
 
 def _letters_disjoint(a, b):
@@ -117,6 +145,20 @@ def enumerate_diagrams(skeleton, m):
             seen.add(canonical_word(w, n))
         return sorted(seen)
     raise ValueError("unknown skeleton %r" % (skeleton,))
+
+
+# the long strand's degree-6 count, the largest space the command line builds
+MAX_DIAGRAMS = 665_280
+
+
+def diagram_count(skeleton, m):
+    """How many diagrams ``enumerate_diagrams`` goes through at degree m:
+    (2m)!/m! on the long strand, and the (n(n−1))^m words on n strands,
+    before commutation merges some of them."""
+    if skeleton == LONG:
+        return factorial(2 * m) // factorial(m)
+    n = skeleton[1]
+    return (n * (n - 1)) ** m
 
 
 # --------------------------------------------------------------------------
@@ -229,14 +271,30 @@ def _place(context, gaps, plans):
                                      for a, b in ranks]))
 
 
-def _placements(skeleton, ctx, products):
+def _placements(skeleton, ctx, products, tc_folded=False):
     """Ways to put three points on a context diagram, each the map from
     every product (arrows between the points) to its canonical diagram.
-    The points are sites 0, 1, 2 on the long strand, and strands 1..n."""
+    The points are sites 0, 1, 2 on the long strand, and strands 1..n.
+
+    With ``tc_folded``, a long placement whose diagrams are, term by term,
+    TC-equivalent to another placement's is left out.  Two tails of the
+    context at adjacent slots s, s+1 with no site in gap s stay adjacent
+    in every placed diagram, so swapping their heads in the context only
+    moves each diagram within its TC class.  Sorting the heads of each run
+    of tails that no site cuts therefore gives a context whose placement
+    at the same gaps repeats this one up to TC, and which is itself kept:
+    keep a placement only when a site cuts every descent of the context
+    (tails at s, s+1 whose heads go down).
+    """
     if skeleton == LONG:
         plans = [_plan(arrows) for arrows in products]
+        cuts = []  # the gaps between the context's descending tails
+        if tc_folded:
+            cuts = [t for (t, h), (u, k) in zip(ctx, ctx[1:])
+                    if u == t + 1 and h > k]
         for gaps in combinations_with_replacement(range(2 * len(ctx) + 1), 3):
-            yield dict(zip(products, _place(ctx, gaps, plans)))
+            if all(g in gaps for g in cuts):
+                yield dict(zip(products, _place(ctx, gaps, plans)))
     else:
         n = skeleton[1]
         for pos in range(len(ctx) + 1):
@@ -245,7 +303,7 @@ def _placements(skeleton, ctx, products):
                    for arrows in products}
 
 
-def _two_arrow_relators(skeleton, m, relset):
+def _two_arrow_relators(skeleton, m, relset, tc_folded=False):
     points = range(3) if skeleton == LONG else range(1, skeleton[1] + 1)
     # each relation with its roles 0, 1, 2 sent to three distinct points p;
     # TC is antisymmetric in its two heads, so the other order of p[1], p[2]
@@ -262,7 +320,7 @@ def _two_arrow_relators(skeleton, m, relset):
     products = tuple({arrows for terms in instances
                       for arrows, _ in terms})
     for ctx in enumerate_diagrams(skeleton, m - 2):
-        for placed in _placements(skeleton, ctx, products):
+        for placed in _placements(skeleton, ctx, products, tc_folded):
             for terms in instances:
                 row = {}
                 for arrows, sign in terms:
@@ -276,24 +334,29 @@ def _two_arrow_relators(skeleton, m, relset):
                     yield row
 
 
-def _isolated_arrow_relators(m, relset):
-    """RI (right isolated arrow = left one) and FI (both vanish, once each)."""
-    killed = {}
-    for ctx in enumerate_diagrams(LONG, m - 1):
-        for g in range(2 * (m - 1) + 1):
-            right = place_long(ctx, (g, g), ((0, 1),))
-            left = place_long(ctx, (g, g), ((1, 0),))
-            if "RI" in relset:
-                yield {right: 1, left: -1}
-            if "FI" in relset:
-                killed.update(dict.fromkeys((right, left)))
-    for d in killed:
-        yield {d: 1}
+def _isolated_arrow_relators(diagrams, relset):
+    """RI and FI, read off the degree-m diagrams.  An arrow (s, s+1) is
+    isolated: RI equates the diagram with the one where that arrow is
+    flipped to (s+1, s), which keeps its place in the sorted tuple (slots s
+    and s+1 hold no other tail), and FI kills every diagram with an
+    isolated arrow either way, once."""
+    for d in diagrams:
+        isolated = False
+        for k, (t, h) in enumerate(d):
+            if h == t + 1 and "RI" in relset:
+                yield {d: 1, d[:k] + ((h, t),) + d[k + 1:]: -1}
+            isolated = isolated or abs(h - t) == 1
+        if isolated and "FI" in relset:
+            yield {d: 1}
 
 
-def _relators(skeleton, m, relset):
-    """The relators of ``generate_relations`` as {diagram: coefficient}
-    dicts, produced lazily; TC, 4T, 6T, RI and FI have int coefficients."""
+def _relators(skeleton, m, relset, diagrams=None, tc_folded=False):
+    """The relators of ``generate_relations`` as {diagram: int} dicts,
+    produced lazily (a CC relator is scaled to ints, which spans the same
+    line).  ``diagrams`` are the degree-m diagrams, when the caller has
+    them.  ``tc_folded`` (long strand) is for a caller that identifies
+    each TC class itself: TC relators are not built, and 4T/6T relators
+    that only repeat others up to TC are left out."""
     known = {"TC", "4T", "6T", "RI", "FI", "CC"}
     if not relset <= known:
         raise ValueError("unknown relation ids: %r" % (relset - known,))
@@ -302,13 +365,22 @@ def _relators(skeleton, m, relset):
             raise ValueError("unknown skeleton %r" % (skeleton,))
         if relset & {"RI", "FI", "CC"}:
             raise ValueError("RI/FI/CC apply to the long strand only")
-    parts = [_two_arrow_relators(skeleton, m, relset)]
+    if tc_folded:
+        relset = relset - {"TC"}
+    parts = [_two_arrow_relators(skeleton, m, relset, tc_folded)]
     if skeleton == LONG and relset & {"RI", "FI"} and m >= 1:
-        parts.append(_isolated_arrow_relators(m, relset))
+        if diagrams is None:
+            diagrams = enumerate_diagrams(LONG, m)
+        parts.append(_isolated_arrow_relators(diagrams, relset))
     if skeleton == LONG and "CC" in relset and m >= 4:
         from .jacobi import cc_arrow_relators
-        parts.append(v.terms for v in cc_arrow_relators(m))
+        parts.append(_integral(v.terms) for v in cc_arrow_relators(m))
     return chain.from_iterable(parts)
+
+
+def _integral(terms):
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {d: c.numerator * den // c.denominator for d, c in terms.items()}
 
 
 def generate_relations(skeleton, m, relset):
@@ -328,12 +400,19 @@ def generate_relations(skeleton, m, relset):
 class QuotientSpace:
     """Per-degree quotient of the diagram span by a relation set.
 
-    Two-term ±1 relators are folded into a signed union-find first, whose
-    weights are the ints ±1; the remaining relators are echelonized over
-    the surviving class representatives.  Relators and their rows are
-    int dicts, and ``Rat`` enters the echelon only at a pivot that is not
-    ±1.  The quotient basis is the set of non-pivot classes.  A vector is
-    projected in ints over the lcm of its denominators.
+    Diagrams are held by their index in ``_diagrams``, and relators become
+    rows of (index, coefficient) pairs as they arrive; no relator is kept
+    as a dict.  A signed union-find, whose weights are the ints ±1, takes
+    the two-term ±1 relators at once.  On the long strand it starts from
+    TC: each diagram's parent is its TC-canonical form (``tc_canonical``),
+    the least diagram of its class, so neither TC relators nor the 4T/6T
+    rows that repeat others up to TC are built.  The longer rows (4T, 6T,
+    CC, scaled to ints) wait in one packed array until the union-find is
+    final; then they are folded onto the surviving class representatives,
+    deduplicated and echelonized.  ``Rat`` enters the echelon only at a
+    pivot that is not ±1.  The quotient basis is the set of non-pivot
+    classes.  A vector is projected in ints over the lcm of its
+    denominators.
     """
 
     def __init__(self, skeleton, m, relset):
@@ -341,10 +420,14 @@ class QuotientSpace:
         self.m = m
         self.relset = frozenset(relset)
         diagrams = enumerate_diagrams(skeleton, m)
-        self._index = {d: i for i, d in enumerate(diagrams)}
+        index = self._index = {d: i for i, d in enumerate(diagrams)}
         self._diagrams = diagrams
         n = len(diagrams)
-        parent = list(range(n))
+        tc_folded = skeleton == LONG and "TC" in self.relset
+        if tc_folded:
+            parent = [index[tc_canonical(d)] for d in diagrams]
+        else:
+            parent = list(range(n))
         weight = [1] * n       # diagram = weight * rep(diagram)
         dead = [False] * n     # class known to be zero
 
@@ -359,15 +442,17 @@ class QuotientSpace:
                 parent[j] = i
             return i, w
 
-        rest = []
-        for terms in _relators(skeleton, m, self.relset):
+        pairs = array("q")     # (index, coefficient) of the longer rows
+        ends = array("q")      # where each of those rows ends in pairs
+        for terms in _relators(skeleton, m, self.relset, diagrams,
+                               tc_folded):
             if len(terms) == 1:
-                r, _ = find(self._index[next(iter(terms))])
+                r, _ = find(index[next(iter(terms))])
                 dead[r] = True
             elif len(terms) == 2 and all(abs(c) == 1 for c in terms.values()):
                 (d1, c1), (d2, c2) = terms.items()
-                r1, w1 = find(self._index[d1])
-                r2, w2 = find(self._index[d2])
+                r1, w1 = find(index[d1])
+                r2, w2 = find(index[d2])
                 if r1 == r2:
                     if c1 * w1 + c2 * w2 != 0:
                         dead[r1] = True
@@ -380,7 +465,10 @@ class QuotientSpace:
                 if dead[hi]:
                     dead[lo] = True
             else:
-                rest.append(terms)
+                for d, c in terms.items():
+                    pairs.append(index[d])
+                    pairs.append(c)
+                ends.append(len(pairs))
         # propagate deadness to roots; after this, i = weight[i] * parent[i]
         for i in range(n):
             r, _ = find(i)
@@ -390,8 +478,11 @@ class QuotientSpace:
         self._parent, self._weight, self._dead = parent, weight, dead
         self._ech = SparseEchelon()
         seen_rows = set()
-        for terms in rest:
-            row = self._to_row(terms)
+        start = 0
+        for end in ends:
+            row = self._to_row(zip(pairs[start:end:2],
+                                   pairs[start + 1:end:2]))
+            start = end
             key = tuple(sorted(row.items()))
             if row and key not in seen_rows:
                 seen_rows.add(key)
@@ -402,10 +493,10 @@ class QuotientSpace:
         self._position = {r: i for i, r in enumerate(basis)}
         self.basis = [self._diagrams[r] for r in basis]
 
-    def _to_row(self, terms):
+    def _to_row(self, pairs):
+        """(diagram index, coefficient) pairs folded onto the live classes."""
         row = {}
-        for d, c in terms.items():
-            i = self._index[d]
+        for i, c in pairs:
             r = self._parent[i]
             if self._dead[r]:
                 continue
@@ -428,8 +519,9 @@ class QuotientSpace:
             raise ValueError("degree/skeleton mismatch")
         den = lcm(*(c.denominator for c in v.terms.values()))
         try:
-            return self._to_row({d: c.numerator * den // c.denominator
-                                 for d, c in v.terms.items()}), den
+            return self._to_row([(self._index[d],
+                                  c.numerator * den // c.denominator)
+                                 for d, c in v.terms.items()]), den
         except KeyError as e:
             raise ValueError("%r is not a canonical degree-%d diagram on %r"
                              % (e.args[0], self.m, self.skeleton)) from None

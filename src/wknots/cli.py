@@ -15,7 +15,7 @@ from .gauss import (pd_from_text, pd_to_gauss, gauss_from_text, self_linking,
                     braid_closure)
 from .rings import series_log
 from .alexander import alexander_matrix, alexander_fox
-from .arrows import LONG, quotient, strands
+from .arrows import LONG, MAX_DIAGRAMS, diagram_count, quotient, strands
 from .jacobi import wheel_monomial_basis
 from .expansion import zed_knot, project_expansion, wheels_reduce
 from . import checks
@@ -85,6 +85,9 @@ def cmd_alexander(args):
     if method != "matrix" and not _is_pd(text):
         raise ValueError("--method %s: the Fox calculus needs a PD code, "
                          "and %s is not one" % (method, args.diagram))
+    if args.series and method == "fox":
+        raise ValueError("--series reads the matrix method's series; use "
+                         "--method matrix or both")
     results = {}
     if method in ("matrix", "both"):
         g = _load_diagram(args.diagram, text)
@@ -104,7 +107,19 @@ def cmd_alexander(args):
     return 0
 
 
+def _check_size(skeleton, degree):
+    """Refuse a quotient whose diagrams would not fit in memory."""
+    count = diagram_count(skeleton, degree)
+    if count > MAX_DIAGRAMS:
+        raise ValueError("degree %d on %s enumerates %d diagrams, more than "
+                         "the %d of the long strand at degree 6"
+                         % (degree, "long" if skeleton == LONG else
+                            "strands:%d" % skeleton[1], count, MAX_DIAGRAMS))
+
+
 def cmd_zed(args):
+    if args.basis != "plain" or args.check_alexander:
+        _check_size(LONG, args.degree)
     g = _load_diagram(args.diagram, _read(args.diagram))
     _emit(args.machine, "self_linking", "self-linking %s", self_linking(g))
     z = zed_knot(g, args.degree)
@@ -145,6 +160,7 @@ def _parse_skeleton(text):
 def cmd_dims(args):
     skel = _parse_skeleton(args.skeleton)
     rels = {r.strip().upper() for r in args.relations.split(",") if r.strip()}
+    _check_size(skel, args.degree)
     for m in range(args.degree + 1):
         q = quotient(skel, m, rels)
         _emit(args.machine, "dim%d" % m, "degree %d: dim %%s" % m, q.dim)

@@ -8,12 +8,13 @@ from itertools import combinations_with_replacement, permutations, product
 
 from wknots.alexander import alexander_det, build_S, build_T
 from wknots.arrows import (LONG, TWO_ARROW_RELATIONS, ArrowVector,
-                           canonical_long, canonical_word, enumerate_diagrams,
-                           strands)
+                           QuotientSpace, _relators, canonical_long,
+                           canonical_word, enumerate_diagrams, strands)
 from wknots.expansion import TruncatedExpansion, expansion_exp, wheels_reduce
 from wknots.gauss import self_linking
 from wknots.jacobi import monomial_to_arrows
 from wknots.lieweights import PBWElement, lie_validate
+from wknots.linalg import SparseEchelon
 from wknots.rational import Rat, rat
 from wknots.rings import (LaurentPoly, TruncSeries, laurent_at_exp,
                           laurent_normalize, series_log)
@@ -417,3 +418,84 @@ def index_vector_weight_system(dvec, L):
             for key, c in combos:
                 total.add(key, c)
     return total
+
+
+# --------------------------------------------------------------------------
+# The quotient fold over relator dicts
+# --------------------------------------------------------------------------
+
+class DictFoldQuotient(QuotientSpace):
+    """``arrows.QuotientSpace`` folded the way it was before relators
+    became packed index rows: TC generated as relators on every skeleton,
+    and every relator that is not two-term held as a {diagram: coefficient}
+    dict, coefficients as generated, until the union-find is final.  The
+    read side (``project``) is inherited."""
+
+    def __init__(self, skeleton, m, relset):
+        self.skeleton = skeleton
+        self.m = m
+        self.relset = frozenset(relset)
+        diagrams = enumerate_diagrams(skeleton, m)
+        self._index = {d: i for i, d in enumerate(diagrams)}
+        self._diagrams = diagrams
+        n = len(diagrams)
+        parent = list(range(n))
+        weight = [1] * n
+        dead = [False] * n
+
+        def find(i):
+            w = 1
+            while parent[i] != i:
+                w *= weight[i]
+                i = parent[i]
+            return i, w
+
+        rest = []
+        for terms in _relators(skeleton, m, self.relset):
+            if len(terms) == 1:
+                r, _ = find(self._index[next(iter(terms))])
+                dead[r] = True
+            elif len(terms) == 2 and all(abs(c) == 1 for c in terms.values()):
+                (d1, c1), (d2, c2) = terms.items()
+                r1, w1 = find(self._index[d1])
+                r2, w2 = find(self._index[d2])
+                if r1 == r2:
+                    if c1 * w1 + c2 * w2 != 0:
+                        dead[r1] = True
+                    continue
+                lo, hi = min(r1, r2), max(r1, r2)
+                parent[hi] = lo
+                weight[hi] = -1 if c1 * w1 == c2 * w2 else 1
+                dead[lo] = dead[lo] or dead[hi]
+            else:
+                rest.append(terms)
+        roots = [find(i) for i in range(n)]
+        for i, (r, _) in enumerate(roots):
+            dead[r] = dead[r] or dead[i]
+        # point every diagram at its root, as the read side expects
+        self._parent = [r for r, _ in roots]
+        self._weight = [w for _, w in roots]
+        self._dead = dead
+        self._ech = SparseEchelon()
+        seen_rows = set()
+        for terms in rest:
+            row = {}
+            for d, c in terms.items():
+                i = self._index[d]
+                r, w = roots[i]
+                if dead[r]:
+                    continue
+                cw = row.get(r, 0) + c * w
+                if cw:
+                    row[r] = cw
+                else:
+                    row.pop(r, None)
+            key = tuple(sorted(row.items()))
+            if row and key not in seen_rows:
+                seen_rows.add(key)
+                self._ech.add(row)
+        reps = sorted({r for r, _ in roots if not dead[r]})
+        pivots = set(self._ech.pivots())
+        basis = [r for r in reps if r not in pivots]
+        self._position = {r: i for i, r in enumerate(basis)}
+        self.basis = [self._diagrams[r] for r in basis]

@@ -1,16 +1,18 @@
 import math
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wknots.rational import Rat, rat
 from wknots.arrows import (LONG, strands, canonical_long, canonical_word,
-                           enumerate_diagrams, ArrowVector, _relators,
-                           generate_relations, place_long)
+                           enumerate_diagrams, ArrowVector, QuotientSpace,
+                           _relators, generate_relations, place_long,
+                           tc_canonical)
 from wknots.expansion import get_quotient as quotient
 from wknots.linalg import SparseEchelon
 
-from oracles import (long_relators, per_product_place_long,
+from oracles import (DictFoldQuotient, long_relators, per_product_place_long,
                      per_product_two_arrow_relators)
 
 
@@ -74,6 +76,15 @@ def test_long_quotient_dimensions(rels):
     assert got == dims
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("rels, dim", [({"TC", "4T", "RI"}, 11),
+                                       ({"TC", "4T", "FI"}, 4)],
+                         ids=["TC+4T+RI", "TC+4T+FI"])
+def test_long_quotient_dimensions_degree_6(rels, dim):
+    # the wheels theorem one degree further: p(6) and p(6) - p(5)
+    assert QuotientSpace(LONG, 6, rels).dim == dim
+
+
 def test_strand_quotient_dimensions():
     got = [quotient(strands(3), m, {"TC", "4T"}).dim for m in range(5)]
     assert got == [1, 6, 27, 108, 405]
@@ -134,6 +145,11 @@ def test_place_long_shared_gap_and_shared_point():
     # two tails at point 0 keep the order of the arrows
     assert place_long((), (0, 0, 0), ((0, 1), (0, 2))) == ((1, 3), (2, 4))
     assert place_long((), (0, 0, 0), ((0, 2), (0, 1))) == ((1, 4), (2, 3))
+
+
+@cache
+def _long_diagrams(m):
+    return enumerate_diagrams(LONG, m)
 
 
 @st.composite
@@ -274,3 +290,74 @@ def test_long_relators_match_oracle(rel):
             assert len(new_set) == len(new)
         if m < 4 or rel not in ("4T", "6T"):
             assert long_rref(m, new) == long_rref(m, old)
+
+
+def _tail_swaps(d):
+    """The diagrams one TC move away: two arrows with tails at adjacent
+    slots s, s+1 trade heads."""
+    out = []
+    for k in range(len(d) - 1):
+        (t1, h1), (t2, h2) = d[k], d[k + 1]
+        if t2 == t1 + 1:
+            out.append(d[:k] + ((t1, h2), (t2, h1)) + d[k + 2:])
+    return out
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_tc_canonical_is_least_of_its_class(m):
+    classes = {}
+    for d in _long_diagrams(m):
+        c = tc_canonical(d)
+        classes.setdefault(c, []).append(d)
+        assert all(tc_canonical(e) == c for e in _tail_swaps(d))
+    assert all(c == min(ds) for c, ds in classes.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda m: st.tuples(
+    st.sampled_from(_long_diagrams(m)),
+    st.lists(st.integers(0, 2 * m), max_size=12))))
+def test_tc_canonical_under_random_tail_swaps(case):
+    d, moves = case
+    c = tc_canonical(d)
+    assert tc_canonical(c) == c and c <= d
+    for k in moves:
+        swaps = _tail_swaps(d)
+        if swaps:
+            d = swaps[k % len(swaps)]
+        assert tc_canonical(d) == c and c <= d
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_tc_class_counts(m):
+    # TC classes: (m+1)^m; with RI as well: m^m (1 at m = 0)
+    assert len(set(map(tc_canonical, _long_diagrams(m)))) == (m + 1) ** m
+    assert QuotientSpace(LONG, m, {"TC"}).dim == (m + 1) ** m
+    assert QuotientSpace(LONG, m, {"TC", "RI"}).dim == m ** m
+
+
+FOLD_CASES = (
+    [(LONG, rels, m) for rels in LONG_DIMS for m in range(5)
+     if (rels, m) != ({"6T"}, 4)]
+    + [pytest.param(LONG, frozenset({"6T"}), 4, marks=pytest.mark.slow)]
+    + [(LONG, frozenset(rels), 5) for rels in ({"TC", "4T"},
+                                               {"TC", "4T", "RI"})]
+    + [(strands(n), frozenset(rels), m) for n in (2, 3, 4)
+       for rels in ({"TC", "4T"}, {"TC", "6T"}) for m in range(4)])
+
+
+def _case_id(v):
+    if isinstance(v, tuple):
+        return "long" if v == LONG else "strands%d" % v[1]
+    return "+".join(sorted(v)) if isinstance(v, frozenset) else None
+
+
+@pytest.mark.parametrize("skel, rels, m", FOLD_CASES, ids=_case_id)
+def test_fold_matches_dict_oracle(skel, rels, m):
+    # TC as canonical forms, RI read off the diagrams and the longer rows
+    # packed give the relator-dict build's basis, rows and projections
+    q, old = quotient(skel, m, rels), DictFoldQuotient(skel, m, rels)
+    assert q.basis == old.basis
+    assert q._ech.rows == old._ech.rows
+    assert all(q.project_diagram(d) == old.project_diagram(d)
+               for d in q._diagrams)

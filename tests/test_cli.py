@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+import wknots.cli
 from wknots.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "wknots",
@@ -68,6 +69,19 @@ def test_alexander_fox_needs_pd_code(method, capsys, tmp_path):
     assert "needs a PD code" in err
 
 
+def test_alexander_series_needs_matrix(capsys):
+    # the series is the matrix method's; Fox alone has none to print
+    pd = os.path.join(DATA, "3_1.pd")
+    assert main(["alexander", pd, "--method", "fox", "--series"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --series ")
+    assert main(["--machine", "alexander", pd, "--series"]) == 0
+    keys = [line.split("=")[0] for line in capsys.readouterr().out.split()
+            if "=" in line]
+    assert keys[:2] == ["series", "log_series"]
+
+
 def test_zed_wheels(capsys, tmp_path):
     f = tmp_path / "t.braid"
     f.write_text("n=2\ns1 s1 s1\n")
@@ -86,6 +100,31 @@ def test_dims_deterministic(capsys):
     assert main(["dims", "--degree", "3"]) == 0
     assert capsys.readouterr().out == first
     assert "dim 7" in first
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--degree", "7"],
+    ["dims", "--skeleton", "strands:3", "--degree", "8"],
+    ["dims", "--skeleton", "strands:4", "--degree", "6"],
+    ["zed", "KNOT", "--degree", "7"],
+    ["zed", "KNOT", "--degree", "7", "--basis", "projected"],
+    ["zed", "KNOT", "--degree", "7", "--basis", "plain",
+     "--check-alexander"]])
+def test_oversized_quotients_rejected(argv, capsys, monkeypatch):
+    # the long strand at degree 7 has 17,297,280 diagrams: refuse before
+    # enumerating any
+    import wknots.arrows
+
+    def refuse(*args):
+        raise AssertionError("a build started")
+    monkeypatch.setattr(wknots.arrows, "enumerate_diagrams", refuse)
+    monkeypatch.setattr(wknots.cli, "zed_knot", refuse)
+    argv = [os.path.join(DATA, "3_1.pd") if a == "KNOT" else a for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: degree ")
+    assert "more than the 665280 of the long strand" in err
 
 
 def test_wheels_basis(capsys):
