@@ -156,11 +156,17 @@ def _legal_moves(g):
                 out.append(mv)
             except ValueError:
                 pass
+    # a slide move needs three arrows with all six endpoints in its three
+    # slot pairs; other triples would only make apply_move raise
+    partner = {}
+    for t, h, _ in g.arrows:
+        partner[t], partner[h] = h, t
     slots = range(1, 2 * k)
     for i in slots:
         for j in slots:
             for l in slots:
-                if len({i, i + 1, j, j + 1, l, l + 1}) != 6:
+                six = {i, i + 1, j, j + 1, l, l + 1}
+                if len(six) != 6 or any(partner[x] not in six for x in six):
                     continue
                 try:
                     apply_move(g, "r3", i, j, l)

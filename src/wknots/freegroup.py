@@ -93,8 +93,8 @@ def aut_apply(a: FreeAut, w):
     """Substitute generator images into w and reduce."""
     out = []
     for idx, sign in w:
-        if idx > a.n:
-            raise ValueError("rank mismatch")
+        if not 1 <= idx <= a.n:
+            raise ValueError(f"generator index {idx} out of range for rank {a.n}")
         img = a.images[idx - 1]
         out.extend(img if sign > 0 else word_inverse(img))
     return word_reduce(out, a.n)

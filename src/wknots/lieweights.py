@@ -143,30 +143,34 @@ def _times_table(L):
         if not lie_validate(L):
             raise ValueError("invalid Lie structure constants")
         # [g1, g2] for g1 after g2: [x_j, x_k] = Σ c_jk^l x_l and
-        # [x_j, φ^a] = −Σ_m c_jm^a φ^m; duals commute
+        # [x_j, φ^a] = −Σ_m c_jm^a φ^m; duals commute.  Integral constants
+        # are stored as ints, so integral algebras straighten in ints.
+        def num(v):
+            return v.numerator if v.denominator == 1 else v
+
         bracket = {}
         for j in range(1, L.r + 1):
             for k in range(1, j):
-                bracket[("x", j), ("x", k)] = [(("x", l), v) for l, v
+                bracket[("x", j), ("x", k)] = [(("x", l), num(v)) for l, v
                                                in L.bracket(j, k).items()]
             for a in range(1, L.r + 1):
                 bracket[("x", j), ("p", a)] = [
-                    (("p", m), -L.bracket(j, m)[a])
+                    (("p", m), num(-L.bracket(j, m)[a]))
                     for m in range(1, L.r + 1) if a in L.bracket(j, m)]
 
         @functools.cache
         def times(mono, g):
             if not mono or mono[-1] <= g:
-                return ((mono + (g,), rat(1)),)
+                return ((mono + (g,), 1),)
             # h·last·g = (h·g)·last + h·[last, g]
             h, last = mono[:-1], mono[-1]
             out = {}
             for n, c in times(h, g):
                 for n2, c2 in times(n, last):
-                    out[n2] = out.get(n2, rat(0)) + c * c2
+                    out[n2] = out.get(n2, 0) + c * c2
             for b, cb in bracket.get((last, g), ()):
                 for n, c in times(h, b):
-                    out[n] = out.get(n, rat(0)) + cb * c
+                    out[n] = out.get(n, 0) + cb * c
             return tuple((n, c) for n, c in out.items() if c)
 
         L._times = times
@@ -219,7 +223,7 @@ def weight_system(dvec, L):
         if long:  # one strand, read in slot order
             ends = [(1, kind, a) for _, kind, a in sorted(ends)]
         # state: (open index per arrow, 0 if not open; monomial per strand)
-        states = {((0,) * len(diagram), ((),) * n): coeff}
+        states = {((0,) * len(diagram), ((),) * n): 1}
         for s, kind, a in ends:
             s -= 1
             nxt = {}
@@ -236,5 +240,5 @@ def weight_system(dvec, L):
                         nxt[key] = nxt[key] + cm if key in nxt else cm
             states = {k: c for k, c in nxt.items() if c}
         for (_, monos), c in states.items():
-            total.add(monos[0] if long else monos, c)
+            total.add(monos[0] if long else monos, coeff * c)
     return total

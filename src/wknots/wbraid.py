@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .freegroup import FreeAut, aut_compose, word_reduce
+from .freegroup import FreeAut, word_inverse, word_reduce
 
 SIGMA, VIRT, FLIP = "s", "v", "f"
 
@@ -145,11 +145,25 @@ def letter_action(n, letter) -> FreeAut:
 
 def braid_action(b: BraidWord) -> FreeAut:
     """The homomorphism into basis-conjugating automorphisms of F_n
-    (with flips: symmetric automorphisms), as a right action."""
-    aut = FreeAut.identity(b.n)
-    for letter in b.letters:
-        aut = aut_compose(aut, letter_action(b.n, letter))
-    return aut
+    (with flips: symmetric automorphisms), as a right action.
+
+    Built right to left: prepending a letter to a suffix that acts by B
+    gives the images B(letter(x_j)), and a letter moves only x_i and
+    x_{i+1}, so only those two of B's images change (a, c below)."""
+    imgs = [_gen(j) for j in range(1, b.n + 1)]
+    for kind, i, sign in reversed(b.letters):
+        a = imgs[i - 1]
+        if kind == FLIP:
+            imgs[i - 1] = word_inverse(a)
+            continue
+        c = imgs[i]
+        if kind == VIRT:
+            imgs[i - 1], imgs[i] = c, a
+        elif sign > 0:
+            imgs[i - 1], imgs[i] = c, word_reduce(word_inverse(c) + a + c)
+        else:
+            imgs[i - 1], imgs[i] = word_reduce(a + c + word_inverse(a)), a
+    return FreeAut(b.n, imgs)
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:

@@ -11,13 +11,15 @@ from wknots.arrows import (LONG, TWO_ARROW_RELATIONS, ArrowVector,
                            QuotientSpace, _relators, canonical_long,
                            canonical_word, enumerate_diagrams, strands)
 from wknots.expansion import TruncatedExpansion, expansion_exp, wheels_reduce
-from wknots.gauss import self_linking
+from wknots.freegroup import FreeAut, aut_compose
+from wknots.gauss import apply_move, self_linking
 from wknots.jacobi import monomial_to_arrows
 from wknots.lieweights import PBWElement, lie_validate
 from wknots.linalg import SparseEchelon
 from wknots.rational import Rat, rat
 from wknots.rings import (LaurentPoly, TruncSeries, laurent_at_exp,
                           laurent_normalize, series_log)
+from wknots.wbraid import letter_action
 
 
 def is_zero(v):
@@ -499,3 +501,47 @@ class DictFoldQuotient(QuotientSpace):
         basis = [r for r in reps if r not in pivots]
         self._position = {r: i for i, r in enumerate(basis)}
         self.basis = [self._diagrams[r] for r in basis]
+
+
+# --------------------------------------------------------------------------
+# The w-braid action letter by letter, and the unfiltered move enumeration
+# --------------------------------------------------------------------------
+
+def braid_action_by_letters(b):
+    """``wbraid.braid_action`` as a fold left to right: one full
+    automorphism per letter, composed onto the running product."""
+    aut = FreeAut.identity(b.n)
+    for letter in b.letters:
+        aut = aut_compose(aut, letter_action(b.n, letter))
+    return aut
+
+
+def unfiltered_legal_moves(g):
+    """``checks._legal_moves`` trying ``apply_move`` on every disjoint
+    ordered triple of slot pairs for the slide move, in the same order."""
+    out = [("vr1",), ("vr2",), ("vr3",), ("m",)]
+    k = g.k
+    for gt in range(2 * k + 1):
+        for go in range(2 * k + 1):
+            if gt != go:
+                out.append(("r2", gt, go, 1, False))
+                out.append(("r2", gt, go, -1, True))
+    for i in range(1, 2 * k):
+        for mv in (("r1s", i), ("r2del", i), ("oc", i)):
+            try:
+                apply_move(g, mv[0], *mv[1:])
+                out.append(mv)
+            except ValueError:
+                pass
+    slots = range(1, 2 * k)
+    for i in slots:
+        for j in slots:
+            for l in slots:
+                if len({i, i + 1, j, j + 1, l, l + 1}) != 6:
+                    continue
+                try:
+                    apply_move(g, "r3", i, j, l)
+                    out.append(("r3", i, j, l))
+                except ValueError:
+                    pass
+    return out

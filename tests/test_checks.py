@@ -1,9 +1,14 @@
 """A failing check names its first counterexample; a passing one keeps
 its detail line."""
 
+import random
 from itertools import count
 
 from wknots import checks
+from wknots.gauss import GaussDiagram, braid_closure
+from wknots.wbraid import word
+
+from oracles import unfiltered_legal_moves
 
 
 def test_action_well_defined_names_first_failure(monkeypatch):
@@ -64,3 +69,53 @@ def test_passing_detail_lines_unchanged():
         True, "5 braids, 0 failures")
     assert checks.check_zed_relations(nmax=3, d=2) == (
         True, "n=2..3 at degree 2, 0 failures")
+
+
+# The default-seed detail lines of the suites whose fast paths sample
+# random braids, diagrams and moves: the move counts of
+# expansion-move-invariance depend on every move list it drew from.
+DEFAULT_DETAILS = {
+    "action-well-defined": "checked n=2..6, 0 failures",
+    "word-problem": "1000 equal + 1000 distinct pairs, 0 failures",
+    "basis-conjugating": "500 braids, 0 failures",
+    "expansion-move-invariance": (
+        "200 cases (m:35,oc:23,r1s:12,r2:25,r2del:15,r3:10,vr1:26,vr2:28,"
+        "vr3:26), 0 failures"),
+    "weight-systems": "m<=3, failures: none",
+}
+
+
+def test_default_detail_lines_pinned():
+    got = {name: fn() for name, fn in checks.ALL_CHECKS
+           if name in DEFAULT_DETAILS}
+    assert got == {name: (True, detail)
+                   for name, detail in DEFAULT_DETAILS.items()}
+
+
+def slide_closure(rng):
+    """The closure of a random 3-strand word ending in s1 s2 s1, which
+    carries a slide-move triangle."""
+    while True:
+        b = checks.random_braid(rng, 3, rng.randrange(3)) * word(3, "s1 s2 s1")
+        try:
+            return braid_closure(b)
+        except ValueError:
+            continue
+
+
+def test_legal_moves_match_unfiltered_oracle():
+    rng = random.Random(41)
+    slides = 0
+    for trial in range(120):
+        if trial % 3 == 0:
+            g = slide_closure(rng)
+        else:
+            g = checks.random_knot_diagram(rng, length=rng.randrange(2, 7))
+        if rng.random() < 0.5:
+            k = g.k
+            g = GaussDiagram(g.arrows + ((2 * k + 1, 2 * k + 2,
+                                          rng.choice((1, -1))),))
+        moves = checks._legal_moves(g)
+        assert moves == unfiltered_legal_moves(g)
+        slides += sum(mv[0] == "r3" for mv in moves)
+    assert slides > 0

@@ -46,6 +46,12 @@ def test_aut_apply_examples():
         word_from_text("x2 x1 x1 x2^-1")
 
 
+def test_aut_apply_range_check():
+    for n, idx in ((2, 0), (3, -1), (2, -2), (2, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            aut_apply(FreeAut.identity(n), ((idx, 1),))
+
+
 def test_aut_compose_laws():
     rng = random.Random(2)
     swap = FreeAut(2, (word_from_text("x2"), word_from_text("x1")))

@@ -142,7 +142,13 @@ def test_invalid_algebra_rejected_by_weight_system():
 # the straightening against the rewrite-stack and index-vector oracles
 # --------------------------------------------------------------------------
 
-FIXTURES = (lie_abelian(2), lie_nonabelian2(), lie_sl2())
+# Non-integral structure constants: [x1, x2] = ½·x2, and sl2 on the basis
+# (h/3, e, f), which mixes integral and non-integral constants.
+HALF = LieData(2, {(1, 2): {2: rat(1, 2)}, (2, 1): {2: rat(-1, 2)}})
+SL2_THIRD = LieData(3, {(1, 2): {2: rat(2, 3)}, (2, 1): {2: rat(-2, 3)},
+                        (1, 3): {3: rat(-2, 3)}, (3, 1): {3: rat(2, 3)},
+                        (2, 3): {1: 3}, (3, 2): {1: -3}})
+FIXTURES = (lie_abelian(2), lie_nonabelian2(), lie_sl2(), HALF, SL2_THIRD)
 coeffs = st.builds(rat, st.integers(-3, 3), st.integers(1, 4))
 
 
@@ -190,6 +196,15 @@ def test_pbw_mul_matches_oracle(L, data):
     a, b = (data.draw(arrow_vectors(skeletons=(LONG,))) for _ in range(2))
     wa, wb = weight_system(a, L), weight_system(b, L)
     assert_same(pbw_mul(wa, wb, L), stack_pbw_mul(wa, wb, L))
+
+
+def test_non_integral_wheel_images():
+    # HALF is lie_nonabelian2 on the basis (x1/2, x2), whose first dual
+    # vector is 2φ^1: the k-wheel maps to (φ^1)^k/2 and −(φ^1)^k/2^k
+    for k in range(1, 5):
+        want = rat(1, 2) if k == 1 else rat(-1, 2 ** k)
+        assert_same(weight_system(wheel_to_arrows(k), HALF),
+                    PBWElement({phi1(k): want}))
 
 
 # --------------------------------------------------------------------------

@@ -2,13 +2,17 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wknots.freegroup import word_from_text, aut_apply
-from wknots.wbraid import (BraidWord, word, braid_from_text, braid_action,
-                           braid_skeleton, braid_equal, braid_distinct,
-                           braid_invert, braid_delete_strand,
-                           braid_clone_strand, relation_table)
+from wknots.wbraid import (FLIP, SIGMA, VIRT, BraidWord, word,
+                           braid_from_text, braid_action, braid_skeleton,
+                           braid_equal, braid_distinct, braid_invert,
+                           braid_delete_strand, braid_clone_strand,
+                           relation_table)
 from wknots.checks import random_braid
+
+from oracles import braid_action_by_letters
 
 
 def test_braid_text_round_trip():
@@ -69,6 +73,35 @@ def test_action_respects_relations():
     for n in (2, 3, 4):
         for name, lhs, rhs in relation_table(n, extended=True):
             assert braid_action(lhs) == braid_action(rhs), name
+
+
+@st.composite
+def braid_words(draw):
+    """w-, v- and extended braids on 1-6 strands, up to 24 letters."""
+    n = draw(st.integers(1, 6))
+    extended = draw(st.booleans())
+    kinds = ([SIGMA, VIRT] if n > 1 else []) + ([FLIP] if extended else [])
+    letters = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=24)
+                     if kinds else st.just([])):
+        if kind == FLIP:
+            letters.append((FLIP, draw(st.integers(1, n)), 1))
+        else:
+            letters.append((kind, draw(st.integers(1, n - 1)),
+                            draw(st.sampled_from((1, -1)))
+                            if kind == SIGMA else 1))
+    return BraidWord(n, tuple(letters), extended,
+                     draw(st.sampled_from("wv")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(braid_words())
+@example(BraidWord(1, ()))
+@example(BraidWord(4, ()))
+@example(BraidWord(1, ((FLIP, 1, 1),), extended=True))
+@example(word(3, "f3 s2 S1 f3 v2", extended=True))
+def test_action_matches_letter_by_letter_fold(b):
+    assert braid_action(b) == braid_action_by_letters(b)
 
 
 def test_word_problem_basics():
