@@ -13,8 +13,11 @@ Two independent computation paths:
   Only valid for classical diagrams; used as an oracle for the first path.
 """
 
+import os
+
 from .rings import LaurentPoly, laurent_at_exp, laurent_normalize
 from .linalg import RatMatrix
+from .gauss import _pd_crossing_sign, pd_from_text
 
 
 def _ordered_arrows(k):
@@ -99,7 +102,6 @@ def _wirtinger(pd):
     def union(a, b):
         parent[find(a)] = find(b)
 
-    from .gauss import _pd_crossing_sign
     signed = []
     for a, b, c, d in pd.crossings:
         s = _pd_crossing_sign(a, b, c, d, m)
@@ -143,10 +145,8 @@ def alexander_fox(pd):
     takes the minor determinant.  Raises if the presentation is degenerate.
     """
     num_arcs, relations = _wirtinger(pd)
-    if num_arcs == 0:
-        return LaurentPoly.const(1)
-    if num_arcs == 1:
-        # unknotted: single arc, trivial polynomial
+    if num_arcs <= 1:
+        # unknotted: no arc or a single one, trivial polynomial
         return LaurentPoly.const(1)
     rows = []
     for rel in relations:
@@ -168,8 +168,6 @@ def knot_inventory():
 
     Returns an ordered dict mapping catalog name to PDCode.
     """
-    import os
-    from .gauss import pd_from_text
     root = os.path.join(os.path.dirname(__file__), "data", "knots")
     out = {}
     for fn in sorted(os.listdir(root)):

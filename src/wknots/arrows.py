@@ -20,12 +20,14 @@ TC, 4T and 6T are written once, in ``TWO_ARROW_RELATIONS``, as signed
 products of two arrows among three points, and placed on either skeleton:
 the points are three distinct strands, with the two letters inserted into
 a word of degree m−2; or three sites in the gaps of a long diagram of
-degree m−2, placed by ``place_long``, which also inserts the commutator
-blocks of CC.  Sites come in nondecreasing gap order, so a product's new
-endpoints lie in (point, arrow, end) order whatever the gaps, and a
-placement lifts the context once per count of endpoints at each point
-(three for TC/4T/6T).  RI and FI are read off the degree-m diagrams: an
-arrow (s, s+1) is isolated.
+degree m−2.  The same routine (``_place``) puts the eight points of the
+CC blocks of ``jacobi.cc_blocks`` into one gap of a degree-(m−4) diagram.
+Sites come in nondecreasing gap order, so a product's new endpoints lie in
+(point, arrow, end) order whatever the gaps, and a placement lifts the
+context once per count of endpoints at each point.  RI and FI are read off
+the degree-m diagrams: an arrow (s, s+1) is isolated.  Every relator is an
+int-valued row of ``_relators``, and a quotient's coordinates are read
+only through ``QuotientSpace.project``.
 
 A long-strand quotient with TC generates no TC relator: the TC class of a
 diagram has a least member, ``tc_canonical`` (heads sorted within each
@@ -88,26 +90,32 @@ def tc_canonical(diagram):
     return tuple(out)
 
 
-def _letters_disjoint(a, b):
-    return a[0] not in b and a[1] not in b
-
-
 def canonical_word(word, n):
-    """Lex-least representative of a word modulo disjoint-letter commutation."""
+    """Lex-least representative of a word modulo disjoint-letter commutation.
+
+    The greedy normal form of the trace monoid (Anisimov and Knuth, 1979):
+    a letter can be moved to the front when it shares no strand with any
+    letter before it, and the least such letter goes first, again and again.
+    """
     w = [tuple(l) for l in word]
     for p, q in w:
         if not (1 <= p <= n and 1 <= q <= n) or p == q:
             raise ValueError("bad letter %r" % ((p, q),))
     if n < 4:  # two disjoint letters need four strands
         return tuple(w)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(w) - 1):
-            if w[i] > w[i + 1] and _letters_disjoint(w[i], w[i + 1]):
-                w[i], w[i + 1] = w[i + 1], w[i]
-                changed = True
-    return tuple(w)
+    out = []
+    while w:
+        best, touched = 0, set(w[0])  # touched: the strands of w[:i]
+        for i in range(1, len(w)):
+            p, q = x = w[i]
+            if p not in touched and q not in touched and x < w[best]:
+                best = i
+            touched.add(p)
+            touched.add(q)
+            if len(touched) >= n - 1:  # no letter further on can move
+                break
+        out.append(w.pop(best))
+    return tuple(out)
 
 
 def canonical(skeleton, data):
@@ -230,20 +238,6 @@ TWO_ARROW_RELATIONS = {
 }
 
 
-def place_long(context, gaps, arrows):
-    """Canonical long diagram: new arrows inserted into a canonical context.
-
-    Point u lies in gap ``gaps[u]`` of the context, gap g coming right
-    after slot g (gap 0 is before slot 1); ``arrows`` are (tail point,
-    head point) pairs.  Gaps must be nondecreasing in u (else
-    ``ValueError``), so the new endpoints lie in (point, arrow, end) order
-    and ``_place`` lifts the context once for them.
-    """
-    if any(g > h for g, h in zip(gaps, gaps[1:])):
-        raise ValueError("gaps must be nondecreasing, got %r" % (gaps,))
-    return next(_place(context, gaps, [_plan(tuple(arrows))]))
-
-
 @cache
 def _plan(arrows):
     """A product's new endpoints in line order for any nondecreasing gaps:
@@ -352,11 +346,10 @@ def _isolated_arrow_relators(diagrams, relset):
 
 def _relators(skeleton, m, relset, diagrams=None, tc_folded=False):
     """The relators of ``generate_relations`` as {diagram: int} dicts,
-    produced lazily (a CC relator is scaled to ints, which spans the same
-    line).  ``diagrams`` are the degree-m diagrams, when the caller has
-    them.  ``tc_folded`` (long strand) is for a caller that identifies
-    each TC class itself: TC relators are not built, and 4T/6T relators
-    that only repeat others up to TC are left out."""
+    produced lazily.  ``diagrams`` are the degree-m diagrams, when the
+    caller has them.  ``tc_folded`` (long strand) is for a caller that
+    identifies each TC class itself: TC relators are not built, and 4T/6T
+    relators that only repeat others up to TC are left out."""
     known = {"TC", "4T", "6T", "RI", "FI", "CC"}
     if not relset <= known:
         raise ValueError("unknown relation ids: %r" % (relset - known,))
@@ -373,14 +366,24 @@ def _relators(skeleton, m, relset, diagrams=None, tc_folded=False):
             diagrams = enumerate_diagrams(LONG, m)
         parts.append(_isolated_arrow_relators(diagrams, relset))
     if skeleton == LONG and "CC" in relset and m >= 4:
-        from .jacobi import cc_arrow_relators
-        parts.append(_integral(v.terms) for v in cc_arrow_relators(m))
+        parts.append(_cc_relators(m))
     return chain.from_iterable(parts)
 
 
-def _integral(terms):
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {d: c.numerator * den // c.denominator for d, c in terms.items()}
+def _cc_relators(m):
+    """CC: each block of ``jacobi.cc_blocks`` with its eight points in one
+    gap of a degree-(m−4) context, at every gap.  Eight points in one gap
+    land at eight consecutive slots, so a block's terms stay distinct."""
+    # jacobi builds its diagrams on this module: the one import cycle left
+    from .jacobi import cc_blocks
+    blocks = cc_blocks()
+    products = list(dict.fromkeys(a for block in blocks for a in block))
+    plans = [_plan(arrows) for arrows in products]
+    for ctx in enumerate_diagrams(LONG, m - 4):
+        for g in range(2 * len(ctx) + 1):
+            placed = dict(zip(products, _place(ctx, (g,) * 8, plans)))
+            for block in blocks:
+                yield {placed[arrows]: c for arrows, c in block.items()}
 
 
 def generate_relations(skeleton, m, relset):
@@ -407,12 +410,11 @@ class QuotientSpace:
     TC: each diagram's parent is its TC-canonical form (``tc_canonical``),
     the least diagram of its class, so neither TC relators nor the 4T/6T
     rows that repeat others up to TC are built.  The longer rows (4T, 6T,
-    CC, scaled to ints) wait in one packed array until the union-find is
-    final; then they are folded onto the surviving class representatives,
-    deduplicated and echelonized.  ``Rat`` enters the echelon only at a
-    pivot that is not ±1.  The quotient basis is the set of non-pivot
-    classes.  A vector is projected in ints over the lcm of its
-    denominators.
+    CC) wait in one packed array until the union-find is final; then they
+    are folded onto the surviving class representatives, deduplicated and
+    echelonized.  ``Rat`` enters the echelon only at a pivot that is not
+    ±1.  The quotient basis is the set of non-pivot classes.  A vector is
+    projected in ints over the lcm of its denominators.
     """
 
     def __init__(self, skeleton, m, relset):
@@ -536,11 +538,6 @@ class QuotientSpace:
         """Coordinates of an ArrowVector in the quotient basis, as ``Rat``."""
         coords = self._positions(self._ech.reduce(*self._scaled_row(v)))
         return [coords.get(i, rat(0)) for i in range(self.dim)]
-
-    def scaled_coordinates(self, v):
-        """({basis position: den times v's coordinate}, den), undivided."""
-        row, den = self._scaled_row(v)
-        return self._positions(self._ech.reduce(row)), den
 
     def project_diagram(self, d):
         v = ArrowVector(self.skeleton, self.m)

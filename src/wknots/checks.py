@@ -17,8 +17,8 @@ from .wbraid import (SIGMA, VIRT, BraidWord, braid_action, braid_equal,
 from .gauss import GaussDiagram, braid_closure, apply_move
 from .alexander import alexander_matrix, alexander_fox, knot_inventory
 from .arrows import LONG, ArrowVector, canonical_long, generate_relations
-from .jacobi import (as_instances, ihx_instances, cc_arrow_relators,
-                     wheel_monomial_basis, concat)
+from .jacobi import (as_instances, ihx_instances, wheel_monomial_basis,
+                     concat)
 from .expansion import (zed_braid, zed_knot, get_quotient, project_expansion,
                         wheels_reduce, predicted_from_alexander)
 from . import lieweights as lw
@@ -292,7 +292,7 @@ def check_jacobi(mmax=4):
                 break
     for m in range(4, mmax + 1):
         q = get_quotient(LONG, m, {"TC", "4T"})
-        for vec in cc_arrow_relators(m):
+        for vec in generate_relations(LONG, m, {"CC"}):
             if any(q.project(vec)):
                 bad.append("CC/m=%d" % m)
                 break

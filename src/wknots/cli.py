@@ -17,7 +17,8 @@ from .rings import series_log
 from .alexander import alexander_matrix, alexander_fox
 from .arrows import LONG, MAX_DIAGRAMS, diagram_count, quotient, strands
 from .jacobi import wheel_monomial_basis
-from .expansion import zed_knot, project_expansion, wheels_reduce
+from .expansion import (zed_knot, project_expansion, wheels_reduce,
+                        predicted_from_alexander)
 from . import checks
 
 USAGE_ERROR, CHECK_FAILURE = 2, 1
@@ -138,7 +139,6 @@ def cmd_zed(args):
             _emit(args.machine, "degree%d" % m, "degree %d: %%s" % m,
                   " ".join(str(c) for c in comp) or "0")
     if args.check_alexander:
-        from .expansion import predicted_from_alexander
         if (coords or wheels_reduce(z)) != predicted_from_alexander(
                 g, args.degree):
             _emit(args.machine, "alexander_match",

@@ -7,7 +7,7 @@ arrow supports counted per shape, each shape's terms memoized.  Both
 truncate at a degree cap d and sum integer numerators over d!.  On the
 long strand the quotient A^w(↑) is the commutative polynomial algebra on
 the single arrow ``a`` and the wheels; ``wheels_reduce`` reads an
-expansion in that wheel-monomial basis, in ints over one denominator, and
+expansion's quotient coordinates in that wheel-monomial basis, and
 ``predicted_from_alexander`` computes the same coordinates from the
 Alexander polynomial alone, inside the monomial algebra.
 """
@@ -233,10 +233,10 @@ def wheels_reduce(z, flags=frozenset({"RI"})):
     Returns a list (per degree) of {monomial: coefficient} dicts.  The
     rows [P_j | e_j], P_j the quotient image of monomial j, are echelonized
     once per degree and flag set; reducing [target | 0] against them leaves
-    [residual | −x] with Σ x_j P_j + residual = target = den·z reduced in
-    the quotient (``scaled_coordinates``), divided by den at the end.  A
-    nonzero residual (outside the monomial span, contradicting the wheels
-    description of the quotient) raises.
+    [residual | −x] with Σ x_j P_j + residual = target, the coordinates
+    of z in the quotient (``project``).  A nonzero residual (outside the
+    monomial span, contradicting the wheels description of the quotient)
+    raises.
     """
     if z.skeleton != LONG:
         raise ValueError("long-strand expansions only")
@@ -246,7 +246,7 @@ def wheels_reduce(z, flags=frozenset({"RI"})):
         q = get_quotient(LONG, m, {"TC", "4T"} | flags)
         monos = wheel_monomial_basis(m, flags)
         row = _wheel_echelon(m, flags).reduce(
-            *q.scaled_coordinates(z.comps[m]))
+            dict(enumerate(q.project(z.comps[m]))))
         residual = {c: v for c, v in row.items() if c < q.dim}
         if residual:
             raise ValueError("component of degree %d outside the wheel "

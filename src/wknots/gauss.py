@@ -19,11 +19,13 @@ SIGNS = {"+": 1, "-": -1}
 class GaussDiagram:
     """Signed arrow diagram on a long line with slots 1..2k.
 
-    arrows -- tuple of (tail, head, sign), slots a permutation of 1..2k.
+    arrows -- tuple of (tail, head, sign), slots a permutation of 1..2k,
+    stored sorted by tail slot whatever order they are given in.
     """
 
     def __init__(self, arrows):
-        arrows = tuple((int(t), int(h), int(s)) for t, h, s in arrows)
+        arrows = tuple(sorted((int(t), int(h), int(s))
+                              for t, h, s in arrows))
         slots = sorted(x for t, h, _ in arrows for x in (t, h))
         if slots != list(range(1, 2 * len(arrows) + 1)):
             raise ValueError("arrow endpoints must cover slots 1..2k exactly once")
@@ -36,14 +38,14 @@ class GaussDiagram:
         return len(self.arrows)
 
     def __eq__(self, other):
-        return isinstance(other, GaussDiagram) and self.canonical() == other.canonical()
+        return isinstance(other, GaussDiagram) and self.arrows == other.arrows
 
     def __hash__(self):
-        return hash(self.canonical())
+        return hash(self.arrows)
 
     def canonical(self):
         """Arrows sorted by tail slot (slot labels are already canonical)."""
-        return tuple(sorted(self.arrows))
+        return self.arrows
 
     def __repr__(self):
         return "GaussDiagram(%r)" % (list(self.canonical()),)

@@ -17,9 +17,11 @@ the skeleton by the two STU moves:
 The canonical stored form of every element is a pure-arrow ArrowVector.
 """
 
+from functools import cache
+from itertools import combinations, permutations
+
 from .rational import rat
-from .arrows import (LONG, ArrowVector, canonical_long, enumerate_diagrams,
-                     place_long)
+from .arrows import LONG, ArrowVector, canonical_long
 
 
 class TrivalentDiagram:
@@ -223,7 +225,6 @@ def _bracket3(order, leg_slots):
 
 def ihx_instances():
     """Jacobi relators [[x,y],z] + [[y,z],x] − [[x,z],y], all leg orders."""
-    from itertools import permutations
     out = []
     for slots in permutations(range(4)):
         a = _bracket3(("xy", "z"), slots)
@@ -240,15 +241,12 @@ def _commutator_block(tag):
     return [("t", e1), ("t", e2), ("h", o)], [((e1, e2), o)]
 
 
-def cc_arrow_relators(m):
-    """Commutators-commute relators of degree m (m ≥ 4): one commutator
-    block slid through another (every interleaving of the two blocks' legs
-    equals the separated placement), inserted at every gap of every
-    degree-(m−4) context diagram."""
-    if m < 4:
-        return []
-
-    from itertools import combinations
+@cache
+def cc_blocks():
+    """The commutators-commute blocks: one commutator block slid through
+    another (an interleaving of the two blocks' legs minus the separated
+    placement), each that is nonzero as {arrows on points 0..7: int}.
+    ``arrows`` places them at every gap of every degree-(m−4) diagram."""
 
     def placed(a_positions):
         la, va = _commutator_block("a")
@@ -262,20 +260,10 @@ def cc_arrow_relators(m):
         return TrivalentDiagram(legs, va + vb)
 
     separated = stu_eliminate(placed((0, 1, 2)))
-    bases = []
+    blocks = []
     for a_pos in combinations(range(6), 3):
         v = stu_eliminate(placed(a_pos)) - separated
         if not v.is_zero():
-            bases.append(v)
-
-    out = []
-    for ctx in enumerate_diagrams(LONG, m - 4):
-        for g in range(0, 2 * (m - 4) + 1):
-            for base in bases:
-                v = ArrowVector(LONG, m)
-                for d, c in base.terms.items():
-                    block = [(t - 1, h - 1) for t, h in d]
-                    v.add_term(place_long(ctx, (g,) * 8, block), c)
-                if not v.is_zero():
-                    out.append(v)
-    return out
+            blocks.append({tuple((t - 1, h - 1) for t, h in d): int(c)
+                           for d, c in v.terms.items()})
+    return tuple(blocks)

@@ -4,7 +4,8 @@ they only fit small inputs."""
 
 import math
 from bisect import bisect_left
-from itertools import combinations_with_replacement, permutations, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 
 from wknots.alexander import alexander_det, build_S, build_T
 from wknots.arrows import (LONG, TWO_ARROW_RELATIONS, ArrowVector,
@@ -13,7 +14,8 @@ from wknots.arrows import (LONG, TWO_ARROW_RELATIONS, ArrowVector,
 from wknots.expansion import TruncatedExpansion, expansion_exp, wheels_reduce
 from wknots.freegroup import FreeAut, aut_compose
 from wknots.gauss import apply_move, self_linking
-from wknots.jacobi import monomial_to_arrows
+from wknots.jacobi import (TrivalentDiagram, _commutator_block,
+                           monomial_to_arrows, stu_eliminate)
 from wknots.lieweights import PBWElement, lie_validate
 from wknots.linalg import SparseEchelon
 from wknots.rational import Rat, rat
@@ -262,7 +264,7 @@ def long_relators(m, relset):
 
 
 def per_product_place_long(context, gaps, arrows):
-    """``arrows.place_long`` placing one product at a time, for any gaps:
+    """``arrows._place`` placing one product at a time, for any gaps:
     the new endpoints sorted by (gap, point, arrow, end), and the context
     lifted past them anew for every product."""
     ends = sorted([(gaps[u], 1 + u, i, e) for i, arrow in enumerate(arrows)
@@ -313,6 +315,99 @@ def per_product_two_arrow_relators(skeleton, m, relset):
                         del row[d]
                 if row:
                     yield row
+
+
+def cc_arrow_relators(m):
+    """The CC relators of ``arrows._relators`` as ``Rat`` vectors, in the
+    same order: each commutator block slid through another (an interleaving
+    of the two blocks' legs minus the separated placement) is eliminated to
+    arrows, and every term is put on its own by ``per_product_place_long``
+    into each gap of each degree-(m−4) context."""
+    if m < 4:
+        return []
+
+    def placed(a_positions):
+        la, va = _commutator_block("a")
+        lb, vb = _commutator_block("b")
+        legs = [None] * 6
+        b_positions = [p for p in range(6) if p not in a_positions]
+        for leg, p in zip(la, a_positions):
+            legs[p] = leg
+        for leg, p in zip(lb, b_positions):
+            legs[p] = leg
+        return TrivalentDiagram(legs, va + vb)
+
+    separated = stu_eliminate(placed((0, 1, 2)))
+    bases = []
+    for a_pos in combinations(range(6), 3):
+        v = stu_eliminate(placed(a_pos)) - separated
+        if not v.is_zero():
+            bases.append(v)
+
+    out = []
+    for ctx in enumerate_diagrams(LONG, m - 4):
+        for g in range(0, 2 * (m - 4) + 1):
+            for base in bases:
+                v = ArrowVector(LONG, m)
+                for d, c in base.terms.items():
+                    block = [(t - 1, h - 1) for t, h in d]
+                    v.add_term(per_product_place_long(ctx, (g,) * 8, block),
+                               c)
+                if not v.is_zero():
+                    out.append(v)
+    return out
+
+
+def _strand_letters(n):
+    return [(p, q) for p in range(1, n + 1) for q in range(1, n + 1)
+            if p != q]
+
+
+def commutation_classes(n, m):
+    """The words of length m on n strands, grouped by breadth-first search
+    over swaps of two adjacent letters on disjoint strand pairs."""
+    seen, classes = set(), []
+    for w in product(_strand_letters(n), repeat=m):
+        if w in seen:
+            continue
+        seen.add(w)
+        cls = [w]
+        for u in cls:  # grows while it is read
+            for i in range(m - 1):
+                a, b = u[i], u[i + 1]
+                if not set(a) & set(b):
+                    v = u[:i] + (b, a) + u[i + 2:]
+                    if v not in seen:
+                        seen.add(v)
+                        cls.append(v)
+        classes.append(cls)
+    return classes
+
+
+def raw_word_dim(n, m, relset):
+    """Dimension of the strands(n) quotient in degree m built without
+    canonical words: the columns are the commutation classes of raw words,
+    and each TC/4T/6T instance is inserted into every raw word of degree
+    m−2 at every position."""
+    classes = commutation_classes(n, m)
+    column = {w: i for i, cls in enumerate(classes) for w in cls}
+    points = range(1, n + 1)
+    instances = [[(tuple((p[t], p[h]) for t, h in arrows), sign)
+                  for arrows, sign in terms]
+                 for p in permutations(points, 3)
+                 for name, terms in TWO_ARROW_RELATIONS.items()
+                 if name in relset]
+    ech = SparseEchelon()
+    if m >= 2:
+        for ctx in product(_strand_letters(n), repeat=m - 2):
+            for pos in range(m - 1):
+                for terms in instances:
+                    row = {}
+                    for arrows, sign in terms:
+                        c = column[ctx[:pos] + arrows + ctx[pos:]]
+                        row[c] = row.get(c, 0) + sign
+                    ech.add(row)
+    return len(classes) - ech.rank
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from functools import cache
 
@@ -7,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from wknots.rational import Rat, rat
 from wknots.arrows import (LONG, strands, canonical_long, canonical_word,
                            enumerate_diagrams, ArrowVector, QuotientSpace,
-                           _relators, generate_relations, place_long,
+                           _place, _plan, _relators, generate_relations,
                            tc_canonical)
 from wknots.expansion import get_quotient as quotient
 from wknots.linalg import SparseEchelon
 
-from oracles import (DictFoldQuotient, long_relators, per_product_place_long,
-                     per_product_two_arrow_relators)
+from oracles import (DictFoldQuotient, cc_arrow_relators, commutation_classes,
+                     long_relators, per_product_place_long,
+                     per_product_two_arrow_relators, raw_word_dim)
 
 
 def test_long_diagram_counts():
@@ -30,7 +32,7 @@ def test_strand_word_counts():
         [1, 6, 36, 216]
     # with four strands, far-apart letters commute and words collapse
     assert [len(enumerate_diagrams(strands(4), m)) for m in range(4)] == \
-        [1, 12, 132, 1444]
+        [1, 12, 132, 1440]
 
 
 def test_canonical_long_is_stable():
@@ -58,6 +60,33 @@ def test_canonical_word_on_three_strands_is_the_word():
             assert canonical_word(w, n) == w
     with pytest.raises(ValueError):
         canonical_word(((1, 4),), 3)
+
+
+def test_canonical_word_is_lex_least_not_descent_free():
+    # (2,3) moves past (1,4) to the front; no adjacent swap lowers the
+    # word, yet the class holds a smaller one
+    w = ((4, 1), (1, 4), (2, 3))
+    assert canonical_word(w, 4) == ((2, 3), (4, 1), (1, 4))
+    assert canonical_word(((4, 1), (2, 3), (1, 4)), 4) == canonical_word(w, 4)
+
+
+@pytest.mark.parametrize("n, m", [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3)])
+def test_canonical_word_is_least_of_its_class(n, m):
+    # every class of adjacent disjoint swaps has one image, its least word
+    for cls in commutation_classes(n, m):
+        assert {canonical_word(w, n) for w in cls} == {min(cls)}
+
+
+# {TC,4T} and {TC,6T} dimensions on four and five strands, which the
+# raw-word build reaches without canonical words
+STRAND_DIMS = {(4, 2): 96, (4, 3): 640, (4, 4): 3840, (5, 3): 2500}
+
+
+@pytest.mark.parametrize("n, m", sorted(STRAND_DIMS))
+def test_strand_dimensions_match_raw_word_oracle(n, m):
+    for rels in ({"TC", "4T"}, {"TC", "6T"}):
+        assert quotient(strands(n), m, rels).dim == STRAND_DIMS[n, m]
+        assert raw_word_dim(n, m, frozenset(rels)) == STRAND_DIMS[n, m]
 
 
 LONG_DIMS = {
@@ -136,15 +165,20 @@ def test_flags_only_on_long_strand():
         generate_relations(strands(2), 2, {"TC", "RI"})
 
 
-def test_place_long_shared_gap_and_shared_point():
+def place(context, gaps, arrows):
+    """One product placed into a context at nondecreasing gaps."""
+    return next(_place(context, gaps, [_plan(tuple(arrows))]))
+
+
+def test_place_shared_gap_and_shared_point():
     # points 0 and 1 both in gap 1 of the arrow (1, 2): 0 comes first
-    assert place_long(((1, 2),), (1, 1), ((0, 1),)) == ((1, 4), (2, 3))
-    assert place_long(((1, 2),), (1, 1), ((1, 0),)) == ((1, 4), (3, 2))
+    assert place(((1, 2),), (1, 1), ((0, 1),)) == ((1, 4), (2, 3))
+    assert place(((1, 2),), (1, 1), ((1, 0),)) == ((1, 4), (3, 2))
     # gap 0 lies before slot 1, gap 2 after slot 2
-    assert place_long(((1, 2),), (0, 2), ((0, 1),)) == ((1, 4), (2, 3))
+    assert place(((1, 2),), (0, 2), ((0, 1),)) == ((1, 4), (2, 3))
     # two tails at point 0 keep the order of the arrows
-    assert place_long((), (0, 0, 0), ((0, 1), (0, 2))) == ((1, 3), (2, 4))
-    assert place_long((), (0, 0, 0), ((0, 2), (0, 1))) == ((1, 4), (2, 3))
+    assert place((), (0, 0, 0), ((0, 1), (0, 2))) == ((1, 3), (2, 4))
+    assert place((), (0, 0, 0), ((0, 2), (0, 1))) == ((1, 4), (2, 3))
 
 
 @cache
@@ -154,15 +188,13 @@ def _long_diagrams(m):
 
 @st.composite
 def long_placements(draw):
-    """A canonical context, gaps for 2-5 points (sorted or not, often
+    """A canonical context, nondecreasing gaps for 2-5 points (often
     shared) and 1-4 arrows between distinct points."""
     m = draw(st.integers(0, 3))
     ctx = draw(st.sampled_from(enumerate_diagrams(LONG, m)))
     npoints = draw(st.integers(2, 5))
-    gaps = draw(st.lists(st.integers(0, 2 * len(ctx)), min_size=npoints,
-                         max_size=npoints))
-    if draw(st.booleans()):
-        gaps.sort()
+    gaps = sorted(draw(st.lists(st.integers(0, 2 * len(ctx)),
+                                min_size=npoints, max_size=npoints)))
     arrow = st.tuples(st.integers(0, npoints - 1), st.integers(0, npoints - 1))
     arrows = draw(st.lists(arrow.filter(lambda a: a[0] != a[1]),
                            min_size=1, max_size=4))
@@ -171,14 +203,41 @@ def long_placements(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(long_placements())
-def test_place_long_matches_per_product_oracle(case):
+def test_place_matches_per_product_oracle(case):
     ctx, gaps, arrows = case
-    if list(gaps) == sorted(gaps):
-        assert (place_long(ctx, gaps, arrows)
-                == per_product_place_long(ctx, gaps, arrows))
-    else:
-        with pytest.raises(ValueError):
-            place_long(ctx, gaps, arrows)
+    assert place(ctx, gaps, arrows) == per_product_place_long(ctx, gaps,
+                                                              arrows)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_cc_relators_match_oracle(m):
+    # placed by _place with the TC/4T/6T products, CC gives the relators
+    # of slotting each block term into every context on its own, in order
+    new = generate_relations(LONG, m, {"CC"})
+    old = cc_arrow_relators(m)
+    assert len(new) == {4: 18, 5: 108, 6: 1080}[m]
+    assert [list(v.terms.items()) for v in new] == \
+        [list(v.terms.items()) for v in old]
+
+
+# sha256 of the {TC,4T,CC} bases and echelon rows at degrees 4 and 5,
+# values written with str: any correct change keeps them
+CC_QUOTIENT_DIGESTS = {
+    4: "036989fa0d26d66bc9220af1aacc177a8ffb3cf9234a72ff64b6015223a76086",
+    5: "bacff9ba3f8e5c36badac0a6982873a6cd5c2e38bb209f5192a8c8395289c81d",
+}
+
+
+def quotient_digest(q):
+    rows = [(p, [(c, str(v)) for c, v in sorted(row.items())])
+            for p, row in sorted(q._ech.rows.items())]
+    return hashlib.sha256(repr((q.basis, rows)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_cc_quotient_unchanged(m):
+    q = quotient(LONG, m, {"TC", "4T", "CC"})
+    assert quotient_digest(q) == CC_QUOTIENT_DIGESTS[m]
 
 
 @pytest.mark.parametrize("skel, mmax", [(LONG, 4), (strands(3), 3)])
@@ -225,9 +284,6 @@ def test_project_is_linear(case):
     # the read path: an int row over one int denominator, divided last
     row, den = q._scaled_row(v)
     assert type(den) is int and all(type(c) is int for c in row.values())
-    coords, den = q.scaled_coordinates(v)
-    assert all(type(c) is Rat for c in coords.values())
-    assert [coords.get(i, rat(0)) / den for i in range(q.dim)] == got
 
 
 def test_project_rejects_foreign_diagrams():

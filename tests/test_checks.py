@@ -79,8 +79,8 @@ DEFAULT_DETAILS = {
     "word-problem": "1000 equal + 1000 distinct pairs, 0 failures",
     "basis-conjugating": "500 braids, 0 failures",
     "expansion-move-invariance": (
-        "200 cases (m:35,oc:23,r1s:12,r2:25,r2del:15,r3:10,vr1:26,vr2:28,"
-        "vr3:26), 0 failures"),
+        "200 cases (m:36,oc:25,r1s:8,r2:24,r2del:16,r3:12,vr1:21,vr2:25,"
+        "vr3:33), 0 failures"),
     "weight-systems": "m<=3, failures: none",
 }
 

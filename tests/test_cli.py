@@ -171,7 +171,6 @@ ZED_5_2 = ["self_linking=4", "degree0=1:1", "degree1=a:4",
 def test_zed_check_alexander_reduces_once(basis, lines, agree, capsys,
                                           monkeypatch):
     import wknots.cli
-    import wknots.expansion
     calls = []
     reduce = wknots.cli.wheels_reduce
 
@@ -180,7 +179,7 @@ def test_zed_check_alexander_reduces_once(basis, lines, agree, capsys,
         return reduce(z)
     monkeypatch.setattr(wknots.cli, "wheels_reduce", counted)
     if not agree:
-        monkeypatch.setattr(wknots.expansion, "predicted_from_alexander",
+        monkeypatch.setattr(wknots.cli, "predicted_from_alexander",
                             lambda g, d: [{}] * (d + 1))
     pd = os.path.join(DATA, "5_2.pd")
     code = main(["--machine", "zed", pd, "--degree", "3", "--basis", basis,

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wknots.checks import _legal_moves, random_knot_diagram
 from wknots.wbraid import word
 from wknots.gauss import (GaussDiagram, gauss_to_text, gauss_from_text,
                           PDCode, pd_to_text, pd_from_text, pd_to_gauss,
@@ -131,3 +133,37 @@ def test_r3_rejects_incoherent_triples():
     g = GaussDiagram(((1, 5, 1), (3, 7, 1), (2, 8, 1), (4, 6, 1)))
     with pytest.raises(ValueError):
         apply_move(g, "r3", 1, 3, 5)
+
+
+def test_r2del_ignores_the_order_of_arrows():
+    # one diagram listed in two orders: both give up the same R2 pair
+    a = GaussDiagram([(1, 3, 1), (2, 4, -1)])
+    b = GaussDiagram([(2, 4, -1), (1, 3, 1)])
+    assert a == b and a.arrows == b.arrows
+    assert apply_move(a, "r2del", 1) == apply_move(b, "r2del", 1) == \
+        GaussDiagram([])
+
+
+def _outcome(g, mv):
+    try:
+        return apply_move(g, mv[0], *mv[1:])
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.data())
+def test_moves_do_not_depend_on_arrow_order(seed, data):
+    rng = random.Random(seed)
+    g = random_knot_diagram(rng, length=rng.randrange(2, 7))
+    shuffled = GaussDiagram(data.draw(st.permutations(g.arrows)))
+    moves = _legal_moves(g)
+    assert _legal_moves(shuffled) == moves
+    singles = [(name, i) for name in ("r1s", "r2del", "oc")
+               for i in range(1, 2 * g.k)]
+    for mv in moves + singles:
+        assert _outcome(shuffled, mv) == _outcome(g, mv)
+    # an R2 pair: tails at i, i+1, adjacent heads, opposite signs
+    pairs = {t1 for t1, h1, s1 in g.arrows for t2, h2, s2 in g.arrows
+             if t2 == t1 + 1 and abs(h1 - h2) == 1 and s1 == -s2}
+    assert {mv[1] for mv in moves if mv[0] == "r2del"} == pairs

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a ``wknots`` module imports is used in it, and
-every name it defines at top level is referenced somewhere in the project."""
+"""Source hygiene: every name a ``wknots`` module imports is used in it,
+every import but one sits at the top of its module, and every name a module
+defines at top level is referenced somewhere in the project."""
 
 import ast
 from pathlib import Path
@@ -38,6 +39,37 @@ def test_unused_import_is_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == set()
+
+
+def function_imports(source):
+    """(function, module) for every import statement inside a function."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    found.update((fn.name, a.name) for a in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    found.add((fn.name, node.module))
+    return found
+
+
+def test_function_import_is_detected():
+    src = ("import os\ndef f():\n    import sys\n"
+           "    def g():\n        from .jacobi import cc_blocks\n")
+    assert function_imports(src) == {("f", "sys"), ("f", "jacobi"),
+                                     ("g", "jacobi")}
+
+
+# jacobi builds its trivalent diagrams on arrows, so arrows reads the CC
+# blocks from jacobi only when it places them: the one import cycle
+FUNCTION_IMPORTS = {("arrows", "_cc_relators", "jacobi")}
+
+
+def test_imports_sit_at_the_top():
+    found = {(path.stem,) + imp for path in MODULES
+             for imp in function_imports(path.read_text(encoding="utf-8"))}
+    assert found == FUNCTION_IMPORTS
 
 
 def top_level_names(source):

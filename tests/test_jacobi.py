@@ -3,12 +3,12 @@ import random
 import pytest
 
 from wknots.rational import rat
-from wknots.arrows import LONG, ArrowVector, canonical_long
+from wknots.arrows import LONG, ArrowVector, canonical_long, generate_relations
 from wknots.expansion import TruncatedExpansion, get_quotient, wheels_reduce
 from wknots.jacobi import (TrivalentDiagram, stu_eliminate, wheel_diagram,
                            wheel_to_arrows, concat, D_RIGHT, D_LEFT,
                            monomial_to_arrows, wheel_monomial_basis,
-                           as_instances, ihx_instances, cc_arrow_relators)
+                           as_instances, ihx_instances)
 
 
 def test_wheel_diagram_shape():
@@ -86,7 +86,7 @@ def test_ihx_relators_vanish():
 
 
 def test_cc_relators_vanish():
-    vecs = cc_arrow_relators(4)
+    vecs = generate_relations(LONG, 4, {"CC"})
     assert vecs
     for vec in vecs:
         q = get_quotient(LONG, 4, {"TC", "4T"})
