@@ -41,10 +41,10 @@ from bisect import bisect_left
 from functools import cache
 from itertools import (chain, combinations_with_replacement, permutations,
                        product)
-from math import factorial, lcm
+from math import factorial
 
 from .rational import rat
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, integral
 
 LONG = ("long",)
 
@@ -412,9 +412,9 @@ class QuotientSpace:
     rows that repeat others up to TC are built.  The longer rows (4T, 6T,
     CC) wait in one packed array until the union-find is final; then they
     are folded onto the surviving class representatives, deduplicated and
-    echelonized.  ``Rat`` enters the echelon only at a pivot that is not
-    ±1.  The quotient basis is the set of non-pivot classes.  A vector is
-    projected in ints over the lcm of its denominators.
+    echelonized in integer rows.  The quotient basis is the set of
+    non-pivot classes.  A vector is projected in ints over the lcm of its
+    denominators.
     """
 
     def __init__(self, skeleton, m, relset):
@@ -519,11 +519,10 @@ class QuotientSpace:
         ints."""
         if (v.skeleton, v.m) != (self.skeleton, self.m):
             raise ValueError("degree/skeleton mismatch")
-        den = lcm(*(c.denominator for c in v.terms.values()))
+        terms, den = integral(v.terms)
         try:
-            return self._to_row([(self._index[d],
-                                  c.numerator * den // c.denominator)
-                                 for d, c in v.terms.items()]), den
+            return self._to_row([(self._index[d], c)
+                                 for d, c in terms.items()]), den
         except KeyError as e:
             raise ValueError("%r is not a canonical degree-%d diagram on %r"
                              % (e.args[0], self.m, self.skeleton)) from None

@@ -48,6 +48,8 @@ def _load_diagram(path, text):
         try:
             return gauss_from_text(text)
         except ValueError:
+            if "=" in text.lstrip()[2:]:  # t=/h=/s= arrow lines: Gauss
+                raise  # its parser's message, not the braid parser's
             return braid_closure(braid_from_text(text))
     raise ValueError("unrecognized diagram format in %s" % path)
 
@@ -119,8 +121,7 @@ def _check_size(skeleton, degree):
 
 
 def cmd_zed(args):
-    if args.basis != "plain" or args.check_alexander:
-        _check_size(LONG, args.degree)
+    _check_size(LONG, args.degree)  # every basis builds quotients
     g = _load_diagram(args.diagram, _read(args.diagram))
     _emit(args.machine, "self_linking", "self-linking %s", self_linking(g))
     z = zed_knot(g, args.degree)

@@ -69,6 +69,8 @@ def gauss_from_text(text):
         parts = dict(tok.split("=", 1) for tok in ln.split())
         if set(parts) != {"t", "h", "s"}:
             raise ValueError("bad arrow line: %r" % ln)
+        if parts["s"] not in SIGNS:
+            raise ValueError("bad sign %r in arrow line %r" % (parts["s"], ln))
         arrows.append((int(parts["t"]), int(parts["h"]), SIGNS[parts["s"]]))
     if len(arrows) != k:
         raise ValueError("header says %d arrows, found %d" % (k, len(arrows)))

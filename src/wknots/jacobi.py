@@ -245,8 +245,10 @@ def _commutator_block(tag):
 def cc_blocks():
     """The commutators-commute blocks: one commutator block slid through
     another (an interleaving of the two blocks' legs minus the separated
-    placement), each that is nonzero as {arrows on points 0..7: int}.
-    ``arrows`` places them at every gap of every degree-(m−4) diagram."""
+    placement), each that is nonzero as {arrows on points 0..7: int}.  The
+    blocks are alike, so a's legs at P or at the complement of P give the
+    same one: a takes position 0.  ``arrows`` places them at every gap of
+    every degree-(m−4) diagram."""
 
     def placed(a_positions):
         la, va = _commutator_block("a")
@@ -261,8 +263,8 @@ def cc_blocks():
 
     separated = stu_eliminate(placed((0, 1, 2)))
     blocks = []
-    for a_pos in combinations(range(6), 3):
-        v = stu_eliminate(placed(a_pos)) - separated
+    for a_pos in combinations(range(1, 6), 2):
+        v = stu_eliminate(placed((0,) + a_pos)) - separated
         if not v.is_zero():
             blocks.append({tuple((t - 1, h - 1) for t, h in d): int(c)
                            for d, c in v.terms.items()})

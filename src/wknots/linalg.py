@@ -5,13 +5,13 @@ of the row space: pivot columns are the leftmost possible, pivot entries
 are 1, and pivots are eliminated from every other row.  Because RREF is
 unique per subspace, the output is bit-identical no matter the order in
 which rows are fed in; a column index finds the rows that a new pivot
-must be eliminated from.  Stored entries are Python ints wherever they are
-integral.  The relators of the arrow-diagram quotients have coefficients
-±1 and nearly all of them reduce to rows whose pivot entry is ±1, so
-those builds run in integer arithmetic; ``Rat`` appears only where a
-pivot is not ±1 (a few rows per space) or an input row is not integral,
-and integral results go back to ints.  Every value handed back to
-callers is a ``Rat``; a row of ints over a denominator is divided last.
+must be eliminated from.  Each RREF row is stored as its primitive integer
+multiple (the RREF row times the lcm of its denominators), so every
+operation of the elimination is an int operation.  The relators of the
+arrow-diagram quotients reduce to RREF rows that are integral, and for
+those the stored row is the RREF row itself.  Every value handed back to
+callers is a ``Rat``; a reduced row of ints over one denominator is
+divided last.
 
 Determinants use one algorithm for every ring: Bareiss elimination
 (Math. Comp. 22, 1968), which divides only exactly, so it runs over
@@ -20,19 +20,29 @@ Determinants use one algorithm for every ring: Bareiss elimination
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .rational import Rat
 
 
-class SparseEchelon:
-    """Incremental reduced row-echelon form over Q.
+def integral(row, den=1):
+    """(row·l, den·l) with l the lcm of the denominators of the row's int
+    or ``Rat`` values: the same row as ints over one denominator, zero
+    values dropped."""
+    l = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (l // v.denominator)
+            for c, v in row.items() if v}, den * l
 
-    Rows are sparse dicts column -> nonzero value, int or ``Rat``.  After
+
+class SparseEchelon:
+    """Incremental reduced row-echelon form over Q, in integer rows.
+
+    Rows go in as sparse dicts column -> value, int or ``Rat``.  After
     every insertion the stored rows satisfy: each row's minimal column is
-    its pivot, the pivot coefficient is 1, no other stored row has support
-    on any pivot column, and every integral entry is an int.  A new row
-    whose pivot entry is ±1 is normalized by negation, so integer rows
-    with unit pivots never leave the integers; any other pivot entry is
-    divided out in ``Rat``.
+    its pivot, the row is a primitive int row (its values have gcd 1)
+    whose pivot entry is positive, and no other stored row has support on
+    any pivot column.  So ``row / row[pivot]`` is the canonical RREF row,
+    and a row with pivot entry 1 is that RREF row.
 
     ``holders`` maps each column to the pivots of the stored rows that
     hold it off their pivot, so ``add`` eliminates a new pivot only from
@@ -40,51 +50,57 @@ class SparseEchelon:
     """
 
     def __init__(self):
-        self.rows = {}  # pivot column -> row dict
+        self.rows = {}  # pivot column -> primitive int row dict
         self.holders = {}  # column -> pivots of the rows holding it
 
     def reduce(self, row, den=1):
         """Return row / den reduced against all stored pivots (a fresh dict
-        of ``Rat`` values); a row of ints over den is reduced in ints."""
-        return {c: v / den if type(v) is Rat else Rat(v, den)
-                for c, v in self._reduce(row).items()}
+        of ``Rat`` values); the reduction runs in ints over a common
+        denominator, divided once at the end."""
+        row, den = self._reduce(*integral(row, den))
+        return {c: Rat(v, den) for c, v in row.items()}
 
-    def _reduce(self, row):
-        row = {c: v for c, v in row.items() if v}
-        for c in sorted(row):
-            if c not in row:
-                continue
-            piv = self.rows.get(c)
-            if piv is None:
-                continue
-            factor = row[c]
+    def _reduce(self, row, den):
+        """An int row over den, reduced in place: (row, den), the row and
+        den scaled by each pivot entry that is not 1 before its pivot is
+        eliminated."""
+        # a pivot row is zero on every other pivot column, so the row's
+        # pivot columns are the ones it holds on entry
+        for c in sorted(row.keys() & self.rows.keys()):
+            piv = self.rows[c]
+            f, a = row[c], piv[c]
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+                den *= a
             for pc, pv in piv.items():
-                w = row.get(pc, 0) - factor * pv
+                w = row.get(pc, 0) - f * pv
                 if w:
                     row[pc] = w
                 else:
                     row.pop(pc, None)
-        return row
+        return row, den
 
     def add(self, row) -> bool:
         """Insert a row; returns True if the rank increased."""
-        row = self._reduce(row)
+        row, _ = self._reduce(*integral(row))
         if not row:
             return False
         p = min(row)
-        head = row[p]
-        if head == -1:
-            row = {c: -v for c, v in row.items()}
-        elif head != 1:
-            inv = 1 / Rat(head)
-            row = {c: v * inv for c, v in row.items()}
-        integral = _narrow(row)
+        g = gcd(*row.values()) if row[p] > 0 else -gcd(*row.values())
+        if g != 1:
+            row = {c: v // g for c, v in row.items()}
         holders = self.holders
         rest = [(c, v) for c, v in row.items() if c != p]
-        # eliminate the new pivot from the existing rows that hold it
+        # eliminate the new pivot from the existing rows that hold it:
+        # each becomes a·r − r[p]·row
+        a = row[p]
         for q in holders.pop(p, ()):
             r = self.rows[q]
             f = r.pop(p)
+            if a != 1:
+                for c in r:
+                    r[c] *= a
             for c, v in rest:
                 w = r.get(c, 0) - f * v
                 if w:
@@ -94,10 +110,10 @@ class SparseEchelon:
                 else:
                     del r[c]
                     holders[c].discard(q)
-            # int - int·int stays an int, and a non-integral entry minus
-            # an int stays non-integral; only other updates need narrowing
-            if not (integral and type(f) is int):
-                _narrow(r)
+            if r[q] != 1:  # a row with pivot entry 1 is primitive
+                g = gcd(*r.values())
+                for c in r:
+                    r[c] //= g
         for c, _ in rest:
             holders.setdefault(c, set()).add(p)
         self.rows[p] = row
@@ -109,19 +125,6 @@ class SparseEchelon:
 
     def pivots(self):
         return sorted(self.rows)
-
-
-def _narrow(row):
-    """Turn the integral values of a row into ints, in place; returns
-    whether every value is now an int."""
-    integral = True
-    for c, v in row.items():
-        if type(v) is not int:
-            if v.denominator == 1:
-                row[c] = int(v)
-            else:
-                integral = False
-    return integral
 
 
 class RatMatrix:

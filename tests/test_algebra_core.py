@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from wknots.rational import Rat, rat
 from wknots.rings import (LaurentPoly, TruncSeries, laurent_normalize,
                           series_exp, series_log)
-from wknots.linalg import SparseEchelon
+from wknots.linalg import SparseEchelon, integral
 
 from oracles import FractionEchelon
 
@@ -91,6 +91,17 @@ def test_ring_axioms_randomized():
         assert a * (b + c) == a * b + a * c
 
 
+def test_integral_scales_to_one_denominator():
+    assert integral({0: 2, 3: -5}) == ({0: 2, 3: -5}, 1)
+    assert integral({0: rat(1, 2), 1: rat(-2, 3)}) == ({0: 3, 1: -4}, 6)
+    assert integral({0: rat(3, 4), 1: 2, 2: rat(-1, 6)}, 5) == (
+        {0: 9, 1: 24, 2: -2}, 60)
+    assert integral({0: 0, 1: rat(0), 2: rat(1, 3)}) == ({2: 1}, 3)
+    assert integral({}) == ({}, 1) and integral({}, 7) == ({}, 7)
+    row, den = integral({0: rat(5, 2), 1: rat(4, 1)})
+    assert all(type(v) is int for v in row.values()) and type(den) is int
+
+
 def _oracle_rank(rows, dim):
     """Fraction-free Gaussian elimination over integers."""
     mat = [[int(r.get(c, 0)) for c in range(dim)] for r in rows]
@@ -170,11 +181,13 @@ def test_echelon_matches_fraction_oracle(rows, probes):
     ech, oracle = SparseEchelon(), FractionEchelon()
     for row in rows:
         assert ech.add(dict(row)) == oracle.add(dict(row))
-        assert ech.rows == oracle.rows
-        # stored values: ints where integral, Rat otherwise
-        for r in ech.rows.values():
-            for v in r.values():
-                assert type(v) is (int if v.denominator == 1 else Rat)
+        # each stored row over its pivot entry is the RREF row
+        assert {p: {c: Rat(v, r[p]) for c, v in r.items()}
+                for p, r in ech.rows.items()} == oracle.rows
+        # stored rows: primitive int rows with a positive pivot entry
+        for p, r in ech.rows.items():
+            assert all(type(v) is int for v in r.values())
+            assert math.gcd(*r.values()) == 1 and r[p] > 0
         # the column index lists pivot q under column c exactly when
         # c is off the pivot of row q
         columns = set(ech.holders).union(*ech.rows.values())

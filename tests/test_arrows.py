@@ -212,10 +212,16 @@ def test_place_matches_per_product_oracle(case):
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_cc_relators_match_oracle(m):
     # placed by _place with the TC/4T/6T products, CC gives the relators
-    # of slotting each block term into every context on its own, in order
+    # of slotting each block term into every context on its own, in order.
+    # The oracle builds each of the 9 blocks twice (block a's legs at P and
+    # at the complement of P): the last 9 of every 18 repeat the first 9
     new = generate_relations(LONG, m, {"CC"})
-    old = cc_arrow_relators(m)
-    assert len(new) == {4: 18, 5: 108, 6: 1080}[m]
+    full = cc_arrow_relators(m)
+    keys = [tuple(sorted(v.terms.items())) for v in full]
+    for k in range(0, len(full), 18):
+        assert set(keys[k:k + 9]) == set(keys[k + 9:k + 18])
+    old = [v for i, v in enumerate(full) if i % 18 < 9]
+    assert len(new) == {4: 9, 5: 54, 6: 540}[m]
     assert [list(v.terms.items()) for v in new] == \
         [list(v.terms.items()) for v in old]
 
@@ -238,6 +244,27 @@ def quotient_digest(q):
 def test_cc_quotient_unchanged(m):
     q = quotient(LONG, m, {"TC", "4T", "CC"})
     assert quotient_digest(q) == CC_QUOTIENT_DIGESTS[m]
+
+
+# the same digest of {6T} at degree 4 (where many rows enter the echelon
+# with a pivot entry other than ±1) and of {TC,4T,RI} at degree 5, taken
+# when the echelon divided such pivots out in Rat: the integer rows are
+# those rows, and every one is integral with pivot entry 1
+ROW_DIGESTS = {
+    (frozenset({"6T"}), 4):
+        "4b92ca2cec167cf7e58503fda4359cc5a0a89f141420d30d4e3e2d57d6b7292b",
+    (frozenset({"TC", "4T", "RI"}), 5):
+        "8468bc32e44c9f813dd02cf57fe09a5d16bffbfda580c04ba6efed915a61be3e",
+}
+
+
+@pytest.mark.parametrize("rels, m", ROW_DIGESTS, ids=lambda v: (
+    "+".join(sorted(v)) if isinstance(v, frozenset) else None))
+def test_echelon_rows_unchanged(rels, m):
+    q = quotient(LONG, m, rels)
+    assert quotient_digest(q) == ROW_DIGESTS[rels, m]
+    assert all(type(v) is int and row[p] == 1
+               for p, row in q._ech.rows.items() for v in row.values())
 
 
 @pytest.mark.parametrize("skel, mmax", [(LONG, 4), (strands(3), 3)])

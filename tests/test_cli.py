@@ -109,7 +109,8 @@ def test_dims_deterministic(capsys):
     ["zed", "KNOT", "--degree", "7"],
     ["zed", "KNOT", "--degree", "7", "--basis", "projected"],
     ["zed", "KNOT", "--degree", "7", "--basis", "plain",
-     "--check-alexander"]])
+     "--check-alexander"],
+    ["zed", "KNOT", "--degree", "7", "--basis", "plain"]])
 def test_oversized_quotients_rejected(argv, capsys, monkeypatch):
     # the long strand at degree 7 has 17,297,280 diagrams: refuse before
     # enumerating any
@@ -217,3 +218,14 @@ def test_out_of_domain_arguments_rejected(argv, capsys, tmp_path):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_bad_gauss_sign_is_a_parse_error(capsys, tmp_path):
+    # the Gauss parser's message, not a KeyError or the braid parser's
+    gauss = tmp_path / "bad.gauss"
+    gauss.write_text("n=1\nt=1 h=2 s=x\n")
+    assert main(["alexander", str(gauss)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "'x'" in err
+    assert "braid" not in err
