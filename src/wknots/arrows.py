@@ -412,7 +412,11 @@ class QuotientSpace:
     rows that repeat others up to TC are built.  The longer rows (4T, 6T,
     CC) wait in one packed array until the union-find is final; then they
     are folded onto the surviving class representatives, deduplicated and
-    echelonized in integer rows.  The quotient basis is the set of
+    echelonized in integer rows, highest pivot first: a stored row has no
+    support left of its pivot, so a new row rarely meets a stored row that
+    holds its pivot, and back-elimination is left to rows that share a
+    pivot.  The RREF is canonical, so the order changes the work, not the
+    rows.  The quotient basis is the set of
     non-pivot classes.  A vector is projected in ints over the lcm of its
     denominators.
     """
@@ -479,16 +483,16 @@ class QuotientSpace:
 
         self._parent, self._weight, self._dead = parent, weight, dead
         self._ech = SparseEchelon()
-        seen_rows = set()
+        keys = set()
         start = 0
         for end in ends:
             row = self._to_row(zip(pairs[start:end:2],
                                    pairs[start + 1:end:2]))
             start = end
-            key = tuple(sorted(row.items()))
-            if row and key not in seen_rows:
-                seen_rows.add(key)
-                self._ech.add(row)
+            if row:
+                keys.add(tuple(sorted(row.items())))
+        for key in sorted(keys, reverse=True):  # highest pivot first
+            self._ech.add(dict(key))
         reps = sorted({r for r in parent if not dead[r]})
         pivots = set(self._ech.pivots())
         basis = [r for r in reps if r not in pivots]

@@ -21,7 +21,7 @@ from .rational import rat
 from .rings import laurent_at_exp, series_log
 from .arrows import LONG, strands, ArrowVector, canonical_word, quotient
 from .jacobi import monomial_to_arrows, wheel_monomial_basis, concat
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, integral
 from .gauss import GaussDiagram, self_linking
 from .alexander import alexander_det
 from .wbraid import BraidWord
@@ -223,7 +223,7 @@ def _wheel_echelon(m, flags):
     for j, mono in enumerate(wheel_monomial_basis(m, flags)):
         row = dict(enumerate(q.project(monomial_to_arrows(mono))))
         row[q.dim + j] = rat(1)
-        ech.add(row)
+        ech.add(integral(row)[0])
     return ech
 
 

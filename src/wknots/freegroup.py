@@ -75,6 +75,14 @@ class FreeAut:
         self.images = tuple(word_reduce(w, n) for w in images)
 
     @classmethod
+    def _reduced(cls, n, images):
+        """A FreeAut on images already reduced and in range, stored as
+        they are."""
+        a = cls.__new__(cls)
+        a.n, a.images = n, tuple(images)
+        return a
+
+    @classmethod
     def identity(cls, n):
         return cls(n, [((i, 1),) for i in range(1, n + 1)])
 
@@ -105,7 +113,7 @@ def aut_compose(a: FreeAut, b: FreeAut) -> FreeAut:
     right action: x // (a*b) = (x // a) // b)."""
     if a.n != b.n:
         raise ValueError("rank mismatch")
-    return FreeAut(a.n, [aut_apply(b, img) for img in a.images])
+    return FreeAut._reduced(a.n, [aut_apply(b, img) for img in a.images])
 
 
 def aut_is_basis_conjugating(a: FreeAut):

@@ -17,6 +17,7 @@ import functools
 
 from .rational import Rat, rat
 from .arrows import LONG
+from .linalg import integral
 
 
 class LieData:
@@ -211,13 +212,16 @@ def weight_system(dvec, L):
     letter (tail strand first) on strands(n); each is multiplied onto its
     strand's monomial.  An arrow's basis index is summed at its first
     endpoint and carried to its second.  Keys are plain monomials on the
-    long strand and tuples of per-strand monomials on strands(n).
+    long strand and tuples of per-strand monomials on strands(n).  The
+    coefficients are scaled to ints over one denominator, summed per
+    monomial, and divided once at the end.
     """
     times = _times_table(L)
     long = dvec.skeleton == LONG
     n = 1 if long else dvec.skeleton[1]
-    total = PBWElement()
-    for diagram, coeff in dvec.terms.items():
+    terms, den = integral(dvec.terms)
+    sums = {}
+    for diagram, coeff in terms.items():
         ends = [(s, kind, a) for a, arrow in enumerate(diagram)
                 for s, kind in zip(arrow, "px")]
         if long:  # one strand, read in slot order
@@ -240,5 +244,6 @@ def weight_system(dvec, L):
                         nxt[key] = nxt[key] + cm if key in nxt else cm
             states = {k: c for k, c in nxt.items() if c}
         for (_, monos), c in states.items():
-            total.add(monos[0] if long else monos, coeff * c)
-    return total
+            key = monos[0] if long else monos
+            sums[key] = sums.get(key, 0) + coeff * c
+    return PBWElement({k: Rat(s, den) for k, s in sums.items() if s})

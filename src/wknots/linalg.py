@@ -4,13 +4,18 @@ The echelon form produced here is the canonical reduced row-echelon form
 of the row space: pivot columns are the leftmost possible, pivot entries
 are 1, and pivots are eliminated from every other row.  Because RREF is
 unique per subspace, the output is bit-identical no matter the order in
-which rows are fed in; a column index finds the rows that a new pivot
-must be eliminated from.  Each RREF row is stored as its primitive integer
-multiple (the RREF row times the lcm of its denominators), so every
-operation of the elimination is an int operation.  The relators of the
+which rows are fed in, but the work is not: a column index finds the
+stored rows that a new pivot must be eliminated from, and a row whose
+pivot lies left of every stored pivot finds none, because a stored row
+has support only at or right of its own pivot.  Rows fed highest pivot
+first (as ``arrows.QuotientSpace`` feeds them) thus eliminate only where
+pivots tie.  Each RREF row is stored as its primitive integer multiple
+(the RREF row times the lcm of its denominators), so every operation of
+the elimination is an int operation, and ``add`` takes int rows only
+(``integral`` scales a ``Rat`` row first).  The relators of the
 arrow-diagram quotients reduce to RREF rows that are integral, and for
-those the stored row is the RREF row itself.  Every value handed back to
-callers is a ``Rat``; a reduced row of ints over one denominator is
+those the stored row is the RREF row itself.  Every value ``reduce``
+hands back is a ``Rat``; a reduced row of ints over one denominator is
 divided last.
 
 Determinants use one algorithm for every ring: Bareiss elimination
@@ -37,7 +42,9 @@ def integral(row, den=1):
 class SparseEchelon:
     """Incremental reduced row-echelon form over Q, in integer rows.
 
-    Rows go in as sparse dicts column -> value, int or ``Rat``.  After
+    ``add`` takes sparse dicts column -> int (a ``Rat`` value raises
+    ``TypeError`` at the gcd; scale such rows with ``integral``), and
+    ``reduce`` int or ``Rat`` values.  After
     every insertion the stored rows satisfy: each row's minimal column is
     its pivot, the row is a primitive int row (its values have gcd 1)
     whose pivot entry is positive, and no other stored row has support on
@@ -47,6 +54,7 @@ class SparseEchelon:
     ``holders`` maps each column to the pivots of the stored rows that
     hold it off their pivot, so ``add`` eliminates a new pivot only from
     the rows that contain it, updating the map as entries appear and cancel.
+    When the new pivot is left of every stored pivot, no row holds it.
     """
 
     def __init__(self):
@@ -82,8 +90,8 @@ class SparseEchelon:
         return row, den
 
     def add(self, row) -> bool:
-        """Insert a row; returns True if the rank increased."""
-        row, _ = self._reduce(*integral(row))
+        """Insert an int row; returns True if the rank increased."""
+        row, _ = self._reduce({c: v for c, v in row.items() if v}, 1)
         if not row:
             return False
         p = min(row)

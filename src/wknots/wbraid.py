@@ -163,7 +163,7 @@ def braid_action(b: BraidWord) -> FreeAut:
             imgs[i - 1], imgs[i] = c, word_reduce(word_inverse(c) + a + c)
         else:
             imgs[i - 1], imgs[i] = word_reduce(a + c + word_inverse(a)), a
-    return FreeAut(b.n, imgs)
+    return FreeAut._reduced(b.n, imgs)
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:

@@ -525,8 +525,11 @@ class DictFoldQuotient(QuotientSpace):
     """``arrows.QuotientSpace`` folded the way it was before relators
     became packed index rows: TC generated as relators on every skeleton,
     and every relator that is not two-term held as a {diagram: coefficient}
-    dict, coefficients as generated, until the union-find is final.  The
-    read side (``project``) is inherited."""
+    dict, coefficients as generated, until the union-find is final.  Its
+    rows go to the echelon in generation order, where ``QuotientSpace``
+    inserts them highest pivot first, so comparing the two also checks
+    that the stored rows do not depend on the order.  The read side
+    (``project``) is inherited."""
 
     def __init__(self, skeleton, m, relset):
         self.skeleton = skeleton

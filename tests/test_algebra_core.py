@@ -131,7 +131,7 @@ def test_echelon_rank_against_fraction_free_oracle():
     rows = [{c: v for c, v in r.items() if v} for r in rows]
     ech = SparseEchelon()
     for r in rows:
-        ech.add(dict(r))
+        ech.add(integral(r)[0])
     assert ech.rank == _oracle_rank(rows, dim)
     for r in rows:
         assert not ech.reduce(dict(r))
@@ -147,9 +147,42 @@ def test_echelon_rank_order_invariant():
         rng.shuffle(rows)
         ech = SparseEchelon()
         for r in rows:
-            ech.add(dict(r))
+            ech.add(integral(r)[0])
         ranks.add(ech.rank)
     assert len(ranks) == 1
+
+
+def test_echelon_insertion_order_invariant():
+    # the RREF is canonical: generation, ascending, descending (highest
+    # pivot first, as QuotientSpace inserts) and shuffled orders store the
+    # same rows under the same column index, the all-Rat oracle's RREF
+    rng = random.Random(16)
+    rows = [{c: rng.choice((-3, -2, -1, 1, 1, 2, 3))
+             for c in rng.sample(range(30), rng.randint(1, 5))}
+            for _ in range(80)]
+    keyed = sorted(rows, key=lambda r: sorted(r.items()))
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    oracle = FractionEchelon()
+    for r in rows:
+        oracle.add(r)
+    results = []
+    for order in (rows, keyed, keyed[::-1], shuffled):
+        ech = SparseEchelon()
+        for r in order:
+            ech.add(r)
+        assert {p: {c: Rat(v, r[p]) for c, v in r.items()}
+                for p, r in ech.rows.items()} == oracle.rows
+        results.append((ech.rows, {c: qs for c, qs in ech.holders.items()
+                                   if qs}))
+    assert all(res == results[0] for res in results)
+
+
+def test_echelon_add_takes_int_rows():
+    ech = SparseEchelon()
+    assert ech.add({0: 2, 1: 0, 3: -4}) and ech.rows == {0: {0: 1, 3: -2}}
+    with pytest.raises(TypeError):
+        ech.add({1: rat(1, 2), 2: 1})
 
 
 _INTEGERS = st.integers(-4, 4).filter(bool)
@@ -180,7 +213,7 @@ def sparse_rows(draw):
 def test_echelon_matches_fraction_oracle(rows, probes):
     ech, oracle = SparseEchelon(), FractionEchelon()
     for row in rows:
-        assert ech.add(dict(row)) == oracle.add(dict(row))
+        assert ech.add(integral(row)[0]) == oracle.add(dict(row))
         # each stored row over its pivot entry is the RREF row
         assert {p: {c: Rat(v, r[p]) for c, v in r.items()}
                 for p, r in ech.rows.items()} == oracle.rows

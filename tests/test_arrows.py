@@ -11,7 +11,7 @@ from wknots.arrows import (LONG, strands, canonical_long, canonical_word,
                            _place, _plan, _relators, generate_relations,
                            tc_canonical)
 from wknots.expansion import get_quotient as quotient
-from wknots.linalg import SparseEchelon
+from wknots.linalg import SparseEchelon, integral
 
 from oracles import (DictFoldQuotient, cc_arrow_relators, commutation_classes,
                      long_relators, per_product_place_long,
@@ -106,11 +106,13 @@ def test_long_quotient_dimensions(rels):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("rels, dim", [({"TC", "4T", "RI"}, 11),
+@pytest.mark.parametrize("rels, dim", [({"TC", "4T"}, 30),
+                                       ({"TC", "4T", "RI"}, 11),
                                        ({"TC", "4T", "FI"}, 4)],
-                         ids=["TC+4T+RI", "TC+4T+FI"])
+                         ids=["TC+4T", "TC+4T+RI", "TC+4T+FI"])
 def test_long_quotient_dimensions_degree_6(rels, dim):
-    # the wheels theorem one degree further: p(6) and p(6) - p(5)
+    # the wheels theorem one degree further: the wheels count, p(6) and
+    # p(6) - p(5)
     assert QuotientSpace(LONG, 6, rels).dim == dim
 
 
@@ -267,6 +269,18 @@ def test_echelon_rows_unchanged(rels, m):
                for p, row in q._ech.rows.items() for v in row.values())
 
 
+@pytest.mark.parametrize("skel, rels", [(LONG, {"TC", "4T"}),
+                                        (strands(3), {"TC", "6T"})],
+                         ids=["long-TC+4T", "strands3-TC+6T"])
+def test_holders_index_after_build(skel, rels):
+    # rows enter highest pivot first, so most never update a holder; the
+    # column index must still list pivot q under column c exactly when c
+    # is off the pivot of row q
+    ech = QuotientSpace(skel, 4, rels)._ech
+    held = {(c, q) for c, qs in ech.holders.items() for q in qs}
+    assert held == {(c, q) for q, r in ech.rows.items() for c in r if c != q}
+
+
 @pytest.mark.parametrize("skel, mmax", [(LONG, 4), (strands(3), 3)])
 @pytest.mark.parametrize("rels", ["TC", "4T", "6T", "TC 4T", "TC 6T"])
 def test_relators_match_per_product_oracle(skel, mmax, rels):
@@ -355,7 +369,7 @@ def long_rref(m, relators):
     index = {d: i for i, d in enumerate(enumerate_diagrams(LONG, m))}
     ech = SparseEchelon()
     for v in relators:
-        ech.add({index[d]: c for d, c in v.terms.items()})
+        ech.add(integral({index[d]: c for d, c in v.terms.items()})[0])
     return ech.rows
 
 
