@@ -5,9 +5,11 @@ Two independent computation paths:
 * ``alexander_matrix`` — a determinant formula on the Gauss diagram, built
   from the diagonal sign matrix S and the integer "trapping" matrix T that
   records which crossings an over-strand traps under itself along the long
-  line.  Works for every w-knot diagram.  One Bareiss determinant over
+  line.  Works for every w-knot diagram.  One determinant over
   ℤ[X, X^{-1}] gives both the polynomial and, by substituting X = e^x, the
-  power series A(e^x) of the expansion bridge.
+  power series A(e^x) of the expansion bridge; ``linalg.RatMatrix.det``
+  takes it as one integer Bareiss elimination, the matrix evaluated at a
+  large power of 2 and the polynomial read off the digits of the result.
 * ``alexander_fox`` — the classical route: Wirtinger presentation from a
   planar-diagram code, free (Fox) differential calculus, minor determinant.
   Only valid for classical diagrams; used as an oracle for the first path.

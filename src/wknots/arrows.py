@@ -132,6 +132,9 @@ def enumerate_diagrams(skeleton, m):
         raise ValueError("degree must be >= 0")
     if skeleton == LONG:
         out = []
+        slots = range(1, 2 * m + 1)
+        # every diagram shares the (2m)(2m−1) arrow tuples of one table
+        arrow = {t: {h: (t, h) for h in slots if h != t} for t in slots}
 
         def rec(arrows, free):
             if not free:
@@ -139,10 +142,11 @@ def enumerate_diagrams(skeleton, m):
                 return
             t = free[0]
             for h in free[1:]:
-                rec(arrows + [(t, h)], [x for x in free if x not in (t, h)])
-                rec(arrows + [(h, t)], [x for x in free if x not in (t, h)])
+                rest = [x for x in free if x != t and x != h]
+                rec(arrows + [arrow[t][h]], rest)
+                rec(arrows + [arrow[h][t]], rest)
 
-        rec([], list(range(1, 2 * m + 1)))
+        rec([], list(slots))
         return sorted(out)
     if skeleton[0] == "strands":
         n = skeleton[1]

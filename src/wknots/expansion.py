@@ -246,7 +246,7 @@ def wheels_reduce(z, flags=frozenset({"RI"})):
         q = get_quotient(LONG, m, {"TC", "4T"} | flags)
         monos = wheel_monomial_basis(m, flags)
         row = _wheel_echelon(m, flags).reduce(
-            dict(enumerate(q.project(z.comps[m]))))
+            *integral(dict(enumerate(q.project(z.comps[m])))))
         residual = {c: v for c, v in row.items() if c < q.dim}
         if residual:
             raise ValueError("component of degree %d outside the wheel "

@@ -97,35 +97,8 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def divexact(self, other):
-        """The q with q * other == self, by long division from the top
-        exponent down; ArithmeticError if there is no such q."""
-        if other.is_zero():
-            raise ZeroDivisionError("Laurent division by zero")
-        rem, q = dict(self.coeffs), {}
-        top = other.max_exp()
-        lowest = min(rem, default=0) - other.min_exp()
-        while rem:
-            e = max(rem) - top
-            c, r = divmod(rem[e + top], other.coeffs[top])
-            if r or e < lowest:  # below any exponent of an exact q
-                raise ArithmeticError("inexact Laurent division")
-            q[e] = c
-            for f, v in other.coeffs.items():
-                w = rem.get(e + f, 0) - c * v
-                if w:
-                    rem[e + f] = w
-                else:
-                    del rem[e + f]
-        return LaurentPoly(q)
-
-    __truediv__ = divexact
-
     def min_exp(self):
         return min(self.coeffs)
-
-    def max_exp(self):
-        return max(self.coeffs)
 
     def __call__(self, value):
         """Evaluate at an integer or rational value (value != 0)."""

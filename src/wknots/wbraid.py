@@ -12,7 +12,6 @@ only a sound one-sided refutation is offered there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .freegroup import FreeAut, word_inverse, word_reduce
@@ -20,14 +19,17 @@ from .freegroup import FreeAut, word_inverse, word_reduce
 SIGMA, VIRT, FLIP = "s", "v", "f"
 
 
-@dataclass(frozen=True)
 class BraidWord:
-    n: int
-    letters: tuple  # of (kind, index, sign); sign is +-1 for SIGMA, +1 otherwise
-    extended: bool = False
-    group: str = "w"  # "w" or "v"
+    """A braid word on n strands: `letters` is a tuple of (kind, index,
+    sign), sign ±1 for SIGMA and +1 otherwise; flips need `extended`, and
+    `group` is "w" or "v".  An immutable value: equal and hashed by its
+    four fields."""
 
-    def __post_init__(self):
+    __slots__ = ("n", "letters", "extended", "group")
+
+    def __init__(self, n, letters, extended=False, group="w"):
+        for name, value in zip(self.__slots__, (n, letters, extended, group)):
+            object.__setattr__(self, name, value)
         if self.n < 1:
             raise ValueError(f"a braid needs a strand, not n={self.n}")
         if self.group not in ("w", "v"):
@@ -45,6 +47,30 @@ class BraidWord:
                 raise ValueError(f"unknown letter kind {kind}")
             if kind == SIGMA and sign not in (1, -1):
                 raise ValueError("sigma letters carry sign +-1")
+
+    def _fields(self):
+        return self.n, self.letters, self.extended, self.group
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return ("BraidWord(n=%r, letters=%r, extended=%r, group=%r)"
+                % self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return BraidWord, self._fields()
 
     def __mul__(self, other):
         if self.n != other.n:

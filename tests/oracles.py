@@ -109,15 +109,67 @@ def laplace_det(rows, one):
     return minor(0, (1 << n) - 1)
 
 
+def laurent_divexact(a, b):
+    """The q with q * b == a, by long division from the top exponent
+    down; ArithmeticError if there is no such q."""
+    if b.is_zero():
+        raise ZeroDivisionError("Laurent division by zero")
+    rem, q = dict(a.coeffs), {}
+    top = max(b.coeffs)
+    lowest = min(rem, default=0) - min(b.coeffs)
+    while rem:
+        e = max(rem) - top
+        c, r = divmod(rem[e + top], b.coeffs[top])
+        if r or e < lowest:  # below any exponent of an exact q
+            raise ArithmeticError("inexact Laurent division")
+        q[e] = c
+        for f, v in b.coeffs.items():
+            w = rem.get(e + f, 0) - c * v
+            if w:
+                rem[e + f] = w
+            else:
+                del rem[e + f]
+    return LaurentPoly(q)
+
+
+def laurent_bareiss_det(rows):
+    """``linalg.RatMatrix.det`` as it ran before Kronecker substitution:
+    Bareiss elimination with row pivoting on the ``LaurentPoly`` entries
+    themselves, each step an exact Laurent division by the last pivot."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    one = LaurentPoly.const(1)
+    sign, prev = 1, one
+    for k in range(n):
+        p = next((i for i in range(k, n) if not is_zero(a[i][k])), None)
+        if p is None:
+            return LaurentPoly()
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        row, piv = a[k], a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            for j in range(k + 1, n):
+                a[i][j] = laurent_divexact(piv * a[i][j] - f * row[j], prev)
+        prev = piv
+    return prev if sign > 0 else -prev
+
+
+def alexander_rows(k):
+    """The matrix I − diag(X^{s_i} − 1) · T of ``alexander_det``."""
+    S, T = build_S(k), build_T(k)
+    one = LaurentPoly.const(1)
+    return [[(one if i == j else 0) - (LaurentPoly.x(S[i][i]) - one) * T[i][j]
+             for j in range(len(T))] for i in range(len(T))]
+
+
 def laplace_alexander_matrix(k, d):
     """The Alexander pair (series, polynomial) computed as two separate
     Laplace determinants: over ℤ[X^±1], and over series with the matrix
     entries X^s − 1 replaced by e^{s·x} − 1."""
     S, T = build_S(k), build_T(k)
     n = len(S)
-    one = LaurentPoly.const(1)
-    rows = [[(one if i == j else 0) - (LaurentPoly.x(S[i][i]) - one) * T[i][j]
-             for j in range(n)] for i in range(n)]
     one_s = TruncSeries.const(d, 1)
     srows = []
     for i in range(n):
@@ -125,8 +177,8 @@ def laplace_alexander_matrix(k, d):
                             for m in range(1, d + 1)})
         srows.append([(one_s if i == j else 0) - e * T[i][j]
                       for j in range(n)])
-    return (laplace_det(srows, one_s),
-            laurent_normalize(laplace_det(rows, one)))
+    return (laplace_det(srows, one_s), laurent_normalize(
+        laplace_det(alexander_rows(k), LaurentPoly.const(1))))
 
 
 def arrow_side_prediction(g, d, flags=frozenset({"RI"})):

@@ -134,7 +134,7 @@ def test_echelon_rank_against_fraction_free_oracle():
         ech.add(integral(r)[0])
     assert ech.rank == _oracle_rank(rows, dim)
     for r in rows:
-        assert not ech.reduce(dict(r))
+        assert not ech.reduce(*integral(r))
 
 
 def test_echelon_rank_order_invariant():
@@ -185,6 +185,16 @@ def test_echelon_add_takes_int_rows():
         ech.add({1: rat(1, 2), 2: 1})
 
 
+def test_echelon_reduce_takes_int_rows():
+    ech = SparseEchelon()
+    ech.add({0: 2, 3: -4})
+    # zero values are dropped, and only the final values become Rat
+    got = ech.reduce({0: 3, 1: 0, 2: 5, 3: 0}, 4)
+    assert got == {2: rat(5, 4), 3: rat(3, 2)}
+    assert all(type(v) is Rat for v in got.values())
+    assert ech.reduce({1: 0, 2: 0}) == {}
+
+
 _INTEGERS = st.integers(-4, 4).filter(bool)
 _RATIONALS = st.builds(rat, _INTEGERS, st.integers(1, 4))
 
@@ -231,7 +241,7 @@ def test_echelon_matches_fraction_oracle(rows, probes):
     assert ech.pivots() == oracle.pivots()
     for row in rows + probes:
         want = oracle.reduce(dict(row))
-        got = ech.reduce(dict(row))
+        got = ech.reduce(*integral(row))
         assert got == want
         assert all(type(v) is Rat for v in got.values())
         # the same row scaled to ints over a common denominator (the least

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from functools import cache
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,23 @@ def test_long_diagram_counts():
     for m in range(5):
         expected = math.factorial(2 * m) // math.factorial(m)
         assert len(enumerate_diagrams(LONG, m)) == expected
+
+
+def test_long_diagrams_share_one_arrow_table():
+    # every diagram from the matchings of the 2m slots, each arrow taken
+    # in both directions; the enumeration reuses one tuple per arrow
+    for m in range(5):
+        slots = range(1, 2 * m + 1)
+        want = set()
+        for perm in permutations(slots):
+            pairs = [perm[i:i + 2] for i in range(0, 2 * m, 2)]
+            if all(a < b for a, b in pairs):
+                for flips in product((False, True), repeat=m):
+                    want.add(tuple(sorted((b, a) if f else (a, b)
+                                          for (a, b), f in zip(pairs, flips))))
+        got = enumerate_diagrams(LONG, m)
+        assert got == sorted(want)
+        assert len({id(a) for d in got for a in d}) == 2 * m * (2 * m - 1)
 
 
 def test_strand_word_counts():

@@ -1,22 +1,29 @@
-"""Bareiss determinants against the Laplace oracle, and the exact
-divisions they rely on."""
+"""The integer Bareiss determinant against the Laplace oracle and the
+Laurent-ring Bareiss it replaced, and the exact divisions that one relies
+on."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import laplace_alexander_matrix, laplace_det
-from wknots.alexander import alexander_fox, alexander_matrix
+from oracles import (alexander_rows, laplace_alexander_matrix, laplace_det,
+                     laurent_bareiss_det, laurent_divexact)
+from wknots.alexander import alexander_det, alexander_fox, alexander_matrix
 from wknots.gauss import braid_closure, gauss_to_pd
 from wknots.linalg import RatMatrix
 from wknots.rational import rat
-from wknots.rings import LaurentPoly
+from wknots.rings import LaurentPoly, laurent_normalize
 from wknots.wbraid import BraidWord
 
 laurents = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3),
                            max_size=3).map(LaurentPoly)
 rationals = st.builds(rat, st.integers(-2, 2), st.integers(1, 3))
+# wide exponent spans and large coefficients: big Kronecker digits
+wide_laurents = st.dictionaries(st.integers(-10, 10),
+                                st.integers(-10 ** 6, 10 ** 6),
+                                max_size=4).map(LaurentPoly)
 
 
 def square(entries, n):
@@ -31,10 +38,78 @@ def test_bareiss_matches_laplace_over_laurent(rows):
     assert RatMatrix(rows).det(one) == laplace_det(rows, one)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: square(wide_laurents, n)))
+def test_bareiss_matches_laplace_over_wide_laurent(rows):
+    one = LaurentPoly.const(1)
+    det = RatMatrix(rows).det(one)
+    assert det == laplace_det(rows, one)
+    assert det == laurent_bareiss_det(rows)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 6).flatmap(lambda n: square(rationals, n)))
 def test_bareiss_matches_laplace_over_rationals(rows):
     assert RatMatrix(rows).det(rat(1)) == laplace_det(rows, rat(1))
+
+
+@pytest.mark.parametrize("coeffs", [(1,), (2, 2), (2, 4), (3, 5), (8, 8, 2),
+                                    (7, 1, 9), (10 ** 6, 10 ** 6)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_coefficient_at_the_bound(coeffs, sign):
+    # one nonzero entry a row, so the determinant's one coefficient is
+    # ±H, H the product of the rows' norms: the largest digit the
+    # Kronecker read-back has to take
+    n = len(coeffs)
+    entries = [LaurentPoly.x(3 * i - 4, sign * c if i == 0 else c)
+               for i, c in enumerate(coeffs)]
+    diagonal = [[entries[i] if i == j else LaurentPoly() for j in range(n)]
+                for i in range(n)]
+    det = RatMatrix(diagonal).det(LaurentPoly.const(1))
+    assert det == LaurentPoly.x(sum(3 * i - 4 for i in range(n)),
+                                sign * math.prod(coeffs))
+    # the same entries on the reversed diagonal, so the int elimination
+    # has to swap rows
+    flipped = [row[::-1] for row in diagonal]
+    assert RatMatrix(flipped).det(LaurentPoly.const(1)) == \
+        laplace_det(flipped, LaurentPoly.const(1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_hadamard_matrix_at_the_bound(k, sign):
+    # Sylvester's ±1 matrices of order n = 2^k reach Hadamard's bound:
+    # |det| = n^(n/2) = H, with rows of norm √n
+    n = 2 ** k
+    X = LaurentPoly.x
+    rows = [[X(i, sign if i == 0 else 1) * (-1) ** bin(i & j).count("1")
+             for j in range(n)] for i in range(n)]
+    det = RatMatrix(rows).det(LaurentPoly.const(1))
+    assert det == laplace_det(rows, LaurentPoly.const(1))
+    assert max(abs(c) for c in det.coeffs.values()) == math.isqrt(n ** n)
+
+
+def test_zero_row_and_empty_matrix():
+    X, one = LaurentPoly.x, LaurentPoly.const(1)
+    rows = [[X(2, 5), X(-3) + 1], [LaurentPoly(), LaurentPoly()]]
+    assert RatMatrix(rows).det(one) == LaurentPoly()
+    assert RatMatrix(rows[::-1]).det(one).is_zero()
+    assert RatMatrix([[rat(1, 2), 3], [0, 0]]).det(rat(1)) == 0
+    assert RatMatrix([]).det(one) == one
+    assert RatMatrix([]).det(rat(1)) == 1
+    with pytest.raises(ValueError):
+        RatMatrix([[1, 2]]).det(rat(1))
+
+
+@pytest.mark.parametrize("virtual", [False, True])
+def test_laurent_bareiss_oracle_on_closures(virtual):
+    rng = random.Random(17 + virtual)
+    for crossings in range(2, 21):
+        g = random_closure(rng, crossings, 0.3 if virtual else 0)
+        det = laurent_bareiss_det(alexander_rows(g))
+        assert det == alexander_det(g)
+        if not virtual:
+            assert laurent_normalize(det) == alexander_fox(gauss_to_pd(g))
 
 
 def random_closure(rng, crossings, virtual_rate):
@@ -77,9 +152,9 @@ def test_large_classical_closure():
 @settings(max_examples=200, deadline=None)
 @given(laurents, laurents.filter(lambda b: not b.is_zero()))
 def test_laurent_divexact(a, b):
-    assert (a * b).divexact(b) == a
+    assert laurent_divexact(a * b, b) == a
     try:
-        q = a.divexact(b)
+        q = laurent_divexact(a, b)
     except ArithmeticError:
         return
     assert q * b == a
@@ -92,6 +167,6 @@ def test_laurent_divexact_raises_on_inexact():
                  (LaurentPoly.const(1), X(1) + 1),
                  (X(3) - X(-1), X(2) + X(-2) + 1)):
         with pytest.raises(ArithmeticError):
-            a.divexact(b)
+            laurent_divexact(a, b)
     with pytest.raises(ZeroDivisionError):
-        X(1).divexact(LaurentPoly())
+        laurent_divexact(X(1), LaurentPoly())

@@ -1,6 +1,7 @@
 """Source hygiene: every name a ``wknots`` module imports is used in it,
-every import but one sits at the top of its module, and every name a module
-defines at top level is referenced somewhere in the project."""
+every import but one sits at the top of its module, no module imports
+``dataclasses``, and every name a module defines at top level is referenced
+somewhere in the project."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,31 @@ def test_unused_import_is_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == set()
+
+
+def imported_modules(source):
+    """Top-level names of the modules an absolute import statement reads."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imported_module_is_detected():
+    assert imported_modules("import os.path\nfrom dataclasses import field\n"
+                            "from .rings import LaurentPoly\n"
+                            "def f():\n    import json\n") == {
+        "os", "dataclasses", "json"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_dataclasses(path):
+    # importing dataclasses costs about 10 ms on every CLI start
+    assert "dataclasses" not in imported_modules(
+        path.read_text(encoding="utf-8"))
 
 
 def function_imports(source):

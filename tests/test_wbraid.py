@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -29,6 +31,51 @@ def test_braid_validation():
     for n in (0, -2):
         with pytest.raises(ValueError, match="needs a strand"):
             braid_from_text("n=%d" % n)
+
+
+def test_braid_word_constructor():
+    b = BraidWord(3, ((SIGMA, 1, 1), (VIRT, 2, 1)))
+    assert (b.n, b.letters, b.extended, b.group) == (
+        3, ((SIGMA, 1, 1), (VIRT, 2, 1)), False, "w")
+    b = BraidWord(n=2, letters=((FLIP, 2, 1),), extended=True, group="v")
+    assert (b.n, b.extended, b.group) == (2, True, "v")
+    with pytest.raises(TypeError):
+        BraidWord(2)
+    cases = [((0, ()), {}, "a braid needs a strand, not n=0"),
+             ((2, ()), {"group": "u"}, "group must be 'w' or 'v'"),
+             ((2, ((SIGMA, 2, 1),)), {},
+              "generator index 2 out of range for n=2"),
+             ((2, ((FLIP, 1, 1),)), {}, "flip letters need the extended flag"),
+             ((2, ((FLIP, 3, 1),)), {"extended": True},
+              "flip index 3 out of range for n=2"),
+             ((2, (("x", 1, 1),)), {}, "unknown letter kind x"),
+             ((2, ((SIGMA, 1, 2),)), {}, "sigma letters carry sign +-1")]
+    for args, kwargs, message in cases:
+        with pytest.raises(ValueError) as err:
+            BraidWord(*args, **kwargs)
+        assert str(err.value) == message
+
+
+def test_braid_word_is_an_immutable_value():
+    a = BraidWord(3, ((SIGMA, 1, -1),))
+    b = BraidWord(3, ((SIGMA, 1, -1),), False, "w")
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert hash(a) == hash((3, ((SIGMA, 1, -1),), False, "w"))
+    for other in (BraidWord(3, ((SIGMA, 1, 1),)), BraidWord(4, a.letters),
+                  BraidWord(3, a.letters, True), BraidWord(3, a.letters,
+                                                            group="v")):
+        assert a != other
+    assert a.__eq__((3, a.letters, False, "w")) is NotImplemented
+    assert a != (3, a.letters, False, "w") and a != "a"
+    assert repr(a) == ("BraidWord(n=3, letters=(('s', 1, -1),), "
+                       "extended=False, group='w')")
+    for name in ("n", "letters", "extended", "group", "other"):
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(a, name, 5)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(a, name)
+    assert a == b and not hasattr(a, "other")
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
 
 
 def test_word_has_no_group_parameter():
