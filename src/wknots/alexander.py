@@ -2,68 +2,63 @@
 
 Two independent computation paths:
 
-* ``alexander_matrix`` — a determinant formula on the Gauss diagram, built
-  from the diagonal sign matrix S and the integer "trapping" matrix T that
-  records which crossings an over-strand traps under itself along the long
-  line.  Works for every w-knot diagram.  One determinant over
-  ℤ[X, X^{-1}] gives both the polynomial and, by substituting X = e^x, the
-  power series A(e^x) of the expansion bridge; ``linalg.RatMatrix.det``
-  takes it as one integer Bareiss elimination, the matrix evaluated at a
-  large power of 2 and the polynomial read off the digits of the result.
+* ``alexander_matrix`` — a determinant formula on the Gauss diagram.  Its
+  matrix is read straight off the arrows: each entry is one Laurent
+  polynomial, from the sign of a crossing and whether its over-strand
+  traps another crossing's head along the long line, so no ring
+  arithmetic runs before the determinant.  Works for every w-knot
+  diagram.  One determinant over ℤ[X, X^{-1}] gives both the polynomial
+  and, by substituting X = e^x, the power series A(e^x) of the expansion
+  bridge; ``linalg.RatMatrix.det`` takes it as one integer Bareiss
+  elimination, the matrix evaluated at a large power of 2 and the
+  polynomial read off the digits of the result.
 * ``alexander_fox`` — the classical route: Wirtinger presentation from a
   planar-diagram code, free (Fox) differential calculus, minor determinant.
   Only valid for classical diagrams; used as an oracle for the first path.
 """
 
 import os
+from bisect import bisect_left
 
 from .rings import LaurentPoly, laurent_at_exp, laurent_normalize
 from .linalg import RatMatrix
 from .gauss import _pd_crossing_sign, pd_from_text
 
 
-def _ordered_arrows(k):
-    """Arrows sorted by head slot: the matrix rows/columns index order."""
-    return sorted(k.arrows, key=lambda a: a[1])
+def _gauss_rows(k):
+    """The matrix I − diag(X^{s_i} − 1) · T of ``alexander_det``, read off
+    the arrows sorted by head slot: entry (i, j) is
+    δ_ij + T_ij − T_ij·X^{s_i}.
 
-
-def build_S(k):
-    """Diagonal matrix of crossing signs, in arrow (head-slot) order."""
-    arrows = _ordered_arrows(k)
-    n = len(arrows)
-    return [[arrows[i][2] if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def build_T(k):
-    """Trapping matrix: T[i][j] = ±1 when arrow i traps the head of arrow j.
-
-    Arrow i with tail t and head h "traps" the stretch of the long line its
-    over-strand covers: slots strictly between t and h for a right-pointing
-    arrow (t < h), and slots in [h, t) — including its own head — for a
-    left-pointing one, counted with sign −1.
+    T is the trapping matrix.  Arrow i with tail t and head h traps the
+    stretch of the long line its over-strand covers: the heads strictly
+    between t and h of a right-pointing arrow (t < h), with T_ij = 1, and
+    the heads in [h, t) of a left-pointing one — its own head included —
+    with T_ij = −1.  The heads arrow i traps are consecutive in head order,
+    so its row is one run of equal off-diagonal entries.  Entries are
+    immutable, so equal ones are one object.
     """
-    arrows = _ordered_arrows(k)
-    n = len(arrows)
-    T = [[0] * n for _ in range(n)]
-    for i, (t, h, _) in enumerate(arrows):
-        for j, (_, hj, _) in enumerate(arrows):
-            if t < h:
-                if t < hj < h:
-                    T[i][j] = 1
-            else:
-                if h <= hj < t:
-                    T[i][j] = -1
-    return T
+    arrows = sorted(k.arrows, key=lambda a: a[1])
+    heads = [h for _, h, _ in arrows]
+    n, zero, rows = len(arrows), LaurentPoly(), []
+    for i, (t, h, s) in enumerate(arrows):
+        T, lo, hi = (1, t + 1, h) if t < h else (-1, h, t)
+        a, b = bisect_left(heads, lo), bisect_left(heads, hi)
+        row = [zero] * a + [LaurentPoly({0: T, s: -T})] * (b - a)
+        row += [zero] * (n - b)
+        # T_ii is −1 for a left-pointing arrow, which traps its own head
+        row[i] = LaurentPoly({0: 1} if t < h else {s: 1})
+        rows.append(row)
+    return rows
 
 
 def alexander_det(k):
     """The raw determinant D(X) = det(I − diag(X^{s_i} − 1) · T) over
-    ℤ[X, X^{-1}], before unit normalization; D(1) = 1."""
-    S, T = build_S(k), build_T(k)
-    one = LaurentPoly.const(1)
-    rows = [[(one if i == j else 0) - (LaurentPoly.x(S[i][i]) - one) * T[i][j]
-             for j in range(len(T))] for i in range(len(T))]
-    return RatMatrix(rows).det(one)
+    ℤ[X, X^{-1}], before unit normalization; D(1) = 1, and D = 1 for the
+    empty diagram.  The matrix is built entry by entry as Laurent
+    polynomials, with no ring arithmetic, and ``RatMatrix.det`` takes its
+    one determinant."""
+    return RatMatrix(_gauss_rows(k)).det(LaurentPoly.const(1))
 
 
 def alexander_matrix(k, d=5):
@@ -126,18 +121,16 @@ def _fox_derivative(word, gen):
     """Fox derivative ∂w/∂g abelianized: every generator ↦ X.
 
     Rules: ∂(g)/∂g = 1, ∂(g^{-1})/∂g = −g^{-1}, ∂(uv)/∂g = ∂u/∂g + u·∂v/∂g.
-    Under abelianization the running prefix u contributes X^(exponent sum).
+    Under abelianization the running prefix u contributes X^(exponent sum),
+    so each letter g^{±1} adds ±1 at one exponent, collected in one dict.
     """
-    out = LaurentPoly.const(0)
-    prefix = 0  # exponent sum of the prefix read so far
+    coeffs, prefix = {}, 0  # prefix: exponent sum of the letters read
     for g, s in word:
         if g == gen:
-            if s > 0:
-                out = out + LaurentPoly.x(prefix)
-            else:
-                out = out + LaurentPoly.x(prefix - 1, -1)
+            e, c = (prefix, 1) if s > 0 else (prefix - 1, -1)
+            coeffs[e] = coeffs.get(e, 0) + c
         prefix += s
-    return out
+    return LaurentPoly(coeffs)
 
 
 def alexander_fox(pd):

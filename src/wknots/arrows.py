@@ -43,7 +43,7 @@ from itertools import (chain, combinations_with_replacement, permutations,
                        product)
 from math import factorial
 
-from .rational import rat
+from .rational import ZERO, rat
 from .linalg import SparseEchelon, integral
 
 LONG = ("long",)
@@ -189,7 +189,7 @@ class ArrowVector:
                 self.add_term(d, c)
 
     def add_term(self, diagram, coeff):
-        c = self.terms.get(diagram, rat(0)) + coeff
+        c = self.terms.get(diagram, ZERO) + coeff
         if c:
             self.terms[diagram] = c
         else:
@@ -544,7 +544,7 @@ class QuotientSpace:
     def project(self, v):
         """Coordinates of an ArrowVector in the quotient basis, as ``Rat``."""
         coords = self._positions(self._ech.reduce(*self._scaled_row(v)))
-        return [coords.get(i, rat(0)) for i in range(self.dim)]
+        return [coords.get(i, ZERO) for i in range(self.dim)]
 
     def project_diagram(self, d):
         v = ArrowVector(self.skeleton, self.m)

@@ -15,7 +15,7 @@ basis (all φ before all x, each block sorted).
 
 import functools
 
-from .rational import Rat, rat
+from .rational import ZERO, Rat, rat
 from .arrows import LONG
 from .linalg import integral
 
@@ -72,7 +72,7 @@ def lie_validate(L):
         for k in range(1, r + 1):
             bjk, bkj = L.bracket(j, k), L.bracket(k, j)
             for l in set(bjk) | set(bkj):
-                if bjk.get(l, rat(0)) + bkj.get(l, rat(0)) != 0:
+                if bjk.get(l, ZERO) + bkj.get(l, ZERO) != 0:
                     return False
     for j in range(1, r + 1):
         for k in range(1, r + 1):
@@ -81,7 +81,7 @@ def lie_validate(L):
                 for a, b, c in ((j, k, l), (k, l, j), (l, j, k)):
                     for m, u in L.bracket(a, b).items():
                         for p, v in L.bracket(m, c).items():
-                            acc[p] = acc.get(p, rat(0)) + u * v
+                            acc[p] = acc.get(p, ZERO) + u * v
                 if any(acc.values()):
                     return False
     return True
@@ -120,7 +120,7 @@ class PBWElement:
                 self.add(m, c)
 
     def add(self, mono, coeff):
-        c = self.terms.get(mono, rat(0)) + coeff
+        c = self.terms.get(mono, ZERO) + coeff
         if c:
             self.terms[mono] = c
         else:
@@ -189,7 +189,7 @@ def pbw_mul(u, v, L):
             nxt = {}
             for mono, c in acc.items():
                 for n, cn in times(mono, g):
-                    nxt[n] = nxt.get(n, rat(0)) + c * cn
+                    nxt[n] = nxt.get(n, ZERO) + c * cn
             acc = nxt
         for mono, c in acc.items():
             out.add(mono, c * cv)

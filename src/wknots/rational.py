@@ -4,6 +4,9 @@ from fractions import Fraction as Rat
 
 BACKEND = "fractions"
 
+# one shared zero for defaults and padding: a Rat is immutable
+ZERO = Rat(0)
+
 
 def rat(p, q=1):
     """Build a rational number p/q."""

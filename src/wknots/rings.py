@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .rational import Rat, rat
+from .rational import ZERO, Rat, rat
 
 
 class LaurentPoly:
@@ -48,6 +48,8 @@ class LaurentPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if self.coeffs.keys() <= {0}:  # a constant, equal to its value
+            return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other, sign=1):
@@ -102,7 +104,7 @@ class LaurentPoly:
 
     def __call__(self, value):
         """Evaluate at an integer or rational value (value != 0)."""
-        return sum((rat(v) * rat(value) ** e for e, v in self.coeffs.items()), rat(0))
+        return sum((rat(v) * rat(value) ** e for e, v in self.coeffs.items()), ZERO)
 
     def mirror(self):
         """Substitute X -> X^{-1}."""
@@ -152,7 +154,7 @@ class TruncSeries:
         if cap < 0:
             raise ValueError("degree cap must be >= 0")
         self.cap = cap
-        cs = [Rat(0)] * (cap + 1)
+        cs = [ZERO] * (cap + 1)
         if coeffs is not None:
             if isinstance(coeffs, dict):
                 items = coeffs.items()
@@ -184,6 +186,8 @@ class TruncSeries:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if not any(self.coeffs[1:]):  # a constant, equal to its value
+            return hash(self.coeffs[0])
         return hash((self.cap, tuple(self.coeffs)))
 
     def __add__(self, other):
@@ -212,7 +216,7 @@ class TruncSeries:
             return NotImplemented
         self._check(other)
         d = self.cap
-        out = [Rat(0)] * (d + 1)
+        out = [ZERO] * (d + 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -256,14 +260,13 @@ def series_exp(s: TruncSeries) -> TruncSeries:
 
 
 def series_log(s: TruncSeries) -> TruncSeries:
-    """log(s) = sum (-1)^{k+1} (s-1)^k / k, requires constant term 1."""
-    if s.coeffs[0] != 1:
+    """log(s) for s with constant term 1, from s·L' = s': the recurrence
+    n·L_n = n·s_n − Σ_{k=1}^{n−1} k·L_k·s_{n−k}, O(d²) in all."""
+    c = s.coeffs
+    if c[0] != 1:
         raise ValueError("series_log requires constant term 1")
-    d = s.cap
-    u = s - 1
-    out = TruncSeries(d)
-    term = TruncSeries.const(d, 1)
-    for k in range(1, d + 1):
-        term = term * u
-        out = out + term * rat((-1) ** (k + 1), k)
-    return out
+    out = [ZERO]
+    for n in range(1, s.cap + 1):
+        out.append((n * c[n] - sum(k * out[k] * c[n - k]
+                                   for k in range(1, n))) / n)
+    return TruncSeries(s.cap, out)

@@ -7,7 +7,7 @@ from bisect import bisect_left
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 
-from wknots.alexander import alexander_det, build_S, build_T
+from wknots.alexander import alexander_det
 from wknots.arrows import (LONG, TWO_ARROW_RELATIONS, ArrowVector,
                            QuotientSpace, _relators, canonical_long,
                            canonical_word, enumerate_diagrams, strands)
@@ -156,12 +156,77 @@ def laurent_bareiss_det(rows):
     return prev if sign > 0 else -prev
 
 
+def _ordered_arrows(k):
+    """Arrows sorted by head slot: the matrix rows/columns index order."""
+    return sorted(k.arrows, key=lambda a: a[1])
+
+
+def build_S(k):
+    """Diagonal matrix of crossing signs, in arrow (head-slot) order."""
+    arrows = _ordered_arrows(k)
+    n = len(arrows)
+    return [[arrows[i][2] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def build_T(k):
+    """Trapping matrix: T[i][j] = ±1 when arrow i traps the head of arrow j.
+
+    Arrow i with tail t and head h "traps" the stretch of the long line its
+    over-strand covers: slots strictly between t and h for a right-pointing
+    arrow (t < h), and slots in [h, t) — including its own head — for a
+    left-pointing one, counted with sign −1.
+    """
+    arrows = _ordered_arrows(k)
+    n = len(arrows)
+    T = [[0] * n for _ in range(n)]
+    for i, (t, h, _) in enumerate(arrows):
+        for j, (_, hj, _) in enumerate(arrows):
+            if t < h:
+                if t < hj < h:
+                    T[i][j] = 1
+            else:
+                if h <= hj < t:
+                    T[i][j] = -1
+    return T
+
+
 def alexander_rows(k):
-    """The matrix I − diag(X^{s_i} − 1) · T of ``alexander_det``."""
+    """The matrix I − diag(X^{s_i} − 1) · T of ``alexander_det``, by ring
+    arithmetic on the sign matrix S and the trapping matrix T."""
     S, T = build_S(k), build_T(k)
     one = LaurentPoly.const(1)
     return [[(one if i == j else 0) - (LaurentPoly.x(S[i][i]) - one) * T[i][j]
              for j in range(len(T))] for i in range(len(T))]
+
+
+def fox_derivative(word, gen):
+    """``alexander._fox_derivative`` by ring arithmetic, one ``+`` a
+    letter."""
+    out = LaurentPoly.const(0)
+    prefix = 0  # exponent sum of the prefix read so far
+    for g, s in word:
+        if g == gen:
+            if s > 0:
+                out = out + LaurentPoly.x(prefix)
+            else:
+                out = out + LaurentPoly.x(prefix - 1, -1)
+        prefix += s
+    return out
+
+
+def series_log_products(s):
+    """``rings.series_log`` as the Mercator sum Σ (−1)^{k+1} (s−1)^k / k,
+    one truncated series product a term."""
+    if s.coeffs[0] != 1:
+        raise ValueError("series_log requires constant term 1")
+    d = s.cap
+    u = s - 1
+    out = TruncSeries(d)
+    term = TruncSeries.const(d, 1)
+    for k in range(1, d + 1):
+        term = term * u
+        out = out + term * rat((-1) ** (k + 1), k)
+    return out
 
 
 def laplace_alexander_matrix(k, d):

@@ -11,7 +11,7 @@ from wknots.rings import (LaurentPoly, TruncSeries, laurent_normalize,
                           series_exp, series_log)
 from wknots.linalg import SparseEchelon, integral
 
-from oracles import FractionEchelon
+from oracles import FractionEchelon, series_log_products
 
 
 def test_laurent_normalize_examples():
@@ -65,6 +65,30 @@ def test_exp_log_round_trips():
         assert series_log(series_exp(s)) == s
         u = TruncSeries.const(d, 1) + s
         assert series_exp(series_log(u)) == u
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda d: st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    min_size=d, max_size=d)))
+def test_series_log_recurrence_matches_products(tail):
+    s = TruncSeries(len(tail), [1] + tail)
+    assert series_log(s).coeffs == series_log_products(s).coeffs
+
+
+def test_constants_hash_as_their_values():
+    for c in (0, 3, -7):
+        p, t = LaurentPoly.const(c), TruncSeries.const(4, c)
+        assert p == c and hash(p) == hash(c)
+        assert t == c and hash(t) == hash(c)
+        assert len({p, c}) == 1 and c in {p} and p in {c}
+        assert len({t, c}) == 1 and c in {t} and t in {c}
+    assert hash(LaurentPoly()) == hash(0)
+    assert hash(TruncSeries.const(2, 5)) == hash(TruncSeries.const(6, 5))
+    assert hash(TruncSeries.const(3, rat(1, 2))) == hash(rat(1, 2))
+    # equal non-constants still hash alike
+    assert hash(LaurentPoly({1: 2, -1: 3})) == hash(LaurentPoly({-1: 3, 1: 2}))
+    assert hash(TruncSeries.x(3) + 1) == hash(1 + TruncSeries.x(3))
 
 
 def test_series_domain_errors():

@@ -8,10 +8,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (alexander_rows, laplace_alexander_matrix, laplace_det,
-                     laurent_bareiss_det, laurent_divexact)
-from wknots.alexander import alexander_det, alexander_fox, alexander_matrix
-from wknots.gauss import braid_closure, gauss_to_pd
+from oracles import (alexander_rows, fox_derivative, laplace_alexander_matrix,
+                     laplace_det, laurent_bareiss_det, laurent_divexact)
+from wknots.alexander import (_fox_derivative, _gauss_rows, alexander_det,
+                              alexander_fox, alexander_matrix)
+from wknots.gauss import GaussDiagram, braid_closure, gauss_to_pd
 from wknots.linalg import RatMatrix
 from wknots.rational import rat
 from wknots.rings import LaurentPoly, laurent_normalize
@@ -110,6 +111,50 @@ def test_laurent_bareiss_oracle_on_closures(virtual):
         assert det == alexander_det(g)
         if not virtual:
             assert laurent_normalize(det) == alexander_fox(gauss_to_pd(g))
+
+
+@pytest.mark.parametrize("virtual", [False, True])
+def test_gauss_rows_match_ring_oracle(virtual):
+    # the matrix read off the diagram equals the one built by ring
+    # arithmetic on S and T, entry by entry, with no zero coefficient
+    rng = random.Random(23 + virtual)
+    for crossings in range(21):
+        g = (random_closure(rng, crossings, 0.3 if virtual else 0)
+             if crossings else GaussDiagram(()))
+        rows, want = _gauss_rows(g), alexander_rows(g)
+        assert len(rows) == len(want) == g.k
+        for row, wrow in zip(rows, want):
+            assert [p.coeffs for p in row] == [p.coeffs for p in wrow]
+            assert all(c for p in row for c in p.coeffs.values())
+
+
+def test_alexander_det_of_empty_diagram():
+    det = alexander_det(GaussDiagram(()))
+    assert det == 1 and det.coeffs == {0: 1}
+
+
+# words in three generators, each letter g^{±1} possibly followed by its
+# inverse: cancelling pairs whose Fox terms cancel too
+letters = st.tuples(st.integers(0, 2), st.sampled_from((1, -1)),
+                    st.booleans())
+words = st.lists(letters, max_size=12).map(
+    lambda ls: [x for g, s, pair in ls
+                for x in ([(g, s), (g, -s)] if pair else [(g, s)])])
+
+
+@settings(max_examples=200, deadline=None)
+@given(words, st.integers(0, 2))
+def test_fox_derivative_matches_ring_oracle(word, gen):
+    got = _fox_derivative(word, gen)
+    assert got.coeffs == fox_derivative(word, gen).coeffs
+    assert all(got.coeffs.values())
+
+
+def test_fox_derivative_of_a_cancelling_pair_is_zero():
+    for s in (1, -1):
+        d = _fox_derivative([(0, s), (0, -s)], 0)
+        assert d.is_zero() and d.coeffs == {}
+    assert _fox_derivative([(1, 1), (0, 1), (1, -1)], 0).coeffs == {1: 1}
 
 
 def random_closure(rng, crossings, virtual_rate):

@@ -1,6 +1,7 @@
 """Source hygiene: every name a ``wknots`` module imports is used in it,
 every import but one sits at the top of its module, no module imports
-``dataclasses``, and every name a module defines at top level is referenced
+``dataclasses``, no ``.get`` default builds a fresh ``Rat`` zero, and
+every name a module defines at top level is referenced
 somewhere in the project."""
 
 import ast
@@ -65,6 +66,35 @@ def test_no_dataclasses(path):
     # importing dataclasses costs about 10 ms on every CLI start
     assert "dataclasses" not in imported_modules(
         path.read_text(encoding="utf-8"))
+
+
+def fresh_zero_defaults(source):
+    """Line numbers of ``.get(key, rat(0))`` and ``.get(key, Rat(0))``
+    calls, which build a new zero on every call, hit or miss."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and len(node.args) == 2):
+            d = node.args[1]
+            if (isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                    and d.func.id in ("rat", "Rat") and not d.keywords
+                    and [getattr(a, "value", None) for a in d.args] == [0]):
+                found.add(node.lineno)
+    return found
+
+
+def test_fresh_zero_default_is_detected():
+    assert fresh_zero_defaults("a = t.get(k, rat(0)) + c\n"
+                               "b = t.get(k, Rat(0))\n"
+                               "c = t.get(k, ZERO)\nd = t.get(k, rat(1))\n"
+                               "e = t.get(k, 0)\nf = rat(0)\n"
+                               "g = t.get(k, rat(x))\n") == {1, 2}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_fresh_zero_defaults(path):
+    # rational.ZERO is one shared zero: a Rat is immutable
+    assert fresh_zero_defaults(path.read_text(encoding="utf-8")) == set()
 
 
 def function_imports(source):
