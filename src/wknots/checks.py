@@ -9,6 +9,7 @@ independent descriptions, and the weight systems kill every relator.
 """
 
 import random
+from itertools import combinations
 
 from .rational import rat
 from .freegroup import aut_is_basis_conjugating
@@ -141,38 +142,19 @@ def check_zed_relations(nmax=4, d=4):
 
 
 def _legal_moves(g):
-    """All applicable move instances on a diagram (bounded enumeration)."""
-    out = [("vr1",), ("vr2",), ("vr3",), ("m",)]
-    k = g.k
-    for gt in range(2 * k + 1):
-        for go in range(2 * k + 1):
-            if gt != go:
-                out.append(("r2", gt, go, 1, False))
-                out.append(("r2", gt, go, -1, True))
-    for i in range(1, 2 * k):
-        for mv in (("r1s", i), ("r2del", i), ("oc", i)):
-            try:
-                apply_move(g, mv[0], *mv[1:])
-                out.append(mv)
-            except ValueError:
-                pass
-    # a slide move needs three arrows with all six endpoints in its three
-    # slot pairs; other triples would only make apply_move raise
-    partner = {}
-    for t, h, _ in g.arrows:
-        partner[t], partner[h] = h, t
-    slots = range(1, 2 * k)
-    for i in slots:
-        for j in slots:
-            for l in slots:
-                six = {i, i + 1, j, j + 1, l, l + 1}
-                if len(six) != 6 or any(partner[x] not in six for x in six):
-                    continue
-                try:
-                    apply_move(g, "r3", i, j, l)
-                    out.append(("r3", i, j, l))
-                except ValueError:
-                    pass
+    """Every applicable move instance on a diagram, each one once."""
+    gaps = range(2 * g.k + 1)
+    slots = range(1, 2 * g.k)
+    out = [("r2", gt, go, sign, nested) for gt in gaps for go in gaps
+           if gt != go for sign in (1, -1) for nested in (False, True)]
+    tries = [(name, i) for i in slots for name in ("r1s", "r2del", "oc")]
+    tries += [("r3",) + ijl for ijl in combinations(slots, 3)]
+    for mv in tries:
+        try:
+            apply_move(g, *mv)
+        except ValueError:
+            continue
+        out.append(mv)
     return out
 
 
@@ -197,8 +179,9 @@ def check_zed_moves(seed=2, trials=200, d=4):
                     continue
         else:
             g = random_knot_diagram(rng, length=rng.randrange(3, 7))
-        if rng.random() < 0.3:
-            # graft a kink at the end so the kink-flip move has a target
+        if not g.arrows or rng.random() < 0.3:
+            # graft a kink at the end so the kink-flip move has a target,
+            # and a crossingless diagram any move at all
             kk = g.k
             g = GaussDiagram(g.arrows +
                              ((2 * kk + 1, 2 * kk + 2, rng.choice((1, -1))),))

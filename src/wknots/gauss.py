@@ -3,13 +3,11 @@
 A w-knot is presented by a Gauss diagram: a long line with ``2k`` marked
 slots ``1..2k`` and ``k`` signed arrows, each arrow pointing from its tail
 slot (on the over-strand) to its head slot (on the under-strand).  Virtual
-crossings are invisible at this level, so the purely virtual moves act as
-the identity; the remaining moves (R1 direction flip, R2, R3, and the
-overcrossings-commute move) are implemented as explicit rewrites.
+crossings are invisible at this level, so the virtual and mixed moves do
+not change the diagram and are not moves here; the w-knot moves (R1
+direction flip, R2, R3, and the overcrossings-commute move) are explicit
+rewrites, the R3 gate a rule on its three arrows.
 """
-
-import os
-from functools import cache
 
 from .wbraid import BraidWord, braid_skeleton
 
@@ -242,8 +240,8 @@ def braid_closure(b):
 def apply_move(d, move, *args):
     """Apply a named move to a Gauss diagram, returning a new diagram.
 
-    Moves (virtual moves act trivially on Gauss diagrams and are accepted
-    as no-ops for interface completeness):
+    Moves (an unknown name, or a move whose precondition fails, raises
+    ``ValueError``):
 
     - ``("r1s", i)``         flip the direction of an isolated arrow whose
       endpoints are the adjacent slots i, i+1 (kink with the opposite
@@ -255,16 +253,13 @@ def apply_move(d, move, *args):
     - ``("r2del", i)``       delete an R2 pair whose tails occupy slots
       i, i+1 (detected automatically).
     - ``("r3", i, j, l)``    slide move on three arrows forming a triangle
-      occupying slot pairs (i,i+1), (j,j+1), (l,l+1): each of the three
-      arrows has its endpoint within each pair swapped.
+      occupying slot pairs (i,i+1), (j,j+1), (l,l+1), in any order: each
+      of the three arrows has its endpoint within each pair swapped.  The
+      triangle must be braid-like (see ``_is_slide``).
     - ``("oc", i)``          swap two adjacent tails at slots i, i+1
       (overcrossings commute).
-    - ``("vr1",) ("vr2",) ("vr3",) ("m",)``   identity.
     """
     move = move.lower()
-    if move in ("vr1", "vr2", "vr3", "m"):
-        return GaussDiagram(d.arrows)
-
     arrows = list(d.arrows)
     if move == "r1s":
         (i,) = args
@@ -324,7 +319,7 @@ def apply_move(d, move, *args):
         pattern = tuple(sorted(
             loc[arrows[idx][0]] + loc[arrows[idx][1]] + (arrows[idx][2],)
             for idx in touched))
-        if pattern not in _r3_patterns():
+        if not _is_slide(pattern):
             raise ValueError("three-arrow configuration is not a slide move")
         for idx in touched:
             t, h, s = arrows[idx]
@@ -344,15 +339,27 @@ def apply_move(d, move, *args):
     raise ValueError("unknown move %r" % move)
 
 
-@cache
-def _r3_patterns():
-    """Legal three-arrow slide configurations, loaded from the data table."""
-    path = os.path.join(os.path.dirname(__file__), "data", "r3_patterns.txt")
-    with open(path) as fh:
-        lines = [line.strip() for line in fh]
-    return frozenset(tuple(sorted(tuple(int(x) for x in chunk.split())
-                                  for chunk in line.split(";")))
-                     for line in lines if line and not line.startswith("#"))
+def _is_slide(pattern):
+    """Whether three arrows ``(pair, offset, pair, offset, sign)`` on slot
+    pairs 0, 1, 2 form a braid-like (not cyclically oriented) R3 triangle.
+
+    The top pair holds two tails, the bottom pair two heads and the middle
+    one of each, joined by the arrows tm, tb and mb.  With a, b the offsets
+    of the tail and head of tm and c that of the head of tb, the triangle
+    slides iff a = b or b = c, s_tm s_tb = (-1)^(b+c) and
+    s_tb s_mb = (-1)^(a+b): the 72 braid-like configurations of the 960 on
+    three slot pairs (Polyak, arXiv:0908.3127).  The set is closed under
+    flipping every offset, so the move undoes itself.
+    """
+    ends = {(p, q): (op, oq, s) for p, op, q, oq, s in pattern}
+    tails = [p for p, _, _, _, _ in pattern]
+    top, mid, bot = sorted(range(3), key=lambda p: -tails.count(p))
+    if set(ends) != {(top, mid), (top, bot), (mid, bot)}:
+        return False
+    (a, b, s_tm), (_, c, s_tb), (_, _, s_mb) = (
+        ends[top, mid], ends[top, bot], ends[mid, bot])
+    return ((a == b or b == c) and s_tm * s_tb == (-1) ** (b + c)
+            and s_tb * s_mb == (-1) ** (a + b))
 
 
 def _renumber(arrows):

@@ -13,7 +13,7 @@ from wknots.arrows import (LONG, TWO_ARROW_RELATIONS, ArrowVector,
                            canonical_word, enumerate_diagrams, strands)
 from wknots.expansion import TruncatedExpansion, expansion_exp, wheels_reduce
 from wknots.freegroup import FreeAut, aut_compose
-from wknots.gauss import apply_move, self_linking
+from wknots.gauss import self_linking
 from wknots.jacobi import (TrivalentDiagram, _commutator_block,
                            monomial_to_arrows, stu_eliminate)
 from wknots.lieweights import PBWElement, lie_validate
@@ -719,7 +719,7 @@ class DictFoldQuotient(QuotientSpace):
 
 
 # --------------------------------------------------------------------------
-# The w-braid action letter by letter, and the unfiltered move enumeration
+# The w-braid action letter by letter, and the slide-move table
 # --------------------------------------------------------------------------
 
 def braid_action_by_letters(b):
@@ -731,32 +731,80 @@ def braid_action_by_letters(b):
     return aut
 
 
-def unfiltered_legal_moves(g):
-    """``checks._legal_moves`` trying ``apply_move`` on every disjoint
-    ordered triple of slot pairs for the slide move, in the same order."""
-    out = [("vr1",), ("vr2",), ("vr3",), ("m",)]
-    k = g.k
-    for gt in range(2 * k + 1):
-        for go in range(2 * k + 1):
-            if gt != go:
-                out.append(("r2", gt, go, 1, False))
-                out.append(("r2", gt, go, -1, True))
-    for i in range(1, 2 * k):
-        for mv in (("r1s", i), ("r2del", i), ("oc", i)):
-            try:
-                apply_move(g, mv[0], *mv[1:])
-                out.append(mv)
-            except ValueError:
-                pass
-    slots = range(1, 2 * k)
-    for i in slots:
-        for j in slots:
-            for l in slots:
-                if len({i, i + 1, j, j + 1, l, l + 1}) != 6:
-                    continue
-                try:
-                    apply_move(g, "r3", i, j, l)
-                    out.append(("r3", i, j, l))
-                except ValueError:
-                    pass
-    return out
+# The legal slide configurations as the table ``gauss._is_slide`` replaced:
+# three arrows (tail pair, tail offset, head pair, head offset, sign) on the
+# slot pairs 0, 1, 2 of the move, sorted; the move flips every offset.
+R3_PATTERNS = frozenset((
+    ((0, 0, 1, 0, -1), (0, 1, 2, 0, -1), (1, 1, 2, 1, -1)),
+    ((0, 0, 1, 0, -1), (0, 1, 2, 0, -1), (2, 1, 1, 1, 1)),
+    ((0, 0, 1, 0, -1), (0, 1, 2, 1, 1), (1, 1, 2, 0, 1)),
+    ((0, 0, 1, 0, -1), (0, 1, 2, 1, 1), (2, 0, 1, 1, -1)),
+    ((0, 0, 1, 0, -1), (2, 0, 0, 1, 1), (2, 1, 1, 1, 1)),
+    ((0, 0, 1, 0, -1), (2, 0, 1, 1, -1), (2, 1, 0, 1, -1)),
+    ((0, 0, 1, 0, 1), (0, 1, 2, 0, 1), (1, 1, 2, 1, 1)),
+    ((0, 0, 1, 0, 1), (0, 1, 2, 0, 1), (2, 1, 1, 1, -1)),
+    ((0, 0, 1, 0, 1), (0, 1, 2, 1, -1), (1, 1, 2, 0, -1)),
+    ((0, 0, 1, 0, 1), (0, 1, 2, 1, -1), (2, 0, 1, 1, 1)),
+    ((0, 0, 1, 0, 1), (2, 0, 0, 1, -1), (2, 1, 1, 1, -1)),
+    ((0, 0, 1, 0, 1), (2, 0, 1, 1, 1), (2, 1, 0, 1, 1)),
+    ((0, 0, 1, 1, -1), (0, 1, 2, 1, -1), (1, 0, 2, 0, 1)),
+    ((0, 0, 1, 1, -1), (0, 1, 2, 1, -1), (2, 0, 1, 0, -1)),
+    ((0, 0, 1, 1, -1), (2, 0, 1, 0, -1), (2, 1, 0, 1, 1)),
+    ((0, 0, 1, 1, 1), (0, 1, 2, 1, 1), (1, 0, 2, 0, -1)),
+    ((0, 0, 1, 1, 1), (0, 1, 2, 1, 1), (2, 0, 1, 0, 1)),
+    ((0, 0, 1, 1, 1), (2, 0, 1, 0, 1), (2, 1, 0, 1, -1)),
+    ((0, 0, 2, 0, -1), (0, 1, 1, 0, -1), (1, 1, 2, 1, 1)),
+    ((0, 0, 2, 0, -1), (0, 1, 1, 0, -1), (2, 1, 1, 1, -1)),
+    ((0, 0, 2, 0, -1), (0, 1, 1, 1, 1), (1, 0, 2, 1, -1)),
+    ((0, 0, 2, 0, -1), (0, 1, 1, 1, 1), (2, 1, 1, 0, 1)),
+    ((0, 0, 2, 0, -1), (1, 0, 0, 1, 1), (1, 1, 2, 1, 1)),
+    ((0, 0, 2, 0, -1), (1, 0, 2, 1, -1), (1, 1, 0, 1, -1)),
+    ((0, 0, 2, 0, 1), (0, 1, 1, 0, 1), (1, 1, 2, 1, -1)),
+    ((0, 0, 2, 0, 1), (0, 1, 1, 0, 1), (2, 1, 1, 1, 1)),
+    ((0, 0, 2, 0, 1), (0, 1, 1, 1, -1), (1, 0, 2, 1, 1)),
+    ((0, 0, 2, 0, 1), (0, 1, 1, 1, -1), (2, 1, 1, 0, -1)),
+    ((0, 0, 2, 0, 1), (1, 0, 0, 1, -1), (1, 1, 2, 1, -1)),
+    ((0, 0, 2, 0, 1), (1, 0, 2, 1, 1), (1, 1, 0, 1, 1)),
+    ((0, 0, 2, 1, -1), (0, 1, 1, 1, -1), (1, 0, 2, 0, -1)),
+    ((0, 0, 2, 1, -1), (0, 1, 1, 1, -1), (2, 0, 1, 0, 1)),
+    ((0, 0, 2, 1, -1), (1, 0, 2, 0, -1), (1, 1, 0, 1, 1)),
+    ((0, 0, 2, 1, 1), (0, 1, 1, 1, 1), (1, 0, 2, 0, 1)),
+    ((0, 0, 2, 1, 1), (0, 1, 1, 1, 1), (2, 0, 1, 0, -1)),
+    ((0, 0, 2, 1, 1), (1, 0, 2, 0, 1), (1, 1, 0, 1, -1)),
+    ((0, 1, 1, 0, -1), (2, 0, 0, 0, 1), (2, 1, 1, 1, -1)),
+    ((0, 1, 1, 0, 1), (2, 0, 0, 0, -1), (2, 1, 1, 1, 1)),
+    ((0, 1, 1, 1, -1), (2, 0, 0, 0, -1), (2, 1, 1, 0, -1)),
+    ((0, 1, 1, 1, -1), (2, 0, 1, 0, 1), (2, 1, 0, 0, 1)),
+    ((0, 1, 1, 1, 1), (2, 0, 0, 0, 1), (2, 1, 1, 0, 1)),
+    ((0, 1, 1, 1, 1), (2, 0, 1, 0, -1), (2, 1, 0, 0, -1)),
+    ((0, 1, 2, 0, -1), (1, 0, 0, 0, 1), (1, 1, 2, 1, -1)),
+    ((0, 1, 2, 0, 1), (1, 0, 0, 0, -1), (1, 1, 2, 1, 1)),
+    ((0, 1, 2, 1, -1), (1, 0, 0, 0, -1), (1, 1, 2, 0, -1)),
+    ((0, 1, 2, 1, -1), (1, 0, 2, 0, 1), (1, 1, 0, 0, 1)),
+    ((0, 1, 2, 1, 1), (1, 0, 0, 0, 1), (1, 1, 2, 0, 1)),
+    ((0, 1, 2, 1, 1), (1, 0, 2, 0, -1), (1, 1, 0, 0, -1)),
+    ((1, 0, 0, 0, -1), (1, 1, 2, 0, -1), (2, 1, 0, 1, 1)),
+    ((1, 0, 0, 0, -1), (1, 1, 2, 1, 1), (2, 0, 0, 1, -1)),
+    ((1, 0, 0, 0, -1), (2, 0, 0, 1, -1), (2, 1, 1, 1, -1)),
+    ((1, 0, 0, 0, -1), (2, 0, 1, 1, 1), (2, 1, 0, 1, 1)),
+    ((1, 0, 0, 0, 1), (1, 1, 2, 0, 1), (2, 1, 0, 1, -1)),
+    ((1, 0, 0, 0, 1), (1, 1, 2, 1, -1), (2, 0, 0, 1, 1)),
+    ((1, 0, 0, 0, 1), (2, 0, 0, 1, 1), (2, 1, 1, 1, 1)),
+    ((1, 0, 0, 0, 1), (2, 0, 1, 1, -1), (2, 1, 0, 1, -1)),
+    ((1, 0, 0, 1, -1), (1, 1, 2, 1, -1), (2, 0, 0, 0, -1)),
+    ((1, 0, 0, 1, -1), (2, 0, 0, 0, -1), (2, 1, 1, 1, 1)),
+    ((1, 0, 0, 1, 1), (1, 1, 2, 1, 1), (2, 0, 0, 0, 1)),
+    ((1, 0, 0, 1, 1), (2, 0, 0, 0, 1), (2, 1, 1, 1, -1)),
+    ((1, 0, 2, 0, -1), (1, 1, 0, 0, -1), (2, 1, 0, 1, -1)),
+    ((1, 0, 2, 0, -1), (1, 1, 0, 1, 1), (2, 1, 0, 0, 1)),
+    ((1, 0, 2, 0, 1), (1, 1, 0, 0, 1), (2, 1, 0, 1, 1)),
+    ((1, 0, 2, 0, 1), (1, 1, 0, 1, -1), (2, 1, 0, 0, -1)),
+    ((1, 0, 2, 1, -1), (1, 1, 0, 1, -1), (2, 0, 0, 0, 1)),
+    ((1, 0, 2, 1, 1), (1, 1, 0, 1, 1), (2, 0, 0, 0, -1)),
+    ((1, 1, 0, 0, -1), (2, 0, 1, 0, 1), (2, 1, 0, 1, -1)),
+    ((1, 1, 0, 0, 1), (2, 0, 1, 0, -1), (2, 1, 0, 1, 1)),
+    ((1, 1, 0, 1, -1), (2, 0, 0, 0, 1), (2, 1, 1, 0, 1)),
+    ((1, 1, 0, 1, -1), (2, 0, 1, 0, -1), (2, 1, 0, 0, -1)),
+    ((1, 1, 0, 1, 1), (2, 0, 0, 0, -1), (2, 1, 1, 0, -1)),
+    ((1, 1, 0, 1, 1), (2, 0, 1, 0, 1), (2, 1, 0, 0, 1)),
+))

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,8 @@ from wknots.gauss import (GaussDiagram, gauss_to_text, gauss_from_text,
                           gauss_to_pd, self_linking, braid_closure,
                           apply_move)
 from wknots.alexander import alexander_fox, alexander_matrix
+
+from oracles import R3_PATTERNS
 
 TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
@@ -101,10 +104,50 @@ def test_r1s_flips_isolated_arrow():
         apply_move(g, "r1s", 2)
 
 
-def test_virtual_moves_are_identities():
+def test_virtual_moves_are_rejected():
+    # virtual and mixed moves do not change a Gauss diagram: no such move
     g = GaussDiagram(((1, 3, 1), (2, 4, -1)))
     for mv in ("vr1", "vr2", "vr3", "m"):
-        assert apply_move(g, mv) == g
+        with pytest.raises(ValueError, match="unknown move"):
+            apply_move(g, mv)
+
+
+def three_arrow_configurations():
+    """All 960 diagrams of three signed arrows on the slot pairs (1,2),
+    (3,4), (5,6), each with its pattern of (tail pair, tail offset, head
+    pair, head offset, sign) arrows."""
+    def matchings(slots):
+        if not slots:
+            yield []
+        for i in range(1, len(slots)):
+            for rest in matchings(slots[1:i] + slots[i + 1:]):
+                yield [(slots[0], slots[i])] + rest
+    for pairs in matchings([(p, o) for p in range(3) for o in range(2)]):
+        for ends in product(*[(e, e[::-1]) for e in pairs]):
+            for signs in product((1, -1), repeat=3):
+                pattern = tuple(sorted(t + h + (s,) for (t, h), s
+                                       in zip(ends, signs)))
+                yield pattern, GaussDiagram(
+                    (2 * pt + ot + 1, 2 * ph + oh + 1, s)
+                    for pt, ot, ph, oh, s in pattern)
+
+
+def test_slide_rule_accepts_exactly_the_table():
+    accepted = set()
+    configurations = list(three_arrow_configurations())
+    assert len({pattern for pattern, _ in configurations}) == 960
+    for pattern, g in configurations:
+        try:
+            moved = apply_move(g, "r3", 5, 1, 3)
+        except ValueError:
+            continue
+        accepted.add(pattern)
+        # the move flips every offset, and the flipped triangle slides back
+        assert moved == GaussDiagram(
+            (2 * pt + (1 - ot) + 1, 2 * ph + (1 - oh) + 1, s)
+            for pt, ot, ph, oh, s in pattern)
+        assert apply_move(moved, "r3", 1, 3, 5) == g
+    assert accepted == R3_PATTERNS
 
 
 def test_r3_legal_instance_from_braid():

@@ -1,8 +1,9 @@
 """Source hygiene: every name a ``wknots`` module imports is used in it,
 every import but one sits at the top of its module, no module imports
-``dataclasses``, no ``.get`` default builds a fresh ``Rat`` zero, and
+``dataclasses``, no ``.get`` default builds a fresh ``Rat`` zero,
 every name a module defines at top level is referenced
-somewhere in the project."""
+somewhere in the project, and the package-data globs and the data files
+match each other."""
 
 import ast
 from pathlib import Path
@@ -179,3 +180,17 @@ def test_every_top_level_name_is_referenced():
     unused = {path.stem: sorted(top_level_names(
         path.read_text(encoding="utf-8")) - refs) for path in MODULES}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def test_package_data_globs_match_the_data_files():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text(
+        encoding="utf-8"))
+    globs = config["tool"]["setuptools"]["package-data"]["wknots"]
+    package = ROOT / "src" / "wknots"
+    assert [g for g in globs if not any(package.glob(g))] == []
+    data = [p.relative_to(package) for p in (package / "data").rglob("*")
+            if p.is_file() and p.suffix != ".py"
+            and "__pycache__" not in p.parts]
+    assert data
+    assert [p for p in data if not any(p.match(g) for g in globs)] == []
