@@ -26,22 +26,31 @@ Sites come in nondecreasing gap order, so a product's new endpoints lie in
 (point, arrow, end) order whatever the gaps, and a placement lifts the
 context once per count of endpoints at each point.  RI and FI are read off
 the degree-m diagrams: an arrow (s, s+1) is isolated.  Every relator is an
-int-valued row of ``_relators``, and a quotient's coordinates are read
-only through ``QuotientSpace.project``.
+int-valued row, of diagrams (``_relators``) or of TC classes
+(``_class_relators``), and a quotient's coordinates are read only through
+``QuotientSpace.project``.
 
-A long-strand quotient with TC generates no TC relator: the TC class of a
-diagram has a least member, ``tc_canonical`` (heads sorted within each
-run of adjacent tails), and ``QuotientSpace`` starts its union-find
-there.  It then skips the 4T/6T placements whose rows repeat others up to
-TC, and holds the longer rows as packed diagram indices, not dicts.
+A long-strand quotient with TC has one column per TC class, not per
+diagram, and generates no TC relator.  TC lets the tails that lie between
+two heads trade places at will, so a class is the map that sends each
+head, in line order, to the gap between heads that holds its arrow's
+tail: (m+1)^m classes against (2m)!/m! diagrams.  ``tc_rank`` numbers a
+class Σ H(t)·(m+1)^H(h) over the arrows (t, h), H(x) the number of heads
+before slot x, and the columns are the classes in the order of their
+least diagrams (heads increasing within each run of tails), so no
+degree-m diagram is enumerated.  A 4T/6T product placed on a context gets
+its rank by the same sum, with no diagram built, and RI and FI are read
+off the classes: a head whose tail lies in the gap just before or just
+after it has an isolated arrow in its class.
 """
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cache
-from itertools import (chain, combinations_with_replacement, permutations,
-                       product)
+from itertools import (accumulate, chain, combinations_with_replacement,
+                       permutations, product)
 from math import factorial
+from operator import add, itemgetter
 
 from .rational import ZERO, rat
 from .linalg import SparseEchelon, integral
@@ -68,26 +77,6 @@ def canonical_long(arrows):
         raise ValueError("duplicate endpoint slot")
     remap = {old: new for new, old in enumerate(used, start=1)}
     return tuple(sorted((remap[t], remap[h]) for t, h in arrows))
-
-
-def tc_canonical(diagram):
-    """The least diagram in the TC class of a canonical long diagram.
-
-    TC lets adjacent tails swap, so the heads of a maximal run of tails at
-    slots s, s+1, ... may be permuted at will.  The run's arrows sit next to
-    each other in the sorted tuple, and sorting their heads gives the least
-    tuple of the class.
-    """
-    out = list(diagram)
-    start = 0
-    for k in range(1, len(out) + 1):
-        if k == len(out) or out[k][0] != out[k - 1][0] + 1:
-            if k - start > 1:
-                run = out[start:k]
-                heads = sorted(h for _, h in run)
-                out[start:k] = [(t, h) for (t, _), h in zip(run, heads)]
-            start = k
-    return tuple(out)
 
 
 def canonical_word(word, n):
@@ -159,18 +148,69 @@ def enumerate_diagrams(skeleton, m):
     raise ValueError("unknown skeleton %r" % (skeleton,))
 
 
-# the long strand's degree-6 count, the largest space the command line builds
-MAX_DIAGRAMS = 665_280
+# the long strand's degree-6 diagram count, the most columns the command
+# line lets a build index
+MAX_COLUMNS = 665_280
 
 
-def diagram_count(skeleton, m):
-    """How many diagrams ``enumerate_diagrams`` goes through at degree m:
-    (2m)!/m! on the long strand, and the (n(n−1))^m words on n strands,
-    before commutation merges some of them."""
+def diagram_count(skeleton, m, relset):
+    """How many columns a degree-m quotient build indexes: the (m+1)^m TC
+    classes on the long strand with TC, its (2m)!/m! diagrams without, and
+    the (n(n−1))^m words on n strands, before commutation merges some of
+    them."""
     if skeleton == LONG:
+        if "TC" in relset:
+            return (m + 1) ** m
         return factorial(2 * m) // factorial(m)
     n = skeleton[1]
     return (n * (n - 1)) ** m
+
+
+# --------------------------------------------------------------------------
+# TC classes of long diagrams
+# --------------------------------------------------------------------------
+
+def tc_rank(diagram):
+    """The TC class of a canonical long diagram as a number in
+    [0, (m+1)^m): Σ H(t)·(m+1)^H(h) over its arrows (t, h), where H(x)
+    counts the heads before slot x.  Digit j is the gap between heads that
+    holds the tail of the j-th head's arrow, which TC keeps."""
+    heads = sorted(h for _, h in diagram)
+    base = len(diagram) + 1
+    return sum(bisect_left(heads, t) * base ** bisect_left(heads, h)
+               for t, h in diagram)
+
+
+def _tc_classes(m):
+    """The least diagram of each degree-m TC class, sorted, and the list
+    that sends each class rank to that diagram's position.  A least
+    diagram is set by its sorted gaps and by which head each tail meets:
+    the k-th tail, in gap g, sits at slot k + 1 + g, head j at slot
+    j + 1 + (the tails in gaps ≤ j), and the tails of one gap meet their
+    heads in increasing order."""
+    if m < 0:
+        raise ValueError("degree must be >= 0")
+    base = m + 1
+    slots = range(1, 2 * m + 1)
+    arrow = {t: {h: (t, h) for h in slots if h != t} for t in slots}
+    layouts = {}  # sorted gaps -> (arrows by tail slot, head slots)
+    least = []
+    for digits in product(range(base), repeat=m):
+        gap = digits[::-1]  # gap[j]: the gap of head j's tail, rank order
+        key = tuple(sorted(gap))
+        layout = layouts.get(key)
+        if layout is None:
+            layout = layouts[key] = (
+                [arrow[k + 1 + g] for k, g in enumerate(key)],
+                [j + 1 + bisect_right(key, j) for j in range(m)])
+        tails, heads = layout
+        least.append(tuple([tail[heads[j]] for tail, j in zip(
+            tails, sorted(range(m), key=gap.__getitem__))]))
+    order = sorted(range(len(least)), key=least.__getitem__)
+    column = [0] * len(least)
+    for c, r in enumerate(order):
+        column[r] = c
+    return [least[r] for r in order], column
 
 
 # --------------------------------------------------------------------------
@@ -269,30 +309,14 @@ def _place(context, gaps, plans):
                                      for a, b in ranks]))
 
 
-def _placements(skeleton, ctx, products, tc_folded=False):
+def _placements(skeleton, ctx, products):
     """Ways to put three points on a context diagram, each the map from
     every product (arrows between the points) to its canonical diagram.
-    The points are sites 0, 1, 2 on the long strand, and strands 1..n.
-
-    With ``tc_folded``, a long placement whose diagrams are, term by term,
-    TC-equivalent to another placement's is left out.  Two tails of the
-    context at adjacent slots s, s+1 with no site in gap s stay adjacent
-    in every placed diagram, so swapping their heads in the context only
-    moves each diagram within its TC class.  Sorting the heads of each run
-    of tails that no site cuts therefore gives a context whose placement
-    at the same gaps repeats this one up to TC, and which is itself kept:
-    keep a placement only when a site cuts every descent of the context
-    (tails at s, s+1 whose heads go down).
-    """
+    The points are sites 0, 1, 2 on the long strand, and strands 1..n."""
     if skeleton == LONG:
         plans = [_plan(arrows) for arrows in products]
-        cuts = []  # the gaps between the context's descending tails
-        if tc_folded:
-            cuts = [t for (t, h), (u, k) in zip(ctx, ctx[1:])
-                    if u == t + 1 and h > k]
         for gaps in combinations_with_replacement(range(2 * len(ctx) + 1), 3):
-            if all(g in gaps for g in cuts):
-                yield dict(zip(products, _place(ctx, gaps, plans)))
+            yield dict(zip(products, _place(ctx, gaps, plans)))
     else:
         n = skeleton[1]
         for pos in range(len(ctx) + 1):
@@ -301,9 +325,10 @@ def _placements(skeleton, ctx, products, tc_folded=False):
                    for arrows in products}
 
 
-def _two_arrow_relators(skeleton, m, relset, tc_folded=False):
-    points = range(3) if skeleton == LONG else range(1, skeleton[1] + 1)
-    # each relation with its roles 0, 1, 2 sent to three distinct points p;
+def _instances(points, relset):
+    """Each relation of ``relset`` in ``TWO_ARROW_RELATIONS`` with its roles
+    0, 1, 2 sent to three distinct points, as (arrows, sign) lists, and the
+    distinct products among them."""
     # TC is antisymmetric in its two heads, so the other order of p[1], p[2]
     # would only repeat it negated
     instances = [[(tuple((p[t], p[h]) for t, h in arrows), sign)
@@ -311,14 +336,19 @@ def _two_arrow_relators(skeleton, m, relset, tc_folded=False):
                  for p in permutations(points, 3)
                  for name, terms in TWO_ARROW_RELATIONS.items()
                  if name in relset and not (name == "TC" and p[1] > p[2])]
-    if m < 2 or not instances:
-        return
     # the instances repeat products (30 terms hold the 24 distinct ones for
     # {TC,4T}, 42 for {TC,6T}), so a placement places each product once
-    products = tuple({arrows for terms in instances
-                      for arrows, _ in terms})
+    return instances, tuple({arrows for terms in instances
+                             for arrows, _ in terms})
+
+
+def _two_arrow_relators(skeleton, m, relset):
+    points = range(3) if skeleton == LONG else range(1, skeleton[1] + 1)
+    instances, products = _instances(points, relset)
+    if m < 2 or not instances:
+        return
     for ctx in enumerate_diagrams(skeleton, m - 2):
-        for placed in _placements(skeleton, ctx, products, tc_folded):
+        for placed in _placements(skeleton, ctx, products):
             for terms in instances:
                 row = {}
                 for arrows, sign in terms:
@@ -348,12 +378,7 @@ def _isolated_arrow_relators(diagrams, relset):
             yield {d: 1}
 
 
-def _relators(skeleton, m, relset, diagrams=None, tc_folded=False):
-    """The relators of ``generate_relations`` as {diagram: int} dicts,
-    produced lazily.  ``diagrams`` are the degree-m diagrams, when the
-    caller has them.  ``tc_folded`` (long strand) is for a caller that
-    identifies each TC class itself: TC relators are not built, and 4T/6T
-    relators that only repeat others up to TC are left out."""
+def _check_relations(skeleton, relset):
     known = {"TC", "4T", "6T", "RI", "FI", "CC"}
     if not relset <= known:
         raise ValueError("unknown relation ids: %r" % (relset - known,))
@@ -362,15 +387,181 @@ def _relators(skeleton, m, relset, diagrams=None, tc_folded=False):
             raise ValueError("unknown skeleton %r" % (skeleton,))
         if relset & {"RI", "FI", "CC"}:
             raise ValueError("RI/FI/CC apply to the long strand only")
-    if tc_folded:
-        relset = relset - {"TC"}
-    parts = [_two_arrow_relators(skeleton, m, relset, tc_folded)]
+
+
+def _relators(skeleton, m, relset, diagrams=None):
+    """The relators of ``generate_relations`` as {diagram: int} dicts,
+    produced lazily.  ``diagrams`` are the degree-m diagrams, when the
+    caller has them."""
+    _check_relations(skeleton, relset)
+    parts = [_two_arrow_relators(skeleton, m, relset)]
     if skeleton == LONG and relset & {"RI", "FI"} and m >= 1:
         if diagrams is None:
             diagrams = enumerate_diagrams(LONG, m)
         parts.append(_isolated_arrow_relators(diagrams, relset))
     if skeleton == LONG and "CC" in relset and m >= 4:
         parts.append(_cc_relators(m))
+    return chain.from_iterable(parts)
+
+
+@cache
+def _class_products(names):
+    """What a class build needs of the 4T/6T products, in one order:
+    their plans; per product, the points of its two new arrows' tails and
+    heads, each with the product's new heads before it in line order; the
+    distinct pairs of head points, and an itemgetter that gives each
+    product's pair; each instance as an itemgetter, its products and its
+    signs; and ``same[e][k][l]`` for gaps g with e = (g0 == g1) +
+    2·(g1 == g2): None when the new endpoints of products k and l fall in
+    different gaps, and otherwise whether the products pair those
+    endpoints alike, that is, whether they place one diagram."""
+    instances, products = _instances(range(3), names)
+    plans = [_plan(arrows) for arrows in products]
+    at = {arrows: k for k, arrows in enumerate(products)}
+    head_points, shapes = [], []
+    for points, ((a1, b1), (a2, b2)) in plans:
+        heads = sorted((b1, b2))
+        head_points.append((points[heads[0]], points[heads[1]]))
+        shapes.append((points[a1], bisect_left(heads, a1),
+                       points[b1], bisect_left(heads, b1),
+                       points[a2], bisect_left(heads, a2),
+                       points[b2], bisect_left(heads, b2)))
+    head_pairs = sorted(set(head_points))
+    instances = [([at[arrows] for arrows, _ in terms],
+                  [sign for _, sign in terms]) for terms in instances]
+    same = [[[set(k[1]) == set(l[1])
+              if [g[u] for u in k[0]] == [g[u] for u in l[0]] else None
+              for l in plans] for k in plans]
+            for g in ((0, 1, 2), (0, 0, 1), (0, 1, 1), (0, 0, 0))]
+    return (plans, shapes, head_pairs,
+            itemgetter(*[head_pairs.index(p) for p in head_points]),
+            [(itemgetter(*ks), ks, signs) for ks, signs in instances], same)
+
+
+def _class_ranks(m, names):
+    """Each degree-(m−2) context with the function that sends
+    nondecreasing gaps to the class ranks of the products of
+    ``_class_products(names)`` placed there, in their order.
+
+    A placed product's rank Σ H(t)·(m+1)^H(h) is a sum of two parts.  The
+    context's arrows give one that depends only on the gaps of the two new
+    heads: a new head in gap g comes before slot s when g < s.  A new
+    endpoint in gap g has the context's heads at slots ≤ g before it, plus
+    the product's own new heads that precede it, so the new arrows give
+    one that depends only on those context heads at each point."""
+    _, shapes, head_pairs, pair_of, _, _ = _class_products(names)
+    power = [(m + 1) ** k for k in range(m)]
+    new_parts = {}  # context heads before each point -> the new arrows' part
+    for ctx in enumerate_diagrams(LONG, m - 2):
+        ngaps = 2 * len(ctx) + 1
+        is_head = [0] * ngaps
+        for _, h in ctx:
+            is_head[h] = 1
+        below = list(accumulate(is_head))  # the context's heads at slots ≤ g
+        lifted = [[sum((below[t - 1] + (ga < t) + (gb < t))
+                       * power[below[h - 1] + (ga < h) + (gb < h)]
+                       for t, h in ctx) if ga <= gb else None
+                   for gb in range(ngaps)] for ga in range(ngaps)]
+
+        def ranks(gaps, below=below, lifted=lifted):
+            hb = below[gaps[0]], below[gaps[1]], below[gaps[2]]
+            new = new_parts.get(hb)
+            if new is None:
+                new = new_parts[hb] = [
+                    (hb[u1] + o1) * power[hb[v1] + p1]
+                    + (hb[u2] + o2) * power[hb[v2] + p2]
+                    for u1, o1, v1, p1, u2, o2, v2, p2 in shapes]
+            return map(add, pair_of([lifted[gaps[lo]][gaps[hi]]
+                                     for lo, hi in head_pairs]), new)
+
+        yield ctx, ranks
+
+
+def _class_two_arrow_rows(m, relset, column):
+    """4T and 6T on the long strand as rows of (TC class column, int),
+    each term once per diagram: a row cancels the terms that are one
+    diagram, and keeps apart the terms that are distinct diagrams of one
+    class.  Each product's class comes from ``_class_ranks``.  Two terms
+    of one class are one diagram when their new endpoints fall in the same
+    gaps, in order, and the products pair those endpoints alike; when the
+    gaps differ, a context arrow can stand in for a new one, and both are
+    placed as diagrams.
+
+    Two tails of the context at adjacent slots s, s+1 with no site in gap
+    s stay adjacent in every placed diagram, so swapping their heads in
+    the context moves each placed diagram within its TC class, and that
+    placement gives the same rows.  Sorting the heads of each run of tails
+    that no site cuts therefore gives a context whose placement at the
+    same gaps repeats this one: a placement is kept only when a site cuts
+    every descent of the context (tails at s, s+1 whose heads go down).
+    """
+    names = frozenset(relset & {"4T", "6T"})
+    if m < 2 or not names:
+        return
+    plans, _, _, _, instances, same = _class_products(names)
+
+    def one_diagram(k, l):
+        """Whether products k and l, of one class, are one diagram when
+        placed on ctx at gaps."""
+        one = same[(gaps[0] == gaps[1]) + 2 * (gaps[1] == gaps[2])][k][l]
+        if one is None:
+            return list(_place(ctx, gaps, [plans[k]])) == list(
+                _place(ctx, gaps, [plans[l]]))
+        return one
+
+    for ctx, ranks in _class_ranks(m, names):
+        cuts = [t for (t, h), (u, k) in zip(ctx, ctx[1:])
+                if u == t + 1 and h > k]
+        for gaps in combinations_with_replacement(range(2 * len(ctx) + 1), 3):
+            if cuts and not all(g in gaps for g in cuts):
+                continue
+            col = [column[r] for r in ranks(gaps)]
+            for get, ks, signs in instances:
+                cols = get(col)
+                if len(set(cols)) == len(cols):
+                    yield list(zip(cols, signs))
+                    continue
+                row = []  # [column, product, coefficient] per diagram
+                for k, c in zip(ks, signs):
+                    for e in row:
+                        if e[0] == col[k] and one_diagram(e[1], k):
+                            e[2] += c
+                            break
+                    else:
+                        row.append([col[k], k, c])
+                row = [(i, c) for i, _, c in row if c]
+                if row:
+                    yield row
+
+
+def _class_isolated_rows(m, relset, column):
+    """RI and FI on the long strand, read off the TC classes.  Head j's
+    arrow is isolated in some diagram of a class exactly when its tail is
+    in gap j (TC moves it next to the head, on the left) or in gap j + 1
+    (on the right).  RI equates the class whose digit j is j with the one
+    whose digit j is j + 1, as ``_isolated_arrow_relators`` equates the
+    two diagrams, and FI kills each class with an isolated arrow."""
+    power = [(m + 1) ** k for k in range(m)]
+    for rank, digits in enumerate(product(range(m + 1), repeat=m)):
+        isolated = False
+        for j, g in enumerate(reversed(digits)):
+            if g == j and "RI" in relset:
+                yield [(column[rank], 1), (column[rank + power[j]], -1)]
+            isolated = isolated or g == j or g == j + 1
+        if isolated and "FI" in relset:
+            yield [(column[rank], 1)]
+
+
+def _class_relators(m, relset, column):
+    """The relators of a long build with TC, as rows of (TC class column,
+    int); TC itself holds in the columns."""
+    _check_relations(LONG, relset)
+    parts = [_class_two_arrow_rows(m, relset, column)]
+    if relset & {"RI", "FI"} and m >= 1:
+        parts.append(_class_isolated_rows(m, relset, column))
+    if "CC" in relset and m >= 4:
+        parts.append([(column[tc_rank(d)], c) for d, c in terms.items()]
+                     for terms in _cc_relators(m))
     return chain.from_iterable(parts)
 
 
@@ -407,14 +598,15 @@ def generate_relations(skeleton, m, relset):
 class QuotientSpace:
     """Per-degree quotient of the diagram span by a relation set.
 
-    Diagrams are held by their index in ``_diagrams``, and relators become
-    rows of (index, coefficient) pairs as they arrive; no relator is kept
+    A column is a diagram, held by its index in ``_diagrams``, or on the
+    long strand with TC a TC class: ``_diagrams`` is then the least diagram
+    of each class, in order, so the columns keep the order of those
+    diagrams and the rows and basis are those of a build over all diagrams
+    that starts each diagram's union-find at its class.  Relators become
+    rows of (column, coefficient) pairs as they arrive; no relator is kept
     as a dict.  A signed union-find, whose weights are the ints ±1, takes
-    the two-term ±1 relators at once.  On the long strand it starts from
-    TC: each diagram's parent is its TC-canonical form (``tc_canonical``),
-    the least diagram of its class, so neither TC relators nor the 4T/6T
-    rows that repeat others up to TC are built.  The longer rows (4T, 6T,
-    CC) wait in one packed array until the union-find is final; then they
+    the relators that are two diagrams with coefficients ±1 at once, also
+    when both are one class.  The longer rows (4T, 6T, CC) wait in one packed array until the union-find is final; then they
     are folded onto the surviving class representatives, deduplicated and
     echelonized in integer rows, highest pivot first: a stored row has no
     support left of its pivot, so a new row rarely meets a stored row that
@@ -422,23 +614,26 @@ class QuotientSpace:
     pivot.  The RREF is canonical, so the order changes the work, not the
     rows.  The quotient basis is the set of
     non-pivot classes.  A vector is projected in ints over the lcm of its
-    denominators.
+    denominators; ``_index`` sends each diagram to its column, and with
+    TC classes it is filled as ``project`` meets diagrams.
     """
 
     def __init__(self, skeleton, m, relset):
         self.skeleton = skeleton
         self.m = m
         self.relset = frozenset(relset)
-        diagrams = enumerate_diagrams(skeleton, m)
-        index = self._index = {d: i for i, d in enumerate(diagrams)}
-        self._diagrams = diagrams
-        n = len(diagrams)
-        tc_folded = skeleton == LONG and "TC" in self.relset
-        if tc_folded:
-            parent = [index[tc_canonical(d)] for d in diagrams]
+        if skeleton == LONG and "TC" in self.relset:
+            self._diagrams, column = _tc_classes(m)
+            self._index = _ClassColumns(m, column)
+            rows = _class_relators(m, self.relset, column)
         else:
-            parent = list(range(n))
-        weight = [1] * n       # diagram = weight * rep(diagram)
+            diagrams = self._diagrams = enumerate_diagrams(skeleton, m)
+            index = self._index = {d: i for i, d in enumerate(diagrams)}
+            rows = ([(index[d], c) for d, c in terms.items()] for terms in
+                    _relators(skeleton, m, self.relset, diagrams))
+        n = len(self._diagrams)
+        parent = list(range(n))
+        weight = [1] * n       # column = weight * rep(column)
         dead = [False] * n     # class known to be zero
 
         def find(i):
@@ -452,17 +647,22 @@ class QuotientSpace:
                 parent[j] = i
             return i, w
 
-        pairs = array("q")     # (index, coefficient) of the longer rows
+        pairs = array("q")     # (column, coefficient) of the longer rows
         ends = array("q")      # where each of those rows ends in pairs
-        for terms in _relators(skeleton, m, self.relset, diagrams,
-                               tc_folded):
-            if len(terms) == 1:
-                r, _ = find(index[next(iter(terms))])
+        for terms in rows:
+            if len(terms) > 2 or len(terms) == 2 and (
+                    abs(terms[0][1]) != 1 or abs(terms[1][1]) != 1):
+                for i, c in terms:
+                    pairs.append(i)
+                    pairs.append(c)
+                ends.append(len(pairs))
+            elif len(terms) == 1:
+                r, _ = find(terms[0][0])
                 dead[r] = True
-            elif len(terms) == 2 and all(abs(c) == 1 for c in terms.values()):
-                (d1, c1), (d2, c2) = terms.items()
-                r1, w1 = find(index[d1])
-                r2, w2 = find(index[d2])
+            else:
+                (i1, c1), (i2, c2) = terms
+                r1, w1 = find(i1)
+                r2, w2 = find(i2)
                 if r1 == r2:
                     if c1 * w1 + c2 * w2 != 0:
                         dead[r1] = True
@@ -474,11 +674,6 @@ class QuotientSpace:
                 weight[hi] = -1 if c1 * w1 == c2 * w2 else 1
                 if dead[hi]:
                     dead[lo] = True
-            else:
-                for d, c in terms.items():
-                    pairs.append(index[d])
-                    pairs.append(c)
-                ends.append(len(pairs))
         # propagate deadness to roots; after this, i = weight[i] * parent[i]
         for i in range(n):
             r, _ = find(i)
@@ -505,12 +700,13 @@ class QuotientSpace:
 
     def _to_row(self, pairs):
         """(diagram index, coefficient) pairs folded onto the live classes."""
+        parent, weight, dead = self._parent, self._weight, self._dead
         row = {}
         for i, c in pairs:
-            r = self._parent[i]
-            if self._dead[r]:
+            r = parent[i]
+            if dead[r]:
                 continue
-            cw = row.get(r, 0) + c * self._weight[i]
+            cw = row.get(r, 0) + c * weight[i]
             if cw:
                 row[r] = cw
             else:
@@ -550,6 +746,25 @@ class QuotientSpace:
         v = ArrowVector(self.skeleton, self.m)
         v.add_term(canonical(self.skeleton, d), rat(1))
         return self.project(v)
+
+
+class _ClassColumns(dict):
+    """Diagram -> the column of its TC class, filled as diagrams are met;
+    a key that is not a canonical degree-m long diagram raises KeyError."""
+
+    def __init__(self, m, column):
+        super().__init__()
+        self.m, self.column = m, column
+
+    def __missing__(self, d):
+        try:
+            ok = len(d) == self.m and canonical_long(d) == d
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise KeyError(d)
+        c = self[d] = self.column[tc_rank(d)]
+        return c
 
 
 def quotient(skeleton, m, relset):

@@ -15,7 +15,7 @@ from .gauss import (pd_from_text, pd_to_gauss, gauss_from_text, self_linking,
                     braid_closure)
 from .rings import series_log
 from .alexander import alexander_matrix, alexander_fox
-from .arrows import LONG, MAX_DIAGRAMS, diagram_count, quotient, strands
+from .arrows import LONG, MAX_COLUMNS, diagram_count, quotient, strands
 from .jacobi import wheel_monomial_basis
 from .expansion import (zed_knot, project_expansion, wheels_reduce,
                         predicted_from_alexander)
@@ -110,18 +110,21 @@ def cmd_alexander(args):
     return 0
 
 
-def _check_size(skeleton, degree):
-    """Refuse a quotient whose diagrams would not fit in memory."""
-    count = diagram_count(skeleton, degree)
-    if count > MAX_DIAGRAMS:
-        raise ValueError("degree %d on %s enumerates %d diagrams, more than "
-                         "the %d of the long strand at degree 6"
+def _check_size(skeleton, degree, relset):
+    """Refuse a quotient whose columns would not fit in memory."""
+    count = diagram_count(skeleton, degree, relset)
+    if count > MAX_COLUMNS:
+        what = ("words" if skeleton != LONG else
+                "TC classes" if "TC" in relset else "diagrams")
+        raise ValueError("degree %d on %s indexes %d columns (%s), more "
+                         "than the %d of the long strand at degree 6"
                          % (degree, "long" if skeleton == LONG else
-                            "strands:%d" % skeleton[1], count, MAX_DIAGRAMS))
+                            "strands:%d" % skeleton[1], count, what,
+                            MAX_COLUMNS))
 
 
 def cmd_zed(args):
-    _check_size(LONG, args.degree)  # every basis builds quotients
+    _check_size(LONG, args.degree, {"TC", "4T"})  # every basis builds them
     g = _load_diagram(args.diagram, _read(args.diagram))
     _emit(args.machine, "self_linking", "self-linking %s", self_linking(g))
     z = zed_knot(g, args.degree)
@@ -161,7 +164,7 @@ def _parse_skeleton(text):
 def cmd_dims(args):
     skel = _parse_skeleton(args.skeleton)
     rels = {r.strip().upper() for r in args.relations.split(",") if r.strip()}
-    _check_size(skel, args.degree)
+    _check_size(skel, args.degree, rels)
     for m in range(args.degree + 1):
         q = quotient(skel, m, rels)
         _emit(args.machine, "dim%d" % m, "degree %d: dim %%s" % m, q.dim)

@@ -380,6 +380,28 @@ def long_relators(m, relset):
     return out
 
 
+def tc_canonical(diagram):
+    """The least diagram in the TC class of a canonical long diagram, the
+    seed of each diagram's union-find when the long build had a column
+    per diagram.
+
+    TC lets adjacent tails swap, so the heads of a maximal run of tails at
+    slots s, s+1, ... may be permuted at will.  The run's arrows sit next to
+    each other in the sorted tuple, and sorting their heads gives the least
+    tuple of the class.
+    """
+    out = list(diagram)
+    start = 0
+    for k in range(1, len(out) + 1):
+        if k == len(out) or out[k][0] != out[k - 1][0] + 1:
+            if k - start > 1:
+                run = out[start:k]
+                heads = sorted(h for _, h in run)
+                out[start:k] = [(t, h) for (t, _), h in zip(run, heads)]
+            start = k
+    return tuple(out)
+
+
 def per_product_place_long(context, gaps, arrows):
     """``arrows._place`` placing one product at a time, for any gaps:
     the new endpoints sorted by (gap, point, arrow, end), and the context

@@ -7,6 +7,7 @@ suites complete.
 import pytest
 
 from wknots import checks
+from wknots.alexander import knot_inventory
 
 
 def _gate(number, name, ok, detail):
@@ -48,6 +49,14 @@ def test_06_alexander_dual_oracle():
 
 def test_07_alexander_wheels_bridge():
     ok, detail = checks.check_main_theorem(d=5)
+    _gate(7, "alexander-wheels-bridge", ok, detail)
+
+
+@pytest.mark.slow
+def test_07_alexander_wheels_bridge_degree_6():
+    # one degree further, on the unknot and every bundled knot
+    names = ("unknot",) + tuple(sorted(knot_inventory()))
+    ok, detail = checks.check_main_theorem(names, d=6)
     _gate(7, "alexander-wheels-bridge", ok, detail)
 
 

@@ -1,7 +1,7 @@
 import hashlib
 import math
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +9,18 @@ from hypothesis import given, settings, strategies as st
 from wknots.rational import Rat, rat
 from wknots.arrows import (LONG, strands, canonical_long, canonical_word,
                            enumerate_diagrams, ArrowVector, QuotientSpace,
-                           _place, _plan, _relators, generate_relations,
-                           tc_canonical)
+                           _class_isolated_rows, _class_products,
+                           _class_ranks, _class_relators,
+                           _isolated_arrow_relators, _place,
+                           _plan, _relators, _tc_classes, diagram_count,
+                           generate_relations, tc_rank)
 from wknots.expansion import get_quotient as quotient
 from wknots.linalg import SparseEchelon, integral
 
 from oracles import (DictFoldQuotient, cc_arrow_relators, commutation_classes,
                      long_relators, per_product_place_long,
-                     per_product_two_arrow_relators, raw_word_dim)
+                     per_product_two_arrow_relators, raw_word_dim,
+                     tc_canonical)
 
 
 def test_long_diagram_counts():
@@ -456,6 +460,65 @@ def test_tc_class_counts(m):
     assert len(set(map(tc_canonical, _long_diagrams(m)))) == (m + 1) ** m
     assert QuotientSpace(LONG, m, {"TC"}).dim == (m + 1) ** m
     assert QuotientSpace(LONG, m, {"TC", "RI"}).dim == m ** m
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_class_rank_names_the_tc_canonical_column(m):
+    # the arithmetic rank of each diagram picks the column whose least
+    # diagram is the diagram's TC-canonical form
+    least, column = _tc_classes(m)
+    assert least == sorted(set(map(tc_canonical, _long_diagrams(m))))
+    assert sorted(column) == list(range((m + 1) ** m))
+    assert all(least[column[tc_rank(d)]] == tc_canonical(d)
+               for d in _long_diagrams(m))
+
+
+@pytest.mark.parametrize("rel", ["4T", "6T"])
+@pytest.mark.parametrize("m", range(2, 5))
+def test_placed_ranks_match_placed_diagrams(rel, m):
+    # the summed rank of every product at every context and gaps is the
+    # rank of the diagram _place builds there
+    names = frozenset({rel})
+    plans = _class_products(names)[0]
+    for ctx, ranks in _class_ranks(m, names):
+        for gaps in combinations_with_replacement(range(2 * len(ctx) + 1), 3):
+            assert list(ranks(gaps)) == [tc_rank(d) for d in
+                                         _place(ctx, gaps, plans)]
+
+
+@pytest.mark.parametrize("rels", ["4T", "6T", "TC 4T CC"])
+@pytest.mark.parametrize("m", range(2, 5))
+def test_class_rows_are_the_diagram_rows(rels, m):
+    # the rows of the class build are the diagram relators with each
+    # diagram written as its class, which keeps apart two diagrams of one
+    # class: the same rows, so the same ones are two-term ±1 rows
+    rels = frozenset(rels.split())
+    column = _tc_classes(m)[1]
+    got = {tuple(sorted(r)) for r in _class_relators(m, rels, column)}
+    want = {tuple(sorted((column[tc_rank(d)], c) for d, c in r.items()))
+            for r in _relators(LONG, m, rels - {"TC"})}
+    assert got == want
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_class_isolated_rows_match_the_diagrams(m):
+    # RI and FI read off the classes give the class pairs and the dead
+    # classes that the rules give on all diagrams, each once
+    column = _tc_classes(m)[1]
+    for rels in ({"RI"}, {"FI"}):
+        got = list(_class_isolated_rows(m, rels, column))
+        want = {tuple((column[tc_rank(d)], c) for d, c in r.items())
+                for r in _isolated_arrow_relators(_long_diagrams(m), rels)}
+        assert len(got) == len(want) and set(map(tuple, got)) == want
+
+
+def test_column_counts():
+    # the columns a build indexes, which the command line bounds
+    for m in range(5):
+        assert diagram_count(LONG, m, {"TC", "4T"}) == (m + 1) ** m
+        assert diagram_count(LONG, m, {"6T"}) == len(_long_diagrams(m))
+        assert len(QuotientSpace(LONG, m, {"TC"})._diagrams) == (m + 1) ** m
+    assert diagram_count(strands(3), 3, {"TC", "4T"}) == 6 ** 3
 
 
 FOLD_CASES = (
