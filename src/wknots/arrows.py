@@ -618,13 +618,15 @@ class QuotientSpace:
     TC classes it is filled as ``project`` meets diagrams.
     """
 
+    _class_column = None  # class rank -> column, with TC classes
+
     def __init__(self, skeleton, m, relset):
         self.skeleton = skeleton
         self.m = m
         self.relset = frozenset(relset)
         if skeleton == LONG and "TC" in self.relset:
             self._diagrams, column = _tc_classes(m)
-            self._index = _ClassColumns(m, column)
+            self._index, self._class_column = {}, column
             rows = _class_relators(m, self.relset, column)
         else:
             diagrams = self._diagrams = enumerate_diagrams(skeleton, m)
@@ -724,12 +726,28 @@ class QuotientSpace:
         if (v.skeleton, v.m) != (self.skeleton, self.m):
             raise ValueError("degree/skeleton mismatch")
         terms, den = integral(v.terms)
+        index = self._index
         try:
-            return self._to_row([(self._index[d], c)
-                                 for d, c in terms.items()]), den
-        except KeyError as e:
-            raise ValueError("%r is not a canonical degree-%d diagram on %r"
-                             % (e.args[0], self.m, self.skeleton)) from None
+            pairs = [(index[d], c) for d, c in terms.items()]
+        except KeyError:  # a diagram met for the first time, or a stranger
+            pairs = [(self._column(d), c) for d, c in terms.items()]
+        return self._to_row(pairs), den
+
+    def _column(self, d):
+        """The column of diagram d.  With TC classes, ``_index`` holds the
+        diagrams met so far, and a canonical degree-m long diagram met for
+        the first time is ranked and remembered."""
+        if d not in self._index:
+            try:
+                ok = (self._class_column is not None and len(d) == self.m
+                      and canonical_long(d) == d)
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError("%r is not a canonical degree-%d diagram on "
+                                 "%r" % (d, self.m, self.skeleton))
+            self._index[d] = self._class_column[tc_rank(d)]
+        return self._index[d]
 
     def _positions(self, row):
         """A reduced row, keyed by basis position instead of class."""
@@ -746,25 +764,6 @@ class QuotientSpace:
         v = ArrowVector(self.skeleton, self.m)
         v.add_term(canonical(self.skeleton, d), rat(1))
         return self.project(v)
-
-
-class _ClassColumns(dict):
-    """Diagram -> the column of its TC class, filled as diagrams are met;
-    a key that is not a canonical degree-m long diagram raises KeyError."""
-
-    def __init__(self, m, column):
-        super().__init__()
-        self.m, self.column = m, column
-
-    def __missing__(self, d):
-        try:
-            ok = len(d) == self.m and canonical_long(d) == d
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise KeyError(d)
-        c = self[d] = self.column[tc_rank(d)]
-        return c
 
 
 def quotient(skeleton, m, relset):
