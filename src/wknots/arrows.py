@@ -379,6 +379,8 @@ def _isolated_arrow_relators(diagrams, relset):
 
 
 def _check_relations(skeleton, relset):
+    """Refuse unknown relation ids and skeletons, and RI/FI/CC off the long
+    strand."""
     known = {"TC", "4T", "6T", "RI", "FI", "CC"}
     if not relset <= known:
         raise ValueError("unknown relation ids: %r" % (relset - known,))
@@ -606,16 +608,17 @@ class QuotientSpace:
     rows of (column, coefficient) pairs as they arrive; no relator is kept
     as a dict.  A signed union-find, whose weights are the ints ±1, takes
     the relators that are two diagrams with coefficients ±1 at once, also
-    when both are one class.  The longer rows (4T, 6T, CC) wait in one packed array until the union-find is final; then they
-    are folded onto the surviving class representatives, deduplicated and
-    echelonized in integer rows, highest pivot first: a stored row has no
-    support left of its pivot, so a new row rarely meets a stored row that
-    holds its pivot, and back-elimination is left to rows that share a
-    pivot.  The RREF is canonical, so the order changes the work, not the
-    rows.  The quotient basis is the set of
-    non-pivot classes.  A vector is projected in ints over the lcm of its
-    denominators; ``_index`` sends each diagram to its column, and with
-    TC classes it is filled as ``project`` meets diagrams.
+    when both are one class.  The longer rows (4T, 6T, CC) wait in one
+    packed array until the union-find is final; then they are folded onto
+    the surviving class representatives, deduplicated and echelonized in
+    integer rows, highest pivot first: a stored row has no support left of
+    its pivot, so a new row rarely meets a stored row that holds its
+    pivot, and back-elimination is left to rows that share a pivot.  The
+    RREF is canonical, so the order changes the work, not the rows.  The
+    quotient basis is the set of non-pivot classes.  A vector is projected
+    in ints over the lcm of its denominators; ``_index`` sends each
+    diagram to its column, and with TC classes it is filled as
+    ``project`` meets diagrams.
     """
 
     _class_column = None  # class rank -> column, with TC classes
@@ -701,7 +704,7 @@ class QuotientSpace:
         self.basis = [self._diagrams[r] for r in basis]
 
     def _to_row(self, pairs):
-        """(diagram index, coefficient) pairs folded onto the live classes."""
+        """(column, coefficient) pairs folded onto the live classes."""
         parent, weight, dead = self._parent, self._weight, self._dead
         row = {}
         for i, c in pairs:

@@ -124,7 +124,8 @@ def _check_size(skeleton, degree, relset):
 
 
 def cmd_zed(args):
-    _check_size(LONG, args.degree, {"TC", "4T"})  # every basis builds them
+    # every basis builds {TC,4T} quotients, with RI for "projected"
+    _check_size(LONG, args.degree, {"TC", "4T"})
     g = _load_diagram(args.diagram, _read(args.diagram))
     _emit(args.machine, "self_linking", "self-linking %s", self_linking(g))
     z = zed_knot(g, args.degree)
