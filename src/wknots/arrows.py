@@ -693,10 +693,10 @@ class QuotientSpace:
             row = self._to_row(zip(pairs[start:end:2],
                                    pairs[start + 1:end:2]))
             start = end
-            if row:
-                keys.add(tuple(sorted(row.items())))
+            if row:  # flat (column, value, ...) keys, in column order
+                keys.add(tuple(chain.from_iterable(sorted(row.items()))))
         for key in sorted(keys, reverse=True):  # highest pivot first
-            self._ech.add(dict(key))
+            self._ech.add(dict(zip(key[::2], key[1::2])))
         reps = sorted({r for r in parent if not dead[r]})
         pivots = set(self._ech.pivots())
         basis = [r for r in reps if r not in pivots]
