@@ -5,10 +5,10 @@ Two skeletons are supported:
 * ``("long",)`` — diagrams on a single long strand: m arrows whose 2m
   endpoints occupy slots 1..2m; an arrow is (tail, head).
 * ``("strands", n)`` — horizontal diagrams on n parallel strands: words of
-  length m in the letters a_(p,q) (arrow from strand p over strand q),
-  taken modulo commutation of letters on disjoint strand pairs (arrows far
-  apart in space commute); the canonical form is the lexicographically
-  smallest word in the commutation class.
+  length m in the letters a_(p,q) (arrow from strand p over strand q).
+  Arrows far apart in space commute: far commutation is one more relation
+  of every strand quotient, a two-term row for each word with two adjacent
+  letters on disjoint strand pairs, so a column is a raw word.
 
 Relation sets: TC (tails commute), 4T (four-term arrow relation), 6T
 (six-term relation; with TC it implies 4T), RI (rotation-number
@@ -79,44 +79,9 @@ def canonical_long(arrows):
     return tuple(sorted((remap[t], remap[h]) for t, h in arrows))
 
 
-def canonical_word(word, n):
-    """Lex-least representative of a word modulo disjoint-letter commutation.
-
-    The greedy normal form of the trace monoid (Anisimov and Knuth, 1979):
-    a letter can be moved to the front when it shares no strand with any
-    letter before it, and the least such letter goes first, again and again.
-    """
-    w = [tuple(l) for l in word]
-    for p, q in w:
-        if not (1 <= p <= n and 1 <= q <= n) or p == q:
-            raise ValueError("bad letter %r" % ((p, q),))
-    if n < 4:  # two disjoint letters need four strands
-        return tuple(w)
-    out = []
-    while w:
-        best, touched = 0, set(w[0])  # touched: the strands of w[:i]
-        for i in range(1, len(w)):
-            p, q = x = w[i]
-            if p not in touched and q not in touched and x < w[best]:
-                best = i
-            touched.add(p)
-            touched.add(q)
-            if len(touched) >= n - 1:  # no letter further on can move
-                break
-        out.append(w.pop(best))
-    return tuple(out)
-
-
-def canonical(skeleton, data):
-    if skeleton == LONG:
-        return canonical_long(data)
-    if skeleton[0] == "strands":
-        return canonical_word(data, skeleton[1])
-    raise ValueError("unknown skeleton %r" % (skeleton,))
-
-
 def enumerate_diagrams(skeleton, m):
-    """All canonical degree-m diagrams on the skeleton, sorted."""
+    """All degree-m diagrams on the skeleton, sorted: the canonical long
+    diagrams, or the (n(n−1))^m words on n strands."""
     if m < 0:
         raise ValueError("degree must be >= 0")
     if skeleton == LONG:
@@ -141,10 +106,7 @@ def enumerate_diagrams(skeleton, m):
         n = skeleton[1]
         letters = [(p, q) for p in range(1, n + 1) for q in range(1, n + 1)
                    if p != q]
-        seen = set()
-        for w in product(letters, repeat=m):
-            seen.add(canonical_word(w, n))
-        return sorted(seen)
+        return list(product(letters, repeat=m))  # letters is sorted
     raise ValueError("unknown skeleton %r" % (skeleton,))
 
 
@@ -156,8 +118,7 @@ MAX_COLUMNS = 665_280
 def diagram_count(skeleton, m, relset):
     """How many columns a degree-m quotient build indexes: the (m+1)^m TC
     classes on the long strand with TC, its (2m)!/m! diagrams without, and
-    the (n(n−1))^m words on n strands, before commutation merges some of
-    them."""
+    the (n(n−1))^m words on n strands."""
     if skeleton == LONG:
         if "TC" in relset:
             return (m + 1) ** m
@@ -311,18 +272,17 @@ def _place(context, gaps, plans):
 
 def _placements(skeleton, ctx, products):
     """Ways to put three points on a context diagram, each the map from
-    every product (arrows between the points) to its canonical diagram.
-    The points are sites 0, 1, 2 on the long strand, and strands 1..n."""
+    every product (arrows between the points) to its diagram.  The points
+    are sites 0, 1, 2 on the long strand, and strands 1..n, where a
+    product's letters go between two letters of the context word."""
     if skeleton == LONG:
         plans = [_plan(arrows) for arrows in products]
         for gaps in combinations_with_replacement(range(2 * len(ctx) + 1), 3):
             yield dict(zip(products, _place(ctx, gaps, plans)))
     else:
-        n = skeleton[1]
         for pos in range(len(ctx) + 1):
             pre, post = ctx[:pos], ctx[pos:]
-            yield {arrows: canonical_word(pre + arrows + post, n)
-                   for arrows in products}
+            yield {arrows: pre + arrows + post for arrows in products}
 
 
 def _instances(points, relset):
@@ -378,6 +338,18 @@ def _isolated_arrow_relators(diagrams, relset):
             yield {d: 1}
 
 
+def _far_commutation_relators(words):
+    """Far commutation, read off the degree-m words on n strands: a word
+    equals the word with two adjacent letters on disjoint strand pairs
+    swapped.  Each pair of words is equated once, from the word whose
+    lesser letter comes first."""
+    for w in words:
+        for i in range(len(w) - 1):
+            a, b = w[i], w[i + 1]
+            if a < b and a[0] not in b and a[1] not in b:
+                yield {w: 1, w[:i] + (b, a) + w[i + 2:]: -1}
+
+
 def _check_relations(skeleton, relset):
     """Refuse unknown relation ids and skeletons, and RI/FI/CC off the long
     strand."""
@@ -393,10 +365,16 @@ def _check_relations(skeleton, relset):
 
 def _relators(skeleton, m, relset, diagrams=None):
     """The relators of ``generate_relations`` as {diagram: int} dicts,
-    produced lazily.  ``diagrams`` are the degree-m diagrams, when the
+    produced lazily, with far commutation on four or more strands whatever
+    ``relset`` holds.  ``diagrams`` are the degree-m diagrams, when the
     caller has them."""
     _check_relations(skeleton, relset)
     parts = [_two_arrow_relators(skeleton, m, relset)]
+    if skeleton != LONG and skeleton[1] >= 4 and m >= 2:
+        # on fewer strands no two letters are disjoint
+        if diagrams is None:
+            diagrams = enumerate_diagrams(skeleton, m)
+        parts.append(_far_commutation_relators(diagrams))
     if skeleton == LONG and relset & {"RI", "FI"} and m >= 1:
         if diagrams is None:
             diagrams = enumerate_diagrams(LONG, m)
@@ -608,12 +586,15 @@ class QuotientSpace:
     rows of (column, coefficient) pairs as they arrive; no relator is kept
     as a dict.  A signed union-find, whose weights are the ints ±1, takes
     the relators that are two diagrams with coefficients ±1 at once, also
-    when both are one class.  The longer rows (4T, 6T, CC) wait in one
-    packed array until the union-find is final; then they are folded onto
-    the surviving class representatives, deduplicated and echelonized in
-    integer rows, highest pivot first: a stored row has no support left of
-    its pivot, so a new row rarely meets a stored row that holds its
-    pivot, and back-elimination is left to rows that share a pivot.  The
+    when both are one class, and keeps the least column of a class as its
+    root: far commutation merges the words of a commutation class there,
+    so each strand class is read at its least word.  The longer rows (4T,
+    6T, CC) wait in one packed array until the union-find is final; then
+    they are folded onto the surviving class representatives, deduplicated
+    and echelonized in integer rows, highest pivot first: a stored row has
+    no support left of its pivot, so a new row rarely meets a stored row
+    that holds its pivot, and back-elimination is left to rows that share
+    a pivot.  The
     RREF is canonical, so the order changes the work, not the rows.  The
     quotient basis is the set of non-pivot classes.  A vector is projected
     in ints over the lcm of its denominators; ``_index`` sends each
@@ -747,7 +728,7 @@ class QuotientSpace:
             except (TypeError, ValueError):
                 ok = False
             if not ok:
-                raise ValueError("%r is not a canonical degree-%d diagram on "
+                raise ValueError("%r is not a degree-%d diagram on "
                                  "%r" % (d, self.m, self.skeleton))
             self._index[d] = self._class_column[tc_rank(d)]
         return self._index[d]
@@ -765,7 +746,8 @@ class QuotientSpace:
 
     def project_diagram(self, d):
         v = ArrowVector(self.skeleton, self.m)
-        v.add_term(canonical(self.skeleton, d), rat(1))
+        v.add_term(canonical_long(d) if self.skeleton == LONG else tuple(d),
+                   rat(1))
         return self.project(v)
 
 

@@ -19,7 +19,7 @@ from math import factorial
 
 from .rational import rat
 from .rings import laurent_at_exp, series_log
-from .arrows import LONG, strands, ArrowVector, canonical_word, quotient
+from .arrows import LONG, strands, ArrowVector, quotient
 from .jacobi import monomial_to_arrows, wheel_monomial_basis, concat
 from .linalg import SparseEchelon, integral
 from .gauss import GaussDiagram, self_linking
@@ -54,11 +54,9 @@ class TruncatedExpansion:
                 if self.skeleton == LONG:
                     out.comps[i + j] = out.comps[i + j] + concat(a, b)
                 else:
-                    n = self.skeleton[1]
                     for wa, ca in a.terms.items():
                         for wb, cb in b.terms.items():
-                            out.comps[i + j].add_term(
-                                canonical_word(wa + wb, n), ca * cb)
+                            out.comps[i + j].add_term(wa + wb, ca * cb)
         return out
 
 
@@ -103,9 +101,9 @@ def zed_braid(b, d, start=None):
             new = [{} for _ in range(d + 1)]
             for m in range(d + 1):
                 for k in range(m + 1):
-                    sign, kf = sgn ** k, factorial(k)
+                    sign, kf, tail = sgn ** k, factorial(k), (letter,) * k
                     for w, c in nums[m - k].items():
-                        key = canonical_word(w + (letter,) * k, n)
+                        key = w + tail
                         new[m][key] = new[m].get(key, 0) + sign * c // kf
             nums = [{w: c for w, c in acc.items() if c} for acc in new]
         pos[i - 1], pos[i] = pos[i], pos[i - 1]

@@ -10,7 +10,7 @@ from itertools import (combinations, combinations_with_replacement,
 from wknots.alexander import alexander_det
 from wknots.arrows import (LONG, TWO_ARROW_RELATIONS, ArrowVector,
                            QuotientSpace, _relators, canonical_long,
-                           canonical_word, enumerate_diagrams, strands)
+                           enumerate_diagrams, strands)
 from wknots.expansion import TruncatedExpansion, expansion_exp, wheels_reduce
 from wknots.freegroup import FreeAut, aut_compose
 from wknots.gauss import self_linking
@@ -282,8 +282,7 @@ def zed_braid_fractions(b, d, start=None):
                         continue
                     coeff = rat(sgn ** k, math.factorial(k))
                     for w, c in src.terms.items():
-                        nz.comps[m].add_term(
-                            canonical_word(w + (letter,) * k, n), c * coeff)
+                        nz.comps[m].add_term(w + (letter,) * k, c * coeff)
             z = nz
         pos[i - 1], pos[i] = pos[i], pos[i - 1]
     return z
@@ -437,9 +436,7 @@ def per_product_two_arrow_relators(skeleton, m, relset):
                       for gaps in combinations_with_replacement(
                           range(2 * len(ctx) + 1), 3)]
         else:
-            places = [lambda arrows, pos=pos:
-                      canonical_word(ctx[:pos] + arrows + ctx[pos:],
-                                     skeleton[1])
+            places = [lambda arrows, pos=pos: ctx[:pos] + arrows + ctx[pos:]
                       for pos in range(len(ctx) + 1)]
         for place in places:
             placed = {arrows: place(arrows) for arrows in products}

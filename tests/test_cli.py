@@ -102,6 +102,15 @@ def test_dims_deterministic(capsys):
     assert "dim 7" in first
 
 
+@pytest.mark.slow
+def test_dims_on_five_strands(capsys):
+    # degree 4 on five strands, where far commutation first needs the
+    # relators placed on every word
+    assert main(["--machine", "dims", "--skeleton", "strands:5", "--degree",
+                 "4", "--relations", "tc,4t"]) == 0
+    assert "dim4=21875" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("argv", [
     ["dims", "--degree", "7"],
     ["dims", "--skeleton", "strands:3", "--degree", "8"],
