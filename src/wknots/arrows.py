@@ -739,9 +739,14 @@ class QuotientSpace:
             raise AssertionError("reduced row touches a pivot class")
         return {self._position[r]: c for r, c in row.items()}
 
-    def project(self, v):
-        """Coordinates of an ArrowVector in the quotient basis, as ``Rat``."""
-        coords = self._positions(self._ech.reduce(*self._scaled_row(v)))
+    def project(self, v, den=1):
+        """Coordinates of the ArrowVector v / den in the quotient basis, as
+        ``Rat``: v's terms are scaled to ints over their own denominator,
+        and ``reduce`` divides by the product of the two once, at the end
+        (an int-valued v over den, as ``Z`` keeps its terms, builds no
+        fraction before that)."""
+        row, den_v = self._scaled_row(v)
+        coords = self._positions(self._ech.reduce(row, den_v * den))
         return [coords.get(i, ZERO) for i in range(self.dim)]
 
     def project_diagram(self, d):

@@ -110,9 +110,21 @@ def cmd_alexander(args):
     return 0
 
 
+# the highest degree of a long-strand build without TC: it indexes every
+# diagram and holds every relator, and {6T} takes about 0.4 s at degree 4
+# but minutes and gigabytes at degree 5
+LONG_WITHOUT_TC_DEGREE = 4
+
+
 def _check_size(skeleton, degree, relset):
-    """Refuse a quotient whose columns would not fit in memory."""
+    """Refuse a quotient whose columns would not fit in memory, or a long
+    one without TC above degree 4."""
     count = diagram_count(skeleton, degree, relset)
+    if (skeleton == LONG and "TC" not in relset
+            and degree > LONG_WITHOUT_TC_DEGREE):
+        raise ValueError("degree %d on long without TC indexes %d columns "
+                         "(diagrams); builds without TC stop at degree %d"
+                         % (degree, count, LONG_WITHOUT_TC_DEGREE))
     if count > MAX_COLUMNS:
         what = ("words" if skeleton != LONG else
                 "TC classes" if "TC" in relset else "diagrams")

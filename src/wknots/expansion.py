@@ -3,18 +3,22 @@
 ``zed_braid`` sends each crossing of a w-braid word to the exponential of a
 single arrow between the two crossing strands (tail on the over strand);
 ``zed_knot`` does the same along a long-knot Gauss diagram, summing over
-arrow supports counted per shape, each shape's terms memoized.  Both
-truncate at a degree cap d and sum integer numerators over d!.  On the
-long strand the quotient A^w(↑) is the commutative polynomial algebra on
-the single arrow ``a`` and the wheels; ``wheels_reduce`` reads an
-expansion's quotient coordinates in that wheel-monomial basis, and
-``predicted_from_alexander`` computes the same coordinates from the
-Alexander polynomial alone, inside the monomial algebra.
+arrow supports, walked depth-first and counted per shape, each shape's
+terms memoized.  Both truncate at a degree cap d and sum integer
+numerators over d!, and keep them: a ``TruncatedExpansion`` holds its
+components as numerators over one denominator ``den``, and
+``QuotientSpace.project`` divides by it once, after the reduction, so Z
+stays in ints from the supports to the echelon.  On the long strand the
+quotient A^w(↑) is the commutative polynomial algebra on the single arrow
+``a`` and the wheels; ``wheels_reduce`` reads an expansion's quotient
+coordinates in that wheel-monomial basis, and ``predicted_from_alexander``
+computes the same coordinates from the Alexander polynomial alone, inside
+the monomial algebra.
 """
 
+from bisect import bisect
 from collections import Counter
 from functools import cache, lru_cache
-from itertools import combinations
 from math import factorial
 
 from .rational import rat
@@ -28,11 +32,15 @@ from .wbraid import BraidWord
 
 
 class TruncatedExpansion:
-    """Per-degree arrow-vector components 0..d on one skeleton."""
+    """Per-degree arrow-vector components 0..d on one skeleton, over one
+    denominator: component m is ``comps[m] / den``.  ``zed_knot`` and
+    ``zed_braid`` keep int numerators over den = d!, so the sum over
+    supports and the quotient projection stay in ints."""
 
-    def __init__(self, skeleton, d):
+    def __init__(self, skeleton, d, den=1):
         self.skeleton = skeleton
         self.d = d
+        self.den = den
         self.comps = {m: ArrowVector(skeleton, m) for m in range(d + 1)}
 
     @classmethod
@@ -42,10 +50,11 @@ class TruncatedExpansion:
         return z
 
     def __mul__(self, other):
-        """Product by juxtaposition (long strand) or concatenation (words)."""
+        """Product by juxtaposition (long strand) or concatenation (words):
+        the numerators multiply, over the product of the denominators."""
         if (self.skeleton, self.d) != (other.skeleton, other.d):
             raise ValueError("mismatched expansions")
-        out = TruncatedExpansion(self.skeleton, self.d)
+        out = TruncatedExpansion(self.skeleton, self.d, self.den * other.den)
         for i in range(self.d + 1):
             for j in range(self.d + 1 - i):
                 a, b = self.comps[i], other.comps[j]
@@ -61,15 +70,16 @@ class TruncatedExpansion:
 
 
 def expansion_exp(e):
-    """exp of an expansion with zero degree-0 part."""
+    """exp of an expansion with zero degree-0 part, over denominator 1."""
     if not e.comps[0].is_zero():
         raise ValueError("exponential needs a zero constant term")
     out = TruncatedExpansion.unit(e.skeleton, e.d)
     term = TruncatedExpansion.unit(e.skeleton, e.d)
     for k in range(1, e.d + 1):
         term = term * e
+        scale = rat(1, factorial(k) * term.den)
         for m in range(e.d + 1):
-            out.comps[m] = out.comps[m] + term.comps[m] * rat(1, factorial(k))
+            out.comps[m] = out.comps[m] + term.comps[m] * scale
     return out
 
 
@@ -85,7 +95,7 @@ def zed_braid(b, d, start=None):
     gives the strand occupying each position initially (for composing
     expansions across a split word).  Flip letters are not supported.
     Every coefficient is a sum of products Π ±1/k! with Σk ≤ d, so d! times
-    it is an integer; those numerators are summed and divided by d! once.
+    it is an integer; those numerators are summed and kept, over den = d!.
     """
     if not isinstance(b, BraidWord):
         raise TypeError("expected a BraidWord")
@@ -121,25 +131,18 @@ def zed_knot(g, d, normalize=False):
     strand is a sum over supports: each set S of at most d arrows, in slot
     order, with each positive composition (k_c) of at most d over S, gives
     k_c parallel copies of arrow c with coefficient Π s_c^{k_c} / k_c!.
-    Supports are counted per shape (endpoint order, negative arrows), and
-    each shape's terms are laid out once by ``_support_terms``.
-    Coefficients are summed as integer numerators over d!.
+    Supports are counted per shape (``_support_shapes``), and each shape's
+    terms are laid out once by ``_support_terms``.  Coefficients are
+    summed as integer numerators over d!, and the result keeps them so
+    (``den`` = d!).
 
     With ``normalize`` the result is multiplied by exp(−sl·arrow), killing
     the writhe dependence (full kink removal on top of the kink-flip move).
     """
     if not isinstance(g, GaussDiagram):
         raise TypeError("expected a GaussDiagram")
-    arrows = g.canonical()
-    shapes = Counter()
-    for p in range(min(len(arrows), d) + 1):
-        for sub in combinations(arrows, p):
-            # endpoint 2c is the tail of sub[c], 2c + 1 its head
-            order = sorted(range(2 * p), key=lambda e: sub[e >> 1][e & 1])
-            neg = sum(1 << c for c in range(p) if sub[c][2] < 0)
-            shapes[tuple(order), neg] += 1
     nums = [{} for _ in range(d + 1)]
-    for (order, neg), mult in shapes.items():
+    for (order, neg), mult in _support_shapes(g.canonical(), d).items():
         for m, diagram, num, odd in _support_terms(order, d):
             # Π s_c^{k_c} is −1 when an odd number of negative k_c are odd
             if (odd & neg).bit_count() & 1:
@@ -152,6 +155,37 @@ def zed_knot(g, d, normalize=False):
             e.comps[1].add_term(((1, 2),), rat(-self_linking(g)))
         z = z * expansion_exp(e)
     return z
+
+
+def _support_shapes(arrows, d):
+    """Counter of the shapes (order, neg) of the supports of at most d of
+    the (tail, head, sign) ``arrows``, sorted by slot: ``order`` lists the
+    support's endpoints in slot order, endpoint 2c being the tail of its
+    c-th arrow and 2c + 1 the head, and bit c of ``neg`` is set when that
+    arrow is negative.  The supports are walked depth-first, adding arrows
+    in slot order: a node keeps its endpoint slots sorted, with ``order``
+    alongside, and a child copies both and inserts its arrow's tail and
+    head by bisection (list inserts run faster here than tuple slices)."""
+    shapes = Counter()
+    stack = [([], [], 0, 0)]  # (slots, order, neg, next arrow)
+    while stack:
+        slots, order, neg, nxt = stack.pop()
+        shapes[tuple(order), neg] += 1
+        e = len(order)
+        if e == 2 * d:
+            continue
+        bit = 1 << (e >> 1)
+        for j in range(nxt, len(arrows)):
+            t, h, s = arrows[j]
+            ts, to = slots.copy(), order.copy()
+            i = bisect(ts, t)
+            ts.insert(i, t)
+            to.insert(i, e)
+            i = bisect(ts, h)
+            ts.insert(i, h)
+            to.insert(i, e + 1)
+            stack.append((ts, to, neg | bit if s < 0 else neg, j + 1))
+    return shapes
 
 
 @lru_cache(maxsize=4096)
@@ -184,10 +218,11 @@ def _compositions(p, d):
 
 
 def _from_numerators(skeleton, d, nums):
-    """The expansion whose degree-m terms are nums[m] / d!."""
-    z, fact = TruncatedExpansion(skeleton, d), factorial(d)
+    """The expansion whose degree-m terms are nums[m] / d!: the nonzero
+    int numerators, kept as they are, over den = d!."""
+    z = TruncatedExpansion(skeleton, d, factorial(d))
     for comp, acc in zip(z.comps.values(), nums):
-        comp.terms = {w: rat(c, fact) for w, c in acc.items() if c}
+        comp.terms = {w: c for w, c in acc.items() if c}
     return z
 
 
@@ -208,7 +243,7 @@ def project_expansion(z, flags=frozenset()):
     out = []
     for m in range(z.d + 1):
         q = get_quotient(z.skeleton, m, {"TC", "4T"} | set(flags))
-        out.append(tuple(q.project(z.comps[m])))
+        out.append(tuple(q.project(z.comps[m], z.den)))
     return out
 
 
@@ -244,7 +279,7 @@ def wheels_reduce(z, flags=frozenset({"RI"})):
         q = get_quotient(LONG, m, {"TC", "4T"} | flags)
         monos = wheel_monomial_basis(m, flags)
         row = _wheel_echelon(m, flags).reduce(
-            *integral(dict(enumerate(q.project(z.comps[m])))))
+            *integral(dict(enumerate(q.project(z.comps[m], z.den)))))
         residual = {c: v for c, v in row.items() if c < q.dim}
         if residual:
             raise ValueError("component of degree %d outside the wheel "

@@ -4,6 +4,7 @@ they only fit small inputs."""
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 
@@ -314,6 +315,20 @@ def zed_knot_recursive(g, d, normalize=False):
             e.comps[1].add_term(((1, 2),), rat(-self_linking(g)))
         z = z * expansion_exp(e)
     return z
+
+
+def support_shapes_by_combinations(arrows, d):
+    """``expansion._support_shapes`` over ``itertools.combinations``: each
+    support of at most d of the slot-sorted ``arrows`` sorts its endpoints
+    by slot afresh."""
+    shapes = Counter()
+    for p in range(min(len(arrows), d) + 1):
+        for sub in combinations(arrows, p):
+            # endpoint 2c is the tail of sub[c], 2c + 1 its head
+            order = sorted(range(2 * p), key=lambda e: sub[e >> 1][e & 1])
+            neg = sum(1 << c for c in range(p) if sub[c][2] < 0)
+            shapes[tuple(order), neg] += 1
+    return shapes
 
 
 def _insert_long(context, placements):
@@ -738,7 +753,7 @@ class DictFoldQuotient(QuotientSpace):
 
 
 # --------------------------------------------------------------------------
-# The w-braid action letter by letter, and the slide-move table
+# The w-braid action letter by letter
 # --------------------------------------------------------------------------
 
 def braid_action_by_letters(b):
@@ -749,6 +764,70 @@ def braid_action_by_letters(b):
         aut = aut_compose(aut, letter_action(b.n, letter))
     return aut
 
+
+# --------------------------------------------------------------------------
+# Z against the action on the free group: a letter (p, q) acts on the free
+# algebra Q<X_1..X_n> as the derivation X_q -> [X_q, X_p], and the Magnus
+# expansion x_i -> e^{X_i} carries F_n into that algebra.  Polynomials are
+# dicts {word of generator indices: Rat}, truncated above a degree ``top``.
+# --------------------------------------------------------------------------
+
+def _poly_mul(u, v, top):
+    out = {}
+    for a, x in u.items():
+        for b, y in v.items():
+            if len(a) + len(b) <= top:
+                out[a + b] = out.get(a + b, 0) + x * y
+    return {w: c for w, c in out.items() if c}
+
+
+def magnus_expansion(word, top):
+    """The Magnus expansion of a free-group word ((generator, ±1), ...):
+    the product of the e^{±X_i}, through degree ``top``."""
+    out = {(): Rat(1)}
+    for g, e in word:
+        out = _poly_mul(out, {(g,) * k: rat(e ** k, math.factorial(k))
+                              for k in range(top + 1)}, top)
+    return out
+
+
+def letter_derivation(poly, letter, top, sign=1):
+    """The derivation of a letter (p, q), X_q -> sign·[X_q, X_p] and every
+    other generator fixed, applied to a polynomial, through degree
+    ``top``."""
+    p, q = letter
+    out = {}
+    for w, c in poly.items():
+        if len(w) < top:
+            for k, x in enumerate(w):
+                if x == q:
+                    for rep, s in (((q, p), sign), ((p, q), -sign)):
+                        key = w[:k] + rep + w[k + 1:]
+                        out[key] = out.get(key, 0) + s * c
+    return {w: c for w, c in out.items() if c}
+
+
+def expansion_on_exponential(z, j, sign=1, first_letter_first=True):
+    """Z(b) applied to e^{X_j}: each word of z acts by its letters'
+    derivations, its first letter applied first (or last), through
+    X-degree z.d + 1.  A word of length k raises the degree by k, so the
+    words of z, at most d letters long, give every term of that degree."""
+    top = z.d + 1
+    base = magnus_expansion(((j, 1),), top)
+    out = {}
+    for comp in z.comps.values():
+        for w, c in comp.terms.items():
+            poly = base
+            for letter in (w if first_letter_first else w[::-1]):
+                poly = letter_derivation(poly, letter, top, sign)
+            for key, v in poly.items():
+                out[key] = out.get(key, 0) + Rat(c) / z.den * v
+    return {w: c for w, c in out.items() if c}
+
+
+# --------------------------------------------------------------------------
+# The slide-move table
+# --------------------------------------------------------------------------
 
 # The legal slide configurations as the table ``gauss._is_slide`` replaced:
 # three arrows (tail pair, tail offset, head pair, head offset, sign) on the

@@ -394,6 +394,21 @@ def test_project_is_linear(case):
     assert type(den) is int and all(type(c) is int for c in row.values())
 
 
+@settings(max_examples=150, deadline=None)
+@given(rational_combinations(), st.integers(1, 5040), st.booleans())
+def test_project_over_a_denominator(case, den, ints):
+    # project(v, den) reads v / den; with ints, v holds plain int values,
+    # as Z keeps its numerators over den = d!
+    q, terms = case
+    v = ArrowVector(q.skeleton, q.m, terms)
+    if ints:  # every denominator the strategy draws divides 360
+        v.terms = {d: int(c * 360) for d, c in v.terms.items()}
+        assert all(type(c) is int for c in v.terms.values())
+    got = q.project(v, den)
+    assert got == q.project(v * rat(1, den))
+    assert all(type(c) is Rat for c in got)
+
+
 def test_project_rejects_foreign_diagrams():
     q = quotient(LONG, 2, {"TC", "4T"})
     with pytest.raises(ValueError, match=r"\(\(1, 2\),\) is not"):

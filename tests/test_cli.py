@@ -123,18 +123,44 @@ def test_dims_on_five_strands(capsys):
 def test_oversized_quotients_rejected(argv, capsys, monkeypatch):
     # the long strand at degree 7 has 17,297,280 diagrams: refuse before
     # enumerating any
+    err = refused_before_a_build(argv, capsys, monkeypatch)
+    assert err.startswith("error: degree ")
+    assert "more than the 665280 of the long strand" in err
+
+
+def refused_before_a_build(argv, capsys, monkeypatch):
+    """Run argv with every quotient build and Z refusing to start; assert
+    exit 2 with nothing on stdout, and return stderr."""
     import wknots.arrows
 
     def refuse(*args):
         raise AssertionError("a build started")
     monkeypatch.setattr(wknots.arrows, "enumerate_diagrams", refuse)
+    monkeypatch.setattr(wknots.cli, "quotient", refuse)
     monkeypatch.setattr(wknots.cli, "zed_knot", refuse)
     argv = [os.path.join(DATA, "3_1.pd") if a == "KNOT" else a for a in argv]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: degree ")
-    assert "more than the 665280 of the long strand" in err
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--relations", "6t", "--degree", "5"],
+    ["dims", "--relations", "4t,ri", "--degree", "6"],
+    ["dims", "--relations", "", "--degree", "5"]])
+def test_long_builds_without_tc_stop_at_degree_4(argv, capsys, monkeypatch):
+    # {6T} at degree 5 has only 30,240 columns, but takes minutes and
+    # gigabytes to build
+    err = refused_before_a_build(argv, capsys, monkeypatch)
+    assert err.startswith("error: degree %s on long without TC " % argv[-1])
+    assert "builds without TC stop at degree 4" in err
+
+
+def test_long_build_without_tc_at_degree_4(capsys):
+    assert main(["--machine", "dims", "--relations", "6t",
+                 "--degree", "4"]) == 0
+    assert "dim4=139" in capsys.readouterr().out.splitlines()
 
 
 def test_wheels_basis(capsys):

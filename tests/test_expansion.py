@@ -2,21 +2,26 @@ import hashlib
 import random
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wknots.rational import Rat, rat
-from wknots.wbraid import word, braid_from_text, relation_table
+from wknots.wbraid import (SIGMA, VIRT, BraidWord, braid_action,
+                           braid_from_text, braid_skeleton, perm_identity,
+                           relation_table, word)
 from wknots.gauss import GaussDiagram, braid_closure, apply_move, pd_to_gauss
 from wknots.alexander import knot_inventory
 from wknots.arrows import LONG
 from wknots.expansion import (TruncatedExpansion, expansion_exp, zed_braid,
                               zed_knot, project_expansion, wheels_reduce,
-                              predicted_from_alexander, _support_terms)
+                              predicted_from_alexander, _support_shapes,
+                              _support_terms)
 
-from oracles import (arrow_side_prediction, zed_braid_fractions,
-                     zed_knot_recursive)
+from oracles import (arrow_side_prediction, expansion_on_exponential,
+                     magnus_expansion, support_shapes_by_combinations,
+                     zed_braid_fractions, zed_knot_recursive)
 
 # w-braids whose closures have non-palindromic Alexander polynomials
 W_BRAIDS = (
@@ -27,20 +32,26 @@ W_BRAIDS = (
 )
 
 
+def values(z, m):
+    """Component m of an expansion as {diagram: Rat}: each numerator over
+    the expansion's denominator."""
+    return {w: Rat(c) / z.den for w, c in z.comps[m].terms.items()}
+
+
 def test_crossing_is_exponential():
     z = zed_braid(word(2, "s1"), 3)
     # degree k coefficient of the single letter a_(1,2) is 1/k!
     letter = (1, 2)
     for k in range(4):
-        assert z.comps[k].terms.get((letter,) * k) == rat(Fraction(
-            1, [1, 1, 2, 6][k]))
+        assert values(z, k) == {(letter,) * k: rat(Fraction(
+            1, [1, 1, 2, 6][k]))}
 
 
 def test_inverse_crossing_signs():
     z = zed_braid(word(2, "S1"), 2)
     # the inverse crossing has strand 2 passing over strand 1
-    assert z.comps[1].terms[((2, 1),)] == -1
-    assert z.comps[2].terms[((2, 1), (2, 1))] == rat(Fraction(1, 2))
+    assert values(z, 1) == {((2, 1),): rat(-1)}
+    assert values(z, 2) == {((2, 1), (2, 1)): rat(Fraction(1, 2))}
 
 
 def test_zed_braid_multiplicative():
@@ -52,7 +63,10 @@ def test_zed_braid_multiplicative():
         from wknots.wbraid import braid_skeleton
         za = zed_braid(a, 3)
         zb = zed_braid(b, 3, start=braid_skeleton(a))
-        assert (za * zb).comps == zed_braid(a * b, 3).comps
+        zab = zed_braid(a * b, 3)
+        assert (za * zb).den == zab.den ** 2
+        for m in range(4):
+            assert values(za * zb, m) == values(zab, m)
 
 
 def test_zed_braid_respects_relations_small():
@@ -69,7 +83,7 @@ def test_zed_braid_rejects_flips():
 
 def test_zed_knot_unknot():
     z = zed_knot(GaussDiagram(()), 3)
-    assert z.comps[0].terms == {(): rat(1)}
+    assert values(z, 0) == {(): rat(1)}
     assert all(z.comps[m].is_zero() for m in (1, 2, 3))
 
 
@@ -176,14 +190,17 @@ def test_wheel_coordinates_are_rat():
 # the integer kernels of zed_knot and zed_braid against the rational oracles
 # --------------------------------------------------------------------------
 
-def assert_same_terms(z, oracle):
-    # equal terms with Rat values; the key order may differ where terms
-    # cancel, and neither ArrowVector.__eq__ nor project reads it
+def assert_same_terms(z, oracle, numerator=int):
+    # the same values, exactly: the library's numerators over its den = d!
+    # against the oracle's Rat terms over 1.  The key order may differ
+    # where terms cancel, and neither ArrowVector.__eq__ nor project reads
+    # it.  Z keeps int numerators; normalizing multiplies them by Rat terms
     assert (z.skeleton, z.d) == (oracle.skeleton, oracle.d)
+    assert (z.den, oracle.den) == (factorial(z.d), 1)
     assert z.comps.keys() == oracle.comps.keys()
     for m, v in z.comps.items():
-        assert v.terms == oracle.comps[m].terms
-        assert all(type(c) is Rat for c in v.terms.values())
+        assert values(z, m) == oracle.comps[m].terms
+        assert all(type(c) is numerator for c in v.terms.values())
 
 
 @st.composite
@@ -206,7 +223,16 @@ def gauss_diagrams(draw):
 @given(gauss_diagrams(), st.integers(0, 6), st.booleans())
 def test_zed_knot_matches_recursive_oracle(g, d, normalize):
     assert_same_terms(zed_knot(g, d, normalize),
-                      zed_knot_recursive(g, d, normalize))
+                      zed_knot_recursive(g, d, normalize),
+                      Rat if normalize else int)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gauss_diagrams(), st.integers(0, 6))
+def test_support_walk_matches_combinations(g, d):
+    arrows = g.canonical()
+    assert _support_shapes(arrows, d) == \
+        support_shapes_by_combinations(arrows, d)
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,7 +241,11 @@ def test_zed_knot_same_with_cold_and_warm_shapes(g, d):
     # a cached support shape must come back unchanged after use
     _support_terms.cache_clear()
     cold = zed_knot(g, d)
-    assert_same_terms(zed_knot(g, d), cold)
+    warm = zed_knot(g, d)
+    assert warm.den == cold.den == factorial(d)
+    for m in range(d + 1):
+        assert warm.comps[m].terms == cold.comps[m].terms
+        assert all(type(c) is int for c in warm.comps[m].terms.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,6 +266,56 @@ def test_zed_matches_oracles_on_bundled_knots():
     assert len(knots) == 18
     for g in knots:
         assert_same_terms(zed_knot(g, 5), zed_knot_recursive(g, 5))
+
+
+# --------------------------------------------------------------------------
+# Z on pure w-braids against the action on the free group
+# --------------------------------------------------------------------------
+
+@st.composite
+def pure_w_braids(draw):
+    """One to six letters, virtual ones included, on two to four strands,
+    then the virtual letters that bring every strand back to its start."""
+    n = draw(st.integers(2, 4))
+    letters = draw(st.lists(st.one_of(
+        st.builds(lambda i: (VIRT, i, 1), st.integers(1, n - 1)),
+        st.tuples(st.just(SIGMA), st.integers(1, n - 1),
+                  st.sampled_from((1, -1)))), min_size=1, max_size=6))
+    pos = list(range(1, n + 1))
+    for _, i, _ in letters:
+        pos[i - 1], pos[i] = pos[i], pos[i - 1]
+    for _ in range(n):  # bubble sort, by virtual letters
+        for i in range(1, n):
+            if pos[i - 1] > pos[i]:
+                pos[i - 1], pos[i] = pos[i], pos[i - 1]
+                letters.append((VIRT, i, 1))
+    return BraidWord(n, tuple(letters))
+
+
+def acts_as_braid_action(b, d, sign=1, first_letter_first=True):
+    """Z(b) applied to each e^{X_j} is the Magnus expansion of x_j's image
+    under ``braid_action``, through X-degree d + 1."""
+    z, images = zed_braid(b, d), braid_action(b).images
+    return all(expansion_on_exponential(z, j, sign, first_letter_first)
+               == magnus_expansion(images[j - 1], d + 1)
+               for j in range(1, b.n + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pure_w_braids(), st.sampled_from((3, 4)))
+def test_zed_braid_matches_free_group_action(b, d):
+    assert braid_skeleton(b) == perm_identity(b.n)
+    assert acts_as_braid_action(b, d)
+
+
+def test_free_group_action_convention():
+    # a letter (p, q) acts as X_q -> [X_q, X_p], the first letter of a
+    # word first; on the full twist s1 s1 each of the other three
+    # conventions disagrees with braid_action
+    b = word(2, "s1 s1")
+    assert acts_as_braid_action(b, 3)
+    for sign, first in ((-1, True), (1, False), (-1, False)):
+        assert not acts_as_braid_action(b, 3, sign, first)
 
 
 # sha256 of the degree-5 projected Z ({TC,4T,RI}) and of its wheel
