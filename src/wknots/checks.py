@@ -26,21 +26,23 @@ from . import lieweights as lw
 from .gauss import pd_to_gauss
 
 
-def random_braid(rng, n, length, allow_virtual=True):
+def random_braid(rng, n, length):
+    """A w-braid word; each letter is virtual with probability 0.3."""
     letters = []
     for _ in range(length):
         i = rng.randrange(1, n)
-        if allow_virtual and rng.random() < 0.3:
+        if rng.random() < 0.3:
             letters.append((VIRT, i, 1))
         else:
             letters.append((SIGMA, i, rng.choice((1, -1))))
     return BraidWord(n, tuple(letters))
 
 
-def random_knot_diagram(rng, nmax=4, length=7):
-    """Closure of a random braid, retried until the closure is a knot."""
+def random_knot_diagram(rng, length=7):
+    """Closure of a random braid on 2-4 strands, retried until the closure
+    is a knot."""
     while True:
-        n = rng.randrange(2, nmax + 1)
+        n = rng.randrange(2, 5)
         b = random_braid(rng, n, length)
         try:
             return braid_closure(b)

@@ -94,7 +94,9 @@ def cmd_alexander(args):
     results = {}
     if method in ("matrix", "both"):
         g = _load_diagram(args.diagram, text)
-        series, poly = alexander_matrix(g, d=args.degree)
+        # --degree truncates the series, so it is read only with --series
+        series, poly = (alexander_matrix(g, d=args.degree) if args.series
+                        else alexander_matrix(g))
         results["matrix"] = poly
         if args.series:
             _emit(args.machine, "series", "A(e^x) = %s", series)
@@ -145,9 +147,8 @@ def cmd_zed(args):
     if args.basis == "wheels":
         coords = wheels_reduce(z)
         for m, comp in enumerate(coords):
-            key = lambda mo: tuple(("a", 1) if t == "a" else t for t in mo)
-            vals = " ".join("%s:%s" % (_mono_name(mono), comp[mono])
-                            for mono in sorted(comp, key=key))
+            vals = " ".join("%s:%s" % (_mono_name(mono), c)
+                            for mono, c in comp.items())
             _emit(args.machine, "degree%d" % m, "degree %d: %%s" % m,
                   vals or "0")
     else:
@@ -237,7 +238,7 @@ def build_parser():
                    help="default: both for a PD code, matrix otherwise "
                    "(Fox needs a PD code)")
     q.add_argument("--degree", type=int, default=5,
-                   help="series truncation degree")
+                   help="series truncation degree (with --series)")
     q.add_argument("--series", action="store_true",
                    help="also print A(e^x) and its log")
     q.set_defaults(fn=cmd_alexander)

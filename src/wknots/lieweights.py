@@ -42,27 +42,6 @@ class LieData:
         return self.c.get((j, k), {})
 
 
-def lie_from_text(text):
-    """Parse `dim=r` plus `c[j,k,l]=q` lines (q a rational literal)."""
-    r = None
-    c = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if ln.startswith("dim="):
-            r = int(ln[4:])
-            continue
-        if not (ln.startswith("c[") and "=" in ln):
-            raise ValueError("bad line: %r" % ln)
-        lhs, q = ln.split("=", 1)
-        j, k, l = (int(x) for x in lhs[2:-1].split(","))
-        c.setdefault((j, k), {})[l] = Rat(q)
-    if r is None:
-        raise ValueError("missing dim= line")
-    return LieData(r, c)
-
-
 def lie_validate(L):
     """Antisymmetry and the Jacobi identity, checked exactly."""
     r = L.r

@@ -33,13 +33,13 @@ from .rational import Rat
 from .rings import LaurentPoly
 
 
-def integral(row, den=1):
-    """(row·l, den·l) with l the lcm of the denominators of the row's int
-    or ``Rat`` values: the same row as ints over one denominator, zero
-    values dropped."""
+def integral(row):
+    """(row·l, l) with l the lcm of the denominators of the row's int or
+    ``Rat`` values: the same row as ints over one denominator, zero values
+    dropped."""
     l = lcm(*(v.denominator for v in row.values()))
     return {c: v.numerator * (l // v.denominator)
-            for c, v in row.items() if v}, den * l
+            for c, v in row.items() if v}, l
 
 
 class SparseEchelon:

@@ -246,19 +246,6 @@ def laurent_at_exp(p: LaurentPoly, d: int) -> TruncSeries:
                                math.factorial(k)) for k in range(d + 1)])
 
 
-def series_exp(s: TruncSeries) -> TruncSeries:
-    """exp(s) = sum s^k / k!, requires s to have zero constant term."""
-    if s.coeffs[0]:
-        raise ValueError("series_exp requires zero constant term")
-    d = s.cap
-    out = TruncSeries.const(d, 1)
-    term = TruncSeries.const(d, 1)
-    for k in range(1, d + 1):
-        term = term * s
-        out = out + term * rat(1, math.factorial(k))
-    return out
-
-
 def series_log(s: TruncSeries) -> TruncSeries:
     """log(s) for s with constant term 1, from s·L' = s': the recurrence
     n·L_n = n·s_n − Σ_{k=1}^{n−1} k·L_k·s_{n−k}, O(d²) in all."""

@@ -1,13 +1,13 @@
-"""v/w-braid words, the action on the free group, and the word problem.
+"""w-braid words, the action on the free group, and the word problem.
 
 A braid word is a sequence of generators sigma_i^{+-1} (real crossings,
 tokens `s<i>`/`S<i>`), s_i (virtual crossings, token `v<i>`) and, with
 the extended flag, ring flips rho_i (token `f<i>`).  Words read left to
 right as a movie bottom to top.
 
-Equality of w-braids is decided through the basis-conjugating action on
-F_n, which is faithful on wB_n; on vB_n the action is not faithful, so
-only a sound one-sided refutation is offered there.
+Every word is read in wB_n (with flips, in its extension by the ring
+flips), where equality is decided through the basis-conjugating action
+on F_n, which is faithful there.
 """
 
 from __future__ import annotations
@@ -21,19 +21,16 @@ SIGMA, VIRT, FLIP = "s", "v", "f"
 
 class BraidWord:
     """A braid word on n strands: `letters` is a tuple of (kind, index,
-    sign), sign ±1 for SIGMA and +1 otherwise; flips need `extended`, and
-    `group` is "w" or "v".  An immutable value: equal and hashed by its
-    four fields."""
+    sign), sign ±1 for SIGMA and +1 otherwise; flips need `extended`.
+    An immutable value: equal and hashed by its three fields."""
 
-    __slots__ = ("n", "letters", "extended", "group")
+    __slots__ = ("n", "letters", "extended")
 
-    def __init__(self, n, letters, extended=False, group="w"):
-        for name, value in zip(self.__slots__, (n, letters, extended, group)):
+    def __init__(self, n, letters, extended=False):
+        for name, value in zip(self.__slots__, (n, letters, extended)):
             object.__setattr__(self, name, value)
         if self.n < 1:
             raise ValueError(f"a braid needs a strand, not n={self.n}")
-        if self.group not in ("w", "v"):
-            raise ValueError("group must be 'w' or 'v'")
         for kind, i, sign in self.letters:
             if kind in (SIGMA, VIRT):
                 if not 1 <= i <= self.n - 1:
@@ -49,7 +46,7 @@ class BraidWord:
                 raise ValueError("sigma letters carry sign +-1")
 
     def _fields(self):
-        return self.n, self.letters, self.extended, self.group
+        return self.n, self.letters, self.extended
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -60,8 +57,7 @@ class BraidWord:
         return hash(self._fields())
 
     def __repr__(self):
-        return ("BraidWord(n=%r, letters=%r, extended=%r, group=%r)"
-                % self._fields())
+        return "BraidWord(n=%r, letters=%r, extended=%r)" % self._fields()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -76,7 +72,7 @@ class BraidWord:
         if self.n != other.n:
             raise ValueError("strand count mismatch")
         return BraidWord(self.n, self.letters + other.letters,
-                         self.extended or other.extended, self.group)
+                         self.extended or other.extended)
 
     def to_text(self):
         toks = []
@@ -193,27 +189,13 @@ def braid_action(b: BraidWord) -> FreeAut:
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Decide equality in wB_n (extended: with flips).
-
-    Raises on v-braids: the action is not known to be faithful there,
-    see braid_distinct for the sound one-sided test.
-    """
+    """Decide equality in wB_n (extended: with flips): the same skeleton
+    and the same action on F_n, which is faithful there."""
     if a.n != b.n:
         raise ValueError("strand count mismatch")
-    if a.group == "v" or b.group == "v":
-        raise ValueError("equality is only decidable for w-braids; "
-                         "use braid_distinct for a sound v-braid refutation")
     if braid_skeleton(a) != braid_skeleton(b):
         return False
     return braid_action(a) == braid_action(b)
-
-
-def braid_distinct(a: BraidWord, b: BraidWord) -> bool:
-    """Sound one-sided test usable for v-braids: True means definitely
-    distinct; False is inconclusive for v-braids."""
-    if a.n != b.n:
-        raise ValueError("strand count mismatch")
-    return braid_skeleton(a) != braid_skeleton(b) or braid_action(a) != braid_action(b)
 
 
 # --- structural operations ---------------------------------------------------
@@ -224,7 +206,7 @@ def braid_invert(b: BraidWord) -> BraidWord:
     out = []
     for kind, i, sign in reversed(b.letters):
         out.append((kind, i, -sign if kind == SIGMA else sign))
-    return BraidWord(b.n, tuple(out), b.extended, b.group)
+    return BraidWord(b.n, tuple(out), b.extended)
 
 
 def braid_delete_strand(b: BraidWord, k: int) -> BraidWord:
@@ -246,7 +228,7 @@ def braid_delete_strand(b: BraidWord, k: int) -> BraidWord:
             pos = i
             continue
         out.append((kind, i - (1 if i > pos else 0), sign))
-    return BraidWord(b.n - 1, tuple(out), b.extended, b.group)
+    return BraidWord(b.n - 1, tuple(out), b.extended)
 
 
 def braid_clone_strand(b: BraidWord, k: int) -> BraidWord:
@@ -276,7 +258,7 @@ def braid_clone_strand(b: BraidWord, k: int) -> BraidWord:
             pos = i
         else:
             out.append((kind, i + (1 if i > pos else 0), sign))
-    return BraidWord(b.n + 1, tuple(out), b.extended, b.group)
+    return BraidWord(b.n + 1, tuple(out), b.extended)
 
 
 # --- relation table ----------------------------------------------------------

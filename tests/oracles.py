@@ -825,6 +825,18 @@ def expansion_on_exponential(z, j, sign=1, first_letter_first=True):
     return {w: c for w, c in out.items() if c}
 
 
+def delete_strand_from_expansion(z, k):
+    """ε_k on an expansion over strands(n): every word with a letter on
+    strand k dropped, and the strands above k numbered one lower."""
+    out = TruncatedExpansion(strands(z.skeleton[1] - 1), z.d, z.den)
+    for m, comp in z.comps.items():
+        for w, c in comp.terms.items():
+            if all(k not in letter for letter in w):
+                out.comps[m].add_term(tuple(tuple(p - (p > k) for p in letter)
+                                            for letter in w), c)
+    return out
+
+
 # --------------------------------------------------------------------------
 # The slide-move table
 # --------------------------------------------------------------------------

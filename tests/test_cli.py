@@ -82,6 +82,19 @@ def test_alexander_series_needs_matrix(capsys):
     assert keys[:2] == ["series", "log_series"]
 
 
+def test_alexander_degree_only_truncates_the_series(capsys):
+    # without --series no series is printed, so --degree is not read
+    pd = os.path.join(DATA, "4_1.pd")
+    assert main(["--machine", "alexander", pd]) == 0
+    default = capsys.readouterr().out
+    assert main(["--machine", "alexander", pd, "--degree", "0"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(["alexander", pd, "--series", "--degree", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: series truncation degree must be >= 1\n"
+
+
 def test_zed_wheels(capsys, tmp_path):
     f = tmp_path / "t.braid"
     f.write_text("n=2\ns1 s1 s1\n")

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from wknots.rational import Rat, rat
 from wknots.wbraid import (SIGMA, VIRT, BraidWord, braid_action,
-                           braid_from_text, braid_skeleton, perm_identity,
-                           relation_table, word)
+                           braid_delete_strand, braid_from_text,
+                           braid_skeleton, perm_identity, relation_table,
+                           word)
 from wknots.gauss import GaussDiagram, braid_closure, apply_move, pd_to_gauss
 from wknots.alexander import knot_inventory
 from wknots.arrows import LONG
@@ -19,9 +20,10 @@ from wknots.expansion import (TruncatedExpansion, expansion_exp, zed_braid,
                               predicted_from_alexander, _support_shapes,
                               _support_terms)
 
-from oracles import (arrow_side_prediction, expansion_on_exponential,
-                     magnus_expansion, support_shapes_by_combinations,
-                     zed_braid_fractions, zed_knot_recursive)
+from oracles import (arrow_side_prediction, delete_strand_from_expansion,
+                     expansion_on_exponential, magnus_expansion,
+                     support_shapes_by_combinations, zed_braid_fractions,
+                     zed_knot_recursive)
 
 # w-braids whose closures have non-palindromic Alexander polynomials
 W_BRAIDS = (
@@ -255,6 +257,21 @@ def test_zed_braid_matches_rational_oracle(seed, n, length, d):
     from wknots.checks import random_braid
     b = random_braid(random.Random(seed), n, length)
     assert_same_terms(zed_braid(b, d), zed_braid_fractions(b, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 4), st.integers(0, 8),
+       st.sampled_from((3, 4)))
+def test_zed_braid_commutes_with_strand_deletion(seed, n, length, d):
+    from wknots.checks import random_braid
+    b = random_braid(random.Random(seed), n, length)
+    z = zed_braid(b, d)
+    for k in range(1, n + 1):
+        got = zed_braid(braid_delete_strand(b, k), d)
+        want = delete_strand_from_expansion(z, k)
+        assert (got.skeleton, got.den) == (want.skeleton, want.den)
+        assert [got.comps[m].terms for m in range(d + 1)] == \
+            [want.comps[m].terms for m in range(d + 1)]
 
 
 def test_zed_matches_oracles_on_bundled_knots():

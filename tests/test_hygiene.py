@@ -1,9 +1,9 @@
 """Source hygiene: every name a ``wknots`` module imports is used in it,
 every import but one sits at the top of its module, no module imports
 ``dataclasses``, no ``.get`` default builds a fresh ``Rat`` zero,
-every name a module defines at top level is referenced
-somewhere in the project, and the package-data globs and the data files
-match each other."""
+every name a module defines at top level is referenced in ``src/``, the
+benchmark or the test oracles (or is listed as API only tests use), and
+the package-data globs and the data files match each other."""
 
 import ast
 from pathlib import Path
@@ -14,8 +14,6 @@ import wknots
 
 MODULES = sorted(Path(wknots.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
-PROJECT = sorted(p for d in ("src", "tests", "perfbench")
-                 for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -129,31 +127,36 @@ def test_imports_sit_at_the_top():
     assert found == FUNCTION_IMPORTS
 
 
-def top_level_names(source):
-    """Functions, classes and assigned names a module defines at top
-    level, including inside top-level ``if`` and ``try`` blocks."""
-    names = set()
-    stmts = list(ast.parse(source).body)
-    while stmts:
-        node = stmts.pop()
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = getattr(node, "targets", None) or [node.target]
-            names.update(n.id for t in targets for n in ast.walk(t)
-                         if isinstance(n, ast.Name))
-        elif isinstance(node, (ast.If, ast.Try)):
-            stmts += node.body + node.orelse + getattr(node, "finalbody", [])
-            stmts += [s for h in getattr(node, "handlers", []) for s in h.body]
-    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+def top_level_definitions(body):
+    """(name, statement) for each function, class and assigned name a
+    module body defines at top level, the statement being the top-level
+    one that holds it (a definition inside a top-level ``if`` or ``try``
+    block is held by that block)."""
+    found = []
+    for top in body:
+        stmts = [top]
+        while stmts:
+            node = stmts.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found.append((node.name, top))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                found += [(n.id, top) for t in targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name)]
+            elif isinstance(node, (ast.If, ast.Try)):
+                stmts += node.body + node.orelse + getattr(node, "finalbody",
+                                                           [])
+                stmts += [s for h in getattr(node, "handlers", [])
+                          for s in h.body]
+    return found
 
 
-def referenced_names(source):
-    """Names a source reads, imports by name, reads as an attribute, or
+def referenced_names(tree):
+    """Names an AST reads, imports by name, reads as an attribute, or
     spells out as a whole string constant (as ``perfbench/trace.py`` names
     the functions it wraps)."""
     refs = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -165,21 +168,47 @@ def referenced_names(source):
     return refs
 
 
+def unreferenced_names(source, elsewhere):
+    """Top-level names of a module, dunder names aside, that neither the
+    names ``elsewhere`` nor any other top-level statement of the module
+    reference: a name used only in its own definition counts as unused."""
+    body = ast.parse(source).body
+    refs = [referenced_names(stmt) for stmt in body]
+    return {name for name, top in top_level_definitions(body)
+            if not (name.startswith("__") and name.endswith("__"))
+            and name not in elsewhere
+            and not any(name in r for stmt, r in zip(body, refs)
+                        if stmt is not top)}
+
+
 def test_unreferenced_name_is_detected():
     src = ("try:\n    A = 1\nexcept ImportError:\n    B = 2\n"
-           "def f():\n    return A\nclass C:\n    pass\n__all__ = []\n")
-    assert top_level_names(src) == {"A", "B", "f", "C"}
-    assert top_level_names(src) - referenced_names(src + "g = C\n") == \
-        {"B", "f"}
+           "def f():\n    return f() + A\nclass C:\n    pass\n"
+           "def g():\n    return C\n__all__ = []\n")
+    assert {name for name, _ in top_level_definitions(ast.parse(src).body)
+            } == {"A", "B", "f", "C", "g", "__all__"}
+    assert unreferenced_names(src, set()) == {"B", "f", "g"}
+    assert unreferenced_names(src, {"g", "f"}) == {"B"}
+
+
+# Where a top-level name of src/ may be used: src/ itself, the benchmark
+# and the test oracles.  The API below is used only by tests.
+USERS = sorted(p for d in ("src", "perfbench")
+               for p in (ROOT / d).rglob("*.py")) + [ROOT / "tests/oracles.py"]
+TEST_ONLY_API = {"word_mul", "gauss_to_text", "pd_to_text", "pbw_normalize",
+                 "braid_delete_strand", "braid_clone_strand", "D_LEFT"}
 
 
 def test_every_top_level_name_is_referenced():
-    refs = set()
-    for path in PROJECT:
-        refs |= referenced_names(path.read_text(encoding="utf-8"))
-    unused = {path.stem: sorted(top_level_names(
-        path.read_text(encoding="utf-8")) - refs) for path in MODULES}
-    assert {k: v for k, v in unused.items() if v} == {}
+    refs = {path: referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+            for path in USERS}
+    unused = set()
+    for path in MODULES:
+        elsewhere = set().union(*(r for p, r in refs.items()
+                                  if p.resolve() != path.resolve()))
+        unused |= unreferenced_names(path.read_text(encoding="utf-8"),
+                                     elsewhere)
+    assert unused == TEST_ONLY_API
 
 
 def test_package_data_globs_match_the_data_files():

@@ -11,7 +11,7 @@ from wknots.arrows import (LONG, strands, ArrowVector, canonical_long,
 from wknots.expansion import zed_knot
 from wknots.gauss import braid_closure, pd_to_gauss
 from wknots.jacobi import concat, wheel_to_arrows
-from wknots.lieweights import (LieData, lie_from_text, lie_validate,
+from wknots.lieweights import (LieData, lie_validate,
                                lie_abelian, lie_nonabelian2, lie_sl2,
                                PBWElement, pbw_normalize, pbw_mul,
                                weight_system)
@@ -22,27 +22,22 @@ from oracles import (index_vector_weight_system, stack_pbw_mul,
                      stack_pbw_normalize)
 from test_expansion import W_BRAIDS
 
-SL2_TEXT = """\
-dim=3
-c[1,2,2]=2
-c[2,1,2]=-2
-c[1,3,3]=-2
-c[3,1,3]=2
-c[2,3,1]=1
-c[3,2,1]=-1
-"""
-
 
 def test_fixtures_validate():
     for L in (lie_abelian(1), lie_abelian(3), lie_nonabelian2(), lie_sl2()):
         assert lie_validate(L)
 
 
-def test_text_parsing():
-    L = lie_from_text(SL2_TEXT)
+def test_lie_data_from_constants():
+    # sl2 on (h, e, f), with zero constants that the constructor drops
+    L = LieData(3, {(1, 2): {2: 2}, (2, 1): {2: -2}, (1, 3): {3: -2, 1: 0},
+                    (3, 1): {3: 2}, (2, 3): {1: 1}, (3, 2): {1: -1},
+                    (1, 1): {2: 0}})
     assert L.r == 3
     assert L.bracket(1, 2) == {2: rat(2)}
+    assert L.bracket(1, 3) == {3: rat(-2)}
     assert L.bracket(2, 3) == {1: rat(1)}
+    assert L.bracket(1, 1) == {} and L.c == lie_sl2().c
     assert lie_validate(L)
 
 
@@ -59,12 +54,12 @@ def test_invalid_constants_rejected():
 
 def test_out_of_range_index_rejected():
     with pytest.raises(ValueError, match="index 3 outside 1..2"):
-        lie_from_text("dim=2\nc[1,3,1]=1\nc[3,1,1]=-1")
+        LieData(2, {(1, 3): {1: 1}, (3, 1): {1: -1}})
     for c in ({(0, 1): {1: 1}}, {(1, 2): {5: 1}}):
         with pytest.raises(ValueError, match="outside 1..2"):
             LieData(2, c)
     with pytest.raises(ValueError, match="negative"):
-        lie_from_text("dim=-2")
+        LieData(-2, {})
 
 
 def test_pbw_straightening_sl2():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from wknots.freegroup import word_from_text, aut_apply
 from wknots.wbraid import (FLIP, SIGMA, VIRT, BraidWord, word,
                            braid_from_text, braid_action, braid_skeleton,
-                           braid_equal, braid_distinct, braid_invert,
+                           braid_equal, braid_invert,
                            braid_delete_strand, braid_clone_strand,
                            relation_table)
 from wknots.checks import random_braid
@@ -35,14 +35,14 @@ def test_braid_validation():
 
 def test_braid_word_constructor():
     b = BraidWord(3, ((SIGMA, 1, 1), (VIRT, 2, 1)))
-    assert (b.n, b.letters, b.extended, b.group) == (
-        3, ((SIGMA, 1, 1), (VIRT, 2, 1)), False, "w")
-    b = BraidWord(n=2, letters=((FLIP, 2, 1),), extended=True, group="v")
-    assert (b.n, b.extended, b.group) == (2, True, "v")
-    with pytest.raises(TypeError):
-        BraidWord(2)
+    assert (b.n, b.letters, b.extended) == (
+        3, ((SIGMA, 1, 1), (VIRT, 2, 1)), False)
+    b = BraidWord(n=2, letters=((FLIP, 2, 1),), extended=True)
+    assert (b.n, b.extended) == (2, True)
+    for args, kwargs in (((2,), {}), ((2, ()), {"group": "v"})):
+        with pytest.raises(TypeError):
+            BraidWord(*args, **kwargs)
     cases = [((0, ()), {}, "a braid needs a strand, not n=0"),
-             ((2, ()), {"group": "u"}, "group must be 'w' or 'v'"),
              ((2, ((SIGMA, 2, 1),)), {},
               "generator index 2 out of range for n=2"),
              ((2, ((FLIP, 1, 1),)), {}, "flip letters need the extended flag"),
@@ -58,18 +58,17 @@ def test_braid_word_constructor():
 
 def test_braid_word_is_an_immutable_value():
     a = BraidWord(3, ((SIGMA, 1, -1),))
-    b = BraidWord(3, ((SIGMA, 1, -1),), False, "w")
+    b = BraidWord(3, ((SIGMA, 1, -1),), False)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert hash(a) == hash((3, ((SIGMA, 1, -1),), False, "w"))
+    assert hash(a) == hash((3, ((SIGMA, 1, -1),), False))
     for other in (BraidWord(3, ((SIGMA, 1, 1),)), BraidWord(4, a.letters),
-                  BraidWord(3, a.letters, True), BraidWord(3, a.letters,
-                                                            group="v")):
+                  BraidWord(3, a.letters, True)):
         assert a != other
-    assert a.__eq__((3, a.letters, False, "w")) is NotImplemented
-    assert a != (3, a.letters, False, "w") and a != "a"
+    assert a.__eq__((3, a.letters, False)) is NotImplemented
+    assert a != (3, a.letters, False) and a != "a"
     assert repr(a) == ("BraidWord(n=3, letters=(('s', 1, -1),), "
-                       "extended=False, group='w')")
-    for name in ("n", "letters", "extended", "group", "other"):
+                       "extended=False)")
+    for name in ("n", "letters", "extended", "other"):
         with pytest.raises(AttributeError, match="cannot assign"):
             setattr(a, name, 5)
         with pytest.raises(AttributeError, match="cannot delete"):
@@ -124,7 +123,7 @@ def test_action_respects_relations():
 
 @st.composite
 def braid_words(draw):
-    """w-, v- and extended braids on 1-6 strands, up to 24 letters."""
+    """w- and extended braids on 1-6 strands, up to 24 letters."""
     n = draw(st.integers(1, 6))
     extended = draw(st.booleans())
     kinds = ([SIGMA, VIRT] if n > 1 else []) + ([FLIP] if extended else [])
@@ -137,8 +136,7 @@ def braid_words(draw):
             letters.append((kind, draw(st.integers(1, n - 1)),
                             draw(st.sampled_from((1, -1)))
                             if kind == SIGMA else 1))
-    return BraidWord(n, tuple(letters), extended,
-                     draw(st.sampled_from("wv")))
+    return BraidWord(n, tuple(letters), extended)
 
 
 @settings(max_examples=300, deadline=None)
@@ -167,14 +165,7 @@ def test_undercrossings_commute_fails():
     lhs = word(3, "v1 s2 s1")
     rhs = word(3, "s2 s1 v2")
     assert braid_action(lhs) != braid_action(rhs)
-    assert braid_distinct(lhs, rhs)
-
-
-def test_v_group_refused():
-    a = word(3, "s1")
-    av = BraidWord(a.n, a.letters, group="v")
-    with pytest.raises(ValueError):
-        braid_equal(av, av)
+    assert not braid_equal(lhs, rhs)
 
 
 def test_braid_invert():
