@@ -49,10 +49,10 @@ from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import (accumulate, chain, combinations_with_replacement,
                        permutations, product)
-from math import factorial
+from math import factorial, lcm
 from operator import add, itemgetter
 
-from .rational import ZERO, rat
+from .rational import ZERO, Rat, rat
 from .linalg import SparseEchelon, integral
 
 LONG = ("long",)
@@ -596,10 +596,15 @@ class QuotientSpace:
     that holds its pivot, and back-elimination is left to rows that share
     a pivot.  The
     RREF is canonical, so the order changes the work, not the rows.  The
-    quotient basis is the set of non-pivot classes.  A vector is projected
-    in ints over the lcm of its denominators; ``_index`` sends each
-    diagram to its column, and with TC classes it is filled as
-    ``project`` meets diagrams.
+    quotient basis is the set of non-pivot classes.
+
+    The stored rows already write out the quotient map, so a vector is
+    read without folding or reducing it: ``project`` adds up the images of
+    its columns, in ints over one denominator ``_den`` (the lcm of the
+    pivot entries, 1 in every quotient the library builds), and divides
+    once per coordinate.  ``_index`` sends each diagram to its column
+    (with TC classes it is filled as ``project`` meets diagrams), and
+    ``_images`` each column met so far to its image.
     """
 
     _class_column = None  # class rank -> column, with TC classes
@@ -683,6 +688,9 @@ class QuotientSpace:
         basis = [r for r in reps if r not in pivots]
         self._position = {r: i for i, r in enumerate(basis)}
         self.basis = [self._diagrams[r] for r in basis]
+        # the images' one denominator: 1 when every pivot entry is 1
+        self._den = lcm(*(row[p] for p, row in self._ech.rows.items()))
+        self._images = {}  # column -> image, filled as project meets it
 
     def _to_row(self, pairs):
         """(column, coefficient) pairs folded onto the live classes."""
@@ -703,20 +711,6 @@ class QuotientSpace:
     def dim(self):
         return len(self.basis)
 
-    def _scaled_row(self, v):
-        """(den·v folded onto the classes, den), den the lcm of v's
-        denominators (d! for Z), so the row and its reduction stay in Python
-        ints."""
-        if (v.skeleton, v.m) != (self.skeleton, self.m):
-            raise ValueError("degree/skeleton mismatch")
-        terms, den = integral(v.terms)
-        index = self._index
-        try:
-            pairs = [(index[d], c) for d, c in terms.items()]
-        except KeyError:  # a diagram met for the first time, or a stranger
-            pairs = [(self._column(d), c) for d, c in terms.items()]
-        return self._to_row(pairs), den
-
     def _column(self, d):
         """The column of diagram d.  With TC classes, ``_index`` holds the
         diagrams met so far, and a canonical degree-m long diagram met for
@@ -733,21 +727,54 @@ class QuotientSpace:
             self._index[d] = self._class_column[tc_rank(d)]
         return self._index[d]
 
-    def _positions(self, row):
-        """A reduced row, keyed by basis position instead of class."""
-        if not row.keys() <= self._position.keys():
-            raise AssertionError("reduced row touches a pivot class")
-        return {self._position[r]: c for r, c in row.items()}
+    def _image(self, i):
+        """The image of column i, memoized: (position, numerator) pairs over
+        ``_den``.  Column i is weight·r for its root r; a dead r maps to 0,
+        a basis class to ±e_position, and a pivot class to its RREF row
+        solved for r, −row[c]/row[r] at each other column c of the row,
+        every one a basis class (an RREF row is zero on the other
+        pivots)."""
+        r, w = self._parent[i], self._weight[i]
+        if self._dead[r]:
+            image = ()
+        elif r in self._position:
+            image = ((self._position[r], w * self._den),)
+        else:
+            row = self._ech.rows[r]
+            f = -w * (self._den // row[r])
+            image = tuple((self._position[c], f * v)
+                          for c, v in row.items() if c != r)
+        self._images[i] = image
+        return image
+
+    def numerators(self, v, den=1):
+        """(nums, n): the coordinates of the ArrowVector v / den are the
+        ints nums[i] / n.  One pass over v's terms, scaled to ints over
+        their own denominator, adds up the images of their columns."""
+        if (v.skeleton, v.m) != (self.skeleton, self.m):
+            raise ValueError("degree/skeleton mismatch")
+        if set(map(type, v.terms.values())) <= {int}:  # as Z keeps them
+            terms, den_v = v.terms, 1
+        else:
+            terms, den_v = integral(v.terms)
+        index, images = self._index, self._images
+        nums = [0] * len(self.basis)
+        for d, c in terms.items():
+            try:
+                image = images[index[d]]
+            except KeyError:  # met for the first time, or a stranger
+                image = self._image(self._column(d))
+            for p, x in image:
+                nums[p] += c * x
+        return nums, den_v * den * self._den
 
     def project(self, v, den=1):
         """Coordinates of the ArrowVector v / den in the quotient basis, as
-        ``Rat``: v's terms are scaled to ints over their own denominator,
-        and ``reduce`` divides by the product of the two once, at the end
-        (an int-valued v over den, as ``Z`` keeps its terms, builds no
-        fraction before that)."""
-        row, den_v = self._scaled_row(v)
-        coords = self._positions(self._ech.reduce(row, den_v * den))
-        return [coords.get(i, ZERO) for i in range(self.dim)]
+        ``Rat``: ``numerators``, divided once per coordinate (an int-valued
+        v over den, as ``Z`` keeps its terms, builds no fraction before
+        that)."""
+        nums, n = self.numerators(v, den)
+        return [Rat(x, n) if x else ZERO for x in nums]
 
     def project_diagram(self, d):
         v = ArrowVector(self.skeleton, self.m)

@@ -7,13 +7,13 @@ arrow supports, walked depth-first and counted per shape, each shape's
 terms memoized.  Both truncate at a degree cap d and sum integer
 numerators over d!, and keep them: a ``TruncatedExpansion`` holds its
 components as numerators over one denominator ``den``, and
-``QuotientSpace.project`` divides by it once, after the reduction, so Z
-stays in ints from the supports to the echelon.  On the long strand the
-quotient A^w(↑) is the commutative polynomial algebra on the single arrow
-``a`` and the wheels; ``wheels_reduce`` reads an expansion's quotient
-coordinates in that wheel-monomial basis, and ``predicted_from_alexander``
-computes the same coordinates from the Alexander polynomial alone, inside
-the monomial algebra.
+``QuotientSpace.project`` divides by it once, after adding up the images
+of the columns, so Z stays in ints from the supports to the coordinates.
+On the long strand the quotient A^w(↑) is the commutative polynomial
+algebra on the single arrow ``a`` and the wheels; ``wheels_reduce`` reads
+an expansion's quotient coordinates in that wheel-monomial basis, and
+``predicted_from_alexander`` computes the same coordinates from the
+Alexander polynomial alone, inside the monomial algebra.
 """
 
 from bisect import bisect
@@ -25,7 +25,7 @@ from .rational import rat
 from .rings import laurent_at_exp, series_log
 from .arrows import LONG, strands, ArrowVector, quotient
 from .jacobi import monomial_to_arrows, wheel_monomial_basis, concat
-from .linalg import SparseEchelon, integral
+from .linalg import SparseEchelon
 from .gauss import GaussDiagram, self_linking
 from .alexander import alexander_det
 from .wbraid import BraidWord
@@ -254,9 +254,10 @@ def _wheel_echelon(m, flags):
     q = get_quotient(LONG, m, {"TC", "4T"} | flags)
     ech = SparseEchelon()
     for j, mono in enumerate(wheel_monomial_basis(m, flags)):
-        row = dict(enumerate(q.project(monomial_to_arrows(mono))))
-        row[q.dim + j] = rat(1)
-        ech.add(integral(row)[0])
+        nums, den = q.numerators(monomial_to_arrows(mono))
+        row = dict(enumerate(nums))
+        row[q.dim + j] = den
+        ech.add(row)
     return ech
 
 
@@ -267,7 +268,7 @@ def wheels_reduce(z, flags=frozenset({"RI"})):
     rows [P_j | e_j], P_j the quotient image of monomial j, are echelonized
     once per degree and flag set; reducing [target | 0] against them leaves
     [residual | −x] with Σ x_j P_j + residual = target, the coordinates
-    of z in the quotient (``project``).  A nonzero residual (outside the
+    of z in the quotient (``numerators``).  A nonzero residual (outside the
     monomial span, contradicting the wheels description of the quotient)
     raises.
     """
@@ -278,8 +279,8 @@ def wheels_reduce(z, flags=frozenset({"RI"})):
     for m in range(z.d + 1):
         q = get_quotient(LONG, m, {"TC", "4T"} | flags)
         monos = wheel_monomial_basis(m, flags)
-        row = _wheel_echelon(m, flags).reduce(
-            *integral(dict(enumerate(q.project(z.comps[m], z.den)))))
+        nums, den = q.numerators(z.comps[m], z.den)
+        row = _wheel_echelon(m, flags).reduce(dict(enumerate(nums)), den)
         residual = {c: v for c, v in row.items() if c < q.dim}
         if residual:
             raise ValueError("component of degree %d outside the wheel "

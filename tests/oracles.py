@@ -18,8 +18,8 @@ from wknots.gauss import self_linking
 from wknots.jacobi import (TrivalentDiagram, _commutator_block,
                            monomial_to_arrows, stu_eliminate)
 from wknots.lieweights import PBWElement, lie_validate
-from wknots.linalg import SparseEchelon
-from wknots.rational import Rat, rat
+from wknots.linalg import SparseEchelon, integral
+from wknots.rational import ZERO, Rat, rat
 from wknots.rings import (LaurentPoly, TruncSeries, laurent_at_exp,
                           laurent_normalize, series_log)
 from wknots.wbraid import letter_action
@@ -679,8 +679,9 @@ class DictFoldQuotient(QuotientSpace):
     dict, coefficients as generated, until the union-find is final.  Its
     rows go to the echelon in generation order, where ``QuotientSpace``
     inserts them highest pivot first, so comparing the two also checks
-    that the stored rows do not depend on the order.  The read side
-    (``project``) is inherited."""
+    that the stored rows do not depend on the order.  Its ``project`` is
+    the read path ``QuotientSpace`` had before it read coordinates off
+    per-column images: fold, then reduce against the stored rows."""
 
     def __init__(self, skeleton, m, relset):
         self.skeleton = skeleton
@@ -750,6 +751,23 @@ class DictFoldQuotient(QuotientSpace):
         basis = [r for r in reps if r not in pivots]
         self._position = {r: i for i, r in enumerate(basis)}
         self.basis = [self._diagrams[r] for r in basis]
+
+    def project(self, v, den=1):
+        """The fold-and-reduce read path: v's terms scaled to ints over
+        their own denominator, folded onto the live classes, reduced against
+        the stored rows and divided once.  It reads only what every build
+        leaves (the union-find, the stored rows and the basis positions),
+        so ``DictFoldQuotient.project(q, v, den)`` reduces v in any
+        ``QuotientSpace`` q."""
+        if (v.skeleton, v.m) != (self.skeleton, self.m):
+            raise ValueError("degree/skeleton mismatch")
+        terms, den_v = integral(v.terms)
+        row = self._to_row([(self._column(d), c) for d, c in terms.items()])
+        row = self._ech.reduce(row, den_v * den)
+        if not row.keys() <= self._position.keys():
+            raise AssertionError("reduced row touches a pivot class")
+        coords = {self._position[r]: c for r, c in row.items()}
+        return [coords.get(i, ZERO) for i in range(self.dim)]
 
 
 # --------------------------------------------------------------------------

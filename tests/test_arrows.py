@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wknots import arrows
 from wknots.rational import Rat, rat
 from wknots.arrows import (LONG, strands, canonical_long,
                            enumerate_diagrams, ArrowVector, QuotientSpace,
@@ -362,13 +363,23 @@ def test_relators_match_per_product_oracle(skel, mmax, rels):
                 == listed(per_product_two_arrow_relators(skel, m, rels)))
 
 
+COMBINATION_CASES = ([(LONG, {"TC", "4T", "RI"}, m) for m in range(5)]
+                     + [(strands(3), {"TC", "4T"}, m) for m in range(4)])
+
+# the quotients with pivot classes, classes merged on a TC class column
+# or a strand word, and (FI) dead classes
+READ_CASES = ([(LONG, rels, m) for m in range(5)
+               for rels in ({"TC", "4T"}, {"TC", "4T", "RI"},
+                            {"TC", "4T", "FI"})]
+              + [(strands(n), {"TC", "4T"}, m) for n in (3, 4)
+                 for m in range(4)])
+
+
 @st.composite
-def rational_combinations(draw):
+def rational_combinations(draw, cases=COMBINATION_CASES):
     """A quotient and a combination of its diagrams with integer and
     rational coefficients of mixed denominators."""
-    skel, rels, m = draw(st.sampled_from(
-        [(LONG, {"TC", "4T", "RI"}, m) for m in range(5)]
-        + [(strands(3), {"TC", "4T"}, m) for m in range(4)]))
+    skel, rels, m = draw(st.sampled_from(cases))
     q = quotient(skel, m, rels)
     diagrams = _diagrams(skel, m)
     coeffs = st.integers(-6, 6) | st.builds(
@@ -389,9 +400,53 @@ def test_project_is_linear(case):
     got = q.project(v)
     assert got == want
     assert all(type(c) is Rat for c in got)
-    # the read path: an int row over one int denominator, divided last
-    row, den = q._scaled_row(v)
-    assert type(den) is int and all(type(c) is int for c in row.values())
+    # the read path: int images over one int denominator, divided last
+    nums, den = q.numerators(v)
+    assert type(den) is int and all(type(x) is int for x in nums)
+    assert type(q._den) is int and all(
+        type(image) is tuple
+        and all(type(p) is int and type(x) is int for p, x in image)
+        for image in q._images.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_combinations(READ_CASES), st.integers(1, 5040))
+def test_images_match_the_reduction(case, den):
+    # adding up per-column images reads what folding v onto the classes
+    # and reducing it against the stored rows reads
+    q, terms = case
+    v = ArrowVector(q.skeleton, q.m, terms)
+    assert q.project(v, den) == DictFoldQuotient.project(q, v, den)
+
+
+def test_images_over_a_denominator_above_one(monkeypatch):
+    # the library's quotients have every pivot entry 1 and every weight
+    # +1, so a strands(2) build at degree 3 is handed relators made for
+    # the other cases: w1 = -w0, w2 dead, 2·w3 = w4, 3·w1 + w5 = 4·w6 (3·w0 =
+    # w5 - 4·w6 once folded) and 5·w2 + w7 = 0 (w7 = 0 once folded)
+    words = enumerate_diagrams(strands(2), 3)
+    made = [{0: 1, 1: 1}, {2: 1}, {3: 2, 4: -1}, {1: 3, 5: 1, 6: -4},
+            {7: 1, 2: 5}]
+    monkeypatch.setattr(
+        arrows, "_relators", lambda skeleton, m, relset, diagrams: (
+            {words[i]: c for i, c in row.items()} for row in made))
+    q = QuotientSpace(strands(2), 3, set())
+    assert q.basis == words[4:7]
+    assert q._den == 6 and q._weight[1] == -1
+    third = rat(1, 3)
+    want = [[0, third, -4 * third], [0, -third, 4 * third], [0, 0, 0],
+            [rat(1, 2), 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    for w, coords in zip(words, want):
+        v = ArrowVector(strands(2), 3, {w: 1})
+        assert q.project_diagram(w) == coords
+        assert q.project(v, 7) == [rat(c, 7) for c in coords]
+        assert q.project(v) == DictFoldQuotient.project(q, v)
+    v = ArrowVector(strands(2), 3, {w: rat(i + 1, 6 - i)
+                                    for i, w in enumerate(words[:6])})
+    nums, den = q.numerators(v, 5)
+    assert all(type(x) is int for x in nums)
+    assert den == 60 * 5 * 6
+    assert q.project(v, 5) == DictFoldQuotient.project(q, v, 5)
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,6 +5,8 @@ import pytest
 import wknots.cli
 from wknots.cli import main
 
+from test_checks import DEFAULT_DETAILS
+
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "wknots",
                     "data", "knots")
 
@@ -266,6 +268,29 @@ def test_out_of_domain_arguments_rejected(argv, capsys, tmp_path):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("skeleton", ["strands:x", "strands:", "strands",
+                                      "strands:2.5", "loong"])
+def test_malformed_skeleton_names_the_form(skeleton, capsys):
+    assert main(["dims", "--skeleton", skeleton]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: skeleton must be 'long' or 'strands:<n>'\n"
+
+
+def test_check_runs_the_gate_cases_by_default(capsys):
+    # without --seed each seeded suite runs on its own default seed, as
+    # the acceptance tests run it; --seed 0 hands 0 to all four
+    for name, detail in DEFAULT_DETAILS.items():
+        assert main(["--machine", "check", "--suite", name]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "%s=ok" % name, "%s_detail=%s" % (name.replace("-", "_"), detail)]
+    assert main(["--machine", "check", "--suite",
+                 "expansion-move-invariance", "--seed", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "expansion_move_invariance_detail=200 cases "
+        "(oc:47,r1s:39,r2:70,r2del:25,r3:19), 0 failures")
 
 
 def test_bad_gauss_sign_is_a_parse_error(capsys, tmp_path):
