@@ -353,9 +353,11 @@ def _far_commutation_relators(words):
 def _check_relations(skeleton, relset):
     """Refuse unknown relation ids and skeletons, and RI/FI/CC off the long
     strand."""
-    known = {"TC", "4T", "6T", "RI", "FI", "CC"}
-    if not relset <= known:
-        raise ValueError("unknown relation ids: %r" % (relset - known,))
+    known = ("TC", "4T", "6T", "RI", "FI", "CC")
+    unknown = sorted(relset.difference(known))
+    if unknown:
+        raise ValueError("unknown relation ids: %s; the known ids are %s" % (
+            ", ".join(map(repr, unknown)), ", ".join(known)))
     if skeleton != LONG:
         if skeleton[0] != "strands":
             raise ValueError("unknown skeleton %r" % (skeleton,))

@@ -28,7 +28,7 @@ from .jacobi import monomial_to_arrows, wheel_monomial_basis, concat
 from .linalg import SparseEchelon
 from .gauss import GaussDiagram, self_linking
 from .alexander import alexander_det
-from .wbraid import BraidWord
+from .wbraid import FLIP, BraidWord, crossings
 
 
 class TruncatedExpansion:
@@ -87,37 +87,32 @@ def expansion_exp(e):
 # Z for braids
 # --------------------------------------------------------------------------
 
-def zed_braid(b, d, start=None):
+def zed_braid(b, d):
     """Truncated expansion of a w-braid word on the strands(n) skeleton.
 
-    Crossings map to exp(ε·a) for the arrow a from the over strand to the
-    under strand; virtual crossings only permute.  ``start`` optionally
-    gives the strand occupying each position initially (for composing
-    expansions across a split word).  Flip letters are not supported.
+    Strands are named by their bottom positions, as in
+    ``wbraid.crossings``.  Each real crossing maps to exp(ε·a) for the
+    arrow a from its over strand to its under strand, in word order;
+    virtual letters give no arrow.  Flip letters are not supported.
     Every coefficient is a sum of products Π ±1/k! with Σk ≤ d, so d! times
     it is an integer; those numerators are summed and kept, over den = d!.
     """
     if not isinstance(b, BraidWord):
         raise TypeError("expected a BraidWord")
-    n = b.n
-    pos = list(start) if start else list(range(1, n + 1))
+    if any(kind == FLIP for kind, _, _ in b.letters):
+        raise ValueError("flip letters have no arrow-valued expansion")
     nums = [{(): factorial(d)}] + [{} for _ in range(d)]
-    for kind, i, sgn in b.letters:
-        if kind == "f":
-            raise ValueError("flip letters have no arrow-valued expansion")
-        lo, hi = pos[i - 1], pos[i]
-        if kind == "s":
-            letter = (lo, hi) if sgn > 0 else (hi, lo)  # (over, under)
-            new = [{} for _ in range(d + 1)]
-            for m in range(d + 1):
-                for k in range(m + 1):
-                    sign, kf, tail = sgn ** k, factorial(k), (letter,) * k
-                    for w, c in nums[m - k].items():
-                        key = w + tail
-                        new[m][key] = new[m].get(key, 0) + sign * c // kf
-            nums = [{w: c for w, c in acc.items() if c} for acc in new]
-        pos[i - 1], pos[i] = pos[i], pos[i - 1]
-    return _from_numerators(strands(n), d, nums)
+    for over, under, sgn in crossings(b)[0]:
+        letter = (over, under)
+        new = [{} for _ in range(d + 1)]
+        for m in range(d + 1):
+            for k in range(m + 1):
+                sign, kf, tail = sgn ** k, factorial(k), (letter,) * k
+                for w, c in nums[m - k].items():
+                    key = w + tail
+                    new[m][key] = new[m].get(key, 0) + sign * c // kf
+        nums = [{w: c for w, c in acc.items() if c} for acc in new]
+    return _from_numerators(strands(b.n), d, nums)
 
 
 # --------------------------------------------------------------------------

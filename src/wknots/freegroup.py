@@ -47,14 +47,11 @@ def word_from_text(text, n=None):
         return ()
     letters = []
     for tok in text.split():
-        if tok.endswith("^-1"):
-            sign = -1
-            tok = tok[:-3]
-        else:
-            sign = 1
-        if not tok.startswith("x"):
-            raise ValueError(f"bad word token {tok!r}")
-        letters.append((int(tok[1:]), sign))
+        gen = tok.removesuffix("^-1")
+        if not (gen.startswith("x") and gen[1:].isdecimal()):
+            raise ValueError(f"bad word token {tok!r}: expected x<i> or "
+                             "x<i>^-1")
+        letters.append((int(gen[1:]), 1 if gen == tok else -1))
     return word_reduce(letters, n)
 
 

@@ -9,7 +9,9 @@ direction flip, R2, R3, and the overcrossings-commute move) are explicit
 rewrites, the R3 gate a rule on its three arrows.
 """
 
-from .wbraid import BraidWord, braid_skeleton
+from collections import Counter
+
+from .wbraid import BraidWord, crossings
 
 SIGNS = {"+": 1, "-": -1}
 
@@ -59,14 +61,18 @@ def gauss_to_text(d):
 def gauss_from_text(text):
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError("expected header line 'n=<k>'")
-    k = int(lines[0][2:])
+    head = lines[0] if lines else ""
+    if not (head.startswith("n=") and head[2:].isdecimal()):
+        raise ValueError("bad header line %r: expected n=<k>" % head)
+    k = int(head[2:])
     arrows = []
     for ln in lines[1:]:
-        parts = dict(tok.split("=", 1) for tok in ln.split())
-        if set(parts) != {"t", "h", "s"}:
-            raise ValueError("bad arrow line: %r" % ln)
+        toks = ln.split()
+        parts = dict(tok.partition("=")[::2] for tok in toks)
+        if len(toks) != 3 or set(parts) != {"t", "h", "s"} \
+                or not (parts["t"].isdecimal() and parts["h"].isdecimal()):
+            raise ValueError("bad arrow line %r: expected "
+                             "t=<slot> h=<slot> s=<+ or ->" % ln)
         if parts["s"] not in SIGNS:
             raise ValueError("bad sign %r in arrow line %r" % (parts["s"], ln))
         arrows.append((int(parts["t"]), int(parts["h"]), SIGNS[parts["s"]]))
@@ -115,9 +121,12 @@ def pd_from_text(text):
         chunk = chunk.strip().rstrip(",")
         if not chunk:
             continue
-        if not (chunk.startswith("X[") and chunk.endswith("]")):
-            raise ValueError("bad crossing token: %r" % chunk)
-        crossings.append([int(x) for x in chunk[2:-1].split(",")])
+        labels = chunk[2:-1].split(",")
+        if not (chunk.startswith("X[") and chunk.endswith("]")
+                and all(x.isdecimal() for x in labels)):
+            raise ValueError("bad crossing token %r: expected "
+                             "X[<edge>,<edge>,<edge>,<edge>]" % chunk)
+        crossings.append([int(x) for x in labels])
     return PDCode(crossings)
 
 
@@ -180,56 +189,31 @@ def gauss_to_pd(g):
 def braid_closure(b):
     """Long-knot Gauss diagram of the (cut) trace closure of a braid word.
 
-    The closure of ``b`` must be a single component (its skeleton must be an
-    n-cycle); the long line is the closure cut open on the strand entering
-    at bottom position 1.  Only crossing letters contribute arrows; virtual
-    and flip letters just permute strands.
+    Strands are named by their bottom positions, as in
+    ``wbraid.crossings``.  The strand ending at top position p runs on as
+    strand p, so the closure of ``b`` is a single component when its
+    skeleton is an n-cycle; the long line is the closure cut open at the
+    bottom of strand 1, and each strand's passages lie along it in word
+    order.  Each real crossing gives an arrow from its over passage to its
+    under passage; virtual letters give none.
     """
     if not isinstance(b, BraidWord):
         raise TypeError("expected a BraidWord")
-    n = b.n
-    perm = braid_skeleton(b)
-    # walk the closure starting at bottom position 1
-    order = [1]
-    while True:
-        nxt = perm[order[-1] - 1]
-        if nxt == 1:
-            break
-        order.append(nxt)
-    if len(order) != n:
+    cross, top = crossings(b)
+    passes = Counter(s for over, under, _ in cross for s in (over, under))
+    after = dict(zip(top, range(1, b.n + 1)))  # strand -> the next strand
+    slot, strand, total = {}, 1, 0  # slot[s]: the slot before strand s
+    while strand not in slot:
+        slot[strand] = total
+        total += passes[strand]
+        strand = after[strand]
+    if len(slot) != b.n:
         raise ValueError("braid closure is a link, not a knot")
-    leg = {s: i for i, s in enumerate(order)}  # strand -> which pass of the line
-
-    # first pass: record crossing passages in braid order, per strand
-    pos = list(range(1, n + 1))  # pos[i] = strand currently at position i+1
-    events = []                  # (strand, crossing-id, role) role in {"o","u"}
-    per_strand = {s: [] for s in range(1, n + 1)}
-    cid = 0
-    for kind, i, sgn in b.letters:
-        if kind == "s":
-            lo, hi = pos[i - 1], pos[i]
-            # positive crossing: the strand moving from position i to i+1
-            # passes over; negative crossing: it passes under
-            over, under = (lo, hi) if sgn > 0 else (hi, lo)
-            per_strand[over].append((cid, "o", sgn))
-            per_strand[under].append((cid, "u", sgn))
-            cid += 1
-            pos[i - 1], pos[i] = hi, lo
-        elif kind == "v":
-            pos[i - 1], pos[i] = pos[i], pos[i - 1]
-        # flips do not move strands or create crossings
-
-    # second pass: slots along the long line, pass after pass
-    endpoints = {}
-    slot = 0
-    for s in order:
-        for cid_, role, sgn in per_strand[s]:
-            slot += 1
-            endpoints.setdefault(cid_, {})[role] = (slot, sgn)
     arrows = []
-    for cid_ in sorted(endpoints):
-        (t, sgn), (h, _) = endpoints[cid_]["o"], endpoints[cid_]["u"]
-        arrows.append((t, h, sgn))
+    for over, under, sign in cross:
+        slot[over] += 1
+        slot[under] += 1
+        arrows.append((slot[over], slot[under], sign))
     return GaussDiagram(arrows)
 
 

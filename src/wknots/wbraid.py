@@ -87,13 +87,18 @@ class BraidWord:
         return header + ("\n" + " ".join(toks) if toks else "")
 
 
+_TOKENS = {"s": (SIGMA, 1), "S": (SIGMA, -1), "v": (VIRT, 1), "f": (FLIP, 1)}
+
+
 def braid_from_text(text):
     """Parse the braid text format: header `n=<k> [extended]`, then
     whitespace-separated tokens s<i>, S<i>, v<i>, f<i>."""
-    parts = text.split()
-    if not parts or not parts[0].startswith("n="):
-        raise ValueError("braid text must start with n=<strand count>")
-    n = int(parts[0][2:])
+    parts = text.split() or [""]
+    head = parts[0]
+    if not (head.startswith("n=") and head[2:].removeprefix("-").isdecimal()):
+        raise ValueError(f"bad braid header {head!r}: expected "
+                         "n=<strand count>")
+    n = int(head[2:])
     rest = parts[1:]
     extended = False
     if rest and rest[0] == "extended":
@@ -101,17 +106,11 @@ def braid_from_text(text):
         rest = rest[1:]
     letters = []
     for tok in rest:
-        kind, idx = tok[0], int(tok[1:])
-        if kind == "s":
-            letters.append((SIGMA, idx, 1))
-        elif kind == "S":
-            letters.append((SIGMA, idx, -1))
-        elif kind == "v":
-            letters.append((VIRT, idx, 1))
-        elif kind == "f":
-            letters.append((FLIP, idx, 1))
-        else:
-            raise ValueError(f"bad braid token {tok!r}")
+        if tok[0] not in _TOKENS or not tok[1:].isdecimal():
+            raise ValueError(f"bad braid token {tok!r}: expected s<i>, "
+                             "S<i>, v<i> or f<i>")
+        kind, sign = _TOKENS[tok[0]]
+        letters.append((kind, int(tok[1:]), sign))
     return BraidWord(n, tuple(letters), extended=extended)
 
 
@@ -120,23 +119,33 @@ def word(n, tokens, extended=False):
     return braid_from_text(f"n={n}" + (" extended" if extended else "") + " " + tokens)
 
 
-# --- skeleton ---------------------------------------------------------------
+# --- strands ----------------------------------------------------------------
 
-def perm_identity(n):
-    return tuple(range(1, n + 1))
+def crossings(b: BraidWord):
+    """Walk the word once.  Strands are named by their bottom positions.
+
+    Returns each real crossing as (over, under, sign) in word order, and
+    the strand at each position at the top.  At sigma_i^+ the strand
+    moving from position i to i+1 passes over; at sigma_i^- it passes
+    under.  Virtual letters swap two strands; flips move none."""
+    pos = list(range(1, b.n + 1))  # pos[p-1]: the strand at position p
+    out = []
+    for kind, i, sign in b.letters:
+        if kind == FLIP:
+            continue
+        lo, hi = pos[i - 1], pos[i]
+        if kind == SIGMA:
+            out.append((lo, hi, 1) if sign > 0 else (hi, lo, -1))
+        pos[i - 1], pos[i] = hi, lo
+    return out, tuple(pos)
 
 
 def braid_skeleton(b: BraidWord):
     """The underlying permutation: position i at the bottom ends at
     position skeleton[i-1] at the top."""
-    perm = list(perm_identity(b.n))
-    for kind, i, _sign in b.letters:
-        if kind in (SIGMA, VIRT):
-            for j in range(b.n):
-                if perm[j] == i:
-                    perm[j] = i + 1
-                elif perm[j] == i + 1:
-                    perm[j] = i
+    perm = [0] * b.n
+    for p, strand in enumerate(crossings(b)[1], 1):
+        perm[strand - 1] = p
     return tuple(perm)
 
 

@@ -14,7 +14,7 @@ from wknots.arrows import (LONG, TWO_ARROW_RELATIONS, ArrowVector,
                            enumerate_diagrams, strands)
 from wknots.expansion import TruncatedExpansion, expansion_exp, wheels_reduce
 from wknots.freegroup import FreeAut, aut_compose
-from wknots.gauss import self_linking
+from wknots.gauss import GaussDiagram, self_linking
 from wknots.jacobi import (TrivalentDiagram, _commutator_block,
                            monomial_to_arrows, stu_eliminate)
 from wknots.lieweights import PBWElement, lie_validate
@@ -263,12 +263,12 @@ def arrow_side_prediction(g, d, flags=frozenset({"RI"})):
     return wheels_reduce(expansion_exp(e), flags)
 
 
-def zed_braid_fractions(b, d, start=None):
+def zed_braid_fractions(b, d):
     """``zed_braid`` with one rational per term and crossing: each letter
     multiplies every term by exp(ε·a) in place."""
     n = b.n
     skel = strands(n)
-    pos = list(start) if start else list(range(1, n + 1))
+    pos = list(range(1, n + 1))
     z = TruncatedExpansion.unit(skel, d)
     for kind, i, sgn in b.letters:
         lo, hi = pos[i - 1], pos[i]
@@ -287,6 +287,76 @@ def zed_braid_fractions(b, d, start=None):
             z = nz
         pos[i - 1], pos[i] = pos[i], pos[i - 1]
     return z
+
+
+def braid_closure_two_pass(b):
+    """``gauss.braid_closure`` in two passes: record each strand's
+    crossing passages in braid order, then number them along the closure,
+    strand after strand."""
+    n = b.n
+    # first pass: record crossing passages in braid order, per strand
+    pos = list(range(1, n + 1))  # pos[i] = strand currently at position i+1
+    per_strand = {s: [] for s in range(1, n + 1)}
+    cid = 0
+    for kind, i, sgn in b.letters:
+        if kind == "s":
+            lo, hi = pos[i - 1], pos[i]
+            # positive crossing: the strand moving from position i to i+1
+            # passes over; negative crossing: it passes under
+            over, under = (lo, hi) if sgn > 0 else (hi, lo)
+            per_strand[over].append((cid, "o", sgn))
+            per_strand[under].append((cid, "u", sgn))
+            cid += 1
+            pos[i - 1], pos[i] = hi, lo
+        elif kind == "v":
+            pos[i - 1], pos[i] = pos[i], pos[i - 1]
+        # flips do not move strands or create crossings
+
+    order = closure_order(pos)
+    if len(order) != n:
+        raise ValueError("braid closure is a link, not a knot")
+    # second pass: slots along the long line, pass after pass
+    endpoints = {}
+    slot = 0
+    for s in order:
+        for cid_, role, sgn in per_strand[s]:
+            slot += 1
+            endpoints.setdefault(cid_, {})[role] = (slot, sgn)
+    arrows = []
+    for cid_ in sorted(endpoints):
+        (t, sgn), (h, _) = endpoints[cid_]["o"], endpoints[cid_]["u"]
+        arrows.append((t, h, sgn))
+    return GaussDiagram(arrows)
+
+
+def closure_order(top):
+    """The strands that the closure runs through from strand 1 on, given
+    the strand at each top position: the strand ending at top position p
+    runs on as strand p."""
+    after = {s: p for p, s in enumerate(top, 1)}
+    order = [1]
+    while after[order[-1]] != 1:
+        order.append(after[order[-1]])
+    return order
+
+
+def close_word(z, order):
+    """Close an expansion on strands(n) onto the long strand: each word is
+    laid along the closure, strand by strand in ``order``, its endpoints
+    on one strand in word order.  Words that close onto one diagram sum,
+    over the same denominator."""
+    leg = {s: i for i, s in enumerate(order)}
+    out = TruncatedExpansion(LONG, z.d, z.den)
+    for m in range(z.d + 1):
+        acc = Counter()
+        for w, c in z.comps[m].terms.items():
+            ends = sorted((leg[s], j, e) for j, letter in enumerate(w)
+                          for e, s in enumerate(letter))
+            slot = {(j, e): x for x, (_, j, e) in enumerate(ends, 1)}
+            acc[tuple(sorted((slot[j, 0], slot[j, 1])
+                             for j in range(m)))] += c
+        out.comps[m].terms = {g: c for g, c in acc.items() if c}
+    return out
 
 
 def zed_knot_recursive(g, d, normalize=False):

@@ -302,3 +302,34 @@ def test_bad_gauss_sign_is_a_parse_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and "'x'" in err
     assert "braid" not in err
+
+
+BRAID_FORM = "expected s<i>, S<i>, v<i> or f<i>"
+WORD_FORM = "expected x<i> or x<i>^-1"
+ARROW_FORM = "expected t=<slot> h=<slot> s=<+ or ->"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["braid-act", "IN"], "n=2\ns\n", "bad braid token 's': " + BRAID_FORM),
+    (["braid-act", "IN"], "n=x\n",
+     "bad braid header 'n=x': expected n=<strand count>"),
+    (["braid-act", "IN", "--word", "x"], "n=2\ns1\n",
+     "bad word token 'x': " + WORD_FORM),
+    (["braid-act", "IN", "--word", "x1^-2"], "n=2\ns1\n",
+     "bad word token 'x1^-2': " + WORD_FORM),
+    (["alexander", "IN"], "n=1\nt=1 h=x s=+\n",
+     "bad arrow line 't=1 h=x s=+': " + ARROW_FORM),
+    (["alexander", "IN"], "n=1\nt=1 h=2 s=+ x\n",
+     "bad arrow line 't=1 h=2 s=+ x': " + ARROW_FORM),
+    (["alexander", "IN"], "X[1,2,x,4]\n", "bad crossing token 'X[1,2,x,4]': "
+     "expected X[<edge>,<edge>,<edge>,<edge>]"),
+    (["dims", "--relations", "tc,4x"], "",
+     "unknown relation ids: '4X'; the known ids are TC, 4T, 6T, RI, FI, CC"),
+])
+def test_malformed_input_names_the_token_and_form(argv, text, message,
+                                                  capsys, tmp_path):
+    # the bad token and the accepted form, not a Python parse error
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert main([str(path) if a == "IN" else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)

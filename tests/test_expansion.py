@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from wknots.rational import Rat, rat
 from wknots.wbraid import (SIGMA, VIRT, BraidWord, braid_action,
                            braid_delete_strand, braid_from_text,
-                           braid_skeleton, perm_identity, relation_table,
-                           word)
+                           braid_skeleton, crossings, relation_table, word)
 from wknots.gauss import GaussDiagram, braid_closure, apply_move, pd_to_gauss
 from wknots.alexander import knot_inventory
 from wknots.arrows import LONG
@@ -20,10 +19,10 @@ from wknots.expansion import (TruncatedExpansion, expansion_exp, zed_braid,
                               predicted_from_alexander, _support_shapes,
                               _support_terms)
 
-from oracles import (arrow_side_prediction, delete_strand_from_expansion,
-                     expansion_on_exponential, magnus_expansion,
-                     support_shapes_by_combinations, zed_braid_fractions,
-                     zed_knot_recursive)
+from oracles import (arrow_side_prediction, close_word, closure_order,
+                     delete_strand_from_expansion, expansion_on_exponential,
+                     magnus_expansion, support_shapes_by_combinations,
+                     zed_braid_fractions, zed_knot_recursive)
 
 # w-braids whose closures have non-palindromic Alexander polynomials
 W_BRAIDS = (
@@ -56,19 +55,53 @@ def test_inverse_crossing_signs():
     assert values(z, 2) == {((2, 1), (2, 1)): rat(Fraction(1, 2))}
 
 
+def relabelled(z, top):
+    """``z`` with strand p renamed top[p-1] in each of its arrows."""
+    out = TruncatedExpansion(z.skeleton, z.d, z.den)
+    for m, comp in z.comps.items():
+        out.comps[m].terms = {tuple((top[p - 1], top[q - 1]) for p, q in w): c
+                              for w, c in comp.terms.items()}
+    return out
+
+
+def assert_multiplicative(a, b, d):
+    # Z(b) names b's strands by their positions at its bottom, that is at
+    # a's top, where position p holds strand crossings(a)[1][p - 1] of ab
+    za, zab = zed_braid(a, d), zed_braid(a * b, d)
+    zb = relabelled(zed_braid(b, d), crossings(a)[1])
+    assert (za * zb).den == zab.den ** 2
+    for m in range(d + 1):
+        assert values(za * zb, m) == values(zab, m)
+
+
 def test_zed_braid_multiplicative():
     rng = random.Random(31)
     from wknots.checks import random_braid
     for _ in range(10):
-        a = random_braid(rng, 3, 3)
-        b = random_braid(rng, 3, 3)
-        from wknots.wbraid import braid_skeleton
-        za = zed_braid(a, 3)
-        zb = zed_braid(b, 3, start=braid_skeleton(a))
-        zab = zed_braid(a * b, 3)
-        assert (za * zb).den == zab.den ** 2
-        for m in range(4):
-            assert values(za * zb, m) == values(zab, m)
+        assert_multiplicative(random_braid(rng, 3, 3), random_braid(rng, 3, 3),
+                              3)
+    # a skeleton that is a 3-cycle: its inverse is another permutation
+    a = word(3, "s1 s2")
+    assert braid_skeleton(a) == (3, 1, 2) and crossings(a)[1] == (2, 3, 1)
+    assert_multiplicative(a, word(3, "s1"), 2)
+
+
+def test_closed_zed_braid_is_zed_of_the_closure():
+    # close(Z(b)) = Z(closure(b)) term for term, as int numerators over 4!
+    from wknots.checks import random_braid
+    rng, done = random.Random(37), 0
+    while done < 300:
+        b = random_braid(rng, rng.randrange(2, 5), rng.randrange(0, 9))
+        try:
+            g = braid_closure(b)
+        except ValueError:
+            continue
+        want, got = zed_knot(g, 4), close_word(
+            zed_braid(b, 4), closure_order(crossings(b)[1]))
+        assert want.den == got.den == factorial(4)
+        for m in range(5):
+            assert got.comps[m].terms == want.comps[m].terms, b
+        done += 1
 
 
 def test_zed_braid_respects_relations_small():
@@ -321,7 +354,7 @@ def acts_as_braid_action(b, d, sign=1, first_letter_first=True):
 @settings(max_examples=60, deadline=None)
 @given(pure_w_braids(), st.sampled_from((3, 4)))
 def test_zed_braid_matches_free_group_action(b, d):
-    assert braid_skeleton(b) == perm_identity(b.n)
+    assert braid_skeleton(b) == tuple(range(1, b.n + 1))
     assert acts_as_braid_action(b, d)
 
 

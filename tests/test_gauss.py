@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wknots.checks import _legal_moves, random_knot_diagram
-from wknots.wbraid import word
+from wknots.wbraid import FLIP, SIGMA, VIRT, BraidWord, word
 from wknots.gauss import (GaussDiagram, gauss_to_text, gauss_from_text,
                           PDCode, pd_to_text, pd_from_text, pd_to_gauss,
                           gauss_to_pd, self_linking, braid_closure,
                           apply_move)
 from wknots.alexander import alexander_fox, alexander_matrix
 
-from oracles import R3_PATTERNS
+from oracles import R3_PATTERNS, braid_closure_two_pass
 
 TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
@@ -62,6 +62,34 @@ def test_braid_closure_trefoil():
 def test_braid_closure_rejects_links():
     with pytest.raises(ValueError):
         braid_closure(word(2, "s1 s1"))  # Hopf link, two components
+
+
+def random_extended_word(rng):
+    """Up to twelve letters on one to five strands: crossings of either
+    sign, virtual crossings and ring flips."""
+    n, letters = rng.randint(1, 5), []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.choice((SIGMA, VIRT, FLIP) if n > 1 else (FLIP,))
+        i = rng.randint(1, n if kind == FLIP else n - 1)
+        letters.append((kind, i, rng.choice((1, -1)) if kind == SIGMA else 1))
+    return BraidWord(n, tuple(letters), extended=True)
+
+
+def test_braid_closure_matches_two_pass_oracle():
+    rng, knots = random.Random(41), 0
+    for _ in range(2000):
+        b = random_extended_word(rng)
+        try:
+            want = braid_closure_two_pass(b)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                braid_closure(b)
+            assert str(got.value) == str(e) == \
+                "braid closure is a link, not a knot"
+        else:
+            assert braid_closure(b) == want, b
+            knots += 1
+    assert 500 < knots < 1500
 
 
 def test_r2_insert_delete_round_trip():
