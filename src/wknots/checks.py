@@ -144,13 +144,22 @@ def check_zed_relations(nmax=4, d=4):
 
 
 def _legal_moves(g):
-    """Every applicable move instance on a diagram, each one once."""
+    """Every applicable move instance on a diagram, each one once: the R2
+    insertions, then the one-slot moves by slot, then the slides by slot
+    triple.  The slide candidates are the arrow triples whose six
+    endpoints fill three pairs of adjacent slots (the only triples that
+    isolate three arrows), tried in slot order; ``apply_move`` decides
+    each move."""
     gaps = range(2 * g.k + 1)
-    slots = range(1, 2 * g.k)
     out = [("r2", gt, go, sign, nested) for gt in gaps for go in gaps
            if gt != go for sign in (1, -1) for nested in (False, True)]
-    tries = [(name, i) for i in slots for name in ("r1s", "r2del", "oc")]
-    tries += [("r3",) + ijl for ijl in combinations(slots, 3)]
+    tries = [(name, i) for i in range(1, 2 * g.k)
+             for name in ("r1s", "r2del", "oc")]
+    ends = (sorted(x for t, h, _ in trio for x in (t, h))
+            for trio in combinations(g.arrows, 3))
+    tries += sorted(("r3", s[0], s[2], s[4]) for s in ends
+                    if s[1] == s[0] + 1 and s[3] == s[2] + 1
+                    and s[5] == s[4] + 1)
     for mv in tries:
         try:
             apply_move(g, *mv)

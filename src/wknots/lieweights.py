@@ -29,6 +29,7 @@ class LieData:
             raise ValueError("dimension %d is negative" % self.r)
         self.c = {}
         self._times = None  # built by _times_table on first use
+        self._weights = None  # built by _weight_table on first use
         for (j, k), row in c.items():
             bad = [i for i in (j, k, *row) if not 1 <= i <= self.r]
             if bad:
@@ -184,45 +185,64 @@ def pbw_normalize(terms, L):
 # The weight system
 # --------------------------------------------------------------------------
 
-def weight_system(dvec, L):
-    """Image of an ArrowVector in U(Ig)^(⊗ strands), PBW-normalized.
+def _weight_table(L):
+    """``weight(skeleton, diagram)``: one diagram's image in U(Ig), as
+    ((key, coeff), ...), coefficients ints when the algebra is integral.
 
     Endpoints are read in slot order on the long strand, and letter by
     letter (tail strand first) on strands(n); each is multiplied onto its
     strand's monomial.  An arrow's basis index is summed at its first
     endpoint and carried to its second.  Keys are plain monomials on the
-    long strand and tuples of per-strand monomials on strands(n).  The
-    coefficients are scaled to ints over one denominator, summed per
-    monomial, and divided once at the end.
+    long strand and tuples of per-strand monomials on strands(n).  Relators
+    share their diagrams, so the walk is memoized once per algebra, keyed
+    by the skeleton too (the same tuple can be a long and a strand
+    diagram); entries grow with the degree, so the memo is bounded."""
+    if L._weights is None:
+        times, r = _times_table(L), L.r
+
+        @functools.lru_cache(maxsize=4096)
+        def weight(skeleton, diagram):
+            long = skeleton == LONG
+            n = 1 if long else skeleton[1]
+            ends = [(s, kind, a) for a, arrow in enumerate(diagram)
+                    for s, kind in zip(arrow, "px")]
+            if long:  # one strand, read in slot order
+                ends = [(1, kind, a) for _, kind, a in sorted(ends)]
+            # state: (open index per arrow or 0; monomial per strand)
+            states = {((0,) * len(diagram), ((),) * n): 1}
+            for s, kind, a in ends:
+                s -= 1
+                nxt = {}
+                for (idx, monos), c in states.items():
+                    if idx[a]:
+                        choices = ((idx[a], idx[:a] + (0,) + idx[a + 1:]),)
+                    else:
+                        choices = [(i, idx[:a] + (i,) + idx[a + 1:])
+                                   for i in range(1, r + 1)]
+                    for i, idx2 in choices:
+                        for mono, cm in times(monos[s], (kind, i)):
+                            key = (idx2, monos[:s] + (mono,) + monos[s + 1:])
+                            cm *= c
+                            nxt[key] = nxt[key] + cm if key in nxt else cm
+                states = {k: c for k, c in nxt.items() if c}
+            return tuple((monos[0] if long else monos, c)
+                         for (_, monos), c in states.items())
+
+        L._weights = weight
+    return L._weights
+
+
+def weight_system(dvec, L):
+    """Image of an ArrowVector in U(Ig)^(⊗ strands), PBW-normalized.
+
+    Each diagram's image is read from the algebra's memo
+    (``_weight_table``).  The coefficients are scaled to ints over one
+    denominator, summed per key, and divided once at the end.
     """
-    times = _times_table(L)
-    long = dvec.skeleton == LONG
-    n = 1 if long else dvec.skeleton[1]
+    weight = _weight_table(L)
     terms, den = integral(dvec.terms)
     sums = {}
     for diagram, coeff in terms.items():
-        ends = [(s, kind, a) for a, arrow in enumerate(diagram)
-                for s, kind in zip(arrow, "px")]
-        if long:  # one strand, read in slot order
-            ends = [(1, kind, a) for _, kind, a in sorted(ends)]
-        # state: (open index per arrow, 0 if not open; monomial per strand)
-        states = {((0,) * len(diagram), ((),) * n): 1}
-        for s, kind, a in ends:
-            s -= 1
-            nxt = {}
-            for (idx, monos), c in states.items():
-                if idx[a]:
-                    choices = ((idx[a], idx[:a] + (0,) + idx[a + 1:]),)
-                else:
-                    choices = [(i, idx[:a] + (i,) + idx[a + 1:])
-                               for i in range(1, L.r + 1)]
-                for i, idx2 in choices:
-                    for mono, cm in times(monos[s], (kind, i)):
-                        key = (idx2, monos[:s] + (mono,) + monos[s + 1:])
-                        cm *= c
-                        nxt[key] = nxt[key] + cm if key in nxt else cm
-            states = {k: c for k, c in nxt.items() if c}
-        for (_, monos), c in states.items():
-            key = monos[0] if long else monos
+        for key, c in weight(dvec.skeleton, diagram):
             sums[key] = sums.get(key, 0) + coeff * c
     return PBWElement({k: Rat(s, den) for k, s in sums.items() if s})

@@ -14,7 +14,7 @@ from wknots.arrows import (LONG, TWO_ARROW_RELATIONS, ArrowVector,
                            enumerate_diagrams, strands)
 from wknots.expansion import TruncatedExpansion, expansion_exp, wheels_reduce
 from wknots.freegroup import FreeAut, aut_compose
-from wknots.gauss import GaussDiagram, self_linking
+from wknots.gauss import GaussDiagram, apply_move, self_linking
 from wknots.jacobi import (TrivalentDiagram, _commutator_block,
                            monomial_to_arrows, stu_eliminate)
 from wknots.lieweights import PBWElement, lie_validate
@@ -22,7 +22,7 @@ from wknots.linalg import SparseEchelon, integral
 from wknots.rational import ZERO, Rat, rat
 from wknots.rings import (LaurentPoly, TruncSeries, laurent_at_exp,
                           laurent_normalize, series_log)
-from wknots.wbraid import letter_action
+from wknots.wbraid import FLIP, letter_action
 
 
 def is_zero(v):
@@ -265,7 +265,10 @@ def arrow_side_prediction(g, d, flags=frozenset({"RI"})):
 
 def zed_braid_fractions(b, d):
     """``zed_braid`` with one rational per term and crossing: each letter
-    multiplies every term by exp(ε·a) in place."""
+    multiplies every term by exp(ε·a) in place.  Flip letters are refused,
+    as by ``zed_braid``."""
+    if any(kind == FLIP for kind, _, _ in b.letters):
+        raise ValueError("flip letters have no arrow-valued expansion")
     n = b.n
     skel = strands(n)
     pos = list(range(1, n + 1))
@@ -287,6 +290,38 @@ def zed_braid_fractions(b, d):
             z = nz
         pos[i - 1], pos[i] = pos[i], pos[i - 1]
     return z
+
+
+def legal_moves_by_slot_triples(g):
+    """``checks._legal_moves`` with every slot triple i < j < l offered to
+    ``apply_move`` as a slide, C(2k − 1, 3) tries."""
+    gaps = range(2 * g.k + 1)
+    slots = range(1, 2 * g.k)
+    out = [("r2", gt, go, sign, nested) for gt in gaps for go in gaps
+           if gt != go for sign in (1, -1) for nested in (False, True)]
+    tries = [(name, i) for i in slots for name in ("r1s", "r2del", "oc")]
+    tries += [("r3",) + ijl for ijl in combinations(slots, 3)]
+    for mv in tries:
+        try:
+            apply_move(g, *mv)
+        except ValueError:
+            continue
+        out.append(mv)
+    return out
+
+
+def isolating_slot_triples(g):
+    """The slot triples i < j < l whose pairs (i, i+1), (j, j+1), (l, l+1)
+    are disjoint and hold both endpoints of exactly three arrows: the
+    slides that ``apply_move`` goes on to test with ``_is_slide``."""
+    out = []
+    for ijl in combinations(range(1, 2 * g.k), 3):
+        pairs = {x for i in ijl for x in (i, i + 1)}
+        inside = [(t, h) for t, h, _ in g.arrows if t in pairs or h in pairs]
+        if len(pairs) == 6 and len(inside) == 3 and all(
+                t in pairs and h in pairs for t, h in inside):
+            out.append(ijl)
+    return out
 
 
 def braid_closure_two_pass(b):

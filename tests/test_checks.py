@@ -4,9 +4,13 @@ its detail line."""
 import random
 from itertools import count
 
+import pytest
+
 from wknots import checks
 from wknots.gauss import GaussDiagram, apply_move, braid_closure
 from wknots.wbraid import word
+
+from oracles import isolating_slot_triples, legal_moves_by_slot_triples
 
 
 def test_action_well_defined_names_first_failure(monkeypatch):
@@ -82,6 +86,19 @@ DEFAULT_DETAILS = {
 }
 
 
+# expansion-move-invariance at the seeds of the first and the fourth pass
+# of a benchmark run
+MOVE_DETAILS = {
+    1000: "200 cases (oc:45,r1s:32,r2:76,r2del:30,r3:17), 0 failures",
+    2003: "200 cases (oc:52,r1s:33,r2:66,r2del:25,r3:24), 0 failures",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MOVE_DETAILS))
+def test_move_path_pinned_at_more_seeds(seed):
+    assert checks.check_zed_moves(seed=seed) == (True, MOVE_DETAILS[seed])
+
+
 def test_default_detail_lines_pinned():
     got = {name: fn() for name, fn in checks.ALL_CHECKS
            if name in DEFAULT_DETAILS}
@@ -120,3 +137,39 @@ def test_zed_moves_survive_a_crossingless_draw(monkeypatch):
                         lambda rng, length: GaussDiagram(()))
     ok, detail = checks.check_zed_moves(seed=0, trials=20, d=2)
     assert ok, detail
+
+
+def drawn_diagrams(rng, count):
+    """Closures as the move check draws them, closures carrying a slide,
+    and each with a kink grafted at the end and then an R2 pair put in."""
+    for _ in range(count):
+        for g in (checks.random_knot_diagram(rng, rng.randrange(3, 8)),
+                  slide_closure(rng)):
+            yield g
+            kk = g.k
+            g = GaussDiagram(g.arrows +
+                             ((2 * kk + 1, 2 * kk + 2, rng.choice((1, -1))),))
+            yield g
+            gt, go = rng.sample(range(2 * g.k + 1), 2)
+            yield apply_move(g, "r2", gt, go, rng.choice((1, -1)),
+                             rng.random() < 0.5)
+
+
+def test_legal_moves_match_every_slot_triple(monkeypatch):
+    tried = []
+
+    def recorded(g, move, *args):
+        if move == "r3":
+            tried.append(args)
+        return apply_move(g, move, *args)
+
+    monkeypatch.setattr(checks, "apply_move", recorded)
+    slides = 0
+    for g in drawn_diagrams(random.Random(43), 40):
+        tried.clear()
+        got = checks._legal_moves(g)
+        assert got == legal_moves_by_slot_triples(g)
+        # only triples that isolate three arrows reach the slide rule
+        assert tried == isolating_slot_triples(g)
+        slides += sum(mv[0] == "r3" for mv in got)
+    assert slides

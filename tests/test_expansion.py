@@ -116,6 +116,19 @@ def test_zed_braid_rejects_flips():
         zed_braid(word(2, "f1", extended=True), 2)
 
 
+@pytest.mark.parametrize("b", [
+    BraidWord(2, (("f", 1, 1), ("s", 1, 1)), True),
+    word(2, "f2", extended=True),
+    word(3, "s1 v2 f3 S2", extended=True),
+])
+def test_rational_oracle_refuses_flips_like_zed_braid(b):
+    # the oracle once read a flip as a swap of positions
+    for z in (zed_braid, zed_braid_fractions):
+        with pytest.raises(ValueError, match="^flip letters have no "
+                           "arrow-valued expansion$"):
+            z(b, 2)
+
+
 def test_zed_knot_unknot():
     z = zed_knot(GaussDiagram(()), 3)
     assert values(z, 0) == {(): rat(1)}

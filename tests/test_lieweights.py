@@ -1,5 +1,6 @@
 import functools
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from wknots.jacobi import concat, wheel_to_arrows
 from wknots.lieweights import (LieData, lie_validate,
                                lie_abelian, lie_nonabelian2, lie_sl2,
                                PBWElement, pbw_normalize, pbw_mul,
-                               weight_system)
+                               weight_system, _weight_table)
 from wknots.rings import LaurentPoly, TruncSeries, laurent_at_exp
 from wknots.wbraid import braid_from_text
 
@@ -124,6 +125,58 @@ def test_weight_system_multiplicative():
             lhs = weight_system(concat(u, v), L)
             rhs = pbw_mul(weight_system(u, L), weight_system(v, L), L)
             assert lhs == rhs
+
+
+def test_relators_sharing_diagrams_match_oracle():
+    # the relators of one space reuse their diagrams, so most diagram
+    # weights come from the memo; the same diagrams with other
+    # coefficients give nonzero images
+    rng = random.Random(5)
+    for L in (lie_nonabelian2(), HALF):
+        for skel, m in ((LONG, 3), (strands(3), 2)):
+            for vec in generate_relations(skel, m, {"TC", "4T"})[::7]:
+                other = ArrowVector(skel, m, {
+                    d: rat(rng.randint(-3, 3), rng.randint(1, 4))
+                    for d in vec.terms})
+                for v in (vec, other):
+                    assert_same(weight_system(v, L),
+                                index_vector_weight_system(v, L))
+        assert L._weights.cache_info().hits
+
+
+def test_one_word_on_three_skeletons():
+    # ((1, 2),) is an arrow on the long strand, and from strand 1 to
+    # strand 2 on strands(2) and strands(3): three weights, whichever
+    # skeleton comes first
+    skeletons = (LONG, strands(2), strands(3))
+    for order in permutations(skeletons):
+        L = lie_nonabelian2()
+        for skel in order:
+            v = ArrowVector(skel, 1, {((1, 2),): rat(1)})
+            assert_same(weight_system(v, L),
+                        index_vector_weight_system(v, L))
+        assert L._weights.cache_info().currsize == 3
+
+
+def test_algebras_keep_their_own_weights():
+    v = ArrowVector(LONG, 1, {canonical_long(((2, 1),)): rat(1)})
+    algebras = (lie_abelian(2), lie_nonabelian2(), lie_nonabelian2())
+    images = [weight_system(v, L) for L in algebras]
+    assert images[0] != images[1] == images[2]
+    for L, image in zip(algebras, images):
+        assert L._weights.cache_info().misses == 1
+        assert_same(image, index_vector_weight_system(v, L))
+
+
+def test_weight_memo_is_bounded():
+    L = lie_abelian(1)
+    bound = _weight_table(L).cache_info().maxsize
+    many = diagrams(LONG, 5)[:bound + 100]
+    v = ArrowVector(LONG, 5, {d: rat(1) for d in many})
+    assert weight_system(v, L).terms == {
+        (("p", 1),) * 5 + (("x", 1),) * 5: rat(len(many))}
+    info = L._weights.cache_info()
+    assert info.misses == len(many) and info.currsize == bound
 
 
 def test_invalid_algebra_rejected_by_weight_system():
