@@ -117,6 +117,11 @@ def cmd_alexander(args):
 # but minutes and gigabytes at degree 5
 LONG_WITHOUT_TC_DEGREE = 4
 
+# the highest degree ``wheels`` lists: degrees 0-30 hold 28,629 monomials
+# under RI and take about 0.9 s, degree 40 takes 10 s, and the count grows
+# like the partition numbers
+WHEELS_DEGREE = 30
+
 
 def _check_size(skeleton, degree, relset):
     """Refuse a quotient whose columns would not fit in memory, or a long
@@ -187,6 +192,9 @@ def cmd_dims(args):
 
 
 def cmd_wheels(args):
+    if args.degree > WHEELS_DEGREE:
+        raise ValueError("degree %d is above %d, the highest degree wheels "
+                         "lists" % (args.degree, WHEELS_DEGREE))
     flags = {f.strip().upper() for f in args.flags.split(",") if f.strip()}
     for m in range(args.degree + 1):
         monos = wheel_monomial_basis(m, flags)
@@ -260,7 +268,8 @@ def build_parser():
     q.set_defaults(fn=cmd_dims)
 
     q = sub.add_parser("wheels", help="wheel-monomial bases by degree")
-    q.add_argument("--degree", type=int, default=5)
+    q.add_argument("--degree", type=int, default=5,
+                   help="highest degree listed (at most %d)" % WHEELS_DEGREE)
     q.add_argument("--flags", default="ri")
     q.set_defaults(fn=cmd_wheels)
 

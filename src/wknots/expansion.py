@@ -3,12 +3,13 @@
 ``zed_braid`` sends each crossing of a w-braid word to the exponential of a
 single arrow between the two crossing strands (tail on the over strand);
 ``zed_knot`` does the same along a long-knot Gauss diagram, summing over
-arrow supports, walked depth-first and counted per shape, each shape's
-terms memoized.  Both truncate at a degree cap d and sum integer
-numerators over d!, and keep them: a ``TruncatedExpansion`` holds its
-components as numerators over one denominator ``den``, and
-``QuotientSpace.project`` divides by it once, after adding up the images
-of the columns, so Z stays in ints from the supports to the coordinates.
+arrow supports, walked depth-first and counted per endpoint order and
+set of negative arrows, each order's terms memoized and summed once per
+sign.  Both truncate at a degree cap d and sum integer numerators over
+d!, and keep them: a ``TruncatedExpansion`` holds its components as
+numerators over one denominator ``den``, and ``QuotientSpace.project``
+divides by it once, after adding up the images of the columns, so Z
+stays in ints from the supports to the coordinates.
 On the long strand the quotient A^w(↑) is the commutative polynomial
 algebra on the single arrow ``a`` and the wheels; ``wheels_reduce`` reads
 an expansion's quotient coordinates in that wheel-monomial basis, and
@@ -17,7 +18,6 @@ Alexander polynomial alone, inside the monomial algebra.
 """
 
 from bisect import bisect
-from collections import Counter
 from functools import cache, lru_cache
 from math import factorial
 
@@ -126,10 +126,14 @@ def zed_knot(g, d, normalize=False):
     strand is a sum over supports: each set S of at most d arrows, in slot
     order, with each positive composition (k_c) of at most d over S, gives
     k_c parallel copies of arrow c with coefficient Π s_c^{k_c} / k_c!.
-    Supports are counted per shape (``_support_shapes``), and each shape's
-    terms are laid out once by ``_support_terms``.  Coefficients are
-    summed as integer numerators over d!, and the result keeps them so
-    (``den`` = d!).
+    Supports are grouped by the order of their endpoints, each order
+    holding a count per set of negative arrows (``_support_shapes``), and
+    each order's terms are laid out once, grouped by which k_c are odd
+    (``_support_terms``).  The sign Π s_c^{k_c} depends on the order's
+    negative set and the group's odd mask only, so each (order, odd mask)
+    gets one signed count f, and its terms add f times their numerator.
+    Coefficients are summed as integer numerators over d!, and the result
+    keeps them so (``den`` = d!).
 
     With ``normalize`` the result is multiplied by exp(−sl·arrow), killing
     the writhe dependence (full kink removal on top of the kink-flip move).
@@ -137,12 +141,17 @@ def zed_knot(g, d, normalize=False):
     if not isinstance(g, GaussDiagram):
         raise TypeError("expected a GaussDiagram")
     nums = [{} for _ in range(d + 1)]
-    for (order, neg), mult in _support_shapes(g.canonical(), d).items():
-        for m, diagram, num, odd in _support_terms(order, d):
+    for order, negs in _support_shapes(g.canonical(), d).items():
+        for odd, terms in _support_terms(order, d):
             # Π s_c^{k_c} is −1 when an odd number of negative k_c are odd
-            if (odd & neg).bit_count() & 1:
-                num = -num
-            nums[m][diagram] = nums[m].get(diagram, 0) + mult * num
+            f = 0
+            for neg, count in negs.items():
+                f += -count if (odd & neg).bit_count() & 1 else count
+            if not f:
+                continue
+            for m, diagram, num in terms:
+                acc = nums[m]
+                acc[diagram] = acc.get(diagram, 0) + f * num
     z = _from_numerators(LONG, d, nums)
     if normalize:
         e = TruncatedExpansion(LONG, d)
@@ -153,19 +162,20 @@ def zed_knot(g, d, normalize=False):
 
 
 def _support_shapes(arrows, d):
-    """Counter of the shapes (order, neg) of the supports of at most d of
-    the (tail, head, sign) ``arrows``, sorted by slot: ``order`` lists the
+    """The supports of at most d of the (tail, head, sign) ``arrows``,
+    sorted by slot, as {order: {neg: count}}: ``order`` lists the
     support's endpoints in slot order, endpoint 2c being the tail of its
     c-th arrow and 2c + 1 the head, and bit c of ``neg`` is set when that
     arrow is negative.  The supports are walked depth-first, adding arrows
     in slot order: a node keeps its endpoint slots sorted, with ``order``
     alongside, and a child copies both and inserts its arrow's tail and
     head by bisection (list inserts run faster here than tuple slices)."""
-    shapes = Counter()
+    shapes = {}
     stack = [([], [], 0, 0)]  # (slots, order, neg, next arrow)
     while stack:
         slots, order, neg, nxt = stack.pop()
-        shapes[tuple(order), neg] += 1
+        negs = shapes.setdefault(tuple(order), {})
+        negs[neg] = negs.get(neg, 0) + 1
         e = len(order)
         if e == 2 * d:
             continue
@@ -185,21 +195,24 @@ def _support_shapes(arrows, d):
 
 @lru_cache(maxsize=4096)
 def _support_terms(order, d):
-    """(m, diagram, d!/Π k_c!, odd mask of ks) for each composition ks of a
-    support whose endpoints lie in slot order ``order``.  An endpoint of
-    arrow c sits at 1 + the sum of k_c' over the endpoints before it, copy j
-    at (tail + j, head + j): the diagram is already canonical.  Shapes
-    recur across knots; entries grow with d, so the memo is bounded."""
-    p, out = len(order) // 2, []
+    """The terms of a support whose endpoints lie in slot order ``order``,
+    grouped by odd mask: ((odd, ((m, diagram, d!/Π k_c!), ...)), ...),
+    one group for each set of arrows c whose multiplicity k_c is odd, and
+    one term for each composition ks.  An endpoint of arrow c sits at 1 +
+    the sum of k_c' over the endpoints before it, copy j at (tail + j,
+    head + j): the diagram is already canonical.  Orders recur across
+    knots; entries grow with d, so the memo is bounded."""
+    p, groups = len(order) // 2, {}
     slot = [0] * (2 * p)
     for ks, m, num in _compositions(p, d):
         s = 1
         for e in order:
             slot[e], s = s, s + ks[e >> 1]
-        out.append((m, tuple((slot[2 * c] + j, slot[2 * c + 1] + j)
-                             for c in range(p) for j in range(ks[c])),
-                    num, sum(1 << c for c in range(p) if ks[c] & 1)))
-    return tuple(out)
+        odd = sum(1 << c for c in range(p) if ks[c] & 1)
+        groups.setdefault(odd, []).append(
+            (m, tuple((slot[2 * c] + j, slot[2 * c + 1] + j)
+                      for c in range(p) for j in range(ks[c])), num))
+    return tuple((odd, tuple(terms)) for odd, terms in groups.items())
 
 
 @cache

@@ -436,6 +436,27 @@ def support_shapes_by_combinations(arrows, d):
     return shapes
 
 
+def support_terms_flat(order, d):
+    """``expansion._support_terms`` as one flat list, over
+    ``itertools.product``: (m, diagram, d!/Π k_c!, odd mask of ks) for
+    each composition ks of at most d over the arrows of ``order``."""
+    p, out = len(order) // 2, []
+    slot = [0] * (2 * p)
+    for ks in product(range(1, d + 1), repeat=p):
+        if sum(ks) > d:
+            continue
+        s = 1
+        for e in order:
+            slot[e], s = s, s + ks[e >> 1]
+        num = math.factorial(d)
+        for k in ks:
+            num //= math.factorial(k)
+        out.append((sum(ks), tuple((slot[2 * c] + j, slot[2 * c + 1] + j)
+                                   for c in range(p) for j in range(ks[c])),
+                    num, sum(1 << c for c in range(p) if ks[c] & 1)))
+    return out
+
+
 def _insert_long(context, placements):
     """Insert arrows ((gap, rank), (gap, rank)) into a long context diagram
     by scaling its slots apart and placing the new endpoints in between."""

@@ -185,6 +185,33 @@ def test_wheels_basis(capsys):
     assert out["basis4"] == "a*a*a*a a*a*w2 a*w3 w2*w2 w4"
 
 
+@pytest.mark.parametrize("argv", [["wheels", "--degree", "31"],
+                                  ["wheels", "--degree", "55"],
+                                  ["wheels", "--degree", "40", "--flags", ""],
+                                  ["wheels", "--degree", "31", "--flags", "fi"]])
+def test_wheels_degree_bounded(argv, capsys, monkeypatch):
+    # degree 40 takes about 10 s and degree 55 did not finish in 120 s:
+    # refuse before listing any basis
+    def refuse(*args):
+        raise AssertionError("a basis was listed")
+    monkeypatch.setattr(wknots.cli, "wheel_monomial_basis", refuse)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: degree %s is above 30, the highest degree wheels "
+                   "lists\n" % argv[2])
+
+
+def test_wheels_at_the_degree_bound(capsys):
+    assert main(["--machine", "wheels", "--degree", "30", "--flags", "fi"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 31
+    # under FI the monomials are the partitions of 30 into parts >= 2
+    first, *rest = out[30].split(" ")
+    assert first == "basis30=" + "*".join(["w2"] * 15)
+    assert len(rest) + 1 == 5604 - 4565
+
+
 def test_check_single_suite(capsys):
     assert main(["check", "--suite", "quotient-dimensions"]) == 0
     assert "ok" in capsys.readouterr().out

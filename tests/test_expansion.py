@@ -22,7 +22,8 @@ from wknots.expansion import (TruncatedExpansion, expansion_exp, zed_braid,
 from oracles import (arrow_side_prediction, close_word, closure_order,
                      delete_strand_from_expansion, expansion_on_exponential,
                      magnus_expansion, support_shapes_by_combinations,
-                     zed_braid_fractions, zed_knot_recursive)
+                     support_terms_flat, zed_braid_fractions,
+                     zed_knot_recursive)
 
 # w-braids whose closures have non-palindromic Alexander polynomials
 W_BRAIDS = (
@@ -279,8 +280,53 @@ def test_zed_knot_matches_recursive_oracle(g, d, normalize):
 @given(gauss_diagrams(), st.integers(0, 6))
 def test_support_walk_matches_combinations(g, d):
     arrows = g.canonical()
-    assert _support_shapes(arrows, d) == \
-        support_shapes_by_combinations(arrows, d)
+    flat = {(order, neg): n
+            for order, negs in _support_shapes(arrows, d).items()
+            for neg, n in negs.items()}
+    assert flat == support_shapes_by_combinations(arrows, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gauss_diagrams(), st.integers(0, 6))
+def test_support_terms_grouped_by_odd_mask(g, d):
+    # each order of a random diagram's supports: one group per odd mask,
+    # holding the flat layout's terms with that mask
+    for order in _support_shapes(g.canonical(), d):
+        groups = _support_terms(order, d)
+        masks = [odd for odd, _ in groups]
+        assert len(set(masks)) == len(masks)
+        flat = [(m, diagram, num, odd) for odd, terms in groups
+                for m, diagram, num in terms]
+        assert sorted(flat) == sorted(support_terms_flat(order, d))
+
+
+def signed_sums(g, d):
+    """Σ_neg ±count for each (order, odd mask) that ``zed_knot`` meets."""
+    return [sum(-n if (odd & neg).bit_count() & 1 else n
+                for neg, n in negs.items())
+            for order, negs in _support_shapes(g.canonical(), d).items()
+            for odd, _ in _support_terms(order, d)]
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_zed_knot_matches_recursive_oracle_at_high_degree(d):
+    # three or four arrows of mixed signs and an opposite-sign R2 pair,
+    # whose supports cancel: some signed sums are 0 and their terms skipped
+    rng = random.Random(7000 + d)
+    zero_sums = 0
+    for _ in range(6):
+        k = rng.randint(3, 4)
+        slots = rng.sample(range(1, 2 * k + 1), 2 * k)
+        signs = [1, -1] + [rng.choice((1, -1)) for _ in range(k - 2)]
+        g = GaussDiagram([(slots[2 * i], slots[2 * i + 1], s)
+                          for i, s in enumerate(signs)])
+        gaps = rng.sample(range(2 * k + 1), 2)
+        g = apply_move(g, "r2", *gaps, rng.choice((1, -1)), rng.random() < .5)
+        z = zed_knot(g, d)
+        assert_same_terms(z, zed_knot_recursive(g, d))
+        assert all(c for comp in z.comps.values() for c in comp.terms.values())
+        zero_sums += signed_sums(g, d).count(0)
+    assert zero_sums
 
 
 @settings(max_examples=40, deadline=None)
