@@ -41,7 +41,10 @@ least diagrams (heads increasing within each run of tails), so no
 degree-m diagram is enumerated.  A 4T/6T product placed on a context gets
 its rank by the same sum, with no diagram built, and RI and FI are read
 off the classes: a head whose tail lies in the gap just before or just
-after it has an isolated arrow in its class.
+after it has an isolated arrow in its class.  A placement is skipped when
+another placement repeats its rows up to TC or RI, or FI kills them: when
+no site cuts a descent of the context (``_cuts``), or with RI a reverse
+isolated arrow, or with FI any isolated arrow.
 """
 
 from array import array
@@ -459,6 +462,20 @@ def _class_ranks(m, names):
         yield ctx, ranks
 
 
+def _cuts(ctx, relset):
+    """The gaps that a placement on the context must hold to be kept by
+    ``_class_two_arrow_rows``: gap t of each descent (tails at t, t+1
+    whose heads go down); with RI, gap h of each reverse isolated arrow
+    (h+1, h); with FI, gap s of each isolated arrow on slots s, s+1.  No
+    two of these gaps are one, so a kept placement puts a site at each and
+    its other 3 − len(cuts) sites anywhere."""
+    ri, fi = "RI" in relset, "FI" in relset
+    return ([t for (t, h), (u, k) in zip(ctx, ctx[1:])
+             if u == t + 1 and h > k]
+            + [min(t, h) for t, h in ctx
+               if ri and t == h + 1 or fi and abs(t - h) == 1])
+
+
 def _class_two_arrow_rows(m, relset, column):
     """4T and 6T on the long strand as rows of (TC class column, int),
     each term once per diagram: a row cancels the terms that are one
@@ -469,13 +486,32 @@ def _class_two_arrow_rows(m, relset, column):
     gaps differ, a context arrow can stand in for a new one, and both are
     placed as diagrams.
 
-    Two tails of the context at adjacent slots s, s+1 with no site in gap
-    s stay adjacent in every placed diagram, so swapping their heads in
-    the context moves each placed diagram within its TC class, and that
-    placement gives the same rows.  Sorting the heads of each run of tails
-    that no site cuts therefore gives a context whose placement at the
-    same gaps repeats this one: a placement is kept only when a site cuts
-    every descent of the context (tails at s, s+1 whose heads go down).
+    A placement is kept only when a site is at every gap of
+    ``_cuts(ctx, relset)``; the others repeat rows that the build has
+    anyway.
+
+    * Descents.  Two tails of the context at adjacent slots s, s+1 with no
+      site in gap s stay adjacent in every placed diagram, so swapping
+      their heads in the context moves each placed diagram within its TC
+      class, and that placement gives the same rows.
+    * RI.  A reverse isolated arrow (h+1, h) of the context with no site
+      in gap h stays isolated in every placed diagram.  Flipping it to
+      (h, h+1) in the context is a bijection D ↦ D′ of the placed
+      diagrams that keeps which terms are one diagram, and RI equates the
+      class of D with that of D′ at weight +1.  So the flipped context at
+      the same gaps gives rows of the same length and coefficients whose
+      columns the union-find joins: a two-term row is parallel to a path
+      of the same sign, and a longer row folds to the same key.
+    * FI.  An isolated arrow of the context with no site in its gap stays
+      isolated in every placed diagram, so every term of the placement is
+      a dead class: its rows fold to nothing, and a two-term row joins
+      only dead classes.
+
+    Every context still has a kept representative at the same gaps.  A
+    flip lowers the sum of the context's tail slots, and sorting a
+    descent keeps that sum while lowering the inversions of the heads, so
+    flips and sorts at uncut gaps, as long as any is left, stop at a
+    context that is kept (or whose rows FI kills).
     """
     names = frozenset(relset & {"4T", "6T"})
     if m < 2 or not names:
@@ -492,11 +528,12 @@ def _class_two_arrow_rows(m, relset, column):
         return one
 
     for ctx, ranks in _class_ranks(m, names):
-        cuts = [t for (t, h), (u, k) in zip(ctx, ctx[1:])
-                if u == t + 1 and h > k]
-        for gaps in combinations_with_replacement(range(2 * len(ctx) + 1), 3):
-            if cuts and not all(g in gaps for g in cuts):
-                continue
+        cuts = _cuts(ctx, relset)
+        if len(cuts) > 3:  # more gaps than sites
+            continue
+        for free in combinations_with_replacement(range(2 * len(ctx) + 1),
+                                                  3 - len(cuts)):
+            gaps = tuple(sorted(cuts + list(free)))
             col = [column[r] for r in ranks(gaps)]
             for get, ks, signs in instances:
                 cols = get(col)

@@ -167,14 +167,20 @@ def test_long_quotient_dimensions(rels):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("rels, dim", [({"TC", "4T"}, 30),
-                                       ({"TC", "4T", "RI"}, 11),
-                                       ({"TC", "4T", "FI"}, 4)],
-                         ids=["TC+4T", "TC+4T+RI", "TC+4T+FI"])
-def test_long_quotient_dimensions_degree_6(rels, dim):
+@pytest.mark.parametrize("rels, dim, digest", [
+    ({"TC", "4T"}, 30,
+     "a733363e00b08e3b1c47c230be33dee6c7c559be3759cb738f941f3310dafd9d"),
+    ({"TC", "4T", "RI"}, 11,
+     "fc8ad6e60c7beda7315a326e78ce5284f9b160a44b3b1e67716b363d0cbb11c7"),
+    ({"TC", "4T", "FI"}, 4,
+     "f5c941c0f9b8f532cc1e9f7c83eebe27a8d2e45ee413a2455c0d8b46ab003cfd")],
+    ids=["TC+4T", "TC+4T+RI", "TC+4T+FI"])
+def test_long_quotient_dimensions_degree_6(rels, dim, digest):
     # the wheels theorem one degree further: the wheels count, p(6) and
-    # p(6) - p(5)
-    assert QuotientSpace(LONG, 6, rels).dim == dim
+    # p(6) - p(5), with the bases and echelon rows of quotient_digest
+    q = QuotientSpace(LONG, 6, rels)
+    assert q.dim == dim
+    assert quotient_digest(q) == digest
 
 
 def test_strand_quotient_dimensions():
@@ -319,12 +325,18 @@ def test_cc_quotient_unchanged(m):
 # with a pivot entry other than ±1) and of {TC,4T,RI} at degree 5.  The
 # rows were first pinned when the echelon divided such pivots out in Rat,
 # and these digests taken from the integer rows that matched them: every
-# row is integral with pivot entry 1
+# row is integral with pivot entry 1.  The {TC,4T,FI} and {TC,6T,RI}
+# digests, and the degree-6 ones, were taken before the class build
+# skipped the placements that RI or FI repeat (``arrows._cuts``)
 ROW_DIGESTS = {
     (frozenset({"6T"}), 4):
         "13db025b955c02a35c69b0d2393dbbda14f40822165c8cc4122689d672ac5506",
     (frozenset({"TC", "4T", "RI"}), 5):
         "4698eb537c315dafe8ddabd552928992381bf9be1466e3faa72520b163b5a2da",
+    (frozenset({"TC", "4T", "FI"}), 5):
+        "ebf15202f3338b2ed18ac523a57adae51d047d250c5e9f9355517d6cb29457c7",
+    (frozenset({"TC", "6T", "RI"}), 5):
+        "2776f4c3b2ed2250a4f28877d50a4a2d5a7bf20eb0fb85f06bdf096090e2561f",
 }
 
 
@@ -633,6 +645,10 @@ FOLD_CASES = (
     [(LONG, rels, m) for rels in LONG_DIMS for m in range(5)
      if (rels, m) != ({"6T"}, 4)]
     + [pytest.param(LONG, frozenset({"6T"}), 4, marks=pytest.mark.slow)]
+    + [(LONG, frozenset(rels), m) for rels in ({"TC", "6T", "RI"},
+                                               {"TC", "6T", "FI"},
+                                               {"TC", "4T", "RI", "FI"})
+       for m in range(5)]
     + [(LONG, frozenset(rels), 5) for rels in ({"TC", "4T"},
                                                {"TC", "4T", "RI"})]
     + [(strands(n), frozenset(rels), m) for n in (2, 3, 4)
@@ -650,7 +666,11 @@ def test_fold_matches_dict_oracle(skel, rels, m):
     # TC as canonical forms, RI read off the diagrams and the longer rows
     # packed give the relator-dict build's basis, rows and projections;
     # rows are compared with their columns written as diagrams
-    q, old = quotient(skel, m, rels), DictFoldQuotient(skel, m, rels)
+    assert_fold_matches(quotient(skel, m, rels),
+                        DictFoldQuotient(skel, m, rels))
+
+
+def assert_fold_matches(q, old):
     assert q.basis == old.basis
     assert diagram_rows(q) == diagram_rows(old)
     assert all(q.project_diagram(d) == old.project_diagram(d)
@@ -661,3 +681,43 @@ def diagram_rows(q):
     d = q._diagrams
     return {d[p]: {d[c]: v for c, v in row.items()}
             for p, row in q._ech.rows.items()}
+
+
+ISOLATED_SETS = [frozenset(rels) for rels in (
+    {"TC", "4T", "RI"}, {"TC", "4T", "FI"}, {"TC", "6T", "RI"},
+    {"TC", "6T", "FI"}, {"TC", "4T", "RI", "FI"})]
+
+
+@pytest.mark.parametrize("rels", ISOLATED_SETS, ids=_case_id)
+@pytest.mark.parametrize("m", range(3, 6))
+def test_isolated_arrow_cuts_only_drop_rows(monkeypatch, rels, m):
+    # the cuts that RI and FI add keep a subset of the rows that the
+    # descent cut alone keeps, and a strict one
+    column = _tc_classes(m)[1]
+
+    def rows():
+        return {tuple(r) for r in _class_relators(m, rels, column)}
+
+    cut = rows()
+    cuts = arrows._cuts
+    monkeypatch.setattr(arrows, "_cuts",
+                        lambda ctx, relset: cuts(ctx, frozenset()))
+    assert cut < rows()
+
+
+@pytest.mark.parametrize("rels, m", [(ISOLATED_SETS[0], 3),
+                                     (ISOLATED_SETS[0], 4),
+                                     (ISOLATED_SETS[2], 3)], ids=_case_id)
+def test_skipping_reverse_isolated_contexts_is_caught(monkeypatch, rels, m):
+    # forced failure: a cut that drops every placement on a context with a
+    # reverse isolated arrow, cut or not, loses rows that no kept context
+    # repeats, and the dict-fold oracle sees it ({TC,4T,RI} reads dim 7
+    # at m = 3, not 3).  The {TC,6T,RI} build at m = 4 comes out unchanged
+    cuts = arrows._cuts
+    # four gaps, more than the three sites: no placement is kept
+    monkeypatch.setattr(arrows, "_cuts", lambda ctx, relset: (
+        [0, 1, 2, 3] if any(t == h + 1 for t, h in ctx)
+        else cuts(ctx, relset)))
+    with pytest.raises(AssertionError):
+        assert_fold_matches(QuotientSpace(LONG, m, rels),
+                            DictFoldQuotient(LONG, m, rels))
