@@ -14,7 +14,9 @@ Two independent computation paths:
   polynomial read off the digits of the result.
 * ``alexander_fox`` — the classical route: Wirtinger presentation from a
   planar-diagram code, free (Fox) differential calculus, minor determinant.
-  Only valid for classical diagrams; used as an oracle for the first path.
+  Arcs are counted along the knot, one ending at each under-passage, and
+  links and malformed codes are refused.  Classical diagrams only; used as
+  an oracle for the first path.
 """
 
 import os
@@ -80,41 +82,33 @@ def alexander_matrix(k, d=5):
 # --------------------------------------------------------------------------
 
 def _wirtinger(pd):
-    """Arcs and crossing relations of a classical PD code.
+    """Arcs and crossing relations of a one-component PD code.
 
-    Returns (num_arcs, relations) where each relation is a word in the arc
-    generators, as a list of (arc index, ±1): at a crossing with sign ε,
-    over-arc o, incoming under-arc u and outgoing under-arc v, the relator
-    is o^ε u o^{−ε} v^{−1}.
+    An arc ends at each under-passage: at X[a,b,c,d] the under-strand runs
+    from edge a into edge c = a + 1, so the arc of edge e is the count of
+    a's below e, modulo the crossing count.  Returns (num_arcs, relations),
+    each relation a list of (arc, ±1): at a crossing with sign ε, over-arc
+    o and under-arcs u in and v out, the relator is o^ε u o^{−ε} v^{−1}.
+    A link or a malformed code, whose crossings do not join the edges into
+    one knot, raises ``ValueError``.
     """
     m = 2 * len(pd.crossings)
-    parent = list(range(m + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    signed = []
+    signed, incoming = [], []
     for a, b, c, d in pd.crossings:
+        if c != a % m + 1:
+            raise ValueError("crossing X[%d,%d,%d,%d]: the under-strand must "
+                             "run from edge %d to edge %d"
+                             % (a, b, c, d, a, a % m + 1))
         s = _pd_crossing_sign(a, b, c, d, m)
-        over_in, over_out = (d, b) if s > 0 else (b, d)
-        union(over_in, over_out)
-        signed.append((a, c, over_in, s))
-    arc_of = {}
-    for e in range(1, m + 1):
-        arc_of.setdefault(find(e), len(arc_of))
-    arcs = {e: arc_of[find(e)] for e in range(1, m + 1)}
-
-    relations = []
-    for a, c, over, s in signed:
-        o, u, v = arcs[over], arcs[a], arcs[c]
-        relations.append([(o, s), (u, 1), (o, -s), (v, -1)])
-    return len(arc_of), relations
+        over = d if s > 0 else b
+        signed.append((a, c, over, s))
+        incoming += (a, over)
+    if sorted(incoming) != list(range(1, m + 1)):
+        raise ValueError("the crossings do not join the edges into one knot")
+    ends, n = sorted(a for a, _, _, _ in signed), len(signed)
+    arc = {e: bisect_left(ends, e) % n for e in range(1, m + 1)}
+    return n, [[(arc[o], s), (arc[a], 1), (arc[o], -s), (arc[c], -1)]
+               for a, c, o, s in signed]
 
 
 def _fox_derivative(word, gen):
@@ -136,20 +130,15 @@ def _fox_derivative(word, gen):
 def alexander_fox(pd):
     """Normalized Alexander polynomial via Fox calculus.
 
-    Builds the Jacobian of the Wirtinger relators, deletes one column, and
-    takes the minor determinant.  Raises if the presentation is degenerate.
+    Builds the Jacobian of the Wirtinger relators, deletes one column and
+    one row, and takes the minor determinant.  A link or a malformed code
+    raises ``ValueError`` (see ``_wirtinger``), as does a minor that is
+    zero or fails A(1) = ±1.
     """
     num_arcs, relations = _wirtinger(pd)
-    if num_arcs <= 1:
-        # unknotted: no arc or a single one, trivial polynomial
-        return LaurentPoly.const(1)
-    rows = []
-    for rel in relations:
-        rows.append([_fox_derivative(rel, g) for g in range(num_arcs - 1)])
-    # the Wirtinger presentation has one redundant relation: drop the last
-    rows = rows[:-1]
-    if len(rows) != num_arcs - 1:
-        raise ValueError("degenerate Wirtinger presentation")
+    # one relation is redundant: drop the last
+    rows = [[_fox_derivative(rel, g) for g in range(num_arcs - 1)]
+            for rel in relations[:-1]]
     det = RatMatrix(rows).det(LaurentPoly.const(1))
     if det.is_zero():
         raise ValueError("vanishing Alexander determinant (invalid code?)")

@@ -209,9 +209,7 @@ def cmd_check(args):
         if args.suite != "all" and args.suite != name:
             continue
         kwargs = {}
-        if args.seed is not None and name in (
-                "word-problem", "basis-conjugating",
-                "expansion-move-invariance", "weight-systems"):
+        if args.seed is not None and name in checks.SEEDED:
             kwargs["seed"] = args.seed
         ok, detail = fn(**kwargs)
         failed += 0 if ok else 1

@@ -58,8 +58,9 @@ def stu_eliminate(d):
         if not verts:
             src = {e: i + 1 for i, (r, e) in enumerate(legs) if r == "t"}
             dst = {e: i + 1 for i, (r, e) in enumerate(legs) if r == "h"}
-            arrows = [(src[e], dst[e]) for e in src]
-            out.add_term(canonical_long(arrows), coeff)
+            # the legs fill slots 1..2m, so sorting is all canonical_long
+            # would do
+            out.add_term(tuple(sorted((src[e], dst[e]) for e in src)), coeff)
             return
         tails = {e: i for i, (r, e) in enumerate(legs) if r == "t"}
         heads = {e: i for i, (r, e) in enumerate(legs) if r == "h"}
@@ -116,14 +117,19 @@ def wheel_to_arrows(k):
 # --------------------------------------------------------------------------
 
 def concat(u, v):
-    """Juxtaposition product of long-strand vectors (u to the left of v)."""
+    """Juxtaposition product of long-strand vectors (u to the left of v).
+
+    Each term of v, its slots shifted past u's 2·u.m, follows each term of
+    u: both are canonical, so the joined tuple is canonical and sorted."""
     if u.skeleton != LONG or v.skeleton != LONG:
         raise ValueError("long-strand vectors only")
     out = ArrowVector(LONG, u.m + v.m)
+    shift = 2 * u.m
+    right = [(tuple((t + shift, h + shift) for t, h in dv), cv)
+             for dv, cv in v.terms.items()]
     for du, cu in u.terms.items():
-        for dv, cv in v.terms.items():
-            shifted = [(t + 2 * u.m, h + 2 * u.m) for t, h in dv]
-            out.add_term(canonical_long(list(du) + shifted), cu * cv)
+        for shifted, cv in right:
+            out.add_term(du + shifted, cu * cv)
     return out
 
 

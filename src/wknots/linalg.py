@@ -18,11 +18,11 @@ and for those the stored row is the RREF row itself.  Every value ``reduce``
 hands back is a ``Rat``; a reduced row of ints over one denominator is
 divided last.
 
-Determinants use one algorithm: Bareiss elimination (Math. Comp. 22,
-1968) over Python ints, which divides only exactly.  A matrix over Q
-enters with its rows scaled to ints, and one over ℤ[X^±1] evaluated at a
-power of 2 large enough that the int determinant spells out the
-polynomial's coefficients as its digits.
+Determinants take one ring, ℤ[X^±1], by one algorithm: Bareiss
+elimination (Math. Comp. 22, 1968) over Python ints, which divides only
+exactly.  The Laurent matrix is evaluated at a power of 2 large enough
+that the int determinant spells out the polynomial's coefficients as its
+digits.
 """
 
 from __future__ import annotations
@@ -139,13 +139,13 @@ class SparseEchelon:
 
 
 class RatMatrix:
-    """A small dense square matrix of ``Rat``/int or of ``LaurentPoly``
-    entries, whose one algorithm is ``det``: Bareiss elimination over
-    Python ints.
+    """A small dense square matrix of ``LaurentPoly`` entries, whose one
+    algorithm is ``det``: Bareiss elimination over Python ints.
 
-    A ``Rat`` row enters scaled to ints by ``integral`` and a Laurent row
-    by Kronecker substitution, so no ring arithmetic runs inside the
-    elimination; the ring is read back from the one int it returns.
+    A row enters by Kronecker substitution, so no ring arithmetic runs
+    inside the elimination; the polynomial is read back from the one int
+    it returns.  The class keeps its name because ``perfbench/trace.py``
+    wraps ``RatMatrix.det``.
     """
 
     def __init__(self, rows):
@@ -155,34 +155,29 @@ class RatMatrix:
             raise ValueError("not a square matrix")
 
     def det(self, one):
-        """Exact determinant in the ring of `one`: ``LaurentPoly`` entries
-        when `one` is a ``LaurentPoly``, ``Rat`` or int entries otherwise.
+        """Exact determinant over ℤ[X, X^{-1}]; `one` is the ring's
+        ``LaurentPoly`` one, and any other value raises ``TypeError``.
 
-        Over Q each row is scaled to ints by ``integral``, and the int
-        determinant is divided by the product of the row scales.
-
-        Over ℤ[X, X^{-1}] row i is divided by X^{s_i}, s_i its least
-        exponent, and evaluated at X = 2^B (Kronecker substitution), so the
-        int determinant is the shifted determinant at 2^B.  B comes from a
-        bound H on the coefficients of every minor.  Write |p| for the sum
-        of the |coefficients| of an entry p, and let H be the product over
-        the rows i of √(Σ_j |p_ij|²).  On the unit circle |p(z)| ≤ |p|, so
-        by Hadamard's inequality a minor m has |m(z)| at most the product
-        of its rows' norms, and so at most H, as each nonzero row's norm is
-        at least 1 (a zero row makes H and the determinant 0).  Each
+        Row i is divided by X^{s_i}, s_i its least exponent, and evaluated
+        at X = 2^B (Kronecker substitution), so the int determinant is the
+        shifted determinant at 2^B.  B comes from a bound H on the
+        coefficients of every minor.  Write |p| for the sum of the
+        |coefficients| of an entry p, and let H be the product over the rows
+        i of √(Σ_j |p_ij|²).  On the unit circle |p(z)| ≤ |p|, so by
+        Hadamard's inequality a minor m has |m(z)| at most the product of
+        its rows' norms, and so at most H, as each nonzero row's norm is at
+        least 1 (a zero row makes H and the determinant 0).  Each
         coefficient of m, the mean of m(z)·z^{-k} over the circle, is then
-        at most H.  With 2^(B−1) > H the balanced base-2^B digits of the
-        int determinant are exactly the coefficients of the shifted
-        determinant, which is multiplied by X^{Σ s_i} at the end; and a
-        minor is zero exactly when its value at 2^B is, so every nonzero
-        int pivot is a nonzero Laurent minor.  (The product of the rows' Σ_j |p_ij| bounds the minors
-        too, but on large Gauss-diagram matrices it takes about 1.7 times
-        the bits.)
+        at most H.  With 2^(B−1) > H the balanced base-2^B digits of the int
+        determinant are exactly the coefficients of the shifted determinant,
+        which is multiplied by X^{Σ s_i} at the end; and a minor is zero
+        exactly when its value at 2^B is, so every nonzero int pivot is a
+        nonzero Laurent minor.  (The product of the rows' Σ_j |p_ij| bounds
+        the minors too, but on large Gauss-diagram matrices it takes about
+        1.7 times the bits.)
         """
         if not isinstance(one, LaurentPoly):
-            rows = [integral(dict(enumerate(r))) for r in self.data]
-            return Rat(_bareiss([[row.get(j, 0) for j in range(self.nrows)]
-                                 for row, _ in rows]), prod(l for _, l in rows))
+            raise TypeError("RatMatrix.det takes LaurentPoly entries only")
         rows = [[p.coeffs for p in r] for r in self.data]
         square = prod(sum(sum(map(abs, cs.values())) ** 2 for cs in r)
                       for r in rows)  # H²

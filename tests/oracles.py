@@ -14,7 +14,8 @@ from wknots.arrows import (LONG, TWO_ARROW_RELATIONS, ArrowVector,
                            enumerate_diagrams, strands)
 from wknots.expansion import TruncatedExpansion, expansion_exp, wheels_reduce
 from wknots.freegroup import FreeAut, aut_compose
-from wknots.gauss import GaussDiagram, apply_move, self_linking
+from wknots.gauss import (GaussDiagram, _pd_crossing_sign, apply_move,
+                          self_linking)
 from wknots.jacobi import (TrivalentDiagram, _commutator_block,
                            monomial_to_arrows, stu_eliminate)
 from wknots.lieweights import PBWElement, lie_validate
@@ -213,6 +214,47 @@ def fox_derivative(word, gen):
                 out = out + LaurentPoly.x(prefix - 1, -1)
         prefix += s
     return out
+
+
+def concat_through_canonical_long(u, v):
+    """``jacobi.concat`` passing every juxtaposed term through
+    ``canonical_long``."""
+    out = ArrowVector(LONG, u.m + v.m)
+    for du, cu in u.terms.items():
+        for dv, cv in v.terms.items():
+            shifted = [(t + 2 * u.m, h + 2 * u.m) for t, h in dv]
+            out.add_term(canonical_long(list(du) + shifted), cu * cv)
+    return out
+
+
+def wirtinger_by_union_find(pd):
+    """``alexander._wirtinger`` by union-find: the over-strand joins its
+    incoming and outgoing edges into one arc, and the arcs are numbered in
+    the order their first edge appears along the knot."""
+    m = 2 * len(pd.crossings)
+    parent = list(range(m + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    signed = []
+    for a, b, c, d in pd.crossings:
+        s = _pd_crossing_sign(a, b, c, d, m)
+        over_in, over_out = (d, b) if s > 0 else (b, d)
+        parent[find(over_in)] = find(over_out)
+        signed.append((a, c, over_in, s))
+    arc_of = {}
+    for e in range(1, m + 1):
+        arc_of.setdefault(find(e), len(arc_of))
+    arcs = {e: arc_of[find(e)] for e in range(1, m + 1)}
+    relations = []
+    for a, c, over, s in signed:
+        o, u, v = arcs[over], arcs[a], arcs[c]
+        relations.append([(o, s), (u, 1), (o, -s), (v, -1)])
+    return len(arc_of), relations
 
 
 def series_log_products(s):

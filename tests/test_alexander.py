@@ -1,10 +1,16 @@
+import random
+
 import pytest
 
+from oracles import wirtinger_by_union_find
+from test_determinants import random_closure
+from wknots.cli import main
 from wknots.rings import LaurentPoly, laurent_normalize
 from wknots.gauss import (GaussDiagram, pd_from_text, pd_to_gauss,
-                          braid_closure)
+                          braid_closure, gauss_to_pd)
 from wknots.wbraid import word
-from wknots.alexander import alexander_matrix, alexander_fox, knot_inventory
+from wknots.alexander import (_wirtinger, alexander_matrix, alexander_fox,
+                              knot_inventory)
 
 # classical knot table, frozen from two independent evaluations
 TABLE = {
@@ -76,11 +82,32 @@ def test_connected_sum_multiplies():
     assert poly == laurent_normalize(single * single)
 
 
-def test_fox_rejects_non_knot():
-    # a two-component link's Wirtinger minor fails the A(1) = +-1 gate
-    hopf = pd_from_text("X[1,3,2,4] X[3,1,4,2]")
-    with pytest.raises(ValueError):
-        alexander_fox(hopf)
+def test_fox_rejects_non_knot(capsys, tmp_path):
+    # neither code joins its edges into one knot: the Hopf link, whose
+    # edges 1 and 3 each enter two passages, and the trefoil with the
+    # under-strand of its first crossing reversed
+    for code, message in (
+            ("X[1,3,2,4] X[3,1,4,2]", "do not join the edges into one knot"),
+            ("X[2,5,1,4] X[3,1,4,6] X[5,3,6,2]",
+             "the under-strand must run from edge 2 to edge 3")):
+        with pytest.raises(ValueError, match=message):
+            alexander_fox(pd_from_text(code))
+        path = tmp_path / "bad.pd"
+        path.write_text(code + "\n")
+        assert main(["alexander", str(path), "--method", "fox"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
+
+
+def test_wirtinger_arcs_match_union_find():
+    # the bundled knots, then 300 classical closures of 2..40 crossings
+    cases = list(knot_inventory().items())
+    rng = random.Random(30)
+    for i in range(300):
+        g = random_closure(rng, 2 + i % 39, 0)
+        cases.append(("closure %d" % i, gauss_to_pd(g)))
+    for name, pd in cases:
+        assert _wirtinger(pd) == wirtinger_by_union_find(pd), name
 
 
 def test_inventory_files_round_trip():

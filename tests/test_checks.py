@@ -1,6 +1,7 @@
 """A failing check names its first counterexample; a passing one keeps
 its detail line."""
 
+import inspect
 import random
 from itertools import count
 
@@ -173,3 +174,9 @@ def test_legal_moves_match_every_slot_triple(monkeypatch):
         assert tried == isolating_slot_triples(g)
         slides += sum(mv[0] == "r3" for mv in got)
     assert slides
+
+
+def test_seeded_suites_are_the_ones_taking_a_seed():
+    assert checks.SEEDED == tuple(
+        name for name, fn in checks.ALL_CHECKS
+        if "seed" in inspect.signature(fn).parameters)

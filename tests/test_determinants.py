@@ -20,7 +20,6 @@ from wknots.wbraid import BraidWord
 
 laurents = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3),
                            max_size=3).map(LaurentPoly)
-rationals = st.builds(rat, st.integers(-2, 2), st.integers(1, 3))
 # wide exponent spans and large coefficients: big Kronecker digits
 wide_laurents = st.dictionaries(st.integers(-10, 10),
                                 st.integers(-10 ** 6, 10 ** 6),
@@ -46,12 +45,6 @@ def test_bareiss_matches_laplace_over_wide_laurent(rows):
     det = RatMatrix(rows).det(one)
     assert det == laplace_det(rows, one)
     assert det == laurent_bareiss_det(rows)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 6).flatmap(lambda n: square(rationals, n)))
-def test_bareiss_matches_laplace_over_rationals(rows):
-    assert RatMatrix(rows).det(rat(1)) == laplace_det(rows, rat(1))
 
 
 @pytest.mark.parametrize("coeffs", [(1,), (2, 2), (2, 4), (3, 5), (8, 8, 2),
@@ -95,11 +88,15 @@ def test_zero_row_and_empty_matrix():
     rows = [[X(2, 5), X(-3) + 1], [LaurentPoly(), LaurentPoly()]]
     assert RatMatrix(rows).det(one) == LaurentPoly()
     assert RatMatrix(rows[::-1]).det(one).is_zero()
-    assert RatMatrix([[rat(1, 2), 3], [0, 0]]).det(rat(1)) == 0
     assert RatMatrix([]).det(one) == one
-    assert RatMatrix([]).det(rat(1)) == 1
     with pytest.raises(ValueError):
         RatMatrix([[1, 2]]).det(rat(1))
+
+
+@pytest.mark.parametrize("one", [rat(1), 1])
+def test_det_takes_laurent_entries_only(one):
+    with pytest.raises(TypeError):
+        RatMatrix([[LaurentPoly.const(1)]]).det(one)
 
 
 @pytest.mark.parametrize("virtual", [False, True])

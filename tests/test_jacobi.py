@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -8,7 +9,9 @@ from wknots.expansion import TruncatedExpansion, get_quotient, wheels_reduce
 from wknots.jacobi import (TrivalentDiagram, stu_eliminate, wheel_diagram,
                            wheel_to_arrows, concat, D_RIGHT, D_LEFT,
                            monomial_to_arrows, wheel_monomial_basis,
-                           as_instances, ihx_instances)
+                           as_instances, ihx_instances, generator_image)
+
+from oracles import concat_through_canonical_long
 
 
 def test_wheel_diagram_shape():
@@ -105,3 +108,47 @@ def test_concat_shifts_slots():
     w = concat(u, v)
     assert w.m == 2
     assert list(w.terms) == [canonical_long(((1, 2), (4, 3)))]
+
+
+def is_canonical(d):
+    # slots 1..2m once each first, so canonical_long cannot raise
+    slots = sorted(x for arrow in d for x in arrow)
+    return slots == list(range(1, 2 * len(d) + 1)) and d == canonical_long(d)
+
+
+def through_canonical_long(vec):
+    out = ArrowVector(vec.skeleton, vec.m)
+    for d, c in vec.terms.items():
+        out.add_term(canonical_long(d), c)
+    return out
+
+
+@pytest.mark.parametrize("flags", [(), ("RI",), ("FI",), ("RI", "FI")])
+def test_built_diagrams_are_canonical(flags):
+    # stu_eliminate and concat key their terms without canonical_long
+    unit = ArrowVector(LONG, 0, {(): rat(1)})
+    for m in range(7):
+        for mono in wheel_monomial_basis(m, flags):
+            vec = monomial_to_arrows(mono)
+            assert all(is_canonical(d) for d in vec.terms), mono
+            assert vec == through_canonical_long(vec)
+            images = [through_canonical_long(generator_image(g))
+                      for g in mono]
+            assert vec == reduce(concat_through_canonical_long, images, unit)
+
+
+def test_concat_of_random_vectors_is_canonical():
+    rng = random.Random(30)
+
+    def diagram(m):
+        slots = list(range(1, 2 * m + 1))
+        rng.shuffle(slots)
+        return canonical_long(zip(slots[::2], slots[1::2]))
+
+    for _ in range(200):
+        u, v = (ArrowVector(LONG, m, {diagram(m): rat(rng.randint(-3, 3))
+                                      for _ in range(rng.randint(1, 4))})
+                for m in (rng.randint(0, 3), rng.randint(0, 3)))
+        w = concat(u, v)
+        assert all(is_canonical(d) for d in w.terms)
+        assert w == concat_through_canonical_long(u, v)
