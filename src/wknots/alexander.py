@@ -14,9 +14,10 @@ Two independent computation paths:
   polynomial read off the digits of the result.
 * ``alexander_fox`` — the classical route: Wirtinger presentation from a
   planar-diagram code, free (Fox) differential calculus, minor determinant.
-  Arcs are counted along the knot, one ending at each under-passage, and
-  links and malformed codes are refused.  Classical diagrams only; used as
-  an oracle for the first path.
+  Arcs are counted along the knot, one ending at each under-passage.  A
+  link or a malformed code never gets here: ``gauss.PDCode`` refuses it
+  when the code is read, for this path and the first alike.  Classical
+  diagrams only; used as an oracle for the first path.
 """
 
 import os
@@ -24,7 +25,7 @@ from bisect import bisect_left
 
 from .rings import LaurentPoly, laurent_at_exp, laurent_normalize
 from .linalg import RatMatrix
-from .gauss import _pd_crossing_sign, pd_from_text
+from .gauss import pd_from_text
 
 
 def _gauss_rows(k):
@@ -82,33 +83,18 @@ def alexander_matrix(k, d=5):
 # --------------------------------------------------------------------------
 
 def _wirtinger(pd):
-    """Arcs and crossing relations of a one-component PD code.
+    """Arcs and crossing relations of a PD code (``PDCode`` checked it).
 
     An arc ends at each under-passage: at X[a,b,c,d] the under-strand runs
     from edge a into edge c = a + 1, so the arc of edge e is the count of
     a's below e, modulo the crossing count.  Returns (num_arcs, relations),
     each relation a list of (arc, ±1): at a crossing with sign ε, over-arc
     o and under-arcs u in and v out, the relator is o^ε u o^{−ε} v^{−1}.
-    A link or a malformed code, whose crossings do not join the edges into
-    one knot, raises ``ValueError``.
     """
-    m = 2 * len(pd.crossings)
-    signed, incoming = [], []
-    for a, b, c, d in pd.crossings:
-        if c != a % m + 1:
-            raise ValueError("crossing X[%d,%d,%d,%d]: the under-strand must "
-                             "run from edge %d to edge %d"
-                             % (a, b, c, d, a, a % m + 1))
-        s = _pd_crossing_sign(a, b, c, d, m)
-        over = d if s > 0 else b
-        signed.append((a, c, over, s))
-        incoming += (a, over)
-    if sorted(incoming) != list(range(1, m + 1)):
-        raise ValueError("the crossings do not join the edges into one knot")
-    ends, n = sorted(a for a, _, _, _ in signed), len(signed)
-    arc = {e: bisect_left(ends, e) % n for e in range(1, m + 1)}
+    ends, n = sorted(a for a, _, _, _ in pd.signed), len(pd.signed)
+    arc = {e: bisect_left(ends, e) % n for e in range(1, 2 * n + 1)}
     return n, [[(arc[o], s), (arc[a], 1), (arc[o], -s), (arc[c], -1)]
-               for a, c, o, s in signed]
+               for a, c, o, s in pd.signed]
 
 
 def _fox_derivative(word, gen):
@@ -131,20 +117,17 @@ def alexander_fox(pd):
     """Normalized Alexander polynomial via Fox calculus.
 
     Builds the Jacobian of the Wirtinger relators, deletes one column and
-    one row, and takes the minor determinant.  A link or a malformed code
-    raises ``ValueError`` (see ``_wirtinger``), as does a minor that is
-    zero or fails A(1) = ±1.
+    one row, and takes the minor determinant, which on a code ``PDCode``
+    accepts is A(1) = ±1 at X = 1: there the relator of the crossing where
+    arc r ends has the row e_r − e_{r+1 mod n} (its over-arc's letters
+    cancel), the rows are the incidence matrix of the cycle of arcs, and
+    the minor is the reduced incidence matrix of a tree.
     """
     num_arcs, relations = _wirtinger(pd)
     # one relation is redundant: drop the last
     rows = [[_fox_derivative(rel, g) for g in range(num_arcs - 1)]
             for rel in relations[:-1]]
-    det = RatMatrix(rows).det(LaurentPoly.const(1))
-    if det.is_zero():
-        raise ValueError("vanishing Alexander determinant (invalid code?)")
-    if abs(det(1)) != 1:
-        raise ValueError("Alexander determinant fails A(1) = ±1 (not a knot?)")
-    return laurent_normalize(det)
+    return laurent_normalize(RatMatrix(rows).det(LaurentPoly.const(1)))
 
 
 def knot_inventory():

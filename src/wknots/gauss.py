@@ -7,6 +7,9 @@ crossings are invisible at this level, so the virtual and mixed moves do
 not change the diagram and are not moves here; the w-knot moves (R1
 direction flip, R2, R3, and the overcrossings-commute move) are explicit
 rewrites, the R3 gate a rule on its three arrows.
+
+A ``PDCode`` is checked once, when it is built, to be one knot; its
+readers take its signed crossings as given.
 """
 
 from collections import Counter
@@ -90,21 +93,54 @@ def self_linking(d):
 # Planar diagram codes
 # --------------------------------------------------------------------------
 
+def _pd_crossing_sign(a, b, c, d, m):
+    """Sign of X[a,b,c,d] with edges numbered along the knot, modulo m."""
+    nxt = lambda x: x % m + 1
+    # The under-strand enters at a and exits at c.  The over-strand runs
+    # d->b (positive crossing) or b->d (negative crossing).
+    if nxt(d) == b and nxt(b) == d:
+        # only possible when m = 2: a lone kink's code does not determine
+        # the over-strand direction
+        raise ValueError("one-crossing code is ambiguous; sign undecidable")
+    if nxt(d) == b:
+        return 1
+    if nxt(b) == d:
+        return -1
+    raise ValueError("crossing X[%d,%d,%d,%d] has no coherent over-strand" % (a, b, c, d))
+
+
 class PDCode:
-    """Planar diagram code: list of crossings X[a,b,c,d].
+    """Planar diagram code of one knot: a list of crossings X[a,b,c,d].
 
     Edge labels 1..2k run along the knot; at each crossing the four labels
     are listed counterclockwise starting from the incoming under-strand.
+    The one check of a code, made here for every reader: the under-strand
+    runs from edge a into c = a + 1 (mod 2k), the over-strand d -> b or
+    b -> d (``_pd_crossing_sign``), and the incoming edges, each a and each
+    over-strand's, are 1..2k once each.  A code that breaks it (a link, a
+    reversed strand, a lone crossing) raises ``ValueError``.
+
+    signed -- one (a, c, over_in, sign) per crossing, in code order.
     """
 
     def __init__(self, crossings):
         self.crossings = tuple(tuple(int(x) for x in c) for c in crossings)
         if any(len(c) != 4 for c in self.crossings):
             raise ValueError("each crossing needs four edge labels")
-        labels = sorted(x for c in self.crossings for x in c)
         m = 2 * len(self.crossings)
-        if labels != sorted(list(range(1, m + 1)) * 2):
-            raise ValueError("edge labels must be 1..2k, each twice")
+        signed = []
+        for a, b, c, d in self.crossings:
+            if c != a % m + 1:
+                raise ValueError("crossing X[%d,%d,%d,%d]: the under-strand "
+                                 "must run from edge %d to edge %d"
+                                 % (a, b, c, d, a, a % m + 1))
+            s = _pd_crossing_sign(a, b, c, d, m)
+            signed.append((a, c, d if s > 0 else b, s))
+        incoming = sorted(x for a, _, o, _ in signed for x in (a, o))
+        if incoming != list(range(1, m + 1)):
+            raise ValueError("the crossings do not join the edges into "
+                             "one knot")
+        self.signed = tuple(signed)
 
     def __repr__(self):
         return "PDCode(%r)" % (list(self.crossings),)
@@ -130,22 +166,6 @@ def pd_from_text(text):
     return PDCode(crossings)
 
 
-def _pd_crossing_sign(a, b, c, d, m):
-    """Sign of X[a,b,c,d] with edges numbered along the knot, modulo m."""
-    nxt = lambda x: x % m + 1
-    # The under-strand enters at a and exits at c.  The over-strand runs
-    # d->b (positive crossing) or b->d (negative crossing).
-    if nxt(d) == b and nxt(b) == d:
-        # only possible when m = 2: a lone kink's code does not determine
-        # the over-strand direction
-        raise ValueError("one-crossing code is ambiguous; sign undecidable")
-    if nxt(d) == b:
-        return 1
-    if nxt(b) == d:
-        return -1
-    raise ValueError("crossing X[%d,%d,%d,%d] has no coherent over-strand" % (a, b, c, d))
-
-
 def pd_to_gauss(pd):
     """Convert a planar diagram code to a Gauss diagram.
 
@@ -153,13 +173,7 @@ def pd_to_gauss(pd):
     crossing passage between edges j and j+1.  Each crossing contributes
     an arrow from its over-incoming slot to its under-incoming slot.
     """
-    m = 2 * len(pd.crossings)
-    arrows = []
-    for a, b, c, d in pd.crossings:
-        s = _pd_crossing_sign(a, b, c, d, m)
-        over_in = d if s > 0 else b
-        arrows.append((over_in, a, s))
-    return GaussDiagram(arrows)
+    return GaussDiagram((o, a, s) for a, _, o, s in pd.signed)
 
 
 def gauss_to_pd(g):

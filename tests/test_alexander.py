@@ -82,21 +82,36 @@ def test_connected_sum_multiplies():
     assert poly == laurent_normalize(single * single)
 
 
+# none of these codes is one knot: the Hopf link, whose edges 1 and 3 each
+# enter two passages, the trefoil with the under-strand of its first
+# crossing reversed, a code whose arrow endpoints cover 1..6 once each
+# though its under-strands run from edge 3 to edge 6, and a lone crossing,
+# whose over-strand could run either way
+NON_KNOTS = (
+    ("X[1,3,2,4] X[3,1,4,2]", "do not join the edges into one knot"),
+    ("X[2,5,1,4] X[3,1,4,6] X[5,3,6,2]",
+     "the under-strand must run from edge 2 to edge 3"),
+    ("X[3,6,6,1] X[4,1,4,2] X[5,2,5,3]",
+     "the under-strand must run from edge 3 to edge 4"),
+    ("X[1,2,2,1]", "one-crossing code is ambiguous"),
+)
+
+
 def test_fox_rejects_non_knot(capsys, tmp_path):
-    # neither code joins its edges into one knot: the Hopf link, whose
-    # edges 1 and 3 each enter two passages, and the trefoil with the
-    # under-strand of its first crossing reversed
-    for code, message in (
-            ("X[1,3,2,4] X[3,1,4,2]", "do not join the edges into one knot"),
-            ("X[2,5,1,4] X[3,1,4,6] X[5,3,6,2]",
-             "the under-strand must run from edge 2 to edge 3")):
+    # refused where the code is read, so under every method and by zed
+    path = tmp_path / "bad.pd"
+    for code, message in NON_KNOTS:
         with pytest.raises(ValueError, match=message):
-            alexander_fox(pd_from_text(code))
-        path = tmp_path / "bad.pd"
+            pd_from_text(code)
         path.write_text(code + "\n")
-        assert main(["alexander", str(path), "--method", "fox"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ") and message in err
+        for command in (["alexander", str(path), "--method", "matrix"],
+                        ["alexander", str(path), "--method", "fox"],
+                        ["alexander", str(path), "--method", "both"],
+                        ["zed", str(path), "--degree", "3"]):
+            assert main(command) == 2, command
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") \
+                and message in err, command
 
 
 def test_wirtinger_arcs_match_union_find():
@@ -108,6 +123,39 @@ def test_wirtinger_arcs_match_union_find():
         cases.append(("closure %d" % i, gauss_to_pd(g)))
     for name, pd in cases:
         assert _wirtinger(pd) == wirtinger_by_union_find(pd), name
+
+
+@pytest.mark.parametrize("name", sorted(TABLE))
+def test_label_shuffles_agree_or_are_refused(name):
+    # a code relabelled by a random permutation of its edges, its
+    # crossings in random order: one that ``PDCode`` accepts is the same
+    # knot, and both methods give the knot's polynomial
+    crossings = knot_inventory()[name].crossings
+    m, rng, accepted = 2 * len(crossings), random.Random(31), 0
+    for _ in range(3000):
+        labels = rng.sample(range(1, m + 1), m)
+        code = " ".join("X[%d,%d,%d,%d]" % tuple(labels[x - 1] for x in c)
+                        for c in rng.sample(crossings, len(crossings)))
+        try:
+            pd = pd_from_text(code)
+        except ValueError:
+            continue
+        accepted += 1
+        _, poly = alexander_matrix(pd_to_gauss(pd), d=2)
+        assert alexander_fox(pd) == poly == LaurentPoly(TABLE[name]), code
+    if name == "3_1":
+        # the 6 rotations of the edge order are 6 of 720 relabellings
+        assert accepted > 0
+
+
+def test_fox_at_one_on_closures():
+    # A(1) = ±1 on every code PDCode accepts: the argument that lets
+    # alexander_fox check nothing, on 300 closures of 2..40 crossings, half
+    # of them with virtual letters
+    rng = random.Random(31)
+    for i in range(300):
+        g = random_closure(rng, 2 + i % 39, 0.3 if i % 2 else 0)
+        assert abs(alexander_fox(gauss_to_pd(g))(1)) == 1, g
 
 
 def test_inventory_files_round_trip():

@@ -41,8 +41,11 @@ def test_pd_gauss_round_trip_random_closures():
     from wknots.checks import random_knot_diagram
     for _ in range(40):
         g = random_knot_diagram(rng, length=rng.randrange(2, 7))
-        if g.k < 2:
-            continue  # the one-crossing code is ambiguous by design
+        if g.k == 1:
+            # the one-crossing code does not say which way the over-strand runs
+            with pytest.raises(ValueError, match="ambiguous"):
+                gauss_to_pd(g)
+            continue
         assert pd_to_gauss(gauss_to_pd(g)) == g
 
 

@@ -1,9 +1,10 @@
 """Source hygiene: every name a ``wknots`` module imports is used in it,
-every import but one sits at the top of its module, no module imports
-``dataclasses``, no ``.get`` default builds a fresh ``Rat`` zero,
-every name a module defines at top level is referenced in ``src/``, the
-benchmark or the test oracles (or is listed as API only tests use), and
-the package-data globs and the data files match each other."""
+every import but one sits at the top of its module, no module imports an
+underscore name from another or imports ``dataclasses``, no ``.get``
+default builds a fresh ``Rat`` zero, every name a module defines at top
+level is referenced in ``src/``, the benchmark or the test oracles (or is
+listed as API only tests use), and the package-data globs and the data
+files match each other."""
 
 import ast
 from pathlib import Path
@@ -65,6 +66,35 @@ def test_no_dataclasses(path):
     # importing dataclasses costs about 10 ms on every CLI start
     assert "dataclasses" not in imported_modules(
         path.read_text(encoding="utf-8"))
+
+
+def private_imports(source):
+    """Underscore names an import statement reads from another ``wknots``
+    module, relative or absolute; dunder names aside."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "wknots"):
+            found.update(a.name for a in node.names
+                         if a.name.startswith("_")
+                         and not a.name.endswith("__"))
+    return found
+
+
+def test_private_import_is_detected():
+    assert private_imports("from .gauss import _pd_crossing_sign, PDCode\n"
+                           "from wknots.arrows import _cuts\n"
+                           "from . import __version__\n"
+                           "from os import _exit\n"
+                           "def f():\n    from .jacobi import _blocks\n"
+                           ) == {"_pd_crossing_sign", "_cuts", "_blocks"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_imports(path):
+    # a module's underscore names are its own; another module that needs
+    # one needs it made public or its work done where the name lives
+    assert private_imports(path.read_text(encoding="utf-8")) == set()
 
 
 def fresh_zero_defaults(source):

@@ -1,7 +1,9 @@
 """A mutation gate for the fast paths: each test plants one named fault in
 the library, in-process, and asserts that the oracle test meant to catch
 it fails.  ``monkeypatch`` undoes the fault when the test ends, and every
-check runs on fixed small inputs."""
+check runs on fixed small inputs.  A fault in a quotient build is planted
+through ``plant``, which also empties the process-wide quotient caches, so
+no mutant quotient outlives its test."""
 
 import inspect
 import textwrap
@@ -10,9 +12,14 @@ from bisect import bisect_right
 import pytest
 
 import test_alexander
+import test_arrows
 import test_determinants
 import test_jacobi
-from wknots import alexander, jacobi, linalg
+from wknots import alexander, arrows, expansion, gauss, jacobi, linalg
+
+# what an oracle test that meets a planted fault raises: a failed assert,
+# or pytest.raises finding no error
+CAUGHT = (AssertionError, pytest.fail.Exception)
 
 
 def mutant(fn, old, new):
@@ -50,3 +57,60 @@ def test_concat_without_the_shift(monkeypatch):
                         mutant(jacobi.concat, "shift = 2 * u.m", "shift = 0"))
     with pytest.raises(AssertionError):
         test_jacobi.test_built_diagrams_are_canonical(())
+
+
+def _clear_quotient_caches():
+    expansion._quotient.cache_clear()
+    expansion._wheel_echelon.cache_clear()
+
+
+@pytest.fixture
+def plant(monkeypatch):
+    """``monkeypatch.setattr``, with the quotient caches emptied before the
+    fault is planted and again after it is undone."""
+    _clear_quotient_caches()
+    yield monkeypatch.setattr
+    monkeypatch.undo()
+    _clear_quotient_caches()
+
+
+def test_pd_code_without_its_knot_check(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(gauss.PDCode, "__init__", mutant(
+        gauss.PDCode.__init__, "if incoming != list(range(1, m + 1)):",
+        "if False:"))
+    with pytest.raises(CAUGHT):
+        test_alexander.test_fox_rejects_non_knot(capsys, tmp_path)
+
+
+def test_flipped_union_find_weight(plant):
+    plant(arrows.QuotientSpace, "__init__", mutant(
+        arrows.QuotientSpace.__init__,
+        "weight[hi] = -1 if c1 * w1 == c2 * w2 else 1",
+        "weight[hi] = 1 if c1 * w1 == c2 * w2 else -1"))
+    with pytest.raises(AssertionError):
+        test_arrows.test_canonical_word_far_commutation()
+
+
+def test_image_denominator_forced_to_one(plant, monkeypatch):
+    plant(arrows.QuotientSpace, "__init__", mutant(
+        arrows.QuotientSpace.__init__,
+        "self._den = lcm(*(row[p] for p, row in self._ech.rows.items()))",
+        "self._den = 1"))
+    with pytest.raises(AssertionError):
+        test_arrows.test_images_over_a_denominator_above_one(monkeypatch)
+
+
+def test_dropped_far_commutation_row(plant):
+    plant(arrows, "_far_commutation_relators", mutant(
+        arrows._far_commutation_relators, "range(len(w) - 1)",
+        "range(len(w) - 2)"))
+    with pytest.raises(AssertionError):
+        test_arrows.test_canonical_word_far_commutation()
+
+
+def test_cuts_take_every_isolated_arrow_under_ri(plant):
+    plant(arrows, "_cuts", mutant(arrows._cuts, "ri and t == h + 1",
+                                  "ri and abs(t - h) == 1"))
+    with pytest.raises(AssertionError):
+        test_arrows.test_long_quotient_dimensions(
+            frozenset({"TC", "4T", "RI"}))
