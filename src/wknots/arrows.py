@@ -55,7 +55,7 @@ from itertools import (accumulate, chain, combinations_with_replacement,
 from math import factorial, lcm
 from operator import add, itemgetter
 
-from .rational import ZERO, Rat, rat
+from .rational import ZERO, Rat
 from .linalg import SparseEchelon, integral
 
 LONG = ("long",)
@@ -182,7 +182,9 @@ def _tc_classes(m):
 # --------------------------------------------------------------------------
 
 class ArrowVector:
-    """Formal rational combination of same-degree diagrams on one skeleton."""
+    """Formal combination of same-degree diagrams on one skeleton.  The
+    coefficients the library builds are ints; a ``Rat`` enters by a
+    division, or with a scalar or terms from outside."""
 
     def __init__(self, skeleton, m, terms=None):
         self.skeleton = skeleton
@@ -193,7 +195,7 @@ class ArrowVector:
                 self.add_term(d, c)
 
     def add_term(self, diagram, coeff):
-        c = self.terms.get(diagram, ZERO) + coeff
+        c = self.terms.get(diagram, 0) + coeff
         if c:
             self.terms[diagram] = c
         else:
@@ -208,11 +210,13 @@ class ArrowVector:
         return out
 
     def __sub__(self, other):
-        return self + other * -1
+        return self + ArrowVector(other.skeleton, other.m,
+                                  {d: -c for d, c in other.terms.items()})
 
     def __mul__(self, scalar):
+        # a str or float scalar is outside input, and comes out exact
         return ArrowVector(self.skeleton, self.m,
-                           {d: c * rat(scalar) for d, c in self.terms.items()})
+                           {d: c * Rat(scalar) for d, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -601,13 +605,10 @@ def _cc_relators(m):
 
 
 def generate_relations(skeleton, m, relset):
-    """All relator vectors of degree m for the given relation ids."""
-    out = []
-    for terms in _relators(skeleton, m, frozenset(relset)):
-        v = ArrowVector(skeleton, m)
-        v.terms = {d: rat(c) for d, c in terms.items()}
-        out.append(v)
-    return out
+    """All relator vectors of degree m for the given relation ids, with
+    int coefficients."""
+    return [ArrowVector(skeleton, m, terms)
+            for terms in _relators(skeleton, m, frozenset(relset))]
 
 
 # --------------------------------------------------------------------------
@@ -817,8 +818,7 @@ class QuotientSpace:
 
     def project_diagram(self, d):
         v = ArrowVector(self.skeleton, self.m)
-        v.add_term(canonical_long(d) if self.skeleton == LONG else tuple(d),
-                   rat(1))
+        v.add_term(canonical_long(d) if self.skeleton == LONG else tuple(d), 1)
         return self.project(v)
 
 

@@ -11,7 +11,6 @@ independent descriptions, and the weight systems kill every relator.
 import random
 from itertools import combinations
 
-from .rational import rat
 from .freegroup import aut_is_basis_conjugating
 from .wbraid import (SIGMA, VIRT, BraidWord, braid_action, braid_equal,
                      braid_skeleton, braid_invert, relation_table)
@@ -250,11 +249,11 @@ def check_main_theorem(names=("unknot", "3_1", "4_1", "5_1", "5_2"), d=5):
 # 8-9: diagram spaces
 # --------------------------------------------------------------------------
 
-def check_dimensions(mmax=4):
+def check_dimensions():
     """Quotient dimensions match two independent descriptions: the wheel
     monomial count in each flag variant, and the six-term-relation
     presentation."""
-    bad = []
+    mmax, bad = 4, []
     for flags, label in ((frozenset(), "plain"), (frozenset({"RI"}), "RI"),
                          (frozenset({"FI"}), "FI")):
         for m in range(mmax + 1):
@@ -263,7 +262,7 @@ def check_dimensions(mmax=4):
             if q.dim != nm:
                 bad.append("long/%s/m=%d: %d vs %d" % (label, m, q.dim, nm))
     for skel in (LONG, ("strands", 2), ("strands", 3)):
-        for m in range(min(mmax, 3) + 1):
+        for m in range(4):
             a = get_quotient(skel, m, {"TC", "4T"}).dim
             b = get_quotient(skel, m, {"TC", "6T"}).dim
             if a != b:
@@ -271,10 +270,10 @@ def check_dimensions(mmax=4):
     return not bad, "m<=%d, failures: %s" % (mmax, bad or "none")
 
 
-def check_jacobi(mmax=4):
+def check_jacobi():
     """Antisymmetry and the Jacobi identity of trivalent diagrams vanish
     after elimination, and the commutator-slide relators vanish too."""
-    bad = []
+    mmax, bad = 4, []
     for kind, vecs in (("AS", as_instances(mmax)), ("IHX", ihx_instances())):
         for vec in vecs:
             if vec.m > mmax:
@@ -296,12 +295,13 @@ def check_jacobi(mmax=4):
 # 10: weight systems
 # --------------------------------------------------------------------------
 
-def check_weight_systems(mmax=3, seed=3):
+def check_weight_systems(seed=3):
     """Every tails-commute and four-term relator maps to zero in U(Ig) for
     three Lie algebras, and the map is multiplicative under juxtaposition."""
+    mmax = 3
     fixtures = [("abelian", lw.lie_abelian(2), mmax),
                 ("nonabelian2", lw.lie_nonabelian2(), mmax),
-                ("sl2", lw.lie_sl2(), min(mmax, 2))]
+                ("sl2", lw.lie_sl2(), 2)]
     bad = []
     for name, L, mcap in fixtures:
         for skel in (LONG, ("strands", 3)):
@@ -320,8 +320,8 @@ def check_weight_systems(mmax=3, seed=3):
                     (slots[2 * i], slots[2 * i + 1]) for i in range(m)))
             mu, mv = rng.randrange(1, 3), rng.randrange(1, 3)
             du, dv = rnd(mu), rnd(mv)
-            u = ArrowVector(LONG, mu, {du: rat(1)})
-            v = ArrowVector(LONG, mv, {dv: rat(1)})
+            u = ArrowVector(LONG, mu, {du: 1})
+            v = ArrowVector(LONG, mv, {dv: 1})
             lhs = lw.weight_system(concat(u, v), L)
             rhs = lw.pbw_mul(lw.weight_system(u, L),
                              lw.weight_system(v, L), L)

@@ -91,9 +91,12 @@ def cmd_alexander(args):
     if args.series and method == "fox":
         raise ValueError("--series reads the matrix method's series; use "
                          "--method matrix or both")
+    # a PD code is read and checked once, for both methods
+    pd = pd_from_text(text) if _is_pd(text) else None
     results = {}
     if method in ("matrix", "both"):
-        g = _load_diagram(args.diagram, text)
+        g = (pd_to_gauss(pd) if pd is not None
+             else _load_diagram(args.diagram, text))
         # --degree truncates the series, so it is read only with --series
         series, poly = (alexander_matrix(g, d=args.degree) if args.series
                         else alexander_matrix(g))
@@ -103,7 +106,7 @@ def cmd_alexander(args):
             _emit(args.machine, "log_series", "log A(e^x) = %s",
                   series_log(series))
     if method in ("fox", "both"):
-        results["fox"] = alexander_fox(pd_from_text(text))
+        results["fox"] = alexander_fox(pd)
     for name, poly in sorted(results.items()):
         _emit(args.machine, name, "%s: %%s" % name, poly)
     if len(results) == 2 and results["matrix"] != results["fox"]:

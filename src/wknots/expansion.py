@@ -21,7 +21,7 @@ from bisect import bisect
 from functools import cache, lru_cache
 from math import factorial
 
-from .rational import rat
+from .rational import Rat
 from .rings import laurent_at_exp, series_log
 from .arrows import LONG, strands, ArrowVector, quotient
 from .jacobi import monomial_to_arrows, wheel_monomial_basis, concat
@@ -46,7 +46,7 @@ class TruncatedExpansion:
     @classmethod
     def unit(cls, skeleton, d):
         z = cls(skeleton, d)
-        z.comps[0].add_term((), rat(1))
+        z.comps[0].add_term((), 1)
         return z
 
     def __mul__(self, other):
@@ -77,7 +77,7 @@ def expansion_exp(e):
     term = TruncatedExpansion.unit(e.skeleton, e.d)
     for k in range(1, e.d + 1):
         term = term * e
-        scale = rat(1, factorial(k) * term.den)
+        scale = Rat(1, factorial(k) * term.den)
         for m in range(e.d + 1):
             out.comps[m] = out.comps[m] + term.comps[m] * scale
     return out
@@ -156,7 +156,7 @@ def zed_knot(g, d, normalize=False):
     if normalize:
         e = TruncatedExpansion(LONG, d)
         if d >= 1:
-            e.comps[1].add_term(((1, 2),), rat(-self_linking(g)))
+            e.comps[1].add_term(((1, 2),), -self_linking(g))
         z = z * expansion_exp(e)
     return z
 
@@ -316,7 +316,8 @@ def predicted_from_alexander(g, d, flags=frozenset({"RI"})):
     arrow side.
     """
     phi = series_log(laurent_at_exp(alexander_det(g).mirror(), d))
-    coef = {"a": rat(self_linking(g))}
+    # over a Rat, so that coef ** n / factorial(n) stays exact
+    coef = {"a": Rat(self_linking(g))}
     coef.update((("w", k), phi[k]) for k in range(2, d + 1))
     if d >= 1:
         coef[("w", 1)] = -phi[1]
@@ -324,7 +325,7 @@ def predicted_from_alexander(g, d, flags=frozenset({"RI"})):
     for m in range(d + 1):
         coords = {}
         for mono in wheel_monomial_basis(m, flags):
-            c = rat(1)
+            c = Rat(1)
             for gen in set(mono):
                 n = mono.count(gen)
                 c *= coef[gen] ** n / factorial(n)

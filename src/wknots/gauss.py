@@ -8,8 +8,8 @@ not change the diagram and are not moves here; the w-knot moves (R1
 direction flip, R2, R3, and the overcrossings-commute move) are explicit
 rewrites, the R3 gate a rule on its three arrows.
 
-A ``PDCode`` is checked once, when it is built, to be one knot; its
-readers take its signed crossings as given.
+A ``PDCode`` is checked once, when it is built, to be one knot drawn in
+the plane; its readers take its signed crossings as given.
 """
 
 from collections import Counter
@@ -116,9 +116,11 @@ class PDCode:
     are listed counterclockwise starting from the incoming under-strand.
     The one check of a code, made here for every reader: the under-strand
     runs from edge a into c = a + 1 (mod 2k), the over-strand d -> b or
-    b -> d (``_pd_crossing_sign``), and the incoming edges, each a and each
-    over-strand's, are 1..2k once each.  A code that breaks it (a link, a
-    reversed strand, a lone crossing) raises ``ValueError``.
+    b -> d (``_pd_crossing_sign``), the incoming edges, each a and each
+    over-strand's, are 1..2k once each, and the code is planar: it has the
+    k + 2 faces (``_faces``) that Euler's formula gives a connected planar
+    diagram.  A code that breaks it (a link, a reversed strand, a lone
+    crossing, a virtual knot's code) raises ``ValueError``.
 
     signed -- one (a, c, over_in, sign) per crossing, in code order.
     """
@@ -140,10 +142,35 @@ class PDCode:
         if incoming != list(range(1, m + 1)):
             raise ValueError("the crossings do not join the edges into "
                              "one knot")
+        faces = _faces(self.crossings)
+        if m and faces != m // 2 + 2:
+            raise ValueError("the crossings are not planar: %d faces, where "
+                             "a planar diagram of %d crossings has %d"
+                             % (faces, m // 2, m // 2 + 2))
         self.signed = tuple(signed)
 
     def __repr__(self):
         return "PDCode(%r)" % (list(self.crossings),)
+
+
+def _faces(crossings):
+    """The faces of the diagram a code draws, each label an edge between
+    its two ends: the cycles over the 4k corners (crossing, position), a
+    corner followed by the next label counterclockwise at its crossing,
+    then by that edge's other end."""
+    ends = [x for c in crossings for x in c]  # corner 4i + p
+    other, first = [0] * len(ends), {}
+    for j, x in enumerate(ends):
+        i = first.setdefault(x, j)
+        other[j], other[i] = i, j
+    seen, faces = [False] * len(ends), 0
+    for j in range(len(ends)):
+        if not seen[j]:
+            faces += 1
+            while not seen[j]:
+                seen[j] = True
+                j = other[j - j % 4 + (j + 1) % 4]
+    return faces
 
 
 def pd_to_text(pd):
@@ -180,8 +207,9 @@ def gauss_to_pd(g):
     """Planar-diagram code of the closure of a realizable Gauss diagram.
 
     Edge i of the closed knot ends at slot i (and edge i+1, cyclically,
-    leaves it).  Only meaningful for diagrams realizable by a classical
-    planar diagram; the conversion itself is purely combinatorial.
+    leaves it).  A diagram that no classical planar diagram realizes, as
+    most virtual closures, gives a code that is not planar, and raises
+    ``ValueError``.
     """
     m = 2 * g.k
     nxt = lambda x: x % m + 1

@@ -14,13 +14,14 @@ the skeleton by the two STU moves:
   (head of e at p, tail of o at p+1) minus (tail of o at p, head of e
   at p+1).
 
-The canonical stored form of every element is a pure-arrow ArrowVector.
+The canonical stored form of every element is a pure-arrow ArrowVector,
+with int coefficients: elimination, wheels, products and the relator
+instances only add and negate.
 """
 
 from functools import cache
 from itertools import combinations, permutations
 
-from .rational import rat
 from .arrows import LONG, ArrowVector, canonical_long
 
 
@@ -76,9 +77,9 @@ def stu_eliminate(d):
                 return
             if i1 in tails or i2 in tails:
                 if i2 in tails:
-                    leg_e, other, sign = i2, i1, rat(1)
+                    leg_e, other, sign = i2, i1, 1
                 else:
-                    leg_e, other, sign = i1, i2, rat(-1)
+                    leg_e, other, sign = i1, i2, -1
                 p = tails[leg_e]
                 base = [l for l in legs]
                 t1 = base[:p] + [("h", other), ("t", o)] + base[p + 1:]
@@ -88,7 +89,7 @@ def stu_eliminate(d):
                 return
         raise ValueError("not skeleton-reducible")
 
-    emit(list(d.legs), d.verts, rat(1))
+    emit(list(d.legs), d.verts, 1)
     return out
 
 
@@ -135,7 +136,7 @@ def concat(u, v):
 
 def arrow_vector(diagram):
     v = ArrowVector(LONG, len(diagram))
-    v.add_term(canonical_long(diagram), rat(1))
+    v.add_term(canonical_long(diagram), 1)
     return v
 
 
@@ -155,20 +156,25 @@ def generator_image(g):
 def monomial_to_arrows(mono):
     """Arrow image of a generator multiset, multiplied by juxtaposition."""
     out = ArrowVector(LONG, 0)
-    out.add_term((), rat(1))
+    out.add_term((), 1)
     for g in mono:
         out = concat(out, generator_image(g))
     return out
 
 
 def wheel_monomial_basis(m, flags=frozenset()):
-    """Generator monomials of total degree m for a relation flag set.
+    """Generator monomials of total degree m for a relation flag set, as a
+    sorted tuple, built once per (m, flags).
 
     Generators: "a" (a single arrow) and ("w", k) (the k-wheel).  Under RI
     the 1-wheel dies (left and right arrows agree); under FI both die.
     Any other flag raises ``ValueError``.
     """
-    flags = frozenset(flags)
+    return _wheel_monomial_basis(m, frozenset(flags))
+
+
+@cache
+def _wheel_monomial_basis(m, flags):
     if not flags <= {"RI", "FI"}:
         raise ValueError("unknown flags %s; expected RI and/or FI"
                          % ",".join(sorted(flags - {"RI", "FI"})))
@@ -193,8 +199,8 @@ def wheel_monomial_basis(m, flags=frozenset()):
             rec(idx + 1, left - count * deg, mono + [g] * count)
             count += 1
     rec(0, m, [])
-    return sorted(out, key=lambda mono: [("a", 1) if g == "a" else g
-                                         for g in mono])
+    return tuple(sorted(out, key=lambda mono: [("a", 1) if g == "a" else g
+                                               for g in mono]))
 
 
 # --------------------------------------------------------------------------
@@ -272,6 +278,6 @@ def cc_blocks():
     for a_pos in combinations(range(1, 6), 2):
         v = stu_eliminate(placed((0,) + a_pos)) - separated
         if not v.is_zero():
-            blocks.append({tuple((t - 1, h - 1) for t, h in d): int(c)
+            blocks.append({tuple((t - 1, h - 1) for t, h in d): c
                            for d, c in v.terms.items()})
     return tuple(blocks)

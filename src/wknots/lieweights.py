@@ -10,18 +10,21 @@ abelian with dual basis φ^1..φ^r and g acts by the coadjoint action:
 An arrow diagram maps into U(Ig) (one tensor factor per strand) by summing
 over a basis index per arrow: the tail contributes φ^i, the head x_i, read
 off along each strand in order and multiplied left to right in the PBW
-basis (all φ before all x, each block sorted).
+basis (all φ before all x, each block sorted).  ``LieData`` keeps int
+structure constants as ints, so an integral algebra straightens in ints,
+and ``weight_system`` divides only its final sums.
 """
 
 import functools
 
-from .rational import ZERO, Rat, rat
+from .rational import ZERO, Rat
 from .arrows import LONG
 from .linalg import integral
 
 
 class LieData:
-    """Structure constants of g; c maps (j, k) -> {l: rational}."""
+    """Structure constants of g; c maps (j, k) -> {l: int or Rat}: an int
+    constant stays an int, and any other is made a ``Rat``."""
 
     def __init__(self, r, c):
         self.r = int(r)
@@ -34,7 +37,8 @@ class LieData:
             bad = [i for i in (j, k, *row) if not 1 <= i <= self.r]
             if bad:
                 raise ValueError("index %s outside 1..%d" % (bad[0], self.r))
-            row = {l: rat(v) for l, v in row.items() if v}
+            row = {l: v if isinstance(v, int) else Rat(v)
+                   for l, v in row.items() if v}
             if row:
                 self.c[(j, k)] = row
 
@@ -52,7 +56,7 @@ def lie_validate(L):
         for k in range(1, r + 1):
             bjk, bkj = L.bracket(j, k), L.bracket(k, j)
             for l in set(bjk) | set(bkj):
-                if bjk.get(l, ZERO) + bkj.get(l, ZERO) != 0:
+                if bjk.get(l, 0) + bkj.get(l, 0) != 0:
                     return False
     for j in range(1, r + 1):
         for k in range(1, r + 1):
@@ -61,7 +65,7 @@ def lie_validate(L):
                 for a, b, c in ((j, k, l), (k, l, j), (l, j, k)):
                     for m, u in L.bracket(a, b).items():
                         for p, v in L.bracket(m, c).items():
-                            acc[p] = acc.get(p, ZERO) + u * v
+                            acc[p] = acc.get(p, 0) + u * v
                 if any(acc.values()):
                     return False
     return True
@@ -124,19 +128,15 @@ def _times_table(L):
         if not lie_validate(L):
             raise ValueError("invalid Lie structure constants")
         # [g1, g2] for g1 after g2: [x_j, x_k] = Σ c_jk^l x_l and
-        # [x_j, φ^a] = −Σ_m c_jm^a φ^m; duals commute.  Integral constants
-        # are stored as ints, so integral algebras straighten in ints.
-        def num(v):
-            return v.numerator if v.denominator == 1 else v
-
+        # [x_j, φ^a] = −Σ_m c_jm^a φ^m; duals commute
         bracket = {}
         for j in range(1, L.r + 1):
             for k in range(1, j):
-                bracket[("x", j), ("x", k)] = [(("x", l), num(v)) for l, v
+                bracket[("x", j), ("x", k)] = [(("x", l), v) for l, v
                                                in L.bracket(j, k).items()]
             for a in range(1, L.r + 1):
                 bracket[("x", j), ("p", a)] = [
-                    (("p", m), num(-L.bracket(j, m)[a]))
+                    (("p", m), -L.bracket(j, m)[a])
                     for m in range(1, L.r + 1) if a in L.bracket(j, m)]
 
         @functools.cache
@@ -178,7 +178,7 @@ def pbw_mul(u, v, L):
 
 def pbw_normalize(terms, L):
     """Straighten a {word: coeff} dict into PBW order."""
-    return pbw_mul(PBWElement({(): rat(1)}), PBWElement(terms), L)
+    return pbw_mul(PBWElement({(): 1}), PBWElement(terms), L)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Exact rational arithmetic: ``Rat`` is the stdlib ``Fraction``."""
+"""Exact rational arithmetic: ``Rat`` is the stdlib ``Fraction``.
+
+Coefficients the library builds stay Python ints until a division makes
+them rational; a ``Rat`` is built only there, or from outside input."""
 
 from fractions import Fraction as Rat
 
@@ -6,8 +9,3 @@ BACKEND = "fractions"
 
 # one shared zero for defaults and padding: a Rat is immutable
 ZERO = Rat(0)
-
-
-def rat(p, q=1):
-    """Build a rational number p/q."""
-    return Rat(p, q)

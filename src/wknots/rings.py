@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .rational import ZERO, Rat, rat
+from .rational import ZERO, Rat
 
 
 class LaurentPoly:
@@ -104,7 +104,7 @@ class LaurentPoly:
 
     def __call__(self, value):
         """Evaluate at an integer or rational value (value != 0)."""
-        return sum((rat(v) * rat(value) ** e for e, v in self.coeffs.items()), ZERO)
+        return sum((v * Rat(value) ** e for e, v in self.coeffs.items()), ZERO)
 
     def mirror(self):
         """Substitute X -> X^{-1}."""
@@ -242,7 +242,7 @@ class TruncSeries:
 def laurent_at_exp(p: LaurentPoly, d: int) -> TruncSeries:
     """p(e^x) truncated at degree d: the x^k coefficient is
     sum_e c_e e^k / k!."""
-    return TruncSeries(d, [rat(sum(c * e ** k for e, c in p.coeffs.items()),
+    return TruncSeries(d, [Rat(sum(c * e ** k for e, c in p.coeffs.items()),
                                math.factorial(k)) for k in range(d + 1)])
 
 

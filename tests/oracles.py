@@ -20,7 +20,7 @@ from wknots.jacobi import (TrivalentDiagram, _commutator_block,
                            monomial_to_arrows, stu_eliminate)
 from wknots.lieweights import PBWElement, lie_validate
 from wknots.linalg import SparseEchelon, integral
-from wknots.rational import ZERO, Rat, rat
+from wknots.rational import ZERO, Rat
 from wknots.rings import (LaurentPoly, TruncSeries, laurent_at_exp,
                           laurent_normalize, series_log)
 from wknots.wbraid import FLIP, letter_action
@@ -257,6 +257,39 @@ def wirtinger_by_union_find(pd):
     return len(arc_of), relations
 
 
+def gauss_faces(g):
+    """The faces of the closed curve of the Gauss diagram g, read off its
+    arrows with no PD code: walk each side of each edge with the face on
+    the left, turning left at every crossing.  Edge e runs from slot e − 1
+    to slot e (edge 1 from slot 2k).  At arrow (t, h, s) the ends, in
+    counterclockwise order, are h in, t out, h out, t in when s > 0, and
+    h in, t in, h out, t out when s < 0 (seen along the under-strand, the
+    over-strand crosses from left to right when s > 0)."""
+    m = 2 * g.k
+    ccw = {}  # crossing -> its four ends (slot, "in" or "out"), ccw
+    for t, h, s in g.arrows:
+        ends = ([(h, "in"), (t, "out"), (h, "out"), (t, "in")] if s > 0
+                else [(h, "in"), (t, "in"), (h, "out"), (t, "out")])
+        for slot in (t, h):
+            ccw[slot] = ends
+    seen, faces = set(), 0
+    for start in product(range(1, m + 1), (True, False)):
+        if start in seen:
+            continue
+        faces += 1
+        edge, forward = start
+        while (edge, forward) not in seen:
+            seen.add((edge, forward))
+            # arrive at the slot the edge ends at, or starts at when walked
+            # backward, and leave by the end just clockwise of the arrival
+            end = (edge, "in") if forward else ((edge - 2) % m + 1, "out")
+            ends = ccw[end[0]]
+            slot, kind = ends[(ends.index(end) - 1) % 4]
+            edge, forward = (slot, False) if kind == "in" else (slot % m + 1,
+                                                                True)
+    return faces
+
+
 def series_log_products(s):
     """``rings.series_log`` as the Mercator sum Σ (−1)^{k+1} (s−1)^k / k,
     one truncated series product a term."""
@@ -268,7 +301,7 @@ def series_log_products(s):
     term = TruncSeries.const(d, 1)
     for k in range(1, d + 1):
         term = term * u
-        out = out + term * rat((-1) ** (k + 1), k)
+        out = out + term * Rat((-1) ** (k + 1), k)
     return out
 
 
@@ -281,7 +314,7 @@ def laplace_alexander_matrix(k, d):
     one_s = TruncSeries.const(d, 1)
     srows = []
     for i in range(n):
-        e = TruncSeries(d, {m: rat(S[i][i] ** m, math.factorial(m))
+        e = TruncSeries(d, {m: Rat(S[i][i] ** m, math.factorial(m))
                             for m in range(1, d + 1)})
         srows.append([(one_s if i == j else 0) - e * T[i][j]
                       for j in range(n)])
@@ -297,7 +330,7 @@ def arrow_side_prediction(g, d, flags=frozenset({"RI"})):
     phi = series_log(laurent_at_exp(alexander_det(g).mirror(), d))
     e = TruncatedExpansion(LONG, d)
     if d >= 1:
-        e.comps[1].add_term(((1, 2),), rat(self_linking(g)))
+        e.comps[1].add_term(((1, 2),), Rat(self_linking(g)))
         e.comps[1] = e.comps[1] - monomial_to_arrows((("w", 1),)) * phi[1]
     for k in range(2, d + 1):
         if phi[k]:
@@ -326,7 +359,7 @@ def zed_braid_fractions(b, d):
                     src = z.comps[m - k]
                     if src.is_zero():
                         continue
-                    coeff = rat(sgn ** k, math.factorial(k))
+                    coeff = Rat(sgn ** k, math.factorial(k))
                     for w, c in src.terms.items():
                         nz.comps[m].add_term(w + (letter,) * k, c * coeff)
             z = nz
@@ -452,14 +485,14 @@ def zed_knot_recursive(g, d, normalize=False):
         while used + k <= d:
             copies = [(t * B + j, h * B + j) for j in range(k)]
             rec(idx + 1, used + k, placed + copies,
-                coeff * rat(s ** k, math.factorial(k)))
+                coeff * Rat(s ** k, math.factorial(k)))
             k += 1
 
-    rec(0, 0, [], rat(1))
+    rec(0, 0, [], Rat(1))
     if normalize:
         e = TruncatedExpansion(LONG, d)
         if d >= 1:
-            e.comps[1].add_term(((1, 2),), rat(-self_linking(g)))
+            e.comps[1].add_term(((1, 2),), Rat(-self_linking(g)))
         z = z * expansion_exp(e)
     return z
 
@@ -523,7 +556,7 @@ def long_relators(m, relset):
     def emit(pairs):
         v = ArrowVector(LONG, m)
         for d, c in pairs:
-            v.add_term(d, rat(c))
+            v.add_term(d, Rat(c))
         if not v.is_zero():
             out.append(v)
 
@@ -751,15 +784,15 @@ def _swap_terms(g1, g2, L):
         # [x_j, φ^a] = −Σ_m c_jm^a φ^m
         j, a = g1[1], g2[1]
         for m in range(1, L.r + 1):
-            v = L.bracket(j, m).get(a, rat(0))
+            v = L.bracket(j, m).get(a, Rat(0))
             if v:
-                out[(("p", m),)] = out.get((("p", m),), rat(0)) - v
+                out[(("p", m),)] = out.get((("p", m),), Rat(0)) - v
     elif g1[0] == "p" and g2[0] == "x":
         j, a = g2[1], g1[1]
         for m in range(1, L.r + 1):
-            v = L.bracket(j, m).get(a, rat(0))
+            v = L.bracket(j, m).get(a, Rat(0))
             if v:
-                out[(("p", m),)] = out.get((("p", m),), rat(0)) + v
+                out[(("p", m),)] = out.get((("p", m),), Rat(0)) + v
     return {m: c for m, c in out.items() if c}
 
 
@@ -790,7 +823,7 @@ def stack_pbw_mul(u, v, L):
     raw = {}
     for m1, c1 in u.terms.items():
         for m2, c2 in v.terms.items():
-            raw[m1 + m2] = raw.get(m1 + m2, rat(0)) + c1 * c2
+            raw[m1 + m2] = raw.get(m1 + m2, Rat(0)) + c1 * c2
     return stack_pbw_normalize(raw, L)
 
 
@@ -825,7 +858,7 @@ def index_vector_weight_system(dvec, L):
                 for mono, c in norm.terms.items():
                     total.add(mono, c)
                 continue
-            parts = [stack_pbw_normalize({w: rat(1)}, L) for w in raws]
+            parts = [stack_pbw_normalize({w: Rat(1)}, L) for w in raws]
             combos = [((), coeff)]
             for part in parts:
                 combos = [(acc + (mono,), c * pc)
@@ -972,7 +1005,7 @@ def magnus_expansion(word, top):
     the product of the e^{±X_i}, through degree ``top``."""
     out = {(): Rat(1)}
     for g, e in word:
-        out = _poly_mul(out, {(g,) * k: rat(e ** k, math.factorial(k))
+        out = _poly_mul(out, {(g,) * k: Rat(e ** k, math.factorial(k))
                               for k in range(top + 1)}, top)
     return out
 

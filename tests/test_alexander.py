@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import wirtinger_by_union_find
+from oracles import gauss_faces, wirtinger_by_union_find
 from test_determinants import random_closure
 from wknots.cli import main
 from wknots.rings import LaurentPoly, laurent_normalize
@@ -94,6 +94,8 @@ NON_KNOTS = (
     ("X[3,6,6,1] X[4,1,4,2] X[5,2,5,3]",
      "the under-strand must run from edge 3 to edge 4"),
     ("X[1,2,2,1]", "one-crossing code is ambiguous"),
+    # one knot, but 2 faces where a planar diagram has 4: Fox read 1 here
+    ("X[3,2,4,1] X[2,4,3,1]", "the crossings are not planar"),
 )
 
 
@@ -148,14 +150,42 @@ def test_label_shuffles_agree_or_are_refused(name):
         assert accepted > 0
 
 
+def accepted_codes(seed, sizes):
+    """300 seeded closures, half of them with virtual letters, each with
+    its PD code, or None where ``PDCode`` refuses it: exactly the closures
+    whose curve is not planar by ``gauss_faces``, none of them classical."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(300):
+        g = random_closure(rng, 2 + i % sizes, 0.3 if i % 2 else 0)
+        if gauss_faces(g) == g.k + 2:
+            out.append((g, gauss_to_pd(g)))
+        else:
+            assert i % 2, g
+            with pytest.raises(ValueError, match="not planar"):
+                gauss_to_pd(g)
+            out.append((g, None))
+    return out
+
+
 def test_fox_at_one_on_closures():
     # A(1) = ±1 on every code PDCode accepts: the argument that lets
-    # alexander_fox check nothing, on 300 closures of 2..40 crossings, half
-    # of them with virtual letters
-    rng = random.Random(31)
-    for i in range(300):
-        g = random_closure(rng, 2 + i % 39, 0.3 if i % 2 else 0)
-        assert abs(alexander_fox(gauss_to_pd(g))(1)) == 1, g
+    # alexander_fox check nothing, on closures of 2..40 crossings
+    for g, pd in accepted_codes(31, 39):
+        if pd is not None:
+            assert abs(alexander_fox(pd)(1)) == 1, g
+
+
+def test_fox_matches_matrix_on_accepted_closures():
+    # dropping the last Wirtinger relation is sound on planar codes only;
+    # every code PDCode accepts gives the matrix polynomial, and some of
+    # the virtual closures are refused
+    codes = accepted_codes(32, 12)
+    for g, pd in codes:
+        if pd is not None:
+            _, poly = alexander_matrix(g, d=2)
+            assert alexander_fox(pd) == poly, g
+    assert 0 < sum(pd is None for _, pd in codes) < 150
 
 
 def test_inventory_files_round_trip():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wknots.rational import Rat, rat
+from wknots.rational import Rat
 from wknots.rings import (LaurentPoly, TruncSeries, laurent_at_exp,
                           laurent_normalize, series_log)
 from wknots.linalg import SparseEchelon, integral
@@ -44,9 +44,9 @@ def test_laurent_normalize_unit_orbit():
 def test_series_log_mercator():
     s = TruncSeries.const(3, 1) + TruncSeries.x(3)
     l = series_log(s)
-    assert [l[k] for k in range(4)] == [rat(0), rat(1),
-                                        rat(Fraction(-1, 2)),
-                                        rat(Fraction(1, 3))]
+    assert [l[k] for k in range(4)] == [Rat(0), Rat(1),
+                                        Rat(Fraction(-1, 2)),
+                                        Rat(Fraction(1, 3))]
 
 
 def test_exp_log_round_trips():
@@ -58,7 +58,7 @@ def test_exp_log_round_trips():
         assert series_log(laurent_at_exp(LaurentPoly({k: 1}), d)) == \
             k * TruncSeries.x(d)
         u, v = (TruncSeries.const(d, 1) + TruncSeries(
-            d, {e: rat(rng.randrange(-3, 4)) for e in range(1, d + 1)})
+            d, {e: Rat(rng.randrange(-3, 4)) for e in range(1, d + 1)})
             for _ in range(2))
         assert series_log(u * v) == series_log(u) + series_log(v)
 
@@ -81,7 +81,7 @@ def test_constants_hash_as_their_values():
         assert len({t, c}) == 1 and c in {t} and t in {c}
     assert hash(LaurentPoly()) == hash(0)
     assert hash(TruncSeries.const(2, 5)) == hash(TruncSeries.const(6, 5))
-    assert hash(TruncSeries.const(3, rat(1, 2))) == hash(rat(1, 2))
+    assert hash(TruncSeries.const(3, Rat(1, 2))) == hash(Rat(1, 2))
     # equal non-constants still hash alike
     assert hash(LaurentPoly({1: 2, -1: 3})) == hash(LaurentPoly({-1: 3, 1: 2}))
     assert hash(TruncSeries.x(3) + 1) == hash(1 + TruncSeries.x(3))
@@ -102,7 +102,7 @@ def test_ring_axioms_randomized():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         d = 4
-        ss = [TruncSeries(d, {k: rat(rng.randrange(-3, 4))
+        ss = [TruncSeries(d, {k: Rat(rng.randrange(-3, 4))
                               for k in range(d + 1)}) for _ in range(3)]
         a, b, c = ss
         assert (a * b) * c == a * (b * c)
@@ -111,12 +111,12 @@ def test_ring_axioms_randomized():
 
 def test_integral_scales_to_one_denominator():
     assert integral({0: 2, 3: -5}) == ({0: 2, 3: -5}, 1)
-    assert integral({0: rat(1, 2), 1: rat(-2, 3)}) == ({0: 3, 1: -4}, 6)
-    assert integral({0: rat(3, 4), 1: 2, 2: rat(-1, 6)}) == (
+    assert integral({0: Rat(1, 2), 1: Rat(-2, 3)}) == ({0: 3, 1: -4}, 6)
+    assert integral({0: Rat(3, 4), 1: 2, 2: Rat(-1, 6)}) == (
         {0: 9, 1: 24, 2: -2}, 12)
-    assert integral({0: 0, 1: rat(0), 2: rat(1, 3)}) == ({2: 1}, 3)
+    assert integral({0: 0, 1: Rat(0), 2: Rat(1, 3)}) == ({2: 1}, 3)
     assert integral({}) == ({}, 1)
-    row, den = integral({0: rat(5, 2), 1: rat(4, 1)})
+    row, den = integral({0: Rat(5, 2), 1: Rat(4, 1)})
     assert all(type(v) is int for v in row.values()) and type(den) is int
 
 
@@ -144,7 +144,7 @@ def test_echelon_rank_against_fraction_free_oracle():
     dim = 20
     rows = []
     for _ in range(100):
-        rows.append({c: rat(rng.randrange(-2, 3))
+        rows.append({c: Rat(rng.randrange(-2, 3))
                      for c in rng.sample(range(dim), 4)})
     rows = [{c: v for c, v in r.items() if v} for r in rows]
     ech = SparseEchelon()
@@ -157,7 +157,7 @@ def test_echelon_rank_against_fraction_free_oracle():
 
 def test_echelon_rank_order_invariant():
     rng = random.Random(4)
-    rows = [{c: rat(rng.randrange(-2, 3)) for c in rng.sample(range(8), 3)}
+    rows = [{c: Rat(rng.randrange(-2, 3)) for c in rng.sample(range(8), 3)}
             for _ in range(15)]
     rows = [{c: v for c, v in r.items() if v} for r in rows]
     ranks = set()
@@ -200,7 +200,7 @@ def test_echelon_add_takes_int_rows():
     ech = SparseEchelon()
     assert ech.add({0: 2, 1: 0, 3: -4}) and ech.rows == {0: {0: 1, 3: -2}}
     with pytest.raises(TypeError):
-        ech.add({1: rat(1, 2), 2: 1})
+        ech.add({1: Rat(1, 2), 2: 1})
 
 
 def test_echelon_reduce_takes_int_rows():
@@ -208,13 +208,13 @@ def test_echelon_reduce_takes_int_rows():
     ech.add({0: 2, 3: -4})
     # zero values are dropped, and only the final values become Rat
     got = ech.reduce({0: 3, 1: 0, 2: 5, 3: 0}, 4)
-    assert got == {2: rat(5, 4), 3: rat(3, 2)}
+    assert got == {2: Rat(5, 4), 3: Rat(3, 2)}
     assert all(type(v) is Rat for v in got.values())
     assert ech.reduce({1: 0, 2: 0}) == {}
 
 
 _INTEGERS = st.integers(-4, 4).filter(bool)
-_RATIONALS = st.builds(rat, _INTEGERS, st.integers(1, 4))
+_RATIONALS = st.builds(Rat, _INTEGERS, st.integers(1, 4))
 
 
 @st.composite
@@ -231,7 +231,7 @@ def sparse_rows(draw):
         row = {}
         for c in cols:
             v = draw(values)
-            row[c] = rat(v) if draw(st.booleans()) else v
+            row[c] = Rat(v) if draw(st.booleans()) else v
         rows.append(row)
     return rows
 
@@ -264,7 +264,7 @@ def test_echelon_matches_fraction_oracle(rows, probes):
         assert all(type(v) is Rat for v in got.values())
         # the same row scaled to ints over a common denominator (the least
         # one and a multiple of it), divided back by reduce
-        lcd = math.lcm(*(rat(v).denominator for v in row.values()))
+        lcd = math.lcm(*(Rat(v).denominator for v in row.values()))
         for den in (lcd, 6 * lcd):
             got = ech.reduce({c: int(v * den) for c, v in row.items()}, den)
             assert got == want

@@ -4,6 +4,7 @@ import pytest
 
 import wknots.cli
 from wknots.cli import main
+from wknots.gauss import pd_from_text
 
 from test_checks import DEFAULT_DETAILS
 
@@ -46,6 +47,20 @@ def test_alexander_both(capsys):
     out = dict(line.split("=", 1)
                for line in capsys.readouterr().out.splitlines())
     assert out["fox"] == out["matrix"] == "1 - 3*X + 1*X^2"
+
+
+def test_alexander_both_reads_the_code_once(capsys, monkeypatch):
+    read = []
+
+    def counted(text):
+        read.append(text)
+        return pd_from_text(text)
+    monkeypatch.setattr(wknots.cli, "pd_from_text", counted)
+    pd = os.path.join(DATA, "4_1.pd")
+    assert main(["--machine", "alexander", pd, "--method", "both"]) == 0
+    assert len(read) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "fox=1 - 3*X + 1*X^2", "matrix=1 - 3*X + 1*X^2"]
 
 
 def test_alexander_default_method(capsys, tmp_path):

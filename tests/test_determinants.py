@@ -14,7 +14,7 @@ from wknots.alexander import (_fox_derivative, _gauss_rows, alexander_det,
                               alexander_fox, alexander_matrix)
 from wknots.gauss import GaussDiagram, braid_closure, gauss_to_pd
 from wknots.linalg import RatMatrix
-from wknots.rational import rat
+from wknots.rational import Rat
 from wknots.rings import LaurentPoly, laurent_normalize
 from wknots.wbraid import BraidWord
 
@@ -90,10 +90,10 @@ def test_zero_row_and_empty_matrix():
     assert RatMatrix(rows[::-1]).det(one).is_zero()
     assert RatMatrix([]).det(one) == one
     with pytest.raises(ValueError):
-        RatMatrix([[1, 2]]).det(rat(1))
+        RatMatrix([[1, 2]]).det(Rat(1))
 
 
-@pytest.mark.parametrize("one", [rat(1), 1])
+@pytest.mark.parametrize("one", [Rat(1), 1])
 def test_det_takes_laurent_entries_only(one):
     with pytest.raises(TypeError):
         RatMatrix([[LaurentPoly.const(1)]]).det(one)

@@ -12,7 +12,7 @@ from wknots.gauss import (GaussDiagram, gauss_to_text, gauss_from_text,
                           apply_move)
 from wknots.alexander import alexander_fox, alexander_matrix
 
-from oracles import R3_PATTERNS, braid_closure_two_pass
+from oracles import R3_PATTERNS, braid_closure_two_pass, gauss_faces
 
 TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
@@ -44,6 +44,11 @@ def test_pd_gauss_round_trip_random_closures():
         if g.k == 1:
             # the one-crossing code does not say which way the over-strand runs
             with pytest.raises(ValueError, match="ambiguous"):
+                gauss_to_pd(g)
+            continue
+        if g.k and gauss_faces(g) != g.k + 2:
+            # a virtual closure whose curve is not planar has no PD code
+            with pytest.raises(ValueError, match="not planar"):
                 gauss_to_pd(g)
             continue
         assert pd_to_gauss(gauss_to_pd(g)) == g

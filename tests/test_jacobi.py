@@ -3,13 +3,15 @@ from functools import reduce
 
 import pytest
 
-from wknots.rational import rat
-from wknots.arrows import LONG, ArrowVector, canonical_long, generate_relations
+from wknots.rational import Rat
+from wknots.arrows import (LONG, ArrowVector, canonical_long,
+                           generate_relations, strands)
 from wknots.expansion import TruncatedExpansion, get_quotient, wheels_reduce
 from wknots.jacobi import (TrivalentDiagram, stu_eliminate, wheel_diagram,
                            wheel_to_arrows, concat, D_RIGHT, D_LEFT,
                            monomial_to_arrows, wheel_monomial_basis,
-                           as_instances, ihx_instances, generator_image)
+                           as_instances, ihx_instances, generator_image,
+                           cc_blocks)
 
 from oracles import concat_through_canonical_long
 
@@ -31,9 +33,9 @@ def test_stu_preserves_degree():
 
 def test_one_wheel_is_arrow_commutator():
     v = wheel_to_arrows(1)
-    want = ArrowVector(LONG, 1, {canonical_long(D_LEFT): rat(1),
-                                 canonical_long(D_RIGHT): rat(-1)})
-    assert v == want or v == want * rat(-1)
+    want = ArrowVector(LONG, 1, {canonical_long(D_LEFT): Rat(1),
+                                 canonical_long(D_RIGHT): Rat(-1)})
+    assert v == want or v == want * Rat(-1)
 
 
 def test_wheels_survive_quotient():
@@ -66,7 +68,7 @@ def test_monomial_images_are_a_basis():
             monos = wheel_monomial_basis(m, flags)
             assert q.dim == len(monos)
             for _ in range(3):
-                coeffs = [rat(rng.randint(-3, 3)) for _ in monos]
+                coeffs = [Rat(rng.randint(-3, 3)) for _ in monos]
                 z = TruncatedExpansion(LONG, m)
                 for mo, c in zip(monos, coeffs):
                     z.comps[m] = z.comps[m] + monomial_to_arrows(mo) * c
@@ -96,6 +98,31 @@ def test_cc_relators_vanish():
         assert not any(q.project(vec))
 
 
+def test_built_vectors_hold_ints():
+    # every coefficient the library builds stays an int until a division:
+    # the relators of every id (far commutation on strands(4)), wheels,
+    # monomials, the AS and IHX instances, and the CC blocks
+    vecs = [v for rel in ("TC", "4T", "6T", "RI", "FI", "CC")
+            for m in range(5) for v in generate_relations(LONG, m, {rel})]
+    vecs += generate_relations(strands(4), 2, {"TC", "4T", "6T"})
+    vecs += [wheel_to_arrows(k) for k in range(1, 6)]
+    vecs += [monomial_to_arrows(mono) for m in range(5)
+             for mono in wheel_monomial_basis(m)]
+    vecs += as_instances() + ihx_instances()
+    coeffs = [c for v in vecs for c in v.terms.values()]
+    coeffs += [c for block in cc_blocks() for c in block.values()]
+    assert coeffs and all(type(c) is int for c in coeffs)
+
+
+def test_wheel_basis_is_built_once():
+    # one tuple per degree and flag set, whatever set type names the flags
+    assert wheel_monomial_basis(4, {"RI"}) is wheel_monomial_basis(
+        4, frozenset({"RI"}))
+    assert type(wheel_monomial_basis(3)) is tuple
+    with pytest.raises(ValueError, match="unknown flags"):
+        wheel_monomial_basis(3, {"XX"})
+
+
 def test_diagram_edge_validation():
     # every internal edge needs exactly one source and one sink
     with pytest.raises(ValueError):
@@ -103,8 +130,8 @@ def test_diagram_edge_validation():
 
 
 def test_concat_shifts_slots():
-    u = ArrowVector(LONG, 1, {canonical_long(D_RIGHT): rat(1)})
-    v = ArrowVector(LONG, 1, {canonical_long(D_LEFT): rat(1)})
+    u = ArrowVector(LONG, 1, {canonical_long(D_RIGHT): Rat(1)})
+    v = ArrowVector(LONG, 1, {canonical_long(D_LEFT): Rat(1)})
     w = concat(u, v)
     assert w.m == 2
     assert list(w.terms) == [canonical_long(((1, 2), (4, 3)))]
@@ -126,7 +153,7 @@ def through_canonical_long(vec):
 @pytest.mark.parametrize("flags", [(), ("RI",), ("FI",), ("RI", "FI")])
 def test_built_diagrams_are_canonical(flags):
     # stu_eliminate and concat key their terms without canonical_long
-    unit = ArrowVector(LONG, 0, {(): rat(1)})
+    unit = ArrowVector(LONG, 0, {(): Rat(1)})
     for m in range(7):
         for mono in wheel_monomial_basis(m, flags):
             vec = monomial_to_arrows(mono)
@@ -146,7 +173,7 @@ def test_concat_of_random_vectors_is_canonical():
         return canonical_long(zip(slots[::2], slots[1::2]))
 
     for _ in range(200):
-        u, v = (ArrowVector(LONG, m, {diagram(m): rat(rng.randint(-3, 3))
+        u, v = (ArrowVector(LONG, m, {diagram(m): Rat(rng.randint(-3, 3))
                                       for _ in range(rng.randint(1, 4))})
                 for m in (rng.randint(0, 3), rng.randint(0, 3)))
         w = concat(u, v)

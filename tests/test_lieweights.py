@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wknots.rational import Rat, rat
+from wknots.rational import Rat
 from wknots.alexander import alexander_det, knot_inventory
 from wknots.arrows import (LONG, strands, ArrowVector, canonical_long,
                            enumerate_diagrams, generate_relations)
@@ -35,9 +35,9 @@ def test_lie_data_from_constants():
                     (3, 1): {3: 2}, (2, 3): {1: 1}, (3, 2): {1: -1},
                     (1, 1): {2: 0}})
     assert L.r == 3
-    assert L.bracket(1, 2) == {2: rat(2)}
-    assert L.bracket(1, 3) == {3: rat(-2)}
-    assert L.bracket(2, 3) == {1: rat(1)}
+    assert L.bracket(1, 2) == {2: Rat(2)}
+    assert L.bracket(1, 3) == {3: Rat(-2)}
+    assert L.bracket(2, 3) == {1: Rat(1)}
     assert L.bracket(1, 1) == {} and L.c == lie_sl2().c
     assert lie_validate(L)
 
@@ -66,39 +66,39 @@ def test_out_of_range_index_rejected():
 def test_pbw_straightening_sl2():
     L = lie_sl2()
     # x2 x1 = x1 x2 - [x1, x2] = x1 x2 - 2 x2
-    out = pbw_normalize({(("x", 2), ("x", 1)): rat(1)}, L)
-    assert out.terms == {(("x", 1), ("x", 2)): rat(1),
-                         (("x", 2),): rat(-2)}
+    out = pbw_normalize({(("x", 2), ("x", 1)): Rat(1)}, L)
+    assert out.terms == {(("x", 1), ("x", 2)): Rat(1),
+                         (("x", 2),): Rat(-2)}
 
 
 def test_pbw_straightening_semidirect():
     L = lie_nonabelian2()  # [x1, x2] = x2
     # x1 phi^2 = phi^2 x1 + [x1, phi^2] = phi^2 x1 - phi^2
-    out = pbw_normalize({(("x", 1), ("p", 2)): rat(1)}, L)
-    assert out.terms == {(("p", 2), ("x", 1)): rat(1),
-                         (("p", 2),): rat(-1)}
+    out = pbw_normalize({(("x", 1), ("p", 2)): Rat(1)}, L)
+    assert out.terms == {(("p", 2), ("x", 1)): Rat(1),
+                         (("p", 2),): Rat(-1)}
     # duals commute with each other
-    out = pbw_normalize({(("p", 2), ("p", 1)): rat(1)}, L)
-    assert out.terms == {(("p", 1), ("p", 2)): rat(1)}
+    out = pbw_normalize({(("p", 2), ("p", 1)): Rat(1)}, L)
+    assert out.terms == {(("p", 1), ("p", 2)): Rat(1)}
 
 
 def test_single_arrow_image():
     L = lie_abelian(2)
-    v = ArrowVector(LONG, 1, {canonical_long(((1, 2),)): rat(1)})
+    v = ArrowVector(LONG, 1, {canonical_long(((1, 2),)): Rat(1)})
     out = weight_system(v, L)
-    assert out.terms == {(("p", 1), ("x", 1)): rat(1),
-                         (("p", 2), ("x", 2)): rat(1)}
+    assert out.terms == {(("p", 1), ("x", 1)): Rat(1),
+                         (("p", 2), ("x", 2)): Rat(1)}
 
 
 def test_reversed_arrow_needs_straightening():
     L = lie_nonabelian2()
-    v = ArrowVector(LONG, 1, {canonical_long(((2, 1),)): rat(1)})
+    v = ArrowVector(LONG, 1, {canonical_long(((2, 1),)): Rat(1)})
     out = weight_system(v, L)
     # x_i phi^i summed over i: straightening adds the coadjoint correction
-    assert out.terms[(("p", 1), ("x", 1))] == rat(1)
-    assert out.terms[(("p", 2), ("x", 2))] == rat(1)
-    assert out.terms.get((("p", 2),), rat(0)) != rat(0) or \
-        out.terms.get((("p", 1),), rat(0)) != rat(0)
+    assert out.terms[(("p", 1), ("x", 1))] == Rat(1)
+    assert out.terms[(("p", 2), ("x", 2))] == Rat(1)
+    assert out.terms.get((("p", 2),), Rat(0)) != Rat(0) or \
+        out.terms.get((("p", 1),), Rat(0)) != Rat(0)
 
 
 def test_relators_vanish_all_fixtures():
@@ -120,8 +120,8 @@ def test_weight_system_multiplicative():
                 return canonical_long(tuple(
                     (slots[2 * i], slots[2 * i + 1]) for i in range(m)))
             mu, mv = rng.randrange(1, 3), rng.randrange(1, 3)
-            u = ArrowVector(LONG, mu, {rnd(mu): rat(1)})
-            v = ArrowVector(LONG, mv, {rnd(mv): rat(1)})
+            u = ArrowVector(LONG, mu, {rnd(mu): Rat(1)})
+            v = ArrowVector(LONG, mv, {rnd(mv): Rat(1)})
             lhs = weight_system(concat(u, v), L)
             rhs = pbw_mul(weight_system(u, L), weight_system(v, L), L)
             assert lhs == rhs
@@ -136,7 +136,7 @@ def test_relators_sharing_diagrams_match_oracle():
         for skel, m in ((LONG, 3), (strands(3), 2)):
             for vec in generate_relations(skel, m, {"TC", "4T"})[::7]:
                 other = ArrowVector(skel, m, {
-                    d: rat(rng.randint(-3, 3), rng.randint(1, 4))
+                    d: Rat(rng.randint(-3, 3), rng.randint(1, 4))
                     for d in vec.terms})
                 for v in (vec, other):
                     assert_same(weight_system(v, L),
@@ -152,14 +152,14 @@ def test_one_word_on_three_skeletons():
     for order in permutations(skeletons):
         L = lie_nonabelian2()
         for skel in order:
-            v = ArrowVector(skel, 1, {((1, 2),): rat(1)})
+            v = ArrowVector(skel, 1, {((1, 2),): Rat(1)})
             assert_same(weight_system(v, L),
                         index_vector_weight_system(v, L))
         assert L._weights.cache_info().currsize == 3
 
 
 def test_algebras_keep_their_own_weights():
-    v = ArrowVector(LONG, 1, {canonical_long(((2, 1),)): rat(1)})
+    v = ArrowVector(LONG, 1, {canonical_long(((2, 1),)): Rat(1)})
     algebras = (lie_abelian(2), lie_nonabelian2(), lie_nonabelian2())
     images = [weight_system(v, L) for L in algebras]
     assert images[0] != images[1] == images[2]
@@ -172,16 +172,16 @@ def test_weight_memo_is_bounded():
     L = lie_abelian(1)
     bound = _weight_table(L).cache_info().maxsize
     many = diagrams(LONG, 5)[:bound + 100]
-    v = ArrowVector(LONG, 5, {d: rat(1) for d in many})
+    v = ArrowVector(LONG, 5, {d: Rat(1) for d in many})
     assert weight_system(v, L).terms == {
-        (("p", 1),) * 5 + (("x", 1),) * 5: rat(len(many))}
+        (("p", 1),) * 5 + (("x", 1),) * 5: Rat(len(many))}
     info = L._weights.cache_info()
     assert info.misses == len(many) and info.currsize == bound
 
 
 def test_invalid_algebra_rejected_by_weight_system():
     bad = LieData(2, {(1, 2): {2: 1}})
-    v = ArrowVector(LONG, 1, {canonical_long(((1, 2),)): rat(1)})
+    v = ArrowVector(LONG, 1, {canonical_long(((1, 2),)): Rat(1)})
     with pytest.raises(ValueError):
         weight_system(v, bad)
 
@@ -192,12 +192,12 @@ def test_invalid_algebra_rejected_by_weight_system():
 
 # Non-integral structure constants: [x1, x2] = ½·x2, and sl2 on the basis
 # (h/3, e, f), which mixes integral and non-integral constants.
-HALF = LieData(2, {(1, 2): {2: rat(1, 2)}, (2, 1): {2: rat(-1, 2)}})
-SL2_THIRD = LieData(3, {(1, 2): {2: rat(2, 3)}, (2, 1): {2: rat(-2, 3)},
-                        (1, 3): {3: rat(-2, 3)}, (3, 1): {3: rat(2, 3)},
+HALF = LieData(2, {(1, 2): {2: Rat(1, 2)}, (2, 1): {2: Rat(-1, 2)}})
+SL2_THIRD = LieData(3, {(1, 2): {2: Rat(2, 3)}, (2, 1): {2: Rat(-2, 3)},
+                        (1, 3): {3: Rat(-2, 3)}, (3, 1): {3: Rat(2, 3)},
                         (2, 3): {1: 3}, (3, 2): {1: -3}})
 FIXTURES = (lie_abelian(2), lie_nonabelian2(), lie_sl2(), HALF, SL2_THIRD)
-coeffs = st.builds(rat, st.integers(-3, 3), st.integers(1, 4))
+coeffs = st.builds(Rat, st.integers(-3, 3), st.integers(1, 4))
 
 
 @functools.cache
@@ -250,7 +250,7 @@ def test_non_integral_wheel_images():
     # HALF is lie_nonabelian2 on the basis (x1/2, x2), whose first dual
     # vector is 2φ^1: the k-wheel maps to (φ^1)^k/2 and −(φ^1)^k/2^k
     for k in range(1, 5):
-        want = rat(1, 2) if k == 1 else rat(-1, 2 ** k)
+        want = Rat(1, 2) if k == 1 else Rat(-1, 2 ** k)
         assert_same(weight_system(wheel_to_arrows(k), HALF),
                     PBWElement({phi1(k): want}))
 
@@ -265,10 +265,10 @@ def phi1(k):
 
 def test_wheels_in_2d_algebra():
     L = lie_nonabelian2()
-    assert weight_system(wheel_to_arrows(1), L).terms == {phi1(1): rat(1)}
+    assert weight_system(wheel_to_arrows(1), L).terms == {phi1(1): Rat(1)}
     for k in range(2, 6):
         assert weight_system(wheel_to_arrows(k), L).terms == \
-            {phi1(k): rat(-1)}
+            {phi1(k): Rat(-1)}
 
 
 def test_2d_weight_of_z_is_inverse_alexander():
@@ -282,7 +282,7 @@ def test_2d_weight_of_z_is_inverse_alexander():
         z = zed_knot(g, 4, normalize=True)
         series = TruncSeries(4)
         for m in range(5):
-            comp = z.comps[m] * rat(1, z.den)
+            comp = z.comps[m] * Rat(1, z.den)
             for mono, c in weight_system(comp, L).terms.items():
                 if mono == phi1(len(mono)):
                     series.coeffs[len(mono)] += c

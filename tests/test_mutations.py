@@ -14,8 +14,10 @@ import pytest
 import test_alexander
 import test_arrows
 import test_determinants
+import test_expansion
 import test_jacobi
-from wknots import alexander, arrows, expansion, gauss, jacobi, linalg
+import test_wbraid
+from wknots import alexander, arrows, expansion, gauss, jacobi, linalg, wbraid
 
 # what an oracle test that meets a planted fault raises: a failed assert,
 # or pytest.raises finding no error
@@ -31,6 +33,12 @@ def mutant(fn, old, new):
     exec(compile(source.replace(old, new), inspect.getsourcefile(fn),
                  "exec"), fn.__globals__, namespace)
     return namespace[fn.__name__]
+
+
+def in_place(setattr, fn, old, new):
+    """Plant `mutant(fn, old, new)` in `fn` itself, so that the modules
+    that imported `fn` by name run the fault too."""
+    setattr(fn, "__code__", mutant(fn, old, new).__code__)
 
 
 def test_arcs_off_by_one(monkeypatch):
@@ -80,6 +88,39 @@ def test_pd_code_without_its_knot_check(monkeypatch, capsys, tmp_path):
         "if False:"))
     with pytest.raises(CAUGHT):
         test_alexander.test_fox_rejects_non_knot(capsys, tmp_path)
+
+
+def test_pd_code_without_its_face_count(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(gauss.PDCode, "__init__", mutant(
+        gauss.PDCode.__init__, "if m and faces != m // 2 + 2:",
+        "if False:"))
+    with pytest.raises(CAUGHT):
+        test_alexander.test_fox_rejects_non_knot(capsys, tmp_path)
+
+
+def test_tc_rank_off_by_one_at_a_gap(plant):
+    # a tail just after a head counted in the gap before that head
+    in_place(plant, arrows.tc_rank, "bisect_left(heads, t)",
+             "bisect_left(heads, t - 1)")
+    with pytest.raises(AssertionError):
+        test_arrows.test_class_rank_names_the_tc_canonical_column(3)
+
+
+def test_support_child_skips_an_insertion(monkeypatch):
+    # a child that leaves its arrow's head out of the sorted slots
+    in_place(monkeypatch.setattr, expansion._support_shapes,
+             "ts.insert(i, h)", "pass")
+    with pytest.raises(AssertionError):
+        test_expansion.test_zed_knot_matches_recursive_oracle_at_high_degree(4)
+
+
+def test_braid_action_with_a_flipped_convention(monkeypatch):
+    # a negative crossing conjugating by x_i^-1 in place of x_i
+    in_place(monkeypatch.setattr, wbraid.braid_action,
+             "word_reduce(a + c + word_inverse(a))",
+             "word_reduce(word_inverse(a) + c + a)")
+    with pytest.raises(AssertionError):
+        test_wbraid.test_action_matches_letter_by_letter_fold()
 
 
 def test_flipped_union_find_weight(plant):
