@@ -3,21 +3,26 @@
 Two independent computation paths:
 
 * ``alexander_matrix`` — a determinant formula on the Gauss diagram.  Its
-  matrix is read straight off the arrows: each entry is one Laurent
-  polynomial, from the sign of a crossing and whether its over-strand
-  traps another crossing's head along the long line, so no ring
-  arithmetic runs before the determinant.  Works for every w-knot
+  matrix is read straight off the arrows, with each column less the one
+  before it, a change of determinant 1 after which each row holds at most
+  3 entries: X^s at its own column, 1 − X^s where the run of heads its
+  over-strand traps ends, and −1 at the next column.  So no dense matrix
+  is built, and no ring arithmetic runs before the determinant but one
+  addition where two of a row's entries meet.  Works for every w-knot
   diagram.  One determinant over ℤ[X, X^{-1}] gives both the polynomial
   and, by substituting X = e^x, the power series A(e^x) of the expansion
-  bridge; ``linalg.RatMatrix.det`` takes it as one integer Bareiss
+  bridge; ``linalg.RatMatrix.det`` takes it as one sparse integer Bareiss
   elimination, the matrix evaluated at a large power of 2 and the
   polynomial read off the digits of the result.
 * ``alexander_fox`` — the classical route: Wirtinger presentation from a
   planar-diagram code, free (Fox) differential calculus, minor determinant.
   Arcs are counted along the knot, one ending at each under-passage.  A
-  link or a malformed code never gets here: ``gauss.PDCode`` refuses it
-  when the code is read, for this path and the first alike.  Classical
-  diagrams only; used as an oracle for the first path.
+  relator holds 3 generators, so its Jacobian row has at most 3 nonzero
+  entries, and only those are derived and handed to the same sparse
+  determinant.  A link or a malformed code never gets here:
+  ``gauss.PDCode`` refuses it when the code is read, for this path and
+  the first alike.  Classical diagrams only; used as an oracle for the
+  first path.
 """
 
 import os
@@ -29,28 +34,37 @@ from .gauss import pd_from_text
 
 
 def _gauss_rows(k):
-    """The matrix I − diag(X^{s_i} − 1) · T of ``alexander_det``, read off
-    the arrows sorted by head slot: entry (i, j) is
-    δ_ij + T_ij − T_ij·X^{s_i}.
+    """The matrix I − diag(X^{s_i} − 1) · T of ``alexander_det`` with each
+    column j > 0 less column j − 1, read off the arrows sorted by head
+    slot, as sparse rows: dicts column -> ``LaurentPoly``.
 
     T is the trapping matrix.  Arrow i with tail t and head h traps the
     stretch of the long line its over-strand covers: the heads strictly
     between t and h of a right-pointing arrow (t < h), with T_ij = 1, and
     the heads in [h, t) of a left-pointing one — its own head included —
-    with T_ij = −1.  The heads arrow i traps are consecutive in head order,
-    so its row is one run of equal off-diagonal entries.  Entries are
-    immutable, so equal ones are one object.
+    with T_ij = −1.  Entry (i, j) of the matrix is δ_ij + T_ij − T_ij·X^s,
+    s the sign of arrow i.  The heads arrow i traps are consecutive in
+    head order, a run [a, b), so row i is v = T·(1 − X^s) on the run plus
+    1 at column i; differenced, it is v at a, −v at b, 1 at i and −1 at
+    i + 1.  A right-pointing run ends at b = i, and a left-pointing one
+    starts at a = i, so the row is X^s at i, 1 − X^s at the run's other
+    end f, and −1 at i + 1: at most 3 entries, with columns past n − 1
+    left out.  In both cases f is the number of heads left of the tail t.
+    Two of them meet where the run is empty (f = i, the entry 1) or is
+    the arrow's own head alone (f = i + 1, the entry −X^s), never to 0.
+    Subtracting column j − 1 from column j, for j from n − 1 down to 1, is
+    a column operation of determinant 1.
     """
     arrows = sorted(k.arrows, key=lambda a: a[1])
     heads = [h for _, h, _ in arrows]
-    n, zero, rows = len(arrows), LaurentPoly(), []
-    for i, (t, h, s) in enumerate(arrows):
-        T, lo, hi = (1, t + 1, h) if t < h else (-1, h, t)
-        a, b = bisect_left(heads, lo), bisect_left(heads, hi)
-        row = [zero] * a + [LaurentPoly({0: T, s: -T})] * (b - a)
-        row += [zero] * (n - b)
-        # T_ii is −1 for a left-pointing arrow, which traps its own head
-        row[i] = LaurentPoly({0: 1} if t < h else {s: 1})
+    n, rows = len(arrows), []
+    for i, (t, _, s) in enumerate(arrows):
+        row = {}
+        for j, p in ((i, LaurentPoly.x(s)),
+                     (bisect_left(heads, t), LaurentPoly({0: 1, s: -1})),
+                     (i + 1, LaurentPoly.const(-1))):
+            if j < n:
+                row[j] = row[j] + p if j in row else p
         rows.append(row)
     return rows
 
@@ -58,9 +72,9 @@ def _gauss_rows(k):
 def alexander_det(k):
     """The raw determinant D(X) = det(I − diag(X^{s_i} − 1) · T) over
     ℤ[X, X^{-1}], before unit normalization; D(1) = 1, and D = 1 for the
-    empty diagram.  The matrix is built entry by entry as Laurent
-    polynomials, with no ring arithmetic, and ``RatMatrix.det`` takes its
-    one determinant."""
+    empty diagram.  ``_gauss_rows`` reads the matrix, its columns
+    differenced, off the arrows as sparse rows of Laurent polynomials, and
+    ``RatMatrix.det`` takes its one determinant."""
     return RatMatrix(_gauss_rows(k)).det(LaurentPoly.const(1))
 
 
@@ -124,8 +138,9 @@ def alexander_fox(pd):
     the minor is the reduced incidence matrix of a tree.
     """
     num_arcs, relations = _wirtinger(pd)
-    # one relation is redundant: drop the last
-    rows = [[_fox_derivative(rel, g) for g in range(num_arcs - 1)]
+    # one relation is redundant, and so is one column: drop the last of
+    # each; a relator's derivative is 0 on every generator it does not hold
+    rows = [{g: _fox_derivative(rel, g) for g, _ in rel if g < num_arcs - 1}
             for rel in relations[:-1]]
     return laurent_normalize(RatMatrix(rows).det(LaurentPoly.const(1)))
 

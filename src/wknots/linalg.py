@@ -20,9 +20,14 @@ divided last.
 
 Determinants take one ring, ℤ[X^±1], by one algorithm: Bareiss
 elimination (Math. Comp. 22, 1968) over Python ints, which divides only
-exactly.  The Laurent matrix is evaluated at a power of 2 large enough
-that the int determinant spells out the polynomial's coefficients as its
-digits.
+exactly.  The Laurent matrix is evaluated at a power of 2 large enough,
+by Hadamard's bound on its rows, that the int determinant spells out the
+polynomial's coefficients as its digits.  The matrix is sparse (the
+Alexander matrices have at most 3 nonzero entries a row), so only its
+nonzero entries are evaluated and eliminated, as dict rows: each pivot is
+the entry of least Markowitz count (Management Sci. 3, 1957), which keeps
+the fill-in small, and a row is brought up to the current step lazily,
+when a pivot column next meets it.
 """
 
 from __future__ import annotations
@@ -139,52 +144,64 @@ class SparseEchelon:
 
 
 class RatMatrix:
-    """A small dense square matrix of ``LaurentPoly`` entries, whose one
-    algorithm is ``det``: Bareiss elimination over Python ints.
+    """A sparse square matrix of ``LaurentPoly`` entries, whose one
+    algorithm is ``det``: fraction-free Bareiss elimination over Python
+    ints, on the nonzero entries only.
 
-    A row enters by Kronecker substitution, so no ring arithmetic runs
-    inside the elimination; the polynomial is read back from the one int
-    it returns.  The class keeps its name because ``perfbench/trace.py``
-    wraps ``RatMatrix.det``.
+    Row i is a dict column -> entry; a column a row leaves out, or holds a
+    zero entry at, is 0 there.  A row enters by Kronecker substitution, so
+    no ring arithmetic runs inside the elimination; the polynomial is read
+    back from the one int it returns.  The class keeps its name because
+    ``perfbench/trace.py`` wraps ``RatMatrix.det`` and reads ``nrows``.
     """
 
     def __init__(self, rows):
-        self.data = [list(r) for r in rows]
-        self.nrows = len(self.data)
-        if any(len(r) != self.nrows for r in self.data):
+        self.rows = [dict(r) for r in rows]
+        self.nrows = len(self.rows)
+        if any(j not in range(self.nrows) for r in self.rows for j in r):
             raise ValueError("not a square matrix")
 
     def det(self, one):
         """Exact determinant over ℤ[X, X^{-1}]; `one` is the ring's
         ``LaurentPoly`` one, and any other value raises ``TypeError``.
 
-        Row i is divided by X^{s_i}, s_i its least exponent, and evaluated
-        at X = 2^B (Kronecker substitution), so the int determinant is the
-        shifted determinant at 2^B.  B comes from a bound H on the
-        coefficients of every minor.  Write |p| for the sum of the
-        |coefficients| of an entry p, and let H be the product over the rows
-        i of √(Σ_j |p_ij|²).  On the unit circle |p(z)| ≤ |p|, so by
-        Hadamard's inequality a minor m has |m(z)| at most the product of
-        its rows' norms, and so at most H, as each nonzero row's norm is at
-        least 1 (a zero row makes H and the determinant 0).  Each
-        coefficient of m, the mean of m(z)·z^{-k} over the circle, is then
-        at most H.  With 2^(B−1) > H the balanced base-2^B digits of the int
-        determinant are exactly the coefficients of the shifted determinant,
-        which is multiplied by X^{Σ s_i} at the end; and a minor is zero
-        exactly when its value at 2^B is, so every nonzero int pivot is a
-        nonzero Laurent minor.  (The product of the rows' Σ_j |p_ij| bounds
-        the minors too, but on large Gauss-diagram matrices it takes about
-        1.7 times the bits.)
+        Row i is divided by X^{s_i}, s_i its least exponent, and its
+        nonzero entries are evaluated at X = 2^B (Kronecker substitution),
+        so the int determinant is the shifted determinant at 2^B.  B comes
+        from a bound H on the coefficients of every minor.  Write |p| for
+        the sum of the |coefficients| of an entry p, and let H be the
+        product over the rows i of √(Σ_j |p_ij|²).  On the unit circle
+        |p(z)| ≤ |p|, so by Hadamard's inequality a minor m has |m(z)| at
+        most the product of its rows' norms, and so at most H, as each
+        nonzero row's norm is at least 1 (a zero row makes H and the
+        determinant 0).  Each coefficient of m, the mean of m(z)·z^{-k}
+        over the circle, is then at most H.  With 2^(B−1) > H the balanced
+        base-2^B digits of the int determinant are exactly the coefficients
+        of the shifted determinant, which is multiplied by X^{Σ s_i} at the
+        end; and a minor is zero exactly when its value at 2^B is, so every
+        nonzero int pivot is a nonzero Laurent minor.  H is taken on the
+        rows as given, so a caller that hands in sparser rows of the same
+        determinant (``alexander._gauss_rows`` differences its columns)
+        gets a smaller B.  (The product of the rows' Σ_j |p_ij| bounds the
+        minors too, but on large Gauss-diagram matrices it takes about 1.7
+        times the bits.)
+
+        Only the nonzero entries are evaluated, and ``_bareiss`` eliminates
+        them in place, as dict rows: each step's pivot is the entry of least
+        Markowitz count (row count − 1)·(column count − 1), and a row that
+        no pivot column has met since step s is brought to step k by
+        ·p_k // p_s, an exact division, only when one next meets it.
         """
         if not isinstance(one, LaurentPoly):
             raise TypeError("RatMatrix.det takes LaurentPoly entries only")
-        rows = [[p.coeffs for p in r] for r in self.data]
-        square = prod(sum(sum(map(abs, cs.values())) ** 2 for cs in r)
+        rows = [[(j, p.coeffs) for j, p in r.items() if p.coeffs]
+                for r in self.rows]
+        square = prod(sum(sum(map(abs, cs.values())) ** 2 for _, cs in r)
                       for r in rows)  # H²
         B = (square.bit_length() + 3) // 2  # 2^(2B−2) > H²
-        low = [min((e for cs in r for e in cs), default=0) for r in rows]
-        v = _bareiss([[sum(c << B * (e - s) for e, c in cs.items())
-                       for cs in r] for r, s in zip(rows, low)])
+        low = [min((min(cs) for _, cs in r), default=0) for r in rows]
+        v = _bareiss([{j: sum(c << B * (e - s) for e, c in cs.items())
+                       for j, cs in r} for r, s in zip(rows, low)])
         half, coeffs, e = 1 << (B - 1), {}, sum(low)
         while v:  # balanced base-2^B digits, lowest first
             coeffs[e] = d = ((v + half) & ((1 << B) - 1)) - half
@@ -192,30 +209,77 @@ class RatMatrix:
         return LaurentPoly(coeffs)
 
 
-def _bareiss(a):
-    """Determinant of the square int matrix `a` (a list of row lists,
-    consumed) by fraction-free Bareiss elimination with row pivoting.
-    Any nonzero pivot gives the same determinant.
+def _bareiss(rows):
+    """Determinant of the square int matrix whose row i is the dict
+    ``rows[i]``, column -> nonzero int (consumed), by fraction-free Bareiss
+    elimination (Math. Comp. 22, 1968) over the nonzero entries.
 
-    Step k replaces each a[i][j] (i, j > k) by
-    (a[k][k]·a[i][j] − a[i][k]·a[k][j]) // prev, prev being the previous
-    pivot.  The division is exact: the new entry is the minor on rows
-    0..k, i and columns 0..k, j.
+    Step k = 1..n takes a pivot p_k at (r_k, c_k) and replaces each entry
+    a_ij of a row i that holds c_k by (p_k·a_ij − a_i,c_k·a_r_k,j) //
+    p_{k−1} (p_0 = 1): the minor on rows r_1..r_k, i and columns
+    c_1..c_k, j, so the division is exact.  Any nonzero pivot gives the
+    same determinant, so the pivot is the entry of least Markowitz count,
+    (row count − 1)·(column count − 1) over the rows left (Management
+    Sci. 3, 1957): it bounds the fill-in of the step.
+
+    Lazy levels: a row that holds none of c_{s+1}..c_k would be scaled by
+    p_t / p_{t−1} at each of those steps, so after step k it is its level-s
+    self times p_k / p_s.  A row keeps its level s, the last step that
+    changed it, and is brought to level k by ·p_k // p_s, an exact
+    division as its entries are then minors, only when step k + 1 meets
+    it: as the pivot row or as a row that holds the pivot column.
+
+    The last pivot is the determinant of the rows r_k and columns c_k in
+    pivot order, so the determinant is it times the sign of the row order
+    times the sign of the column order: the sign of the permutation
+    r_k ↦ c_k.  A row left with no entries makes the determinant 0.
     """
-    n, sign, prev = len(a), 1, 1
+    n = len(rows)
+    if not all(rows):
+        return 0
+    count = {}  # column -> the number of rows left that hold it
+    for row in rows:
+        for c in row:
+            count[c] = count.get(c, 0) + 1
+    left, level, piv, perm = set(range(n)), [0] * n, [1], [0] * n
     for k in range(n):
-        # the nonzero pivot of fewest bits: on the Gauss-diagram matrices
-        # of large closures it keeps the minors that follow short
-        p = min((i for i in range(k, n) if a[i][k]), default=None,
-                key=lambda i: a[i][k].bit_length())
-        if p is None:
-            return 0
-        if p != k:
-            a[k], a[p], sign = a[p], a[k], -sign
-        piv, tail = a[k][k], a[k][k + 1:]
-        for i in range(k + 1, n):
-            ai, f = a[i], a[i][k]
-            ai[k + 1:] = [(piv * x - f * y) // prev
-                          for x, y in zip(ai[k + 1:], tail)]
-        prev = piv
-    return sign * prev
+        _, i = min(((len(rows[r]) - 1)
+                    * (min(map(count.__getitem__, rows[r])) - 1), r)
+                   for r in left)
+        pivot = rows[i]
+        j = perm[i] = min(pivot, key=count.__getitem__)
+        left.remove(i)
+        touched = [r for r in left if j in rows[r]]
+        for r in touched + [i]:  # the rows step k meets, brought to level k
+            s = level[r]
+            if s < k:
+                row, m, d = rows[r], piv[k], piv[s]
+                for c in row:
+                    row[c] = row[c] * m // d
+        p, prev = pivot.pop(j), piv[k]
+        for c in pivot:
+            count[c] -= 1
+        del count[j]
+        for r in touched:
+            row = rows[r]
+            f = row.pop(j)
+            for c in row:
+                row[c] *= p
+            for c, v in pivot.items():
+                w = row.get(c, 0) - f * v
+                if w:
+                    if c not in row:
+                        count[c] += 1
+                    row[c] = w
+                else:
+                    del row[c]
+                    count[c] -= 1
+            if not row:
+                return 0
+            for c in row:
+                row[c] //= prev
+            level[r] = k + 1
+        piv.append(p)
+    inversions = sum(perm[a] > perm[b] for a in range(n)
+                     for b in range(a + 1, n))
+    return -piv[n] if inversions % 2 else piv[n]

@@ -158,6 +158,62 @@ def laurent_bareiss_det(rows):
     return prev if sign > 0 else -prev
 
 
+def bareiss(a):
+    """``linalg._bareiss`` as it ran before the sparse kernel: the
+    determinant of the square int matrix `a` (a list of row lists,
+    consumed) by dense fraction-free Bareiss elimination with row pivoting.
+
+    Step k replaces each a[i][j] (i, j > k) by
+    (a[k][k]·a[i][j] − a[i][k]·a[k][j]) // prev, prev being the previous
+    pivot.  The division is exact: the new entry is the minor on rows
+    0..k, i and columns 0..k, j.
+    """
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        # the nonzero pivot of fewest bits
+        p = min((i for i in range(k, n) if a[i][k]), default=None,
+                key=lambda i: a[i][k].bit_length())
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p], sign = a[p], a[k], -sign
+        piv, tail = a[k][k], a[k][k + 1:]
+        for i in range(k + 1, n):
+            ai, f = a[i], a[i][k]
+            ai[k + 1:] = [(piv * x - f * y) // prev
+                          for x, y in zip(ai[k + 1:], tail)]
+        prev = piv
+    return sign * prev
+
+
+def dense_det(rows):
+    """``linalg.RatMatrix.det`` as it ran before the sparse kernel, on a
+    dense square matrix of ``LaurentPoly`` entries: each row shifted by
+    its least exponent and evaluated at X = 2^B, B from Hadamard's bound
+    on the rows as given, then dense ``bareiss``, and the polynomial read
+    off the balanced base-2^B digits."""
+    rows = [[p.coeffs for p in r] for r in rows]
+    square = math.prod(sum(sum(map(abs, cs.values())) ** 2 for cs in r)
+                       for r in rows)
+    B = (square.bit_length() + 3) // 2
+    low = [min((e for cs in r for e in cs), default=0) for r in rows]
+    v = bareiss([[sum(c << B * (e - s) for e, c in cs.items()) for cs in r]
+                 for r, s in zip(rows, low)])
+    half, coeffs, e = 1 << (B - 1), {}, sum(low)
+    while v:
+        coeffs[e] = d = ((v + half) & ((1 << B) - 1)) - half
+        v, e = (v - d) >> B, e + 1
+    return LaurentPoly(coeffs)
+
+
+def difference_columns(rows):
+    """A dense square matrix with each column j > 0 less column j − 1, by
+    ring arithmetic, as sparse rows: dicts column -> nonzero entry."""
+    return [{j: p for j, p in enumerate(
+                [r[0]] + [r[j] - r[j - 1] for j in range(1, len(r))])
+             if not is_zero(p)} for r in rows]
+
+
 def _ordered_arrows(k):
     """Arrows sorted by head slot: the matrix rows/columns index order."""
     return sorted(k.arrows, key=lambda a: a[1])

@@ -1,6 +1,6 @@
-"""The integer Bareiss determinant against the Laplace oracle and the
-Laurent-ring Bareiss it replaced, and the exact divisions that one relies
-on."""
+"""The sparse integer Bareiss determinant against the Laplace oracle, the
+Laurent-ring Bareiss and the dense int Bareiss it replaced, and the exact
+divisions that one relies on."""
 
 import math
 import random
@@ -8,8 +8,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (alexander_rows, fox_derivative, laplace_alexander_matrix,
-                     laplace_det, laurent_bareiss_det, laurent_divexact)
+from oracles import (alexander_rows, dense_det, difference_columns,
+                     fox_derivative, laplace_alexander_matrix, laplace_det,
+                     laurent_bareiss_det, laurent_divexact)
 from wknots.alexander import (_fox_derivative, _gauss_rows, alexander_det,
                               alexander_fox, alexander_matrix)
 from wknots.gauss import GaussDiagram, braid_closure, gauss_to_pd
@@ -31,20 +32,27 @@ def square(entries, n):
     return st.lists(row, min_size=n, max_size=n)
 
 
+def det(rows):
+    """``RatMatrix.det`` of a dense matrix, handed in as its sparse rows."""
+    return RatMatrix([dict(enumerate(r)) for r in rows]).det(
+        LaurentPoly.const(1))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 6).flatmap(lambda n: square(laurents, n)))
 def test_bareiss_matches_laplace_over_laurent(rows):
     one = LaurentPoly.const(1)
-    assert RatMatrix(rows).det(one) == laplace_det(rows, one)
+    assert det(rows) == laplace_det(rows, one)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 6).flatmap(lambda n: square(wide_laurents, n)))
 def test_bareiss_matches_laplace_over_wide_laurent(rows):
     one = LaurentPoly.const(1)
-    det = RatMatrix(rows).det(one)
-    assert det == laplace_det(rows, one)
-    assert det == laurent_bareiss_det(rows)
+    d = det(rows)
+    assert d == laplace_det(rows, one)
+    assert d == laurent_bareiss_det(rows)
+    assert d == dense_det(rows)
 
 
 @pytest.mark.parametrize("coeffs", [(1,), (2, 2), (2, 4), (3, 5), (8, 8, 2),
@@ -59,14 +67,13 @@ def test_coefficient_at_the_bound(coeffs, sign):
                for i, c in enumerate(coeffs)]
     diagonal = [[entries[i] if i == j else LaurentPoly() for j in range(n)]
                 for i in range(n)]
-    det = RatMatrix(diagonal).det(LaurentPoly.const(1))
-    assert det == LaurentPoly.x(sum(3 * i - 4 for i in range(n)),
-                                sign * math.prod(coeffs))
-    # the same entries on the reversed diagonal, so the int elimination
-    # has to swap rows
+    assert det(diagonal) == LaurentPoly.x(sum(3 * i - 4 for i in range(n)),
+                                          sign * math.prod(coeffs))
+    # the same entries on the reversed diagonal, so the pivots' rows and
+    # columns come in different orders and the sign of the permutation
+    # counts
     flipped = [row[::-1] for row in diagonal]
-    assert RatMatrix(flipped).det(LaurentPoly.const(1)) == \
-        laplace_det(flipped, LaurentPoly.const(1))
+    assert det(flipped) == laplace_det(flipped, LaurentPoly.const(1))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -78,25 +85,28 @@ def test_hadamard_matrix_at_the_bound(k, sign):
     X = LaurentPoly.x
     rows = [[X(i, sign if i == 0 else 1) * (-1) ** bin(i & j).count("1")
              for j in range(n)] for i in range(n)]
-    det = RatMatrix(rows).det(LaurentPoly.const(1))
-    assert det == laplace_det(rows, LaurentPoly.const(1))
-    assert max(abs(c) for c in det.coeffs.values()) == math.isqrt(n ** n)
+    d = det(rows)
+    assert d == laplace_det(rows, LaurentPoly.const(1))
+    assert max(abs(c) for c in d.coeffs.values()) == math.isqrt(n ** n)
 
 
 def test_zero_row_and_empty_matrix():
     X, one = LaurentPoly.x, LaurentPoly.const(1)
     rows = [[X(2, 5), X(-3) + 1], [LaurentPoly(), LaurentPoly()]]
-    assert RatMatrix(rows).det(one) == LaurentPoly()
-    assert RatMatrix(rows[::-1]).det(one).is_zero()
+    assert det(rows) == LaurentPoly()
+    assert det(rows[::-1]).is_zero()
+    assert RatMatrix([{0: X(2, 5)}, {}]).det(one).is_zero()
     assert RatMatrix([]).det(one) == one
     with pytest.raises(ValueError):
-        RatMatrix([[1, 2]]).det(Rat(1))
+        RatMatrix([{0: 1, 1: 2}]).det(Rat(1))
+    with pytest.raises(ValueError):
+        RatMatrix([{0: X(1)}, {-1: X(1)}])
 
 
 @pytest.mark.parametrize("one", [Rat(1), 1])
 def test_det_takes_laurent_entries_only(one):
     with pytest.raises(TypeError):
-        RatMatrix([[LaurentPoly.const(1)]]).det(one)
+        RatMatrix([{0: LaurentPoly.const(1)}]).det(one)
 
 
 @pytest.mark.parametrize("virtual", [False, True])
@@ -113,16 +123,37 @@ def test_laurent_bareiss_oracle_on_closures(virtual):
 @pytest.mark.parametrize("virtual", [False, True])
 def test_gauss_rows_match_ring_oracle(virtual):
     # the matrix read off the diagram equals the one built by ring
-    # arithmetic on S and T, entry by entry, with no zero coefficient
+    # arithmetic on S and T and then column-differenced, entry by entry,
+    # with no zero entry or coefficient and at most 3 entries a row
     rng = random.Random(23 + virtual)
     for crossings in range(21):
         g = (random_closure(rng, crossings, 0.3 if virtual else 0)
              if crossings else GaussDiagram(()))
-        rows, want = _gauss_rows(g), alexander_rows(g)
+        rows, want = _gauss_rows(g), difference_columns(alexander_rows(g))
         assert len(rows) == len(want) == g.k
         for row, wrow in zip(rows, want):
-            assert [p.coeffs for p in row] == [p.coeffs for p in wrow]
-            assert all(c for p in row for c in p.coeffs.values())
+            assert {j: p.coeffs for j, p in row.items()} == \
+                {j: p.coeffs for j, p in wrow.items()}
+            assert all(c for p in row.values() for c in p.coeffs.values())
+            assert len(row) <= 3
+
+
+def test_alexander_det_matches_dense_oracle():
+    # 400 seeded w-knots, half of them virtual, against the dense int
+    # Bareiss on the matrix built by ring arithmetic, columns undifferenced
+    rng = random.Random(29)
+    for case in range(400):
+        g = random_closure(rng, 1 + case % 20, 0.3 if case % 2 else 0)
+        assert alexander_det(g) == dense_det(alexander_rows(g))
+
+
+@pytest.mark.slow
+def test_alexander_det_matches_dense_oracle_on_large_closures():
+    rng = random.Random(31)
+    for crossings in (40, 48, 56, 63, 70):
+        for virtual in (0, 0.3):
+            g = random_closure(rng, crossings, virtual)
+            assert alexander_det(g) == dense_det(alexander_rows(g))
 
 
 def test_alexander_det_of_empty_diagram():
@@ -182,13 +213,15 @@ def test_alexander_matrix_matches_laplace(seed, crossings, virtual, d):
 
 
 def test_large_classical_closure():
-    # 40 crossings: about 2^40 column subsets for a Laplace expansion
-    g = random_closure(random.Random(40), 40, 0)
-    assert g.k == 40
-    _, poly = alexander_matrix(g, 2)
-    assert poly == alexander_fox(gauss_to_pd(g))
-    assert abs(poly(1)) == 1
-    assert poly.is_palindromic()
+    # 40 crossings: about 2^40 column subsets for a Laplace expansion;
+    # 100 and 150: the sparse determinants of both paths
+    for crossings in (40, 100, 150):
+        g = random_closure(random.Random(crossings), crossings, 0)
+        assert g.k == crossings
+        _, poly = alexander_matrix(g, 2)
+        assert poly == alexander_fox(gauss_to_pd(g))
+        assert abs(poly(1)) == 1
+        assert poly.is_palindromic()
 
 
 @settings(max_examples=200, deadline=None)

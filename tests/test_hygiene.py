@@ -3,10 +3,12 @@ every import but one sits at the top of its module, no module imports an
 underscore name from another or imports ``dataclasses``, no ``.get``
 default builds a fresh ``Rat`` zero, every name a module defines at top
 level is referenced in ``src/``, the benchmark or the test oracles (or is
-listed as API only tests use), and the package-data globs and the data
-files match each other."""
+listed as API only tests use), the package-data globs and the data files
+match each other, and every function and method the benchmark's tracer
+wraps still resolves."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -253,3 +255,25 @@ def test_package_data_globs_match_the_data_files():
             and "__pycache__" not in p.parts]
     assert data
     assert [p for p in data if not any(p.match(g) for g in globs)] == []
+
+
+def tracer_tables():
+    """``FUNCTIONS`` and ``METHODS`` of ``perfbench/trace.py``, loaded from
+    its file (its module name would shadow the standard ``trace``)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_trace", ROOT / "perfbench" / "trace.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FUNCTIONS, module.METHODS
+
+
+def test_traced_names_resolve():
+    # the tracer finds each name the way it patches it: a function as a
+    # module attribute, a method in its class's own __dict__
+    functions, methods = tracer_tables()
+    assert functions and methods
+    for module, attr, _ in functions:
+        assert callable(getattr(importlib.import_module(module), attr))
+    for module, cls, attr, _ in methods:
+        owner = getattr(importlib.import_module(module), cls)
+        assert callable(owner.__dict__[attr])

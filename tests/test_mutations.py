@@ -60,6 +60,29 @@ def test_kronecker_base_below_hadamard(check, monkeypatch):
         check()
 
 
+@pytest.mark.parametrize("old, new", [
+    ("if s < k:", "if False:"),
+    ("for r in touched + [i]:", "for r in touched:"),
+    ("for r in touched + [i]:", "for r in [i]:"),
+], ids=["every-row", "pivot-row", "other-rows"])
+@pytest.mark.parametrize("virtual", [False, True])
+def test_lazy_level_not_brought_up(old, new, virtual, monkeypatch):
+    # a row that sat out some steps used as if it were at the current one
+    in_place(monkeypatch.setattr, linalg._bareiss, old, new)
+    with pytest.raises(AssertionError):
+        test_determinants.test_laurent_bareiss_oracle_on_closures(virtual)
+
+
+@pytest.mark.parametrize("coeffs", [(7, 1, 9), (10 ** 6, 10 ** 6)])
+def test_permutation_sign_dropped(coeffs, monkeypatch):
+    # the last pivot taken for the determinant, in whatever order the
+    # pivots took the rows and columns
+    in_place(monkeypatch.setattr, linalg._bareiss,
+             "-piv[n] if inversions % 2 else piv[n]", "piv[n]")
+    with pytest.raises(AssertionError):
+        test_determinants.test_coefficient_at_the_bound(coeffs, 1)
+
+
 def test_concat_without_the_shift(monkeypatch):
     monkeypatch.setattr(jacobi, "concat",
                         mutant(jacobi.concat, "shift = 2 * u.m", "shift = 0"))
