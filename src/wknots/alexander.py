@@ -139,8 +139,10 @@ def alexander_fox(pd):
     """
     num_arcs, relations = _wirtinger(pd)
     # one relation is redundant, and so is one column: drop the last of
-    # each; a relator's derivative is 0 on every generator it does not hold
-    rows = [{g: _fox_derivative(rel, g) for g, _ in rel if g < num_arcs - 1}
+    # each; a relator's derivative is 0 on every generator it does not
+    # hold, and is taken once for each one it does
+    rows = [{g: _fox_derivative(rel, g)
+             for g in dict.fromkeys(g for g, _ in rel) if g < num_arcs - 1}
             for rel in relations[:-1]]
     return laurent_normalize(RatMatrix(rows).det(LaurentPoly.const(1)))
 

@@ -5,11 +5,12 @@ single arrow between the two crossing strands (tail on the over strand);
 ``zed_knot`` does the same along a long-knot Gauss diagram, summing over
 arrow supports, walked depth-first and counted per endpoint order and
 set of negative arrows, each order's terms memoized and summed once per
-sign.  Both truncate at a degree cap d and sum integer numerators over
-d!, and keep them: a ``TruncatedExpansion`` holds its components as
-numerators over one denominator ``den``, and ``QuotientSpace.project``
-divides by it once, after adding up the images of the columns, so Z
-stays in ints from the supports to the coordinates.
+sign; its kink normalization by exp(−sl·a) is folded into the same
+numerators by exact int divisions.  Both truncate at a degree cap d and
+sum integer numerators over d!, and keep them: a ``TruncatedExpansion``
+holds its components as numerators over one denominator ``den``, and
+``QuotientSpace.project`` divides by it once, after adding up the images
+of the columns, so Z stays in ints from the supports to the coordinates.
 On the long strand the quotient A^w(↑) is the commutative polynomial
 algebra on the single arrow ``a`` and the wheels; ``wheels_reduce`` reads
 an expansion's quotient coordinates in that wheel-monomial basis, and
@@ -69,20 +70,6 @@ class TruncatedExpansion:
         return out
 
 
-def expansion_exp(e):
-    """exp of an expansion with zero degree-0 part, over denominator 1."""
-    if not e.comps[0].is_zero():
-        raise ValueError("exponential needs a zero constant term")
-    out = TruncatedExpansion.unit(e.skeleton, e.d)
-    term = TruncatedExpansion.unit(e.skeleton, e.d)
-    for k in range(1, e.d + 1):
-        term = term * e
-        scale = Rat(1, factorial(k) * term.den)
-        for m in range(e.d + 1):
-            out.comps[m] = out.comps[m] + term.comps[m] * scale
-    return out
-
-
 # --------------------------------------------------------------------------
 # Z for braids
 # --------------------------------------------------------------------------
@@ -135,8 +122,14 @@ def zed_knot(g, d, normalize=False):
     Coefficients are summed as integer numerators over d!, and the result
     keeps them so (``den`` = d!).
 
-    With ``normalize`` the result is multiplied by exp(−sl·arrow), killing
-    the writhe dependence (full kink removal on top of the kink-flip move).
+    With ``normalize`` the result is multiplied on the right by
+    exp(−sl·a), a the single arrow, killing the writhe dependence (full
+    kink removal on top of the kink-flip move).  The product is folded into
+    the numerators: a degree-j term with numerator N at diagram D adds
+    N·(−sl)^k // k! at D followed by k isolated arrows, for 1 ≤ k ≤ d − j.
+    The division is exact: N is a sum of ±d!/Π k_c! with Σ k_c = j, and
+    each d!/(k!·Π k_c!) is an integer (a multinomial times (d − j − k)!)
+    when j + k ≤ d.  So the normalized Z keeps int numerators over d! too.
     """
     if not isinstance(g, GaussDiagram):
         raise TypeError("expected a GaussDiagram")
@@ -152,13 +145,17 @@ def zed_knot(g, d, normalize=False):
             for m, diagram, num in terms:
                 acc = nums[m]
                 acc[diagram] = acc.get(diagram, 0) + f * num
-    z = _from_numerators(LONG, d, nums)
-    if normalize:
-        e = TruncatedExpansion(LONG, d)
-        if d >= 1:
-            e.comps[1].add_term(((1, 2),), -self_linking(g))
-        z = z * expansion_exp(e)
-    return z
+    if normalize and (sl := self_linking(g)):
+        # from degree d down, so nums[j] is read before any lower degree
+        # adds to it
+        for j in range(d, -1, -1):
+            for diagram, num in nums[j].items():
+                for k in range(1, d - j + 1):
+                    diagram += ((2 * (j + k) - 1, 2 * (j + k)),)
+                    acc = nums[j + k]
+                    acc[diagram] = (acc.get(diagram, 0)
+                                    + num * (-sl) ** k // factorial(k))
+    return _from_numerators(LONG, d, nums)
 
 
 def _support_shapes(arrows, d):

@@ -69,9 +69,8 @@ def stu_eliminate(d):
             rest = verts[:vi] + verts[vi + 1:]
             if o in heads:
                 p = heads[o]
-                base = [l for l in legs]
-                t1 = base[:p] + [("h", i1), ("h", i2)] + base[p + 1:]
-                t2 = base[:p] + [("h", i2), ("h", i1)] + base[p + 1:]
+                t1 = legs[:p] + [("h", i1), ("h", i2)] + legs[p + 1:]
+                t2 = legs[:p] + [("h", i2), ("h", i1)] + legs[p + 1:]
                 emit(t1, rest, coeff)
                 emit(t2, rest, -coeff)
                 return
@@ -81,9 +80,8 @@ def stu_eliminate(d):
                 else:
                     leg_e, other, sign = i1, i2, -1
                 p = tails[leg_e]
-                base = [l for l in legs]
-                t1 = base[:p] + [("h", other), ("t", o)] + base[p + 1:]
-                t2 = base[:p] + [("t", o), ("h", other)] + base[p + 1:]
+                t1 = legs[:p] + [("h", other), ("t", o)] + legs[p + 1:]
+                t2 = legs[:p] + [("t", o), ("h", other)] + legs[p + 1:]
                 emit(t1, rest, coeff * sign)
                 emit(t2, rest, -coeff * sign)
                 return

@@ -26,8 +26,9 @@ polynomial's coefficients as its digits.  The matrix is sparse (the
 Alexander matrices have at most 3 nonzero entries a row), so only its
 nonzero entries are evaluated and eliminated, as dict rows: each pivot is
 the entry of least Markowitz count (Management Sci. 3, 1957), which keeps
-the fill-in small, and a row is brought up to the current step lazily,
-when a pivot column next meets it.
+the fill-in small, and a row that steps pass by is left at its level:
+its next update divides by that level's pivot, and only a pivot row is
+brought up to the current step.
 """
 
 from __future__ import annotations
@@ -189,8 +190,10 @@ class RatMatrix:
         Only the nonzero entries are evaluated, and ``_bareiss`` eliminates
         them in place, as dict rows: each step's pivot is the entry of least
         Markowitz count (row count − 1)·(column count − 1), and a row that
-        no pivot column has met since step s is brought to step k by
-        ·p_k // p_s, an exact division, only when one next meets it.
+        no pivot column has met since step s stays at level s: when a pivot
+        column next meets it, its update divides by p_s in place of p_k,
+        and only a pivot row is first brought to step k by ·p_k // p_s.
+        Each division is exact.
         """
         if not isinstance(one, LaurentPoly):
             raise TypeError("RatMatrix.det takes LaurentPoly entries only")
@@ -225,9 +228,11 @@ def _bareiss(rows):
     Lazy levels: a row that holds none of c_{s+1}..c_k would be scaled by
     p_t / p_{t−1} at each of those steps, so after step k it is its level-s
     self times p_k / p_s.  A row keeps its level s, the last step that
-    changed it, and is brought to level k by ·p_k // p_s, an exact
-    division as its entries are then minors, only when step k + 1 meets
-    it: as the pivot row or as a row that holds the pivot column.
+    changed it.  When step k + 1 meets it as a row that holds the pivot
+    column, the scaling and the step's division fold into one: its entries
+    become (p_{k+1}·a_ij − a_i,c·a_r,j) // p_s, the same minors, so the
+    division is exact.  Only the pivot row is first brought to level k,
+    by ·p_k // p_s, exact as its entries are then minors.
 
     The last pivot is the determinant of the rows r_k and columns c_k in
     pivot order, so the determinant is it times the sign of the row order
@@ -249,20 +254,20 @@ def _bareiss(rows):
         pivot = rows[i]
         j = perm[i] = min(pivot, key=count.__getitem__)
         left.remove(i)
-        touched = [r for r in left if j in rows[r]]
-        for r in touched + [i]:  # the rows step k meets, brought to level k
-            s = level[r]
-            if s < k:
-                row, m, d = rows[r], piv[k], piv[s]
-                for c in row:
-                    row[c] = row[c] * m // d
-        p, prev = pivot.pop(j), piv[k]
+        s = level[i]
+        if s < k:  # the pivot row brought to level k
+            m, d = piv[k], piv[s]
+            for c in pivot:
+                pivot[c] = pivot[c] * m // d
+        p = pivot.pop(j)
         for c in pivot:
             count[c] -= 1
         del count[j]
-        for r in touched:
+        for r in left:
             row = rows[r]
-            f = row.pop(j)
+            if j not in row:
+                continue
+            f, d = row.pop(j), piv[level[r]]
             for c in row:
                 row[c] *= p
             for c, v in pivot.items():
@@ -277,7 +282,7 @@ def _bareiss(rows):
             if not row:
                 return 0
             for c in row:
-                row[c] //= prev
+                row[c] //= d
             level[r] = k + 1
         piv.append(p)
     inversions = sum(perm[a] > perm[b] for a in range(n)

@@ -12,7 +12,7 @@ from wknots.alexander import alexander_det
 from wknots.arrows import (LONG, TWO_ARROW_RELATIONS, ArrowVector,
                            QuotientSpace, _relators, canonical_long,
                            enumerate_diagrams, strands)
-from wknots.expansion import TruncatedExpansion, expansion_exp, wheels_reduce
+from wknots.expansion import TruncatedExpansion, wheels_reduce
 from wknots.freegroup import FreeAut, aut_compose
 from wknots.gauss import (GaussDiagram, _pd_crossing_sign, apply_move,
                           self_linking)
@@ -376,6 +376,22 @@ def laplace_alexander_matrix(k, d):
                       for j in range(n)])
     return (laplace_det(srows, one_s), laurent_normalize(
         laplace_det(alexander_rows(k), LaurentPoly.const(1))))
+
+
+def expansion_exp(e):
+    """exp of an expansion with zero degree-0 part, over denominator 1, by
+    repeated juxtaposition with one ``Rat`` per term: the reference for
+    the normalization that ``zed_knot`` folds into its int numerators."""
+    if not e.comps[0].is_zero():
+        raise ValueError("exponential needs a zero constant term")
+    out = TruncatedExpansion.unit(e.skeleton, e.d)
+    term = TruncatedExpansion.unit(e.skeleton, e.d)
+    for k in range(1, e.d + 1):
+        term = term * e
+        scale = Rat(1, math.factorial(k) * term.den)
+        for m in range(e.d + 1):
+            out.comps[m] = out.comps[m] + term.comps[m] * scale
+    return out
 
 
 def arrow_side_prediction(g, d, flags=frozenset({"RI"})):

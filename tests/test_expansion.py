@@ -11,18 +11,18 @@ from wknots.rational import Rat
 from wknots.wbraid import (SIGMA, VIRT, BraidWord, braid_action,
                            braid_delete_strand, braid_from_text,
                            braid_skeleton, crossings, relation_table, word)
-from wknots.gauss import (GaussDiagram, braid_closure, apply_move, pd_to_gauss,
-                          self_linking)
+from wknots.gauss import GaussDiagram, braid_closure, apply_move, pd_to_gauss
 from wknots.alexander import knot_inventory
 from wknots.arrows import LONG
-from wknots.expansion import (TruncatedExpansion, expansion_exp, zed_braid,
-                              zed_knot, project_expansion, wheels_reduce,
+from wknots.expansion import (TruncatedExpansion, zed_braid, zed_knot,
+                              project_expansion, wheels_reduce,
                               predicted_from_alexander, _support_shapes,
                               _support_terms)
 
 from oracles import (arrow_side_prediction, close_word, closure_order,
-                     delete_strand_from_expansion, expansion_on_exponential,
-                     magnus_expansion, support_shapes_by_combinations,
+                     delete_strand_from_expansion, expansion_exp,
+                     expansion_on_exponential, magnus_expansion,
+                     support_shapes_by_combinations,
                      support_terms_flat, zed_braid_fractions,
                      zed_knot_recursive)
 
@@ -240,18 +240,17 @@ def test_wheel_coordinates_are_rat():
 # the integer kernels of zed_knot and zed_braid against the rational oracles
 # --------------------------------------------------------------------------
 
-def assert_same_terms(z, oracle, numerators=(int,)):
+def assert_same_terms(z, oracle):
     # the same values, exactly: the library's numerators over its den = d!
     # against the oracle's Rat terms over 1.  The key order may differ
     # where terms cancel, and neither ArrowVector.__eq__ nor project reads
-    # it.  Z keeps int numerators; normalizing multiplies some of them by
-    # the Rat terms of exp(−sl·a), which has none when sl = 0
+    # it.  Z keeps int numerators, normalized or not
     assert (z.skeleton, z.d) == (oracle.skeleton, oracle.d)
     assert (z.den, oracle.den) == (factorial(z.d), 1)
     assert z.comps.keys() == oracle.comps.keys()
     for m, v in z.comps.items():
         assert values(z, m) == oracle.comps[m].terms
-        assert all(type(c) in numerators for c in v.terms.values())
+        assert all(type(c) is int for c in v.terms.values())
 
 
 @st.composite
@@ -274,8 +273,7 @@ def gauss_diagrams(draw):
 @given(gauss_diagrams(), st.integers(0, 6), st.booleans())
 def test_zed_knot_matches_recursive_oracle(g, d, normalize):
     assert_same_terms(zed_knot(g, d, normalize),
-                      zed_knot_recursive(g, d, normalize),
-                      (int, Rat) if normalize and self_linking(g) else (int,))
+                      zed_knot_recursive(g, d, normalize))
 
 
 @settings(max_examples=80, deadline=None)
@@ -376,7 +374,9 @@ def test_zed_matches_oracles_on_bundled_knots():
         knots.append(braid_closure(b))
     assert len(knots) == 18
     for g in knots:
-        assert_same_terms(zed_knot(g, 5), zed_knot_recursive(g, 5))
+        for normalize in (False, True):
+            assert_same_terms(zed_knot(g, 5, normalize),
+                              zed_knot_recursive(g, 5, normalize))
 
 
 # --------------------------------------------------------------------------
