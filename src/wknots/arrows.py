@@ -44,7 +44,10 @@ off the classes: a head whose tail lies in the gap just before or just
 after it has an isolated arrow in its class.  A placement is skipped when
 another placement repeats its rows up to TC or RI, or FI kills them: when
 no site cuts a descent of the context (``_cuts``), or with RI a reverse
-isolated arrow, or with FI any isolated arrow.
+isolated arrow, or with FI any isolated arrow.  A 4T instance is skipped
+too where its lone tail, the site that holds one new tail and no head,
+could slide one gap left past a context tail: that placement gives the
+same row.
 """
 
 from array import array
@@ -399,11 +402,13 @@ def _class_products(names):
     their plans; per product, the points of its two new arrows' tails and
     heads, each with the product's new heads before it in line order; the
     distinct pairs of head points, and an itemgetter that gives each
-    product's pair; each instance as an itemgetter, its products and its
-    signs; and ``same[e][k][l]`` for gaps g with e = (g0 == g1) +
-    2·(g1 == g2): None when the new endpoints of products k and l fall in
-    different gaps, and otherwise whether the products pair those
-    endpoints alike, that is, whether they place one diagram."""
+    product's pair; each instance as an itemgetter, its products, its
+    signs and its lone tail (the point that holds one new tail and no
+    head in every product, or None); and ``same[e][k][l]`` for gaps g
+    with e = (g0 == g1) + 2·(g1 == g2): None when the new endpoints of
+    products k and l fall in different gaps, and otherwise whether the
+    products pair those endpoints alike, that is, whether they place one
+    diagram."""
     instances, products = _instances(range(3), names)
     plans = [_plan(arrows) for arrows in products]
     at = {arrows: k for k, arrows in enumerate(products)}
@@ -416,15 +421,23 @@ def _class_products(names):
                        points[a2], bisect_left(heads, a2),
                        points[b2], bisect_left(heads, b2)))
     head_pairs = sorted(set(head_points))
+    # each instance's lone tail: role 0 of 4T; 6T has none, as its role 0
+    # holds two tails in its TC-like products
     instances = [([at[arrows] for arrows, _ in terms],
-                  [sign for _, sign in terms]) for terms in instances]
+                  [sign for _, sign in terms],
+                  next((u for u in range(3) if all(
+                      [t for t, _ in arrows].count(u) == 1
+                      and u not in [h for _, h in arrows]
+                      for arrows, _ in terms)), None))
+                 for terms in instances]
     same = [[[set(k[1]) == set(l[1])
               if [g[u] for u in k[0]] == [g[u] for u in l[0]] else None
               for l in plans] for k in plans]
             for g in ((0, 1, 2), (0, 0, 1), (0, 1, 1), (0, 0, 0))]
     return (plans, shapes, head_pairs,
             itemgetter(*[head_pairs.index(p) for p in head_points]),
-            [(itemgetter(*ks), ks, signs) for ks, signs in instances], same)
+            [(itemgetter(*ks), ks, signs, u) for ks, signs, u in instances],
+            same)
 
 
 def _class_ranks(m, names):
@@ -491,8 +504,8 @@ def _class_two_arrow_rows(m, relset, column):
     placed as diagrams.
 
     A placement is kept only when a site is at every gap of
-    ``_cuts(ctx, relset)``; the others repeat rows that the build has
-    anyway.
+    ``_cuts(ctx, relset)``, and an instance only when its lone tail cannot
+    slide; the others repeat rows that the build has anyway.
 
     * Descents.  Two tails of the context at adjacent slots s, s+1 with no
       site in gap s stay adjacent in every placed diagram, so swapping
@@ -510,12 +523,25 @@ def _class_two_arrow_rows(m, relset, column):
       isolated in every placed diagram, so every term of the placement is
       a dead class: its rows fold to nothing, and a two-term row joins
       only dead classes.
+    * Lone tails.  In a 4T instance the point u of role 0 holds one new
+      tail and no head in every product (6T has no such point: its role 0
+      holds two tails in the TC-like products).  With sites at gaps
+      g0 ≤ g1 ≤ g2, gap g between context slots g and g + 1, the instance
+      is skipped when context slot g_u is a tail, u is the first point in
+      gap g_u, and g_u is not a cut gap or point u + 1 sits there too.
+      The twin placement puts u in gap g_u − 1, after any point already
+      there.  In every product that swaps u's one new tail with the
+      adjacent context tail: TC keeps each term's class, and the swap is
+      one relabelling of slots in every product, so the terms that were
+      one diagram stay one diagram.  The twin's row is the same, and it
+      still has a site at every cut gap.
 
     Every context still has a kept representative at the same gaps.  A
     flip lowers the sum of the context's tail slots, and sorting a
     descent keeps that sum while lowering the inversions of the heads, so
     flips and sorts at uncut gaps, as long as any is left, stop at a
-    context that is kept (or whose rows FI kills).
+    context that is kept (or whose rows FI kills).  A slide lowers g_u,
+    so slides stop at a twin whose instance is kept.
     """
     names = frozenset(relset & {"4T", "6T"})
     if m < 2 or not names:
@@ -535,11 +561,19 @@ def _class_two_arrow_rows(m, relset, column):
         cuts = _cuts(ctx, relset)
         if len(cuts) > 3:  # more gaps than sites
             continue
+        tails = {t for t, _ in ctx}
         for free in combinations_with_replacement(range(2 * len(ctx) + 1),
                                                   3 - len(cuts)):
             gaps = tuple(sorted(cuts + list(free)))
+            # the points that could slide one gap left past a context tail
+            slide = [u for u, g in enumerate(gaps)
+                     if g in tails
+                     and (u == 0 or gaps[u - 1] < g)
+                     and (g not in cuts or u < 2 and gaps[u + 1] == g)]
             col = [column[r] for r in ranks(gaps)]
-            for get, ks, signs in instances:
+            for get, ks, signs, u in instances:
+                if u in slide:
+                    continue
                 cols = get(col)
                 if len(set(cols)) == len(cols):
                     yield list(zip(cols, signs))

@@ -10,7 +10,8 @@ from itertools import (combinations, combinations_with_replacement,
 
 from wknots.alexander import alexander_det
 from wknots.arrows import (LONG, TWO_ARROW_RELATIONS, ArrowVector,
-                           QuotientSpace, _relators, canonical_long,
+                           QuotientSpace, _class_products, _class_ranks,
+                           _cuts, _place, _relators, canonical_long,
                            enumerate_diagrams, strands)
 from wknots.expansion import TruncatedExpansion, wheels_reduce
 from wknots.freegroup import FreeAut, aut_compose
@@ -737,6 +738,49 @@ def per_product_two_arrow_relators(skeleton, m, relset):
                         row[d] = c
                     else:
                         del row[d]
+                if row:
+                    yield row
+
+
+def class_two_arrow_rows_by_cuts(m, relset, column):
+    """``arrows._class_two_arrow_rows`` with the ``_cuts`` cuts alone: a
+    placement is kept when a site is at every cut gap, and every instance
+    of a kept placement yields its row, also where a lone-tail site could
+    slide one gap left past a context tail."""
+    names = frozenset(relset & {"4T", "6T"})
+    if m < 2 or not names:
+        return
+    plans, _, _, _, instances, same = _class_products(names)
+
+    def one_diagram(k, l):
+        one = same[(gaps[0] == gaps[1]) + 2 * (gaps[1] == gaps[2])][k][l]
+        if one is None:
+            return list(_place(ctx, gaps, [plans[k]])) == list(
+                _place(ctx, gaps, [plans[l]]))
+        return one
+
+    for ctx, ranks in _class_ranks(m, names):
+        cuts = _cuts(ctx, relset)
+        if len(cuts) > 3:
+            continue
+        for free in combinations_with_replacement(range(2 * len(ctx) + 1),
+                                                  3 - len(cuts)):
+            gaps = tuple(sorted(cuts + list(free)))
+            col = [column[r] for r in ranks(gaps)]
+            for get, ks, signs, _ in instances:
+                cols = get(col)
+                if len(set(cols)) == len(cols):
+                    yield list(zip(cols, signs))
+                    continue
+                row = []
+                for k, c in zip(ks, signs):
+                    for e in row:
+                        if e[0] == col[k] and one_diagram(e[1], k):
+                            e[2] += c
+                            break
+                    else:
+                        row.append([col[k], k, c])
+                row = [(i, c) for i, _, c in row if c]
                 if row:
                     yield row
 

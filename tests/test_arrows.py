@@ -12,13 +12,15 @@ from wknots.arrows import (LONG, strands, canonical_long,
                            enumerate_diagrams, ArrowVector, QuotientSpace,
                            _class_isolated_rows, _class_products,
                            _class_ranks, _class_relators,
+                           _class_two_arrow_rows,
                            _isolated_arrow_relators, _place,
                            _plan, _relators, _tc_classes, diagram_count,
                            generate_relations, tc_rank)
 from wknots.expansion import get_quotient as quotient
 from wknots.linalg import SparseEchelon, integral
 
-from oracles import (DictFoldQuotient, cc_arrow_relators, commutation_classes,
+from oracles import (DictFoldQuotient, cc_arrow_relators,
+                     class_two_arrow_rows_by_cuts, commutation_classes,
                      long_relators, per_product_place_long,
                      per_product_two_arrow_relators, raw_word_dim,
                      tc_canonical)
@@ -606,9 +608,10 @@ def test_placed_ranks_match_placed_diagrams(rel, m):
                                          _place(ctx, gaps, plans)]
 
 
-@pytest.mark.parametrize("rels", ["4T", "6T", "TC 4T CC"])
-@pytest.mark.parametrize("m", range(2, 5))
-def test_class_rows_are_the_diagram_rows(rels, m):
+@pytest.mark.parametrize("m, rels", [
+    (m, rels) for m in range(2, 5) for rels in ("4T", "6T", "TC 4T CC")]
+    + [(5, "4T")])
+def test_class_rows_are_the_diagram_rows(m, rels):
     # the rows of the class build are the diagram relators with each
     # diagram written as its class, which keeps apart two diagrams of one
     # class: the same rows, so the same ones are two-term ±1 rows
@@ -618,6 +621,31 @@ def test_class_rows_are_the_diagram_rows(rels, m):
     want = {tuple(sorted((column[tc_rank(d)], c) for d, c in r.items()))
             for r in _relators(LONG, m, rels - {"TC"})}
     assert got == want
+
+
+@pytest.mark.parametrize("rels", ["4T", "4T RI", "4T FI", "4T RI FI",
+                                  "6T RI", "TC 4T CC"])
+@pytest.mark.parametrize("m", range(2, 6))
+def test_class_rows_match_the_cut_oracle(rels, m):
+    # skipping an instance whose lone tail could slide one gap left past
+    # a context tail drops only rows that a kept placement repeats
+    rels = frozenset(rels.split())
+    column = _tc_classes(m)[1]
+    got = {tuple(sorted(r)) for r in _class_two_arrow_rows(m, rels, column)}
+    want = {tuple(sorted(r))
+            for r in class_two_arrow_rows_by_cuts(m, rels, column)}
+    assert got == want
+
+
+@pytest.mark.parametrize("rels, m, rows, cut_rows", [
+    ("TC 4T", 4, 1_560, 2_160), ("TC 4T RI", 5, 19_620, 27_960)])
+def test_lone_tail_slides_drop_rows(rels, m, rows, cut_rows):
+    # the 4T rows a class build places, against the _cuts cuts alone
+    rels = frozenset(rels.split())
+    column = _tc_classes(m)[1]
+    assert sum(1 for _ in _class_two_arrow_rows(m, rels, column)) == rows
+    assert sum(1 for _ in class_two_arrow_rows_by_cuts(
+        m, rels, column)) == cut_rows
 
 
 @pytest.mark.parametrize("m", range(6))

@@ -187,3 +187,32 @@ def test_cuts_take_every_isolated_arrow_under_ri(plant):
     with pytest.raises(AssertionError):
         test_arrows.test_long_quotient_dimensions(
             frozenset({"TC", "4T", "RI"}))
+
+
+def test_lone_tail_slid_when_not_first_in_its_gap(plant):
+    # a lone tail slid left past the points before it in its gap, not
+    # past the context tail, so its twin places other rows
+    in_place(plant, arrows._class_two_arrow_rows,
+             "and (u == 0 or gaps[u - 1] < g)", "")
+    with pytest.raises(AssertionError):
+        test_arrows.test_class_rows_match_the_cut_oracle("4T", 3)
+
+
+def test_lone_tail_slid_out_of_a_cut_gap(plant):
+    # a lone tail slid out of a cut gap that no other point holds, so its
+    # twin is cut away too
+    in_place(plant, arrows._class_two_arrow_rows,
+             "and (g not in cuts or u < 2 and gaps[u + 1] == g)", "")
+    with pytest.raises(AssertionError):
+        test_arrows.test_class_rows_match_the_cut_oracle("4T FI", 3)
+
+
+def test_lone_tail_given_to_a_point_with_two_tails(plant):
+    # 6T's role 0, which holds two tails in its TC-like products, slid as
+    # if it held one
+    plant(arrows, "_class_products", mutant(
+        arrows._class_products.__wrapped__,
+        "[t for t, _ in arrows].count(u) == 1",
+        "[t for t, _ in arrows].count(u) >= 1"))
+    with pytest.raises(AssertionError):
+        test_arrows.test_class_rows_are_the_diagram_rows(3, "6T")
