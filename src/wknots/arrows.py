@@ -739,11 +739,10 @@ class QuotientSpace:
                 weight[hi] = -1 if c1 * w1 == c2 * w2 else 1
                 if dead[hi]:
                     dead[lo] = True
-        # propagate deadness to roots; after this, i = weight[i] * parent[i]
+        # only a root is ever marked dead, and a merge moves dead[hi] to lo,
+        # so this pass only compresses: after it, i = weight[i] * parent[i]
         for i in range(n):
-            r, _ = find(i)
-            if dead[i]:
-                dead[r] = True
+            find(i)
 
         self._parent, self._weight, self._dead = parent, weight, dead
         self._ech = SparseEchelon()

@@ -242,7 +242,8 @@ def braid_delete_strand(b: BraidWord, k: int) -> BraidWord:
 
 def braid_clone_strand(b: BraidWord, k: int) -> BraidWord:
     """Double the strand starting at bottom position k into two parallel
-    strands."""
+    strands.  A flip of the doubled strand inverts x_k x_{k+1} into
+    x_{k+1}^-1 x_k^-1, so it becomes f_k f_{k+1} v_k (= v_k f_k f_{k+1})."""
     if not 1 <= k <= b.n:
         raise ValueError("strand index out of range")
     pos = k  # current position of the cloned strand (its left copy)
@@ -250,8 +251,8 @@ def braid_clone_strand(b: BraidWord, k: int) -> BraidWord:
     for kind, i, sign in b.letters:
         if kind == FLIP:
             if i == pos:
-                out.append((FLIP, pos, sign))
-                out.append((FLIP, pos + 1, sign))
+                out += [(FLIP, pos, sign), (FLIP, pos + 1, sign),
+                        (VIRT, pos, 1)]
             else:
                 out.append((FLIP, i + (1 if i > pos else 0), sign))
             continue

@@ -19,7 +19,7 @@ from wknots.gauss import (GaussDiagram, _pd_crossing_sign, apply_move,
                           self_linking)
 from wknots.jacobi import (TrivalentDiagram, _commutator_block,
                            monomial_to_arrows, stu_eliminate)
-from wknots.lieweights import PBWElement, lie_validate
+from wknots.lieweights import lie_validate
 from wknots.linalg import SparseEchelon, integral
 from wknots.rational import ZERO, Rat
 from wknots.rings import (LaurentPoly, TruncSeries, laurent_at_exp,
@@ -914,8 +914,9 @@ def _swap_terms(g1, g2, L):
 
 def stack_pbw_normalize(terms, L):
     """Straighten a {word: coeff} dict into PBW order by swapping the first
-    out-of-order adjacent pair of each word until none is left."""
-    out = PBWElement()
+    out-of-order adjacent pair of each word until none is left.  The
+    coefficients are summed from ``ZERO``, so they come out ``Rat``."""
+    out = {}
     stack = list(terms.items())
     while stack:
         mono, coeff = stack.pop()
@@ -930,15 +931,15 @@ def stack_pbw_normalize(terms, L):
                                   coeff * bc))
                 break
         else:
-            out.add(mono, coeff)
-    return out
+            out[mono] = out.get(mono, ZERO) + coeff
+    return {mono: c for mono, c in out.items() if c}
 
 
 def stack_pbw_mul(u, v, L):
     """Product of two single-factor PBW elements: concatenate, straighten."""
     raw = {}
-    for m1, c1 in u.terms.items():
-        for m2, c2 in v.terms.items():
+    for m1, c1 in u.items():
+        for m2, c2 in v.items():
             raw[m1 + m2] = raw.get(m1 + m2, Rat(0)) + c1 * c2
     return stack_pbw_normalize(raw, L)
 
@@ -964,25 +965,25 @@ def index_vector_weight_system(dvec, L):
     each strand word straightened on its own by the rewrite stack."""
     if not lie_validate(L):
         raise ValueError("invalid Lie structure constants")
-    total = PBWElement()
+    total = {}
     for diagram, coeff in dvec.terms.items():
         seqs = _diagram_strand_words(dvec.skeleton, diagram)
         for idx in product(range(1, L.r + 1), repeat=len(diagram)):
             raws = [tuple((kind, idx[a]) for kind, a in seq) for seq in seqs]
             if dvec.skeleton == LONG:
                 norm = stack_pbw_normalize({raws[0]: coeff}, L)
-                for mono, c in norm.terms.items():
-                    total.add(mono, c)
+                for mono, c in norm.items():
+                    total[mono] = total.get(mono, ZERO) + c
                 continue
             parts = [stack_pbw_normalize({w: Rat(1)}, L) for w in raws]
             combos = [((), coeff)]
             for part in parts:
                 combos = [(acc + (mono,), c * pc)
                           for acc, c in combos
-                          for mono, pc in part.terms.items()]
+                          for mono, pc in part.items()]
             for key, c in combos:
-                total.add(key, c)
-    return total
+                total[key] = total.get(key, ZERO) + c
+    return {key: c for key, c in total.items() if c}
 
 
 # --------------------------------------------------------------------------

@@ -488,6 +488,26 @@ def test_project_rejects_foreign_diagrams():
         quotient(strands(3), 1, {"TC", "4T"}).project_diagram(((1, 2), (2, 3)))
 
 
+@pytest.mark.parametrize("d", [((1, 1),), ((1, 2, 3),), ((None, 1),)],
+                         ids=["repeated-slot", "three-ends", "no-slot"])
+def test_project_rejects_malformed_diagrams(d):
+    # canonical_long raises ValueError or TypeError on each of these
+    q = quotient(LONG, 1, {"TC", "4T"})
+    with pytest.raises(ValueError, match="is not a degree-1 diagram"):
+        q.project(ArrowVector(LONG, 1, {d: Rat(1)}))
+
+
+def test_two_term_rows_on_one_class_kill_it(monkeypatch):
+    # x0 = x1 merges the two classes of degree 1; x0 = -x1 then says
+    # 2·x0 = 0 inside one class, which only the same-class check sees
+    rows = [[(0, 1), (1, -1)], [(0, 1), (1, 1)]]
+    for count, dim in ((1, 1), (2, 0)):
+        monkeypatch.setattr(arrows, "_class_relators",
+                            lambda m, relset, column: iter(rows[:count]))
+        q = QuotientSpace(LONG, 1, {"TC"})
+        assert len(q._diagrams) == 2 and q.dim == dim
+
+
 RELATOR_COUNTS = {
     (LONG, "TC"): [0, 0, 3, 60, 1260, 30240],
     (LONG, "4T"): [0, 0, 6, 120, 2520],

@@ -7,8 +7,11 @@ from itertools import count
 
 import pytest
 
-from wknots import checks
+from wknots import checks, lieweights
+from wknots.arrows import LONG, ArrowVector, enumerate_diagrams
+from wknots.expansion import get_quotient
 from wknots.gauss import GaussDiagram, apply_move, braid_closure
+from wknots.rings import LaurentPoly
 from wknots.wbraid import word
 
 from oracles import isolating_slot_triples, legal_moves_by_slot_triples
@@ -37,6 +40,21 @@ def test_word_problem_names_first_pair(monkeypatch):
         repr(("should be equal", a.to_text(), b.to_text())))
 
 
+def test_word_problem_names_first_pair_that_should_differ(monkeypatch):
+    calls = []
+
+    def always_equal(a, b):
+        calls.append((a, b))
+        return True
+
+    monkeypatch.setattr(checks, "braid_equal", always_equal)
+    ok, detail = checks.check_word_problem(seed=0, trials=3)
+    a, b = calls[3]  # the first distinct pair
+    assert not ok
+    assert detail == "3 equal + 3 distinct pairs, 3 failures; first: %r" % (
+        ("should differ", a.to_text(), b.to_text()),)
+
+
 def test_basis_conjugating_names_first_braid(monkeypatch):
     monkeypatch.setattr(checks, "aut_is_basis_conjugating",
                         lambda aut: (False, {}, None))
@@ -61,6 +79,93 @@ def test_zed_relations_names_first_relation(monkeypatch):
     assert not ok
     assert detail == ("n=2..3 at degree 1, 14 failures; "
                       "first: (2, 'R2a[i=1]')")
+
+
+# Alexander values that break one property each: a constant 1 that no
+# bundled knot has, a constant 3 with A(1) = 3, and 1 - X + X^3, which has
+# A(1) = 1 but is not palindromic
+@pytest.mark.parametrize("fox, matrix_too, failure", [
+    (LaurentPoly({0: 1}), False, "mismatch"),
+    (LaurentPoly({0: 3}), True, "A(1)"),
+    (LaurentPoly({0: 1, 1: -1, 3: 1}), True, "palindrome"),
+], ids=["mismatch", "A(1)", "palindrome"])
+def test_alexander_oracles_name_first_knot(fox, matrix_too, failure,
+                                           monkeypatch):
+    monkeypatch.setattr(checks, "alexander_fox", lambda pd: fox)
+    if matrix_too:
+        monkeypatch.setattr(checks, "alexander_matrix",
+                            lambda g, d: (None, fox))
+    ok, detail = checks.check_alexander_oracles()
+    assert not ok
+    assert detail.startswith("14 knots, failures: ['3_1:%s', '4_1:%s'" % (
+        failure, failure))
+
+
+def test_main_theorem_names_failing_knot(monkeypatch):
+    real = checks.predicted_from_alexander
+    # a wrong prediction for every knot but the unknot
+    monkeypatch.setattr(checks, "predicted_from_alexander",
+                        lambda g, d: real(g, d) if not g.arrows else None)
+    assert checks.check_main_theorem(names=("unknot", "3_1"), d=2) == (
+        False, "degree 2 on unknot/3_1, failures: ['3_1']")
+
+
+def test_dimensions_name_first_wheel_count_mismatch(monkeypatch):
+    monkeypatch.setattr(checks, "wheel_monomial_basis", lambda m, flags: ())
+    ok, detail = checks.check_dimensions()
+    assert not ok
+    assert detail.startswith("m<=4, failures: ['long/plain/m=0: 1 vs 0', ")
+    assert "4T" not in detail
+
+
+def test_dimensions_name_first_4t_6t_mismatch(monkeypatch):
+    real = checks.get_quotient
+
+    class OneMore:
+        def __init__(self, q):
+            self.dim = q.dim + 1
+
+    # every 6T quotient one dimension too large
+    monkeypatch.setattr(checks, "get_quotient", lambda skel, m, rels: (
+        OneMore(real(skel, m, rels)) if "6T" in rels
+        else real(skel, m, rels)))
+    ok, detail = checks.check_dimensions()
+    assert not ok
+    assert detail.startswith(
+        "m<=4, failures: [\"('long',)/m=0: 4T 1 vs 6T 2\", ")
+
+
+def test_jacobi_names_surviving_trivalent_relation(monkeypatch):
+    # a lone arrow, which no relation kills, in place of each instance list
+    arrow = [ArrowVector(LONG, 1, {((1, 2),): 1})]
+    monkeypatch.setattr(checks, "as_instances", lambda m: arrow)
+    monkeypatch.setattr(checks, "ihx_instances", lambda: arrow)
+    assert checks.check_jacobi() == (
+        False, "m<=4, failures: ['AS/m=1', 'IHX/m=1']")
+
+
+def test_jacobi_names_surviving_cc_relator(monkeypatch):
+    basis = get_quotient(LONG, 4, {"TC", "4T"}).basis
+    monkeypatch.setattr(checks, "generate_relations", lambda skel, m, rels: [
+        ArrowVector(skel, m, {basis[0]: 1})])
+    assert checks.check_jacobi() == (False, "m<=4, failures: ['CC/m=4']")
+
+
+def test_weight_systems_name_first_surviving_relator(monkeypatch):
+    # each skeleton's first diagram alone, in place of its relators
+    monkeypatch.setattr(checks, "generate_relations", lambda skel, m, rels: [
+        ArrowVector(skel, m, {enumerate_diagrams(skel, m)[0]: 1})])
+    ok, detail = checks.check_weight_systems()
+    assert not ok
+    assert detail.startswith("m<=3, failures: [\"abelian/('long',)/m=1\", "
+                             "\"abelian/('long',)/m=2\", ")
+
+
+def test_weight_systems_name_first_product(monkeypatch):
+    monkeypatch.setattr(lieweights, "pbw_mul", lambda u, v, L: {})
+    ok, detail = checks.check_weight_systems()
+    assert not ok
+    assert detail.startswith("m<=3, failures: ['abelian/product', ")
 
 
 def test_passing_detail_lines_unchanged():

@@ -5,6 +5,7 @@ import pytest
 import wknots.cli
 from wknots.cli import main
 from wknots.gauss import pd_from_text
+from wknots.rings import LaurentPoly
 
 from test_checks import DEFAULT_DETAILS
 
@@ -47,6 +48,15 @@ def test_alexander_both(capsys):
     out = dict(line.split("=", 1)
                for line in capsys.readouterr().out.splitlines())
     assert out["fox"] == out["matrix"] == "1 - 3*X + 1*X^2"
+
+
+def test_alexander_methods_disagreeing_fail(capsys, monkeypatch):
+    monkeypatch.setattr(wknots.cli, "alexander_fox",
+                        lambda pd: LaurentPoly({0: 1}))
+    pd = os.path.join(DATA, "4_1.pd")
+    assert main(["--machine", "alexander", pd]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "fox=1", "matrix=1 - 3*X + 1*X^2", "agree=false"]
 
 
 def test_alexander_both_reads_the_code_once(capsys, monkeypatch):

@@ -227,7 +227,7 @@ def test_unreferenced_name_is_detected():
 # and the test oracles.  The API below is used only by tests.
 USERS = sorted(p for d in ("src", "perfbench")
                for p in (ROOT / d).rglob("*.py")) + [ROOT / "tests/oracles.py"]
-TEST_ONLY_API = {"word_mul", "gauss_to_text", "pd_to_text", "pbw_normalize",
+TEST_ONLY_API = {"word_mul", "gauss_to_text", "pd_to_text",
                  "braid_delete_strand", "braid_clone_strand", "D_LEFT"}
 
 

@@ -14,8 +14,7 @@ from wknots.gauss import braid_closure, pd_to_gauss
 from wknots.jacobi import concat, wheel_to_arrows
 from wknots.lieweights import (LieData, lie_validate,
                                lie_abelian, lie_nonabelian2, lie_sl2,
-                               PBWElement, pbw_normalize, pbw_mul,
-                               weight_system, _weight_table)
+                               pbw_mul, weight_system)
 from wknots.rings import LaurentPoly, TruncSeries, laurent_at_exp
 from wknots.wbraid import braid_from_text
 
@@ -66,28 +65,38 @@ def test_out_of_range_index_rejected():
 def test_pbw_straightening_sl2():
     L = lie_sl2()
     # x2 x1 = x1 x2 - [x1, x2] = x1 x2 - 2 x2
-    out = pbw_normalize({(("x", 2), ("x", 1)): Rat(1)}, L)
-    assert out.terms == {(("x", 1), ("x", 2)): Rat(1),
-                         (("x", 2),): Rat(-2)}
+    out = pbw_mul({(): 1}, {(("x", 2), ("x", 1)): Rat(1)}, L)
+    assert out == {(("x", 1), ("x", 2)): Rat(1), (("x", 2),): Rat(-2)}
+
+
+def test_integral_straightening_stays_int():
+    # int constants and int inputs: no coefficient becomes a Rat, and the
+    # terms that cancel are dropped
+    L = lie_sl2()
+    x1, x2, x3 = (("x", i) for i in (1, 2, 3))
+    out = pbw_mul({(): 1}, {(x3, x2): 1, (x2, x3): -1, (x1,): 3}, L)
+    assert out == {(x1,): 2}
+    assert all(type(c) is int for c in out.values())
+    out = pbw_mul(out, {(x3, x2, x1): 3}, L)
+    assert out and all(type(c) is int for c in out.values())
+    assert pbw_mul({(): 1}, {(x2, x1): 1, (x1, x2): -1, (x2,): 2}, L) == {}
 
 
 def test_pbw_straightening_semidirect():
     L = lie_nonabelian2()  # [x1, x2] = x2
     # x1 phi^2 = phi^2 x1 + [x1, phi^2] = phi^2 x1 - phi^2
-    out = pbw_normalize({(("x", 1), ("p", 2)): Rat(1)}, L)
-    assert out.terms == {(("p", 2), ("x", 1)): Rat(1),
-                         (("p", 2),): Rat(-1)}
+    out = pbw_mul({(): 1}, {(("x", 1), ("p", 2)): Rat(1)}, L)
+    assert out == {(("p", 2), ("x", 1)): Rat(1), (("p", 2),): Rat(-1)}
     # duals commute with each other
-    out = pbw_normalize({(("p", 2), ("p", 1)): Rat(1)}, L)
-    assert out.terms == {(("p", 1), ("p", 2)): Rat(1)}
+    out = pbw_mul({(): 1}, {(("p", 2), ("p", 1)): Rat(1)}, L)
+    assert out == {(("p", 1), ("p", 2)): Rat(1)}
 
 
 def test_single_arrow_image():
     L = lie_abelian(2)
     v = ArrowVector(LONG, 1, {canonical_long(((1, 2),)): Rat(1)})
     out = weight_system(v, L)
-    assert out.terms == {(("p", 1), ("x", 1)): Rat(1),
-                         (("p", 2), ("x", 2)): Rat(1)}
+    assert out == {(("p", 1), ("x", 1)): Rat(1), (("p", 2), ("x", 2)): Rat(1)}
 
 
 def test_reversed_arrow_needs_straightening():
@@ -95,10 +104,9 @@ def test_reversed_arrow_needs_straightening():
     v = ArrowVector(LONG, 1, {canonical_long(((2, 1),)): Rat(1)})
     out = weight_system(v, L)
     # x_i phi^i summed over i: straightening adds the coadjoint correction
-    assert out.terms[(("p", 1), ("x", 1))] == Rat(1)
-    assert out.terms[(("p", 2), ("x", 2))] == Rat(1)
-    assert out.terms.get((("p", 2),), Rat(0)) != Rat(0) or \
-        out.terms.get((("p", 1),), Rat(0)) != Rat(0)
+    assert out[(("p", 1), ("x", 1))] == Rat(1)
+    assert out[(("p", 2), ("x", 2))] == Rat(1)
+    assert out.get((("p", 2),)) or out.get((("p", 1),))
 
 
 def test_relators_vanish_all_fixtures():
@@ -107,7 +115,7 @@ def test_relators_vanish_all_fixtures():
         for skel in (LONG, strands(3)):
             for m in range(1, mmax + 1):
                 for vec in generate_relations(skel, m, {"TC", "4T"}):
-                    assert weight_system(vec, L).is_zero()
+                    assert weight_system(vec, L) == {}
 
 
 def test_weight_system_multiplicative():
@@ -170,10 +178,10 @@ def test_algebras_keep_their_own_weights():
 
 def test_weight_memo_is_bounded():
     L = lie_abelian(1)
-    bound = _weight_table(L).cache_info().maxsize
+    bound = L._weights.cache_info().maxsize
     many = diagrams(LONG, 5)[:bound + 100]
     v = ArrowVector(LONG, 5, {d: Rat(1) for d in many})
-    assert weight_system(v, L).terms == {
+    assert weight_system(v, L) == {
         (("p", 1),) * 5 + (("x", 1),) * 5: Rat(len(many))}
     info = L._weights.cache_info()
     assert info.misses == len(many) and info.currsize == bound
@@ -222,8 +230,8 @@ def words(draw, r):
 
 
 def assert_same(a, b):
-    assert a.terms == b.terms
-    assert all(type(c) is Rat for t in (a, b) for c in t.terms.values())
+    assert a == b
+    assert all(type(c) is Rat for t in (a, b) for c in t.values())
 
 
 @settings(max_examples=120, deadline=None)
@@ -237,10 +245,9 @@ def test_weight_system_matches_oracle(L, v):
 def test_pbw_mul_matches_oracle(L, data):
     u = data.draw(words(L.r))
     v = data.draw(words(L.r))
-    nu = pbw_normalize(u, L)
+    nu = pbw_mul({(): 1}, u, L)
     assert_same(nu, stack_pbw_normalize(u, L))
-    assert_same(pbw_mul(nu, PBWElement(v), L),
-                stack_pbw_mul(nu, PBWElement(v), L))
+    assert_same(pbw_mul(nu, v, L), stack_pbw_mul(nu, v, L))
     a, b = (data.draw(arrow_vectors(skeletons=(LONG,))) for _ in range(2))
     wa, wb = weight_system(a, L), weight_system(b, L)
     assert_same(pbw_mul(wa, wb, L), stack_pbw_mul(wa, wb, L))
@@ -252,7 +259,7 @@ def test_non_integral_wheel_images():
     for k in range(1, 5):
         want = Rat(1, 2) if k == 1 else Rat(-1, 2 ** k)
         assert_same(weight_system(wheel_to_arrows(k), HALF),
-                    PBWElement({phi1(k): want}))
+                    {phi1(k): want})
 
 
 # --------------------------------------------------------------------------
@@ -265,10 +272,9 @@ def phi1(k):
 
 def test_wheels_in_2d_algebra():
     L = lie_nonabelian2()
-    assert weight_system(wheel_to_arrows(1), L).terms == {phi1(1): Rat(1)}
+    assert weight_system(wheel_to_arrows(1), L) == {phi1(1): Rat(1)}
     for k in range(2, 6):
-        assert weight_system(wheel_to_arrows(k), L).terms == \
-            {phi1(k): Rat(-1)}
+        assert weight_system(wheel_to_arrows(k), L) == {phi1(k): Rat(-1)}
 
 
 def test_2d_weight_of_z_is_inverse_alexander():
@@ -283,7 +289,7 @@ def test_2d_weight_of_z_is_inverse_alexander():
         series = TruncSeries(4)
         for m in range(5):
             comp = z.comps[m] * Rat(1, z.den)
-            for mono, c in weight_system(comp, L).terms.items():
+            for mono, c in weight_system(comp, L).items():
                 if mono == phi1(len(mono)):
                     series.coeffs[len(mono)] += c
         D = alexander_det(g)

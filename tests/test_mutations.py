@@ -16,8 +16,10 @@ import test_arrows
 import test_determinants
 import test_expansion
 import test_jacobi
+import test_lieweights
 import test_wbraid
-from wknots import alexander, arrows, expansion, gauss, jacobi, linalg, wbraid
+from wknots import (alexander, arrows, expansion, gauss, jacobi, lieweights,
+                    linalg, wbraid)
 
 # what an oracle test that meets a planted fault raises: a failed assert,
 # or pytest.raises finding no error
@@ -144,6 +146,44 @@ def test_kink_normalization_without_its_factorial(monkeypatch):
              " // factorial(k)", "")
     with pytest.raises(AssertionError):
         test_expansion.test_zed_knot_matches_recursive_oracle()
+
+
+def test_clone_of_a_flip_without_its_virtual_crossing(monkeypatch):
+    # a flipped clone written f_k f_{k+1}: x_k^-1 x_{k+1}^-1 in place of
+    # the inverse x_{k+1}^-1 x_k^-1 of the doubled generator
+    in_place(monkeypatch.setattr, wbraid.braid_clone_strand,
+             "(VIRT, pos, 1)]", "]")
+    with pytest.raises(AssertionError):
+        test_wbraid.test_clone_strand_compatible_with_action_on_extended_braids()
+
+
+@pytest.fixture
+def fresh_algebras(monkeypatch):
+    """``monkeypatch.setattr``, with the straightening and weight tables of
+    the Lie-algebra fixtures of ``test_lieweights`` forgotten before the
+    fault is planted and again after it is undone: the tables are built
+    once per algebra."""
+    def forget():
+        for L in test_lieweights.FIXTURES:
+            vars(L).pop("_times", None)
+            vars(L).pop("_weights", None)
+    forget()
+    yield monkeypatch.setattr
+    monkeypatch.undo()
+    forget()
+
+
+@pytest.mark.parametrize("check", [
+    test_lieweights.test_pbw_mul_matches_oracle,
+    test_lieweights.test_weight_system_matches_oracle,
+], ids=["pbw-mul", "weight-system"])
+def test_straightening_without_its_bracket_term(check, fresh_algebras):
+    # h·last·g straightened as (h·g)·last, without h·[last, g]
+    times = lieweights.LieData._times.func
+    fault = mutant(times, "bracket.get((last, g), ())", "()")
+    fresh_algebras(times, "__code__", fault.func.__code__)
+    with pytest.raises(AssertionError):
+        check()
 
 
 def test_braid_action_with_a_flipped_convention(monkeypatch):

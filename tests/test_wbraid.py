@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wknots.freegroup import word_from_text, aut_apply
+from wknots.freegroup import aut_apply, word_from_text, word_reduce
 from wknots.wbraid import (FLIP, SIGMA, VIRT, BraidWord, word,
                            braid_from_text, braid_action, braid_skeleton,
                            braid_equal, braid_invert,
@@ -180,11 +180,38 @@ def test_skeleton():
     assert braid_skeleton(word(2, "s1 s1")) == (1, 2)
 
 
-def test_delete_strand_compatible_with_action():
+def random_extended_braid(rng, n, length):
+    """An extended braid word: each letter a flip with probability 0.2, a
+    virtual crossing with probability 0.2, and a crossing otherwise."""
+    letters = []
+    for _ in range(length):
+        x = rng.random()
+        if x < 0.2:
+            letters.append((FLIP, rng.randrange(1, n + 1), 1))
+        elif x < 0.4:
+            letters.append((VIRT, rng.randrange(1, n), 1))
+        else:
+            letters.append((SIGMA, rng.randrange(1, n), rng.choice((1, -1))))
+    return BraidWord(n, tuple(letters), extended=True)
+
+
+def strand_cases(seed, count, draw_braid):
+    """(braid, strand) pairs: a braid on 2-4 strands with 0-6 letters, and
+    one of its strands."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(2, 5)
+        b = draw_braid(rng, n, rng.randrange(0, 7))
+        yield b, rng.randrange(1, n + 1)
+
+
+def flips(b):
+    return sum(kind == FLIP for kind, _, _ in b.letters)
+
+
+def assert_deletion_commutes(b, k):
     """Deleting strand k commutes with the action: kill the deleted
     generator on each side and renumber."""
-    from wknots.freegroup import FreeAut, word_reduce
-
     def project(w, kill, n):
         out = []
         for i, s in w:
@@ -193,28 +220,22 @@ def test_delete_strand_compatible_with_action():
             out.append((i - 1 if i > kill else i, s))
         return word_reduce(out, n - 1)
 
-    rng = random.Random(10)
-    for _ in range(150):
-        n = rng.randrange(2, 5)
-        b = random_braid(rng, n, rng.randrange(0, 7))
-        k = rng.randrange(1, n + 1)
-        pi = braid_skeleton(b)
-        small = braid_delete_strand(b, k)
-        act, sact = braid_action(b), braid_action(small)
-        for j in range(1, n + 1):
-            if j == k:
-                continue
-            jj = j - 1 if j > k else j
-            lhs = aut_apply(sact, ((jj, 1),))
-            rhs = project(aut_apply(act, ((j, 1),)), pi[k - 1], n)
-            assert lhs == rhs
+    n, pi = b.n, braid_skeleton(b)
+    small = braid_delete_strand(b, k)
+    act, sact = braid_action(b), braid_action(small)
+    for j in range(1, n + 1):
+        if j == k:
+            continue
+        jj = j - 1 if j > k else j
+        lhs = aut_apply(sact, ((jj, 1),))
+        rhs = project(aut_apply(act, ((j, 1),)), pi[k - 1], n)
+        assert lhs == rhs, (b, k)
+    return small
 
 
-def test_clone_strand_compatible_with_action():
+def assert_cloning_commutes(b, k):
     """Cloning strand k commutes with the action after the doubling
     substitution on both sides."""
-    from wknots.freegroup import word_reduce
-
     def double(w, k, n):
         out = []
         for i, s in w:
@@ -228,17 +249,39 @@ def test_clone_strand_compatible_with_action():
                 out.append((i2, s))
         return word_reduce(out, n + 1)
 
-    rng = random.Random(11)
-    for _ in range(150):
-        n = rng.randrange(2, 5)
-        b = random_braid(rng, n, rng.randrange(0, 7))
-        k = rng.randrange(1, n + 1)
-        pi = braid_skeleton(b)
-        big = braid_clone_strand(b, k)
-        act, bact = braid_action(b), braid_action(big)
-        # source doubling then big action equals action then target doubling
-        for j in range(1, n + 1):
-            src = double(((j, 1),), k, n)
-            lhs = aut_apply(bact, src)
-            rhs = double(aut_apply(act, ((j, 1),)), pi[k - 1], n)
-            assert lhs == rhs
+    n, pi = b.n, braid_skeleton(b)
+    big = braid_clone_strand(b, k)
+    act, bact = braid_action(b), braid_action(big)
+    # source doubling then big action equals action then target doubling
+    for j in range(1, n + 1):
+        src = double(((j, 1),), k, n)
+        lhs = aut_apply(bact, src)
+        rhs = double(aut_apply(act, ((j, 1),)), pi[k - 1], n)
+        assert lhs == rhs, (b, k)
+    return big
+
+
+def test_delete_strand_compatible_with_action():
+    for b, k in strand_cases(10, 150, random_braid):
+        assert_deletion_commutes(b, k)
+
+
+def test_clone_strand_compatible_with_action():
+    for b, k in strand_cases(11, 150, random_braid):
+        assert_cloning_commutes(b, k)
+
+
+def test_delete_strand_compatible_with_action_on_extended_braids():
+    # some deletions drop a flip of the deleted strand
+    dropped = 0
+    for b, k in strand_cases(6, 300, random_extended_braid):
+        dropped += flips(assert_deletion_commutes(b, k)) < flips(b)
+    assert dropped
+
+
+def test_clone_strand_compatible_with_action_on_extended_braids():
+    # some clones double a flip of the cloned strand
+    doubled = 0
+    for b, k in strand_cases(5, 300, random_extended_braid):
+        doubled += flips(assert_cloning_commutes(b, k)) > flips(b)
+    assert doubled
