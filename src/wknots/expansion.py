@@ -3,12 +3,14 @@
 ``zed_braid`` sends each crossing of a w-braid word to the exponential of a
 single arrow between the two crossing strands (tail on the over strand);
 ``zed_knot`` does the same along a long-knot Gauss diagram, summing over
-arrow supports, walked depth-first and counted per endpoint order and
-set of negative arrows, each order's terms memoized and summed once per
-sign; its kink normalization by exp(−sl·a) is folded into the same
-numerators by exact int divisions.  Both truncate at a degree cap d and
-sum integer numerators over d!, and keep them: a ``TruncatedExpansion``
-holds its components as numerators over one denominator ``den``, and
+arrow supports, walked depth-first as bit masks and counted per endpoint
+order and set of negative arrows.  The orders are interned once, by id, in
+one bounded table shared across calls, since they recur across knots; each
+order's terms are memoized by its id and summed once per sign.  The kink
+normalization by exp(−sl·a) is folded into the same numerators by exact
+int divisions.  Both truncate at a degree cap d and sum integer numerators
+over d!, and keep them: a ``TruncatedExpansion`` holds its components as
+numerators over one denominator ``den``, and
 ``QuotientSpace.project`` divides by it once, after adding up the images
 of the columns, so Z stays in ints from the supports to the coordinates.
 On the long strand the quotient A^w(↑) is the commutative polynomial
@@ -18,7 +20,6 @@ an expansion's quotient coordinates in that wheel-monomial basis, and
 Alexander polynomial alone, inside the monomial algebra.
 """
 
-from bisect import bisect
 from functools import cache, lru_cache
 from math import factorial
 
@@ -113,9 +114,10 @@ def zed_knot(g, d, normalize=False):
     strand is a sum over supports: each set S of at most d arrows, in slot
     order, with each positive composition (k_c) of at most d over S, gives
     k_c parallel copies of arrow c with coefficient Π s_c^{k_c} / k_c!.
-    Supports are grouped by the order of their endpoints, each order
-    holding a count per set of negative arrows (``_support_shapes``), and
-    each order's terms are laid out once, grouped by which k_c are odd
+    Supports are walked as bit masks and grouped by the order of their
+    endpoints, each order an id in a table shared across calls and holding
+    a count per set of negative arrows (``_support_shapes``), and each
+    order's terms are laid out once per id, grouped by which k_c are odd
     (``_support_terms``).  The sign Π s_c^{k_c} depends on the order's
     negative set and the group's odd mask only, so each (order, odd mask)
     gets one signed count f, and its terms add f times their numerator.
@@ -134,8 +136,8 @@ def zed_knot(g, d, normalize=False):
     if not isinstance(g, GaussDiagram):
         raise TypeError("expected a GaussDiagram")
     nums = [{} for _ in range(d + 1)]
-    for order, negs in _support_shapes(g.canonical(), d).items():
-        for odd, terms in _support_terms(order, d):
+    for oid, negs in _support_shapes(g.canonical(), d).items():
+        for odd, terms in _support_terms(oid, d):
             # Π s_c^{k_c} is −1 when an odd number of negative k_c are odd
             f = 0
             for neg, count in negs.items():
@@ -158,47 +160,103 @@ def zed_knot(g, d, normalize=False):
     return _from_numerators(LONG, d, nums)
 
 
+# The endpoint orders of supports, interned: ``_orders[id]`` is an order
+# and ``_children[(parent id, tail place, head place)]`` the id of the
+# parent's order with one more arrow's tail and head inserted at those
+# places.  Orders recur across knots and across calls, so the table is
+# shared, as the ``_support_terms`` memo is: a table kept per call would
+# rebuild every order for each knot.  It is emptied, with that memo, at the
+# start of a walk once it holds more than ``_ORDERS_MAX`` orders; all
+# 32,055 orders of at most 5 arrows fit.
+_ORDERS_MAX = 1 << 16
+_orders = [()]
+_children = {}
+
+
 def _support_shapes(arrows, d):
     """The supports of at most d of the (tail, head, sign) ``arrows``,
-    sorted by slot, as {order: {neg: count}}: ``order`` lists the
-    support's endpoints in slot order, endpoint 2c being the tail of its
-    c-th arrow and 2c + 1 the head, and bit c of ``neg`` is set when that
-    arrow is negative.  The supports are walked depth-first, adding arrows
-    in slot order: a node keeps its endpoint slots sorted, with ``order``
-    alongside, and a child copies both and inserts its arrow's tail and
-    head by bisection (list inserts run faster here than tuple slices)."""
-    shapes = {}
-    stack = [([], [], 0, 0)]  # (slots, order, neg, next arrow)
+    sorted by tail slot, as {order id: {neg: count}}: ``_orders[id]``
+    lists the support's endpoints in slot order, endpoint 2c being the
+    tail of its c-th arrow and 2c + 1 the head, and bit c of ``neg`` is
+    set when that arrow is negative.
+
+    The supports are walked depth-first as bit masks S over ``arrows``,
+    adding arrows in tail order.  An added arrow j comes after every arrow
+    of S, so its tail lands at place p + |S ∩ before_t[j]|, p = |S|, and
+    its head at |(S | S << n) ∩ before_h[j]| + (t_j < h_j), where
+    before_t[j] holds the earlier arrows whose heads precede t_j and
+    before_h[j] the earlier tails (low n bits) and heads (high n bits)
+    that precede h_j; both masks are fixed per arrow.  The child's order
+    is looked up by (parent id, tail place, head place) in the shared
+    table, so an order that an earlier walk met is found, not rebuilt.
+    The ids stay valid until the next walk, which may empty the table
+    (``_ORDERS_MAX``)."""
+    if len(_orders) > _ORDERS_MAX:
+        _clear_orders()
+    n = len(arrows)
+    # per arrow j: (j, before_t[j], before_h[j], t_j < h_j, negative)
+    info = [(j, sum(1 << i for i in range(j) if arrows[i][1] < t),
+             sum(1 << i for i in range(j) if arrows[i][0] < h)
+             | sum(1 << n + i for i in range(j) if arrows[i][1] < h),
+             t < h, s < 0)
+            for j, (t, h, s) in enumerate(arrows)]
+    shapes = {0: {0: 1}}
+    # (support mask, its size p, order id, neg, next arrow); a support of
+    # size d is counted where it is met and not pushed
+    stack = [(0, 0, 0, 0, 0)] if d else []
     while stack:
-        slots, order, neg, nxt = stack.pop()
-        negs = shapes.setdefault(tuple(order), {})
-        negs[neg] = negs.get(neg, 0) + 1
-        e = len(order)
-        if e == 2 * d:
-            continue
-        bit = 1 << (e >> 1)
-        for j in range(nxt, len(arrows)):
-            t, h, s = arrows[j]
-            ts, to = slots.copy(), order.copy()
-            i = bisect(ts, t)
-            ts.insert(i, t)
-            to.insert(i, e)
-            i = bisect(ts, h)
-            ts.insert(i, h)
-            to.insert(i, e + 1)
-            stack.append((ts, to, neg | bit if s < 0 else neg, j + 1))
+        sup, p, oid, neg, nxt = stack.pop()
+        both = sup | sup << n
+        bit = 1 << p
+        leaf = p + 1 == d
+        for j, before_t, before_h, up, negative in info[nxt:]:
+            key = (oid, p + (sup & before_t).bit_count(),
+                   (both & before_h).bit_count() + up)
+            cid = _children.get(key)
+            if cid is None:
+                cid = _children[key] = _child_order(*key)
+            child = neg | bit if negative else neg
+            negs = shapes.get(cid)
+            if negs is None:
+                shapes[cid] = {child: 1}
+            else:
+                negs[child] = negs.get(child, 0) + 1
+            if not leaf:
+                stack.append((sup | 1 << j, p + 1, cid, child, j + 1))
     return shapes
 
 
+def _clear_orders():
+    """Empty the order table, and with it the ``_support_terms`` memo,
+    whose entries would otherwise outlive the ids they are keyed by."""
+    del _orders[1:]
+    _children.clear()
+    _support_terms.cache_clear()
+
+
+def _child_order(oid, tail, head):
+    """Intern the order ``_orders[oid]`` with its next arrow's tail
+    inserted at place ``tail`` and then its head at place ``head``."""
+    order = list(_orders[oid])
+    e = len(order)
+    order.insert(tail, e)
+    order.insert(head, e + 1)
+    _orders.append(tuple(order))
+    return len(_orders) - 1
+
+
 @lru_cache(maxsize=4096)
-def _support_terms(order, d):
-    """The terms of a support whose endpoints lie in slot order ``order``,
-    grouped by odd mask: ((odd, ((m, diagram, d!/Π k_c!), ...)), ...),
-    one group for each set of arrows c whose multiplicity k_c is odd, and
-    one term for each composition ks.  An endpoint of arrow c sits at 1 +
-    the sum of k_c' over the endpoints before it, copy j at (tail + j,
-    head + j): the diagram is already canonical.  Orders recur across
-    knots; entries grow with d, so the memo is bounded."""
+def _support_terms(oid, d):
+    """The terms of a support whose endpoints lie in the slot order
+    ``_orders[oid]``, grouped by odd mask:
+    ((odd, ((m, diagram, d!/Π k_c!), ...)), ...), one group for each set
+    of arrows c whose multiplicity k_c is odd, and one term for each
+    composition ks.  An endpoint of arrow c sits at 1 + the sum of k_c'
+    over the endpoints before it, copy j at (tail + j, head + j): the
+    diagram is already canonical.  Keyed by order id, the memo is emptied
+    with the order table (``_clear_orders``); orders recur across knots,
+    and entries grow with d, so it is bounded too."""
+    order = _orders[oid]
     p, groups = len(order) // 2, {}
     slot = [0] * (2 * p)
     for ks, m, num in _compositions(p, d):

@@ -180,8 +180,8 @@ def lie_sl2():
 
 def pbw_mul(u, v, L):
     """Product u·v of single-factor elements, u PBW-normal: u times each
-    word of v, one generator at a time.  ``pbw_mul({(): 1}, v, L)``
-    straightens v."""
+    word of v, one generator at a time, dropping the monomials that cancel
+    after each step.  ``pbw_mul({(): 1}, v, L)`` straightens v."""
     times = L._times
     out = {}
     for word, cv in v.items():
@@ -191,7 +191,7 @@ def pbw_mul(u, v, L):
             for mono, c in acc.items():
                 for n, cn in times(mono, g):
                     nxt[n] = nxt.get(n, 0) + c * cn
-            acc = nxt
+            acc = {mono: c for mono, c in nxt.items() if c}
         for mono, c in acc.items():
             out[mono] = out.get(mono, 0) + c * cv
     return {mono: c for mono, c in out.items() if c}

@@ -14,10 +14,11 @@ from wknots.wbraid import (SIGMA, VIRT, BraidWord, braid_action,
 from wknots.gauss import GaussDiagram, braid_closure, apply_move, pd_to_gauss
 from wknots.alexander import knot_inventory
 from wknots.arrows import LONG
+from wknots import expansion
 from wknots.expansion import (TruncatedExpansion, zed_braid, zed_knot,
                               project_expansion, wheels_reduce,
                               predicted_from_alexander, _support_shapes,
-                              _support_terms)
+                              _support_terms, _orders)
 
 from oracles import (arrow_side_prediction, close_word, closure_order,
                      delete_strand_from_expansion, expansion_exp,
@@ -280,8 +281,8 @@ def test_zed_knot_matches_recursive_oracle(g, d, normalize):
 @given(gauss_diagrams(), st.integers(0, 6))
 def test_support_walk_matches_combinations(g, d):
     arrows = g.canonical()
-    flat = {(order, neg): n
-            for order, negs in _support_shapes(arrows, d).items()
+    flat = {(_orders[oid], neg): n
+            for oid, negs in _support_shapes(arrows, d).items()
             for neg, n in negs.items()}
     assert flat == support_shapes_by_combinations(arrows, d)
 
@@ -291,21 +292,21 @@ def test_support_walk_matches_combinations(g, d):
 def test_support_terms_grouped_by_odd_mask(g, d):
     # each order of a random diagram's supports: one group per odd mask,
     # holding the flat layout's terms with that mask
-    for order in _support_shapes(g.canonical(), d):
-        groups = _support_terms(order, d)
+    for oid in _support_shapes(g.canonical(), d):
+        groups = _support_terms(oid, d)
         masks = [odd for odd, _ in groups]
         assert len(set(masks)) == len(masks)
         flat = [(m, diagram, num, odd) for odd, terms in groups
                 for m, diagram, num in terms]
-        assert sorted(flat) == sorted(support_terms_flat(order, d))
+        assert sorted(flat) == sorted(support_terms_flat(_orders[oid], d))
 
 
 def signed_sums(g, d):
     """Σ_neg ±count for each (order, odd mask) that ``zed_knot`` meets."""
     return [sum(-n if (odd & neg).bit_count() & 1 else n
                 for neg, n in negs.items())
-            for order, negs in _support_shapes(g.canonical(), d).items()
-            for odd, _ in _support_terms(order, d)]
+            for oid, negs in _support_shapes(g.canonical(), d).items()
+            for odd, _ in _support_terms(oid, d)]
 
 
 @pytest.mark.parametrize("d", [7, 8])
@@ -332,14 +333,37 @@ def test_zed_knot_matches_recursive_oracle_at_high_degree(d):
 @settings(max_examples=40, deadline=None)
 @given(gauss_diagrams(), st.integers(0, 6))
 def test_zed_knot_same_with_cold_and_warm_shapes(g, d):
-    # a cached support shape must come back unchanged after use
-    _support_terms.cache_clear()
+    # a cached order and its support shape must come back unchanged after
+    # use
+    expansion._clear_orders()
     cold = zed_knot(g, d)
     warm = zed_knot(g, d)
     assert warm.den == cold.den == factorial(d)
     for m in range(d + 1):
         assert warm.comps[m].terms == cold.comps[m].terms
         assert all(type(c) is int for c in warm.comps[m].terms.values())
+
+
+def test_zed_knot_same_across_order_table_resets(monkeypatch):
+    # with the table's bound shrunk, each walk starts on an emptied table
+    # and memo, and its ids name other orders than the last walk's did
+    knots = [pd_to_gauss(pd) for pd in knot_inventory().values()]
+    warm = [zed_knot(g, 5) for g in knots]
+    resets = []
+    clear = expansion._clear_orders
+
+    def counted():
+        resets.append(len(_orders))
+        clear()
+    monkeypatch.setattr(expansion, "_ORDERS_MAX", 4)
+    monkeypatch.setattr(expansion, "_clear_orders", counted)
+    for g, z in zip(knots, warm):
+        reset = zed_knot(g, 5)
+        assert_same_terms(reset, zed_knot_recursive(g, 5))
+        for m in range(6):
+            assert reset.comps[m].terms == z.comps[m].terms
+    assert len(resets) == len(knots)
+    assert min(resets) > 4
 
 
 @settings(max_examples=40, deadline=None)

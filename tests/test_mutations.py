@@ -132,12 +132,33 @@ def test_tc_rank_off_by_one_at_a_gap(plant):
         test_arrows.test_class_rank_names_the_tc_canonical_column(3)
 
 
-def test_support_child_skips_an_insertion(monkeypatch):
-    # a child that leaves its arrow's head out of the sorted slots
-    in_place(monkeypatch.setattr, expansion._support_shapes,
-             "ts.insert(i, h)", "pass")
+@pytest.fixture
+def fresh_orders(monkeypatch):
+    """``monkeypatch.setattr``, with ``Z``'s order table and its
+    ``_support_terms`` memo emptied before the fault is planted and again
+    after it is undone, so no order or term met under a fault outlives
+    its test."""
+    expansion._clear_orders()
+    yield monkeypatch.setattr
+    monkeypatch.undo()
+    expansion._clear_orders()
+
+
+def test_support_child_skips_an_insertion(fresh_orders):
+    # a head placed as if its own arrow's tail had not been inserted
+    in_place(fresh_orders, expansion._support_shapes, " + up)", ")")
     with pytest.raises(AssertionError):
         test_expansion.test_zed_knot_matches_recursive_oracle_at_high_degree(4)
+
+
+def test_order_table_reset_keeps_the_memo(fresh_orders, monkeypatch):
+    # the order table emptied without the memo keyed by its ids: a walk
+    # after the reset reads the terms of the orders the old ids named
+    in_place(fresh_orders, expansion._clear_orders,
+             "_support_terms.cache_clear()", "pass")
+    with pytest.raises(AssertionError):
+        test_expansion.test_zed_knot_same_across_order_table_resets(
+            monkeypatch)
 
 
 def test_kink_normalization_without_its_factorial(monkeypatch):
