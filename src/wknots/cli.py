@@ -76,7 +76,7 @@ def cmd_braid_act(args):
         w = word_from_text(args.word, n=b.n)
         _emit(args.machine, "image", "%s", word_to_text(aut_apply(act, w)))
     else:
-        for i, img in enumerate(act.images, start=1):
+        for i, img in enumerate(act, start=1):
             _emit(args.machine, "x%d" % i, "x%d -> %%s" % i,
                   word_to_text(img))
     return 0

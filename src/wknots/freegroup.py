@@ -2,7 +2,9 @@
 
 Words are tuples of (generator index, +-1) kept in reduced form; free
 reduction alone solves the word problem, so the reduced word is the
-normal form.
+normal form.  An endomorphism of F_n is the tuple of its n reduced
+generator images, x_i's at index i - 1, so n is its length and two
+endomorphisms are equal exactly when the tuples are.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def word_to_text(w):
 
 
 def word_from_text(text, n=None):
-    """Parse the token form `x1 x2^-1 x1`; `e` is the identity."""
+    """Parse the token form `x1 x2^-1 x1`; `e` is the empty word."""
     text = text.strip()
     if text in ("", "e"):
         return ()
@@ -55,82 +57,34 @@ def word_from_text(text, n=None):
     return word_reduce(letters, n)
 
 
-class FreeAut:
-    """An endomorphism of F_n given by the images of the generators.
-
-    All automorphisms produced by this toolkit are invertible (they come
-    from braid words); invertibility of an arbitrary FreeAut is not
-    checked at construction.
-    """
-
-    __slots__ = ("n", "images")
-
-    def __init__(self, n, images):
-        if len(images) != n:
-            raise ValueError("need one image per generator")
-        self.n = n
-        self.images = tuple(word_reduce(w, n) for w in images)
-
-    @classmethod
-    def _reduced(cls, n, images):
-        """A FreeAut on images already reduced and in range, stored as
-        they are."""
-        a = cls.__new__(cls)
-        a.n, a.images = n, tuple(images)
-        return a
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, [((i, 1),) for i in range(1, n + 1)])
-
-    def __eq__(self, other):
-        return isinstance(other, FreeAut) and self.n == other.n and self.images == other.images
-
-    def __hash__(self):
-        return hash((self.n, self.images))
-
-    def __repr__(self):
-        imgs = ", ".join(f"x{i+1}->{word_to_text(w)}" for i, w in enumerate(self.images))
-        return f"FreeAut({imgs})"
-
-
-def aut_apply(a: FreeAut, w):
-    """Substitute generator images into w and reduce."""
+def aut_apply(a, w):
+    """Substitute the generator images a (a tuple of n reduced words, the
+    image of x_i at index i - 1) into w and reduce."""
     out = []
     for idx, sign in w:
-        if not 1 <= idx <= a.n:
-            raise ValueError(f"generator index {idx} out of range for rank {a.n}")
-        img = a.images[idx - 1]
+        if not 1 <= idx <= len(a):
+            raise ValueError(f"generator index {idx} out of range for rank {len(a)}")
+        img = a[idx - 1]
         out.extend(img if sign > 0 else word_inverse(img))
-    return word_reduce(out, a.n)
+    return word_reduce(out, len(a))
 
 
-def aut_compose(a: FreeAut, b: FreeAut) -> FreeAut:
+def aut_compose(a, b):
     """Apply a, then b (composition matching braid concatenation as a
     right action: x // (a*b) = (x // a) // b)."""
-    if a.n != b.n:
+    if len(a) != len(b):
         raise ValueError("rank mismatch")
-    return FreeAut._reduced(a.n, [aut_apply(b, img) for img in a.images])
+    return tuple(aut_apply(b, img) for img in a)
 
 
-def aut_is_basis_conjugating(a: FreeAut):
-    """Detect images of the form w_i xi_{pi(i)} w_i^{-1}.
-
-    Returns (ok, pi, conjugators); pi maps 1..n -> 1..n and conjugator
-    w_i satisfies image_i = w_i xi_{pi(i)} w_i^-1 when ok.
-    """
-    perm = {}
-    conj = []
-    for i, img in enumerate(a.images, start=1):
-        if len(img) % 2 == 0:
-            return False, None, None
+def aut_is_basis_conjugating(a):
+    """The tuple (pi(1), .., pi(n)) if each image is w_i x_{pi(i)} w_i^-1
+    for some word w_i and pi permutes 1..n; otherwise None."""
+    pi = []
+    for img in a:
         mid = len(img) // 2
-        w = img[:mid]
-        core = img[mid]
-        if img[mid + 1:] != word_inverse(w) or core[1] != 1:
-            return False, None, None
-        perm[i] = core[0]
-        conj.append(w)
-    if sorted(perm.values()) != list(range(1, a.n + 1)):
-        return False, None, None
-    return True, perm, conj
+        if len(img) % 2 == 0 or img[mid][1] != 1 \
+                or img[mid + 1:] != word_inverse(img[:mid]):
+            return None
+        pi.append(img[mid][0])
+    return tuple(pi) if sorted(pi) == list(range(1, len(a) + 1)) else None

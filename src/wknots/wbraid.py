@@ -6,15 +6,16 @@ the extended flag, ring flips rho_i (token `f<i>`).  Words read left to
 right as a movie bottom to top.
 
 Every word is read in wB_n (with flips, in its extension by the ring
-flips), where equality is decided through the basis-conjugating action
-on F_n, which is faithful there.
+flips), where equality is decided by the basis-conjugating action on
+F_n, which is faithful there: two words are equal exactly when their
+tuples of generator images are.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .freegroup import FreeAut, word_inverse, word_reduce
+from .freegroup import word_inverse, word_reduce
 
 SIGMA, VIRT, FLIP = "s", "v", "f"
 
@@ -155,7 +156,9 @@ def _gen(i):
     return ((i, 1),)
 
 
-def letter_action(n, letter) -> FreeAut:
+def letter_action(n, letter):
+    """The action of one letter on F_n, as its tuple of n generator
+    images."""
     kind, i, sign = letter
     images = [_gen(j) for j in range(1, n + 1)]
     if kind == SIGMA:
@@ -171,12 +174,13 @@ def letter_action(n, letter) -> FreeAut:
         images[i] = _gen(i)
     else:  # FLIP
         images[i - 1] = ((i, -1),)
-    return FreeAut(n, images)
+    return tuple(images)
 
 
-def braid_action(b: BraidWord) -> FreeAut:
+def braid_action(b: BraidWord):
     """The homomorphism into basis-conjugating automorphisms of F_n
-    (with flips: symmetric automorphisms), as a right action.
+    (with flips: symmetric automorphisms), as a right action: the tuple
+    of the n reduced images of x_1..x_n.
 
     Built right to left: prepending a letter to a suffix that acts by B
     gives the images B(letter(x_j)), and a letter moves only x_i and
@@ -194,16 +198,15 @@ def braid_action(b: BraidWord) -> FreeAut:
             imgs[i - 1], imgs[i] = c, word_reduce(word_inverse(c) + a + c)
         else:
             imgs[i - 1], imgs[i] = word_reduce(a + c + word_inverse(a)), a
-    return FreeAut._reduced(b.n, imgs)
+    return tuple(imgs)
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Decide equality in wB_n (extended: with flips): the same skeleton
-    and the same action on F_n, which is faithful there."""
+    """Decide equality in wB_n (extended: with flips) by the action on
+    F_n, which is faithful there.  The action fixes the skeleton too:
+    x_i's image has exponent sum +-1 at x_{skeleton[i-1]} alone."""
     if a.n != b.n:
         raise ValueError("strand count mismatch")
-    if braid_skeleton(a) != braid_skeleton(b):
-        return False
     return braid_action(a) == braid_action(b)
 
 

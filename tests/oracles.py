@@ -14,17 +14,17 @@ from wknots.arrows import (LONG, TWO_ARROW_RELATIONS, ArrowVector,
                            _cuts, _place, _relators, canonical_long,
                            enumerate_diagrams, strands)
 from wknots.expansion import TruncatedExpansion, wheels_reduce
-from wknots.freegroup import FreeAut, aut_compose
+from wknots.freegroup import aut_compose
 from wknots.gauss import (GaussDiagram, _pd_crossing_sign, apply_move,
                           self_linking)
 from wknots.jacobi import (TrivalentDiagram, _commutator_block,
                            monomial_to_arrows, stu_eliminate)
 from wknots.lieweights import lie_validate
-from wknots.linalg import SparseEchelon, integral
+from wknots.linalg import RatMatrix, SparseEchelon, integral
 from wknots.rational import ZERO, Rat
 from wknots.rings import (LaurentPoly, TruncSeries, laurent_at_exp,
                           laurent_normalize, series_log)
-from wknots.wbraid import FLIP, letter_action
+from wknots.wbraid import FLIP, braid_action, letter_action
 
 
 def is_zero(v):
@@ -1095,10 +1095,22 @@ class DictFoldQuotient(QuotientSpace):
 def braid_action_by_letters(b):
     """``wbraid.braid_action`` as a fold left to right: one full
     automorphism per letter, composed onto the running product."""
-    aut = FreeAut.identity(b.n)
+    aut = tuple(((j, 1),) for j in range(1, b.n + 1))
     for letter in b.letters:
         aut = aut_compose(aut, letter_action(b.n, letter))
     return aut
+
+
+def braid_action_alexander(b):
+    """The Alexander determinant of ``b``'s closure read off its action on
+    F_n: the Fox Jacobian of ``braid_action(b)`` abelianized (x_i -> X),
+    minus I, with the row of position 1 and column 1 deleted.  It equals
+    ``alexander_det(braid_closure(b))`` up to a unit +-X^k."""
+    act = braid_action(b)
+    return RatMatrix([
+        {j - 2: fox_derivative(act[i - 1], j) - (1 if i == j else 0)
+         for j in range(2, b.n + 1)}
+        for i in range(2, b.n + 1)]).det(LaurentPoly.const(1))
 
 
 # --------------------------------------------------------------------------

@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from oracles import gauss_faces, wirtinger_by_union_find
-from test_determinants import random_closure
+from oracles import (braid_action_alexander, gauss_faces,
+                     wirtinger_by_union_find)
+from test_determinants import random_closure, random_knot_braid
 from wknots.cli import main
 from wknots.rings import LaurentPoly, laurent_normalize
 from wknots.gauss import (GaussDiagram, pd_from_text, pd_to_gauss,
                           braid_closure, gauss_to_pd)
 from wknots.wbraid import word
-from wknots.alexander import (_wirtinger, alexander_matrix, alexander_fox,
-                              knot_inventory)
+from wknots.alexander import (_wirtinger, alexander_det, alexander_matrix,
+                              alexander_fox, knot_inventory)
 
 # classical knot table, frozen from two independent evaluations
 TABLE = {
@@ -125,6 +126,17 @@ def test_wirtinger_arcs_match_union_find():
         cases.append(("closure %d" % i, gauss_to_pd(g)))
     for name, pd in cases:
         assert _wirtinger(pd) == wirtinger_by_union_find(pd), name
+
+
+def test_braid_action_jacobian_matches_closure_determinant():
+    # 200 closures of 1..20 crossings with 30 % virtual letters: the Fox
+    # Jacobian of the action, less I, row of position 1 and column 1
+    # deleted, is the Gauss determinant up to a unit +-X^k
+    rng = random.Random(32)
+    for i in range(200):
+        b, g = random_knot_braid(rng, 1 + i % 20, 0.3)
+        assert laurent_normalize(braid_action_alexander(b)) == \
+            laurent_normalize(alexander_det(g)), b.to_text()
 
 
 @pytest.mark.parametrize("name", sorted(TABLE))

@@ -57,7 +57,7 @@ def test_word_problem_names_first_pair_that_should_differ(monkeypatch):
 
 def test_basis_conjugating_names_first_braid(monkeypatch):
     monkeypatch.setattr(checks, "aut_is_basis_conjugating",
-                        lambda aut: (False, {}, None))
+                        lambda aut: None)
     ok, detail = checks.check_basis_conjugating(seed=1, trials=4)
     assert not ok
     assert detail.startswith("4 braids, 4 failures; first: 'n=")

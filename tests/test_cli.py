@@ -34,12 +34,45 @@ def test_braid_eq(braid_files, capsys):
     assert capsys.readouterr().out.strip() == "equal=true"
 
 
+BRAID_ACT = {
+    # the 3-strand fixture a.braid
+    "n=3\ns1 s2 s1\n": (
+        "x1 -> x3\n"
+        "x2 -> x3^-1 x2 x3\n"
+        "x3 -> x3^-1 x2^-1 x1 x2 x3\n",
+        "x1=x3\n"
+        "x2=x3^-1 x2 x3\n"
+        "x3=x3^-1 x2^-1 x1 x2 x3\n",
+        "x2^-1 x1^-1 x2 x3\n"),
+    # an extended braid with flips
+    "n=3 extended\ns1 f2 v1 S2 f3 s1\n": (
+        "x1 -> x2^-1\n"
+        "x2 -> x1 x2 x3^-1 x2^-1 x1^-1\n"
+        "x3 -> x2^-1 x1 x2\n",
+        "x1=x2^-1\n"
+        "x2=x1 x2 x3^-1 x2^-1 x1^-1\n"
+        "x3=x2^-1 x1 x2\n",
+        "x2^-1 x2^-1 x1^-1 x2\n"),
+}
+
+
 def test_braid_act(braid_files, capsys):
     a, _, _ = braid_files
     assert main(["braid-act", a, "--word", "x1"]) == 0
     assert capsys.readouterr().out.strip() == "x3"
-    assert main(["braid-act", a]) == 0
-    assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("text", sorted(BRAID_ACT))
+def test_braid_act_output_pinned(text, capsys, tmp_path):
+    path = tmp_path / "b.braid"
+    path.write_text(text)
+    act, word = ["braid-act", str(path)], ["--word", "x1 x3^-1"]
+    human, machine, image = BRAID_ACT[text]
+    for argv, out in ((act, human), (["--machine"] + act, machine),
+                      (act + word, image),
+                      (["--machine"] + act + word, "image=" + image)):
+        assert main(argv) == 0
+        assert capsys.readouterr() == (out, ""), argv
 
 
 def test_alexander_both(capsys):

@@ -186,6 +186,11 @@ def test_fox_derivative_of_a_cancelling_pair_is_zero():
 
 
 def random_closure(rng, crossings, virtual_rate):
+    """The closure of ``random_knot_braid``."""
+    return random_knot_braid(rng, crossings, virtual_rate)[1]
+
+
+def random_knot_braid(rng, crossings, virtual_rate):
     """A braid word with `crossings` real crossings whose closure is a
     knot, and that closure."""
     while True:
@@ -198,8 +203,9 @@ def random_closure(rng, crossings, virtual_rate):
             else:
                 letters.append(("s", i, rng.choice((1, -1))))
                 real += 1
+        b = BraidWord(n, tuple(letters))
         try:
-            return braid_closure(BraidWord(n, tuple(letters)))
+            return b, braid_closure(b)
         except ValueError:
             continue
 

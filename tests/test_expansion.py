@@ -430,7 +430,7 @@ def pure_w_braids(draw):
 def acts_as_braid_action(b, d, sign=1, first_letter_first=True):
     """Z(b) applied to each e^{X_j} is the Magnus expansion of x_j's image
     under ``braid_action``, through X-degree d + 1."""
-    z, images = zed_braid(b, d), braid_action(b).images
+    z, images = zed_braid(b, d), braid_action(b)
     return all(expansion_on_exponential(z, j, sign, first_letter_first)
                == magnus_expansion(images[j - 1], d + 1)
                for j in range(1, b.n + 1))

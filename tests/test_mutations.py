@@ -15,11 +15,12 @@ import test_alexander
 import test_arrows
 import test_determinants
 import test_expansion
+import test_freegroup
 import test_jacobi
 import test_lieweights
 import test_wbraid
-from wknots import (alexander, arrows, expansion, gauss, jacobi, lieweights,
-                    linalg, wbraid)
+from wknots import (alexander, arrows, expansion, freegroup, gauss, jacobi,
+                    lieweights, linalg, wbraid)
 
 # what an oracle test that meets a planted fault raises: a failed assert,
 # or pytest.raises finding no error
@@ -214,6 +215,24 @@ def test_braid_action_with_a_flipped_convention(monkeypatch):
              "word_reduce(word_inverse(a) + c + a)")
     with pytest.raises(AssertionError):
         test_wbraid.test_action_matches_letter_by_letter_fold()
+
+
+def test_basis_conjugating_without_its_permutation_check(monkeypatch):
+    # images that conjugate generators, taken as basis-conjugating even
+    # when two of them conjugate the same generator
+    in_place(monkeypatch.setattr, freegroup.aut_is_basis_conjugating,
+             "sorted(pi) == list(range(1, len(a) + 1))", "True")
+    with pytest.raises(AssertionError):
+        test_freegroup.test_basis_conjugating_detection()
+
+
+def test_braid_equal_on_the_first_image_alone(monkeypatch):
+    # two braids taken as equal when x1 has one image under both
+    in_place(monkeypatch.setattr, wbraid.braid_equal,
+             "braid_action(a) == braid_action(b)",
+             "braid_action(a)[0] == braid_action(b)[0]")
+    with pytest.raises(AssertionError):
+        test_wbraid.test_word_problem_basics()
 
 
 def test_flipped_union_find_weight(plant):

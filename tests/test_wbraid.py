@@ -156,6 +156,8 @@ def test_word_problem_basics():
     assert braid_equal(word(3, "s1 S1 v2 v2"), word(3, ""))
     assert not braid_equal(word(3, "s1"), word(3, "s2"))
     assert not braid_equal(word(2, "s1"), word(2, "S1"))
+    # the first images agree (x1 is fixed by both); a later one differs
+    assert not braid_equal(word(3, "s2"), word(3, ""))
     # overcrossings commute
     assert braid_equal(word(3, "s1 s2 v1"), word(3, "v2 s1 s2"))
 
@@ -182,17 +184,36 @@ def test_skeleton():
 
 def random_extended_braid(rng, n, length):
     """An extended braid word: each letter a flip with probability 0.2, a
-    virtual crossing with probability 0.2, and a crossing otherwise."""
+    virtual crossing with probability 0.2, and a crossing otherwise (on
+    one strand, always a flip)."""
     letters = []
     for _ in range(length):
         x = rng.random()
-        if x < 0.2:
+        if x < 0.2 or n == 1:
             letters.append((FLIP, rng.randrange(1, n + 1), 1))
         elif x < 0.4:
             letters.append((VIRT, rng.randrange(1, n), 1))
         else:
             letters.append((SIGMA, rng.randrange(1, n), rng.choice((1, -1))))
     return BraidWord(n, tuple(letters), extended=True)
+
+
+def test_skeleton_read_off_the_action():
+    # x_i's image has exponent sum +-1 at x_{skeleton(i)} and 0 elsewhere,
+    # so equal actions force equal skeletons
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randrange(1, 6)
+        b = random_extended_braid(rng, n, rng.randrange(0, 9))
+        pi = braid_skeleton(b)
+        for i, img in enumerate(braid_action(b)):
+            exps = [0] * (n + 1)
+            for g, s in img:
+                exps[g] += s
+            assert abs(exps[pi[i]]) == 1 and sum(map(abs, exps)) == 1, \
+                b.to_text()
+    # v1 conjugates no image, yet its images x2, x1 tell it from e
+    assert not braid_equal(word(2, "v1"), word(2, ""))
 
 
 def strand_cases(seed, count, draw_braid):
