@@ -47,7 +47,10 @@ no site cuts a descent of the context (``_cuts``), or with RI a reverse
 isolated arrow, or with FI any isolated arrow.  A 4T instance is skipped
 too where its lone tail, the site that holds one new tail and no head,
 could slide one gap left past a context tail: that placement gives the
-same row.
+same row.  And 4T and 6T are placed with their three roles at the sites
+in five orders of six, four with RI or FI (``_class_roles``): the rows
+of the others lie in the span of the kept rows, which is checked up to
+degree 6, not proved.
 """
 
 from array import array
@@ -396,10 +399,22 @@ def _relators(skeleton, m, relset, diagrams=None):
     return chain.from_iterable(parts)
 
 
+def _class_roles(relset):
+    """The role permutations p (role r at site p[r]) at which a class build
+    places 4T and 6T: all six but (1, 2, 0), and but the identity as well
+    with RI or FI.  ``_class_two_arrow_rows`` says why the kept ones span
+    the skipped ones as far as that is known, and how it is checked."""
+    skip = {(1, 2, 0)}
+    if relset & {"RI", "FI"}:
+        skip.add((0, 1, 2))
+    return tuple(p for p in permutations(range(3)) if p not in skip)
+
+
 @cache
-def _class_products(names):
-    """What a class build needs of the 4T/6T products, in one order:
-    their plans; per product, the points of its two new arrows' tails and
+def _class_products(names, roles):
+    """What a class build needs of the products of the 4T/6T instances of
+    ``names`` at the role permutations ``roles``, in one order: their
+    plans; per product, the points of its two new arrows' tails and
     heads, each with the product's new heads before it in line order; the
     distinct pairs of head points, and an itemgetter that gives each
     product's pair; each instance as an itemgetter, its products, its
@@ -409,7 +424,10 @@ def _class_products(names):
     products k and l fall in different gaps, and otherwise whether the
     products pair those endpoints alike, that is, whether they place one
     diagram."""
-    instances, products = _instances(range(3), names)
+    instances = [[(tuple((p[t], p[h]) for t, h in arrows), sign)
+                  for arrows, sign in TWO_ARROW_RELATIONS[name]]
+                 for p in roles for name in sorted(names)]
+    products = tuple({arrows for terms in instances for arrows, _ in terms})
     plans = [_plan(arrows) for arrows in products]
     at = {arrows: k for k, arrows in enumerate(products)}
     head_points, shapes = [], []
@@ -440,10 +458,10 @@ def _class_products(names):
             same)
 
 
-def _class_ranks(m, names):
+def _class_ranks(m, names, roles):
     """Each degree-(m−2) context with the function that sends
     nondecreasing gaps to the class ranks of the products of
-    ``_class_products(names)`` placed there, in their order.
+    ``_class_products(names, roles)`` placed there, in their order.
 
     A placed product's rank Σ H(t)·(m+1)^H(h) is a sum of two parts.  The
     context's arrows give one that depends only on the gaps of the two new
@@ -451,7 +469,7 @@ def _class_ranks(m, names):
     endpoint in gap g has the context's heads at slots ≤ g before it, plus
     the product's own new heads that precede it, so the new arrows give
     one that depends only on those context heads at each point."""
-    _, shapes, head_pairs, pair_of, _, _ = _class_products(names)
+    _, shapes, head_pairs, pair_of, _, _ = _class_products(names, roles)
     power = [(m + 1) ** k for k in range(m)]
     new_parts = {}  # context heads before each point -> the new arrows' part
     for ctx in enumerate_diagrams(LONG, m - 2):
@@ -505,7 +523,9 @@ def _class_two_arrow_rows(m, relset, column):
 
     A placement is kept only when a site is at every gap of
     ``_cuts(ctx, relset)``, and an instance only when its lone tail cannot
-    slide; the others repeat rows that the build has anyway.
+    slide and its role permutation is in ``_class_roles(relset)``; the
+    others repeat rows that the build has anyway, or rows that the kept
+    rows span.
 
     * Descents.  Two tails of the context at adjacent slots s, s+1 with no
       site in gap s stay adjacent in every placed diagram, so swapping
@@ -535,6 +555,49 @@ def _class_two_arrow_rows(m, relset, column):
       one relabelling of slots in every product, so the terms that were
       one diagram stay one diagram.  The twin's row is the same, and it
       still has a site at every cut gap.
+    * Role permutations.  6T at p is 4T at p plus TC at p, which the
+      columns hold, so 4T is all there is to argue.  4T says that the
+      head of the arrow x, whose tail is at role 0, passes the arrow y
+      from role 1 to role 2: J + H = 0, J the swap of x's head with y's
+      tail and H its swap with y's head.  The partner (p[1], p[0], p[2])
+      exchanges the sites of x's and y's tails, so its H is the same two
+      adjacent heads in the other order, and it reads J′ − H = 0.  The partner of a skipped
+      p is kept, (2, 1, 0) for (1, 2, 0) and (1, 0, 2) for the identity,
+      so a skipped instance adds only J + J′ = 0 to the kept rows.
+      - Two-term rows.  Role 0 of (1, 2, 0) lies strictly between y's
+        head and tail, so no two of its terms are one diagram, and it
+        gives no two-term row for the union-find.  Two terms of the
+        identity are one diagram exactly when y's tail and head share a
+        gap (x's head just after y's tail is then just before y's head),
+        and the row left moves x's head past the isolated arrow y.  Under
+        RI that row is, with y flipped, the two-term row of (0, 2, 1) at
+        the same placement, which is kept and slid alike (role 0 is at
+        site 0 in both); under FI its classes are dead.
+      - Long rows.  They are not spanned where they are placed: at
+        degree 3 under {TC,4T}, 6 of the 20 rows of (1, 2, 0) at the cut
+        placements lie in the span of the other permutations' rows at
+        their placement, 12 at their context, and all 20 only with other
+        contexts.  Other contexts enter through a telescoping sum.  Move
+        the head of a context arrow z from one end of the line to the
+        other through each term of an instance of p: the crossings of
+        each other arrow make up an instance in which z's head passes
+        it.  So the instances in which z's head passes x and y, summed
+        over the terms, equal instances of p with z's head elsewhere (at
+        the ends, on either side of z's tail, around another context
+        arrow): z and a placed arrow trade roles, and z's head passing x
+        or y can be an instance of a skipped permutation.  No general
+        argument is known that these trades reach every skipped row, so
+        the skip stands on checks.  At degrees 2–5, every diagram relator
+        of a skipped permutation projects to zero in the built quotient
+        under {TC,4T}, +RI, +FI, +RI+FI, {TC,4T,CC}, {TC,6T} and
+        {TC,6T,RI}.  The bases and echelon rows match a build from the
+        relators of all six permutations (degrees ≤ 4, and 5 for {TC,4T}
+        and +RI), and the pinned digests hold (degree 5, and degree 6 for
+        {TC,4T}, +RI and +FI).  At degrees 3 and 4 the only single
+        permutations that can be skipped under {TC,4T}, {TC,4T,CC} or
+        {TC,6T} are (1, 0, 2) and (1, 2, 0), and no pair can; under RI
+        or FI the identity, either middle one or (2, 1, 0) can, and so
+        can some pairs of them.
 
     Every context still has a kept representative at the same gaps.  A
     flip lowers the sum of the context's tail slots, and sorting a
@@ -546,7 +609,8 @@ def _class_two_arrow_rows(m, relset, column):
     names = frozenset(relset & {"4T", "6T"})
     if m < 2 or not names:
         return
-    plans, _, _, _, instances, same = _class_products(names)
+    roles = _class_roles(relset)
+    plans, _, _, _, instances, same = _class_products(names, roles)
 
     def one_diagram(k, l):
         """Whether products k and l, of one class, are one diagram when
@@ -557,7 +621,7 @@ def _class_two_arrow_rows(m, relset, column):
                 _place(ctx, gaps, [plans[l]]))
         return one
 
-    for ctx, ranks in _class_ranks(m, names):
+    for ctx, ranks in _class_ranks(m, names, roles):
         cuts = _cuts(ctx, relset)
         if len(cuts) > 3:  # more gaps than sites
             continue

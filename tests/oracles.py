@@ -11,8 +11,8 @@ from itertools import (combinations, combinations_with_replacement,
 from wknots.alexander import alexander_det
 from wknots.arrows import (LONG, TWO_ARROW_RELATIONS, ArrowVector,
                            QuotientSpace, _class_products, _class_ranks,
-                           _cuts, _place, _relators, canonical_long,
-                           enumerate_diagrams, strands)
+                           _class_roles, _cuts, _place, _relators,
+                           canonical_long, enumerate_diagrams, strands)
 from wknots.expansion import TruncatedExpansion, wheels_reduce
 from wknots.freegroup import aut_compose
 from wknots.gauss import (GaussDiagram, _pd_crossing_sign, apply_move,
@@ -705,14 +705,16 @@ def per_product_place_long(context, gaps, arrows):
                          for t, h in context] + [tuple(a) for a in placed]))
 
 
-def per_product_two_arrow_relators(skeleton, m, relset):
+def per_product_two_arrow_relators(skeleton, m, relset, roles=None):
     """The TC/4T/6T relators of ``arrows._relators``, in the same order,
     each distinct product placed on its own by ``per_product_place_long``
-    or by inserting its letters into a strand word."""
+    or by inserting its letters into a strand word; with ``roles``, only
+    those at the role permutations p it lists (role r at point p[r])."""
     points = range(3) if skeleton == LONG else range(1, skeleton[1] + 1)
     instances = [[(tuple((p[t], p[h]) for t, h in arrows), sign)
                   for arrows, sign in terms]
-                 for p in permutations(points, 3)
+                 for p in (permutations(points, 3) if roles is None
+                           else roles)
                  for name, terms in TWO_ARROW_RELATIONS.items()
                  if name in relset and not (name == "TC" and p[1] > p[2])]
     if m < 2 or not instances:
@@ -750,7 +752,8 @@ def class_two_arrow_rows_by_cuts(m, relset, column):
     names = frozenset(relset & {"4T", "6T"})
     if m < 2 or not names:
         return
-    plans, _, _, _, instances, same = _class_products(names)
+    roles = _class_roles(relset)
+    plans, _, _, _, instances, same = _class_products(names, roles)
 
     def one_diagram(k, l):
         one = same[(gaps[0] == gaps[1]) + 2 * (gaps[1] == gaps[2])][k][l]
@@ -759,7 +762,7 @@ def class_two_arrow_rows_by_cuts(m, relset, column):
                 _place(ctx, gaps, [plans[l]]))
         return one
 
-    for ctx, ranks in _class_ranks(m, names):
+    for ctx, ranks in _class_ranks(m, names, roles):
         cuts = _cuts(ctx, relset)
         if len(cuts) > 3:
             continue

@@ -1,7 +1,8 @@
 import hashlib
 import math
 from functools import cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import (chain, combinations_with_replacement, permutations,
+                       product)
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from wknots.rational import Rat
 from wknots.arrows import (LONG, strands, canonical_long,
                            enumerate_diagrams, ArrowVector, QuotientSpace,
                            _class_isolated_rows, _class_products,
-                           _class_ranks, _class_relators,
+                           _class_ranks, _class_relators, _class_roles,
                            _class_two_arrow_rows,
                            _isolated_arrow_relators, _place,
                            _plan, _relators, _tc_classes, diagram_count,
@@ -620,9 +621,9 @@ def test_class_rank_names_the_tc_canonical_column(m):
 def test_placed_ranks_match_placed_diagrams(rel, m):
     # the summed rank of every product at every context and gaps is the
     # rank of the diagram _place builds there
-    names = frozenset({rel})
-    plans = _class_products(names)[0]
-    for ctx, ranks in _class_ranks(m, names):
+    names, roles = frozenset({rel}), tuple(permutations(range(3)))
+    plans = _class_products(names, roles)[0]
+    for ctx, ranks in _class_ranks(m, names, roles):
         for gaps in combinations_with_replacement(range(2 * len(ctx) + 1), 3):
             assert list(ranks(gaps)) == [tc_rank(d) for d in
                                          _place(ctx, gaps, plans)]
@@ -632,15 +633,47 @@ def test_placed_ranks_match_placed_diagrams(rel, m):
     (m, rels) for m in range(2, 5) for rels in ("4T", "6T", "TC 4T CC")]
     + [(5, "4T")])
 def test_class_rows_are_the_diagram_rows(m, rels):
-    # the rows of the class build are the diagram relators with each
-    # diagram written as its class, which keeps apart two diagrams of one
-    # class: the same rows, so the same ones are two-term ±1 rows
+    # the rows of the class build are the diagram relators at the role
+    # permutations it keeps, with each diagram written as its class, which
+    # keeps apart two diagrams of one class: the same rows, so the same
+    # ones are two-term ±1 rows
     rels = frozenset(rels.split())
     column = _tc_classes(m)[1]
     got = {tuple(sorted(r)) for r in _class_relators(m, rels, column)}
+    relators = chain(
+        per_product_two_arrow_relators(LONG, m, rels - {"TC"},
+                                       _class_roles(rels)),
+        _relators(LONG, m, rels - {"TC", "4T", "6T"}))
     want = {tuple(sorted((column[tc_rank(d)], c) for d, c in r.items()))
-            for r in _relators(LONG, m, rels - {"TC"})}
+            for r in relators}
     assert got == want
+
+
+@cache
+def role_relators(m, name, p):
+    """The diagram relators of 4T or 6T at the role permutation p alone,
+    as vectors."""
+    return [ArrowVector(LONG, m, r) for r in per_product_two_arrow_relators(
+        LONG, m, frozenset({name}), (p,))]
+
+
+@pytest.mark.parametrize("rels", ["TC 4T", "TC 4T RI", "TC 4T FI",
+                                  "TC 4T RI FI", "TC 4T CC", "TC 6T",
+                                  "TC 6T RI"])
+@pytest.mark.parametrize("m", range(2, 6))
+def test_skipped_roles_project_to_zero(rels, m):
+    # every diagram relator at a role permutation that the class build
+    # skips lies in the span of the rows it keeps, so the quotient is the
+    # one of all six permutations
+    rels = frozenset(rels.split())
+    q = quotient(LONG, m, rels)
+    skipped = [p for p in permutations(range(3))
+               if p not in _class_roles(rels)]
+    for name in rels & {"4T", "6T"}:
+        for p in skipped:
+            relators = role_relators(m, name, p)
+            assert relators
+            assert not any(any(q.numerators(v)[0]) for v in relators)
 
 
 @pytest.mark.parametrize("rels", ["4T", "4T RI", "4T FI", "4T RI FI",
@@ -658,7 +691,7 @@ def test_class_rows_match_the_cut_oracle(rels, m):
 
 
 @pytest.mark.parametrize("rels, m, rows, cut_rows", [
-    ("TC 4T", 4, 1_560, 2_160), ("TC 4T RI", 5, 19_620, 27_960)])
+    ("TC 4T", 4, 1_300, 1_800), ("TC 4T RI", 5, 13_038, 18_640)])
 def test_lone_tail_slides_drop_rows(rels, m, rows, cut_rows):
     # the 4T rows a class build places, against the _cuts cuts alone
     rels = frozenset(rels.split())

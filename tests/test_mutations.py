@@ -269,6 +269,26 @@ def test_cuts_take_every_isolated_arrow_under_ri(plant):
             frozenset({"TC", "4T", "RI"}))
 
 
+@pytest.mark.parametrize("rels", ["TC 4T", "TC 6T", "TC 4T RI"])
+def test_both_middle_role_permutations_skipped(plant, rels):
+    # (1, 0, 2) skipped as well as (1, 2, 0): either spans the other, but
+    # not both are spanned by the rest
+    in_place(plant, arrows._class_roles, "skip = {(1, 2, 0)}",
+             "skip = {(1, 0, 2), (1, 2, 0)}")
+    with pytest.raises(AssertionError):
+        test_arrows.test_fold_matches_dict_oracle(
+            arrows.LONG, frozenset(rels.split()), 3)
+
+
+def test_identity_role_permutation_skipped_without_ri_or_fi(plant):
+    # the identity skipped under {TC,4T}: its two-term rows are implied
+    # only through RI or FI, and dimension 12 at degree 4 becomes 38
+    in_place(plant, arrows._class_roles, 'if relset & {"RI", "FI"}:',
+             "if True:")
+    with pytest.raises(AssertionError):
+        test_arrows.test_long_quotient_dimensions(frozenset({"TC", "4T"}))
+
+
 def test_lone_tail_slid_when_not_first_in_its_gap(plant):
     # a lone tail slid left past the points before it in its gap, not
     # past the context tail, so its twin places other rows
