@@ -298,15 +298,15 @@ def _placements(skeleton, ctx, products):
             yield {arrows: pre + arrows + post for arrows in products}
 
 
-def _instances(points, relset):
+def _instances(perms, relset):
     """Each relation of ``relset`` in ``TWO_ARROW_RELATIONS`` with its roles
-    0, 1, 2 sent to three distinct points, as (arrows, sign) lists, and the
-    distinct products among them."""
+    0, 1, 2 sent to the points p[0], p[1], p[2] of each p in ``perms``, as
+    (arrows, sign) lists, and the distinct products among them."""
     # TC is antisymmetric in its two heads, so the other order of p[1], p[2]
     # would only repeat it negated
     instances = [[(tuple((p[t], p[h]) for t, h in arrows), sign)
                   for arrows, sign in terms]
-                 for p in permutations(points, 3)
+                 for p in perms
                  for name, terms in TWO_ARROW_RELATIONS.items()
                  if name in relset and not (name == "TC" and p[1] > p[2])]
     # the instances repeat products (30 terms hold the 24 distinct ones for
@@ -317,7 +317,7 @@ def _instances(points, relset):
 
 def _two_arrow_relators(skeleton, m, relset):
     points = range(3) if skeleton == LONG else range(1, skeleton[1] + 1)
-    instances, products = _instances(points, relset)
+    instances, products = _instances(permutations(points, 3), relset)
     if m < 2 or not instances:
         return
     for ctx in enumerate_diagrams(skeleton, m - 2):
@@ -424,10 +424,7 @@ def _class_products(names, roles):
     products k and l fall in different gaps, and otherwise whether the
     products pair those endpoints alike, that is, whether they place one
     diagram."""
-    instances = [[(tuple((p[t], p[h]) for t, h in arrows), sign)
-                  for arrows, sign in TWO_ARROW_RELATIONS[name]]
-                 for p in roles for name in sorted(names)]
-    products = tuple({arrows for terms in instances for arrows, _ in terms})
+    instances, products = _instances(roles, names)
     plans = [_plan(arrows) for arrows in products]
     at = {arrows: k for k, arrows in enumerate(products)}
     head_points, shapes = [], []

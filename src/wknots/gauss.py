@@ -321,7 +321,7 @@ def apply_move(d, move, *args):
         h1, h2 = a1[1], a2[1]
         parallel = a1[0] + 1 == a2[0] and h1 + 1 == h2 and a1[2] == -a2[2]
         nested = a1[0] + 1 == a2[0] and h2 + 1 == h1 and a1[2] == -a2[2]
-        if not (parallel or nested) or abs(h1 - h2) != 1:
+        if not (parallel or nested):
             raise ValueError("arrows at (%d,%d) do not form an R2 pair" % (i, i + 1))
         rest = [a for idx, a in enumerate(arrows) if idx not in (i1, i2)]
         return GaussDiagram(_renumber(rest))

@@ -1,8 +1,9 @@
 """Laurent polynomials over Z and degree-truncated power series over Q.
 
-LaurentPoly is the value ring of the Alexander polynomial; TruncSeries
-carries the formal variable x of the substitution X = e^x used by the
-expansion bridge.  Both are immutable values.
+LaurentPoly is the value ring of the Alexander polynomial.  A TruncSeries
+is a value, not a ring: the coefficients of A(e^x) through x^cap, for the
+substitution X = e^x of the expansion bridge, which ``laurent_at_exp``
+builds, ``series_log`` reads and ``alexander --series`` prints.
 """
 
 from __future__ import annotations
@@ -144,8 +145,8 @@ def laurent_normalize(p: LaurentPoly) -> LaurentPoly:
 class TruncSeries:
     """A power series over Q truncated at a fixed degree cap.
 
-    coeffs[k] is the coefficient of x^k, 0 <= k <= cap.  Arithmetic
-    between two series requires equal caps.
+    coeffs[k] is the coefficient of x^k, 0 <= k <= cap.  Comparing two
+    series of different caps raises ValueError.
     """
 
     __slots__ = ("cap", "coeffs")
@@ -165,71 +166,12 @@ class TruncSeries:
                     cs[k] = Rat(v)
         self.coeffs = cs
 
-    @classmethod
-    def const(cls, cap, value):
-        return cls(cap, {0: value})
-
-    @classmethod
-    def x(cls, cap):
-        return cls(cap, {1: 1})
-
-    def _check(self, other):
+    def __eq__(self, other):
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
         if self.cap != other.cap:
             raise ValueError("degree caps differ")
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = TruncSeries.const(self.cap, other)
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._check(other)
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        if not any(self.coeffs[1:]):  # a constant, equal to its value
-            return hash(self.coeffs[0])
-        return hash((self.cap, tuple(self.coeffs)))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = TruncSeries.const(self.cap, other)
-        self._check(other)
-        return TruncSeries(self.cap, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries(self.cap, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = TruncSeries.const(self.cap, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Rat)):
-            return TruncSeries(self.cap, [a * Rat(other) for a in self.coeffs])
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._check(other)
-        d = self.cap
-        out = [ZERO] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(0, d - i + 1):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncSeries(d, out)
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return all(not c for c in self.coeffs)
 
     def __getitem__(self, k):
         return self.coeffs[k]

@@ -347,36 +347,44 @@ def gauss_faces(g):
     return faces
 
 
-def series_log_products(s):
-    """``rings.series_log`` as the Mercator sum Σ (−1)^{k+1} (s−1)^k / k,
-    one truncated series product a term."""
-    if s.coeffs[0] != 1:
+def series_mul(a, b):
+    """The product of two power series given as coefficient lists of one
+    length, truncated to that length."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def series_log_products(c):
+    """``rings.series_log`` on the coefficient list c as the Mercator sum
+    Σ (−1)^{k+1} (c−1)^k / k, one truncated product a term."""
+    if c[0] != 1:
         raise ValueError("series_log requires constant term 1")
-    d = s.cap
-    u = s - 1
-    out = TruncSeries(d)
-    term = TruncSeries.const(d, 1)
-    for k in range(1, d + 1):
-        term = term * u
-        out = out + term * Rat((-1) ** (k + 1), k)
+    u = [0] + list(c[1:])
+    out, term = [ZERO] * len(c), [1] + [0] * (len(c) - 1)
+    for k in range(1, len(c)):
+        term = series_mul(term, u)
+        out = [o + t * Rat((-1) ** (k + 1), k) for o, t in zip(out, term)]
     return out
 
 
 def laplace_alexander_matrix(k, d):
     """The Alexander pair (series, polynomial) computed as two separate
-    Laplace determinants: over ℤ[X^±1], and over series with the matrix
-    entries X^s − 1 replaced by e^{s·x} − 1."""
+    Laplace determinants over ℤ[X^±1]: one of the matrix, and one with
+    its entries X^s − 1 replaced by e^{s·x} − 1 through x^d, X standing in
+    for x.  Each entry of the second is scaled by d! to keep it integral,
+    so its determinant, truncated at x^d, is divided by (d!)^n."""
     S, T = build_S(k), build_T(k)
-    n = len(S)
-    one_s = TruncSeries.const(d, 1)
-    srows = []
+    n, f = len(S), math.factorial(d)
+    rows = []
     for i in range(n):
-        e = TruncSeries(d, {m: Rat(S[i][i] ** m, math.factorial(m))
-                            for m in range(1, d + 1)})
-        srows.append([(one_s if i == j else 0) - e * T[i][j]
-                      for j in range(n)])
-    return (laplace_det(srows, one_s), laurent_normalize(
-        laplace_det(alexander_rows(k), LaurentPoly.const(1))))
+        e = LaurentPoly({m: f // math.factorial(m) * S[i][i] ** m
+                         for m in range(1, d + 1)})
+        rows.append([(LaurentPoly.const(f) if i == j else 0) - e * T[i][j]
+                     for j in range(n)])
+    det = laplace_det(rows, LaurentPoly.const(1)).coeffs
+    return (TruncSeries(d, {m: Rat(det.get(m, 0), f ** n)
+                            for m in range(d + 1)}),
+            laurent_normalize(laplace_det(alexander_rows(k),
+                                          LaurentPoly.const(1))))
 
 
 def expansion_exp(e):

@@ -18,8 +18,19 @@ TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
 
 def test_gauss_text_round_trip():
-    d = GaussDiagram(((1, 4, 1), (3, 6, 1), (5, 2, 1)))
-    assert gauss_from_text(gauss_to_text(d)) == d
+    for d in (GaussDiagram(((1, 4, 1), (3, 6, 1), (5, 2, 1))),
+              GaussDiagram(((1, 4, -1), (3, 6, 1), (5, 2, -1)))):
+        assert gauss_from_text(gauss_to_text(d)) == d
+    assert gauss_from_text("n=2\nt=1 h=3 s=-\nt=4 h=2 s=+\n").arrows == (
+        (1, 3, -1), (4, 2, 1))
+
+
+def test_pd_text_stray_commas():
+    # a comma standing alone is skipped, not read as a crossing token
+    pd = pd_from_text("X[1,4,2,5] , X[3,6,4,1] X[5,2,6,3] ,")
+    assert pd.crossings == pd_from_text(TREFOIL_PD).crossings
+    with pytest.raises(ValueError, match="under-strand"):
+        pd_from_text("X[1,2,3,4] ,")
 
 
 def test_pd_text_round_trip():
@@ -124,6 +135,32 @@ def test_r2_insert_delete_round_trip():
         assert restored == g
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("nested", [False, True])
+def test_r2_at_the_end_gaps(sign, nested):
+    # a pair inserted before the first slot (gap 0) and after the last
+    # (gap 2k), either way round, then deleted again
+    g = braid_closure(word(2, "s1 s1 s1"))
+    top = 2 * g.k
+    shifted = [(t + 2, h + 2, s) for t, h, s in g.arrows]
+    for gt, go, i, (h1, h2) in ((0, top, 1, (top + 3, top + 4)),
+                                (top, 0, top + 3, (1, 2))):
+        if nested:
+            h1, h2 = h2, h1
+        g2 = apply_move(g, "r2", gt, go, sign, nested)
+        assert g2 == GaussDiagram(shifted + [(i, h1, sign),
+                                             (i + 1, h2, -sign)])
+        assert apply_move(g2, "r2del", i) == g
+
+
+def test_r2_refuses_a_gap_out_of_range():
+    g = braid_closure(word(2, "s1 s1 s1"))
+    top = 2 * g.k
+    for gt, go in ((-1, 2), (2, -1), (top + 1, 0), (0, top + 1)):
+        with pytest.raises(ValueError, match="gap out of range"):
+            apply_move(g, "r2", gt, go, 1, False)
+
+
 def test_oc_swaps_adjacent_tails():
     g = GaussDiagram(((1, 3, 1), (2, 4, -1)))
     g2 = apply_move(g, "oc", 1)
@@ -219,6 +256,7 @@ def test_r2del_ignores_the_order_of_arrows():
     a = GaussDiagram([(1, 3, 1), (2, 4, -1)])
     b = GaussDiagram([(2, 4, -1), (1, 3, 1)])
     assert a == b and a.arrows == b.arrows
+    assert hash(a) == hash(b) and len({a, b}) == 1
     assert apply_move(a, "r2del", 1) == apply_move(b, "r2del", 1) == \
         GaussDiagram([])
 

@@ -16,11 +16,12 @@ import test_arrows
 import test_determinants
 import test_expansion
 import test_freegroup
+import test_gauss
 import test_jacobi
 import test_lieweights
 import test_wbraid
 from wknots import (alexander, arrows, expansion, freegroup, gauss, jacobi,
-                    lieweights, linalg, wbraid)
+                    lieweights, linalg, rings, wbraid)
 
 # what an oracle test that meets a planted fault raises: a failed assert,
 # or pytest.raises finding no error
@@ -87,6 +88,14 @@ def test_permutation_sign_dropped(coeffs, monkeypatch):
         test_determinants.test_coefficient_at_the_bound(coeffs, 1)
 
 
+def test_series_at_exp_with_the_wrong_factorial(monkeypatch):
+    # the x^k coefficient of p(e^x) divided by (k+1)! in place of k!
+    in_place(monkeypatch.setattr, rings.laurent_at_exp, "math.factorial(k)",
+             "math.factorial(k + 1)")
+    with pytest.raises(AssertionError):
+        test_determinants.test_alexander_matrix_matches_laplace()
+
+
 def test_concat_without_the_shift(monkeypatch):
     monkeypatch.setattr(jacobi, "concat",
                         mutant(jacobi.concat, "shift = 2 * u.m", "shift = 0"))
@@ -107,6 +116,19 @@ def plant(monkeypatch):
     yield monkeypatch.setattr
     monkeypatch.undo()
     _clear_quotient_caches()
+
+
+def test_negative_arrows_read_as_positive(monkeypatch):
+    monkeypatch.setattr(gauss, "SIGNS", {"+": 1, "-": 1})
+    with pytest.raises(AssertionError):
+        test_gauss.test_gauss_text_round_trip()
+
+
+def test_r2_gap_below_zero_taken(monkeypatch):
+    in_place(monkeypatch.setattr, gauss.apply_move, "0 <= gap_o <= 2 * d.k",
+             "gap_o <= 2 * d.k")
+    with pytest.raises(CAUGHT):
+        test_gauss.test_r2_refuses_a_gap_out_of_range()
 
 
 def test_pd_code_without_its_knot_check(monkeypatch, capsys, tmp_path):
