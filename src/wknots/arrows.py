@@ -188,46 +188,15 @@ def _tc_classes(m):
 # --------------------------------------------------------------------------
 
 class ArrowVector:
-    """Formal combination of same-degree diagrams on one skeleton.  The
-    coefficients the library builds are ints; a ``Rat`` enters by a
-    division, or with a scalar or terms from outside."""
+    """Formal combination of same-degree diagrams on one skeleton, built
+    from a {diagram: coefficient} dict; zero coefficients are dropped.
+    The coefficients the library builds are ints; a ``Rat`` enters by a
+    division, or with terms from outside."""
 
-    def __init__(self, skeleton, m, terms=None):
+    def __init__(self, skeleton, m, terms):
         self.skeleton = skeleton
         self.m = m
-        self.terms = {}
-        if terms:
-            for d, c in (terms.items() if isinstance(terms, dict) else terms):
-                self.add_term(d, c)
-
-    def add_term(self, diagram, coeff):
-        c = self.terms.get(diagram, 0) + coeff
-        if c:
-            self.terms[diagram] = c
-        else:
-            self.terms.pop(diagram, None)
-
-    def __add__(self, other):
-        if (self.skeleton, self.m) != (other.skeleton, other.m):
-            raise ValueError("mixed degrees or skeletons")
-        out = ArrowVector(self.skeleton, self.m, dict(self.terms))
-        for d, c in other.terms.items():
-            out.add_term(d, c)
-        return out
-
-    def __sub__(self, other):
-        return self + ArrowVector(other.skeleton, other.m,
-                                  {d: -c for d, c in other.terms.items()})
-
-    def __mul__(self, scalar):
-        # a str or float scalar is outside input, and comes out exact
-        return ArrowVector(self.skeleton, self.m,
-                           {d: c * Rat(scalar) for d, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.terms
+        self.terms = {d: c for d, c in terms.items() if c}
 
     def __eq__(self, other):
         return (isinstance(other, ArrowVector)
@@ -544,14 +513,19 @@ def _class_two_arrow_rows(m, relset, column):
       tail and no head in every product (6T has no such point: its role 0
       holds two tails in the TC-like products).  With sites at gaps
       g0 ≤ g1 ≤ g2, gap g between context slots g and g + 1, the instance
-      is skipped when context slot g_u is a tail, u is the first point in
-      gap g_u, and g_u is not a cut gap or point u + 1 sits there too.
-      The twin placement puts u in gap g_u − 1, after any point already
-      there.  In every product that swaps u's one new tail with the
-      adjacent context tail: TC keeps each term's class, and the swap is
-      one relabelling of slots in every product, so the terms that were
-      one diagram stay one diagram.  The twin's row is the same, and it
-      still has a site at every cut gap.
+      is skipped when context slot g_u is a tail and u is the first point
+      in gap g_u.  The twin placement puts u in gap g_u − 1, after any
+      point already there.  In every product that swaps u's one new tail
+      with the adjacent context tail: TC keeps each term's class, and the
+      swap is one relabelling of slots in every product, so the terms
+      that were one diagram stay one diagram.  The twin's row is the
+      same.  It has a site at every cut gap unless u alone held g_u, and
+      a cut gap whose slot g_u is a tail is a descent gap or an FI gap
+      (an RI cut gap follows a head).  A descent gap left with no site
+      gives the twin's rows again on the context with that descent
+      sorted, as above.  An FI gap left with no site holds an isolated
+      arrow, so every term of the twin, and of the skipped instance, is
+      a dead class: TC moves u's new tail in front of that arrow's tail.
     * Role permutations.  6T at p is 4T at p plus TC at p, which the
       columns hold, so 4T is all there is to argue.  4T says that the
       head of the arrow x, whose tail is at role 0, passes the arrow y
@@ -596,12 +570,12 @@ def _class_two_arrow_rows(m, relset, column):
         or FI the identity, either middle one or (2, 1, 0) can, and so
         can some pairs of them.
 
-    Every context still has a kept representative at the same gaps.  A
-    flip lowers the sum of the context's tail slots, and sorting a
-    descent keeps that sum while lowering the inversions of the heads, so
-    flips and sorts at uncut gaps, as long as any is left, stop at a
-    context that is kept (or whose rows FI kills).  A slide lowers g_u,
-    so slides stop at a twin whose instance is kept.
+    Every skipped instance still has a kept representative, or rows that
+    FI kills.  A flip lowers the sum of the context's tail slots, sorting
+    a descent keeps that sum while lowering the inversions of the heads,
+    and a slide keeps the context and lowers g_u.  So flips, sorts and
+    slides, as long as any is left, stop at an instance that is kept, or
+    at one with an isolated context arrow and no site in its gap.
     """
     names = frozenset(relset & {"4T", "6T"})
     if m < 2 or not names:
@@ -629,8 +603,7 @@ def _class_two_arrow_rows(m, relset, column):
             # the points that could slide one gap left past a context tail
             slide = [u for u, g in enumerate(gaps)
                      if g in tails
-                     and (u == 0 or gaps[u - 1] < g)
-                     and (g not in cuts or u < 2 and gaps[u + 1] == g)]
+                     and (u == 0 or gaps[u - 1] < g)]
             col = [column[r] for r in ranks(gaps)]
             for get, ks, signs, u in instances:
                 if u in slide:
@@ -883,8 +856,10 @@ class QuotientSpace:
 
     def numerators(self, v, den=1):
         """(nums, n): the coordinates of the ArrowVector v / den are the
-        ints nums[i] / n.  One pass over v's terms, scaled to ints over
-        their own denominator, adds up the images of their columns."""
+        ints nums[i] / n.  v's terms are ints as the library builds them
+        (relators, wheel images, Z's numerators over its ``den``), or
+        ``Rat``s from outside, scaled to ints over their own denominator
+        first; one pass over them adds up the images of their columns."""
         if (v.skeleton, v.m) != (self.skeleton, self.m):
             raise ValueError("degree/skeleton mismatch")
         if set(map(type, v.terms.values())) <= {int}:  # as Z keeps them
@@ -911,9 +886,8 @@ class QuotientSpace:
         return [Rat(x, n) if x else ZERO for x in nums]
 
     def project_diagram(self, d):
-        v = ArrowVector(self.skeleton, self.m)
-        v.add_term(canonical_long(d) if self.skeleton == LONG else tuple(d), 1)
-        return self.project(v)
+        key = canonical_long(d) if self.skeleton == LONG else tuple(d)
+        return self.project(ArrowVector(self.skeleton, self.m, {key: 1}))
 
 
 def quotient(skeleton, m, relset):

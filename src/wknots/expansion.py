@@ -9,8 +9,9 @@ one bounded table shared across calls, since they recur across knots; each
 order's terms are memoized by its id and summed once per sign.  The kink
 normalization by exp(−sl·a) is folded into the same numerators by exact
 int divisions.  Both truncate at a degree cap d and sum integer numerators
-over d!, and keep them: a ``TruncatedExpansion`` holds its components as
-numerators over one denominator ``den``, and
+over d!, each degree in one dict, and keep them: a ``TruncatedExpansion``
+is a value with no arithmetic, built from those per-degree dicts, that
+holds its components as numerators over one denominator ``den``, and
 ``QuotientSpace.project`` divides by it once, after adding up the images
 of the columns, so Z stays in ints from the supports to the coordinates.
 On the long strand the quotient A^w(↑) is the commutative polynomial
@@ -26,7 +27,7 @@ from math import factorial
 from .rational import Rat
 from .rings import laurent_at_exp, series_log
 from .arrows import LONG, strands, ArrowVector, quotient
-from .jacobi import monomial_to_arrows, wheel_monomial_basis, concat
+from .jacobi import monomial_to_arrows, wheel_monomial_basis
 from .linalg import SparseEchelon
 from .gauss import GaussDiagram, self_linking
 from .alexander import alexander_det
@@ -35,40 +36,17 @@ from .wbraid import FLIP, BraidWord, crossings
 
 class TruncatedExpansion:
     """Per-degree arrow-vector components 0..d on one skeleton, over one
-    denominator: component m is ``comps[m] / den``.  ``zed_knot`` and
-    ``zed_braid`` keep int numerators over den = d!, so the sum over
-    supports and the quotient projection stay in ints."""
+    denominator: built from the numerator dicts ``nums[0..d]``, component
+    m is ``comps[m] / den``.  ``zed_knot`` and ``zed_braid`` keep int
+    numerators over den = d!, so the sum over supports and the quotient
+    projection stay in ints."""
 
-    def __init__(self, skeleton, d, den=1):
+    def __init__(self, skeleton, nums, den):
         self.skeleton = skeleton
-        self.d = d
+        self.d = len(nums) - 1
         self.den = den
-        self.comps = {m: ArrowVector(skeleton, m) for m in range(d + 1)}
-
-    @classmethod
-    def unit(cls, skeleton, d):
-        z = cls(skeleton, d)
-        z.comps[0].add_term((), 1)
-        return z
-
-    def __mul__(self, other):
-        """Product by juxtaposition (long strand) or concatenation (words):
-        the numerators multiply, over the product of the denominators."""
-        if (self.skeleton, self.d) != (other.skeleton, other.d):
-            raise ValueError("mismatched expansions")
-        out = TruncatedExpansion(self.skeleton, self.d, self.den * other.den)
-        for i in range(self.d + 1):
-            for j in range(self.d + 1 - i):
-                a, b = self.comps[i], other.comps[j]
-                if a.is_zero() or b.is_zero():
-                    continue
-                if self.skeleton == LONG:
-                    out.comps[i + j] = out.comps[i + j] + concat(a, b)
-                else:
-                    for wa, ca in a.terms.items():
-                        for wb, cb in b.terms.items():
-                            out.comps[i + j].add_term(wa + wb, ca * cb)
-        return out
+        self.comps = {m: ArrowVector(skeleton, m, acc)
+                      for m, acc in enumerate(nums)}
 
 
 # --------------------------------------------------------------------------
@@ -100,7 +78,7 @@ def zed_braid(b, d):
                     key = w + tail
                     new[m][key] = new[m].get(key, 0) + sign * c // kf
         nums = [{w: c for w, c in acc.items() if c} for acc in new]
-    return _from_numerators(strands(b.n), d, nums)
+    return TruncatedExpansion(strands(b.n), nums, factorial(d))
 
 
 # --------------------------------------------------------------------------
@@ -157,7 +135,7 @@ def zed_knot(g, d, normalize=False):
                     acc = nums[j + k]
                     acc[diagram] = (acc.get(diagram, 0)
                                     + num * (-sl) ** k // factorial(k))
-    return _from_numerators(LONG, d, nums)
+    return TruncatedExpansion(LONG, nums, factorial(d))
 
 
 # The endpoint orders of supports, interned: ``_orders[id]`` is an order
@@ -278,15 +256,6 @@ def _compositions(p, d):
     return tuple((ks + (k,), m + k, num // factorial(k))
                  for ks, m, num in _compositions(p - 1, d)
                  for k in range(1, d - m + 1))
-
-
-def _from_numerators(skeleton, d, nums):
-    """The expansion whose degree-m terms are nums[m] / d!: the nonzero
-    int numerators, kept as they are, over den = d!."""
-    z = TruncatedExpansion(skeleton, d, factorial(d))
-    for comp, acc in zip(z.comps.values(), nums):
-        comp.terms = {w: c for w, c in acc.items() if c}
-    return z
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,9 @@ the skeleton by the two STU moves:
 
 The canonical stored form of every element is a pure-arrow ArrowVector,
 with int coefficients: elimination, wheels, products and the relator
-instances only add and negate.
+instances only add and negate.  ``ArrowVector`` has no arithmetic, so each
+of them adds up its terms in one dict and wraps it once; an AS, IHX or CC
+relator eliminates its signed trivalent diagrams into the same dict.
 """
 
 from functools import cache
@@ -53,7 +55,13 @@ class TrivalentDiagram:
 
 def stu_eliminate(d):
     """Express a trivalent diagram as a pure-arrow ArrowVector."""
-    out = ArrowVector(LONG, d.degree)
+    return _eliminated((d, 1))
+
+
+def _eliminated(*parts):
+    """The pure-arrow vector Σ c·d over the (diagram d, int c) parts, all
+    of one degree: their STU eliminations add up in one dict."""
+    out = {}
 
     def emit(legs, verts, coeff):
         if not verts:
@@ -61,7 +69,8 @@ def stu_eliminate(d):
             dst = {e: i + 1 for i, (r, e) in enumerate(legs) if r == "h"}
             # the legs fill slots 1..2m, so sorting is all canonical_long
             # would do
-            out.add_term(tuple(sorted((src[e], dst[e]) for e in src)), coeff)
+            key = tuple(sorted((src[e], dst[e]) for e in src))
+            out[key] = out.get(key, 0) + coeff
             return
         tails = {e: i for i, (r, e) in enumerate(legs) if r == "t"}
         heads = {e: i for i, (r, e) in enumerate(legs) if r == "h"}
@@ -87,8 +96,9 @@ def stu_eliminate(d):
                 return
         raise ValueError("not skeleton-reducible")
 
-    emit(list(d.legs), d.verts, 1)
-    return out
+    for d, c in parts:
+        emit(list(d.legs), d.verts, c)
+    return ArrowVector(LONG, parts[0][0].degree, out)
 
 
 # --------------------------------------------------------------------------
@@ -122,20 +132,16 @@ def concat(u, v):
     u: both are canonical, so the joined tuple is canonical and sorted."""
     if u.skeleton != LONG or v.skeleton != LONG:
         raise ValueError("long-strand vectors only")
-    out = ArrowVector(LONG, u.m + v.m)
     shift = 2 * u.m
     right = [(tuple((t + shift, h + shift) for t, h in dv), cv)
              for dv, cv in v.terms.items()]
-    for du, cu in u.terms.items():
-        for shifted, cv in right:
-            out.add_term(du + shifted, cu * cv)
-    return out
+    return ArrowVector(LONG, u.m + v.m, {du + shifted: cu * cv
+                                         for du, cu in u.terms.items()
+                                         for shifted, cv in right})
 
 
 def arrow_vector(diagram):
-    v = ArrowVector(LONG, len(diagram))
-    v.add_term(canonical_long(diagram), 1)
-    return v
+    return ArrowVector(LONG, len(diagram), {canonical_long(diagram): 1})
 
 
 # degree-1 generators: a plain (right) arrow, and the 1-wheel
@@ -153,8 +159,7 @@ def generator_image(g):
 
 def monomial_to_arrows(mono):
     """Arrow image of a generator multiset, multiplied by juxtaposition."""
-    out = ArrowVector(LONG, 0)
-    out.add_term((), 1)
+    out = ArrowVector(LONG, 0, {(): 1})
     for g in mono:
         out = concat(out, generator_image(g))
     return out
@@ -213,7 +218,7 @@ def as_instances(max_degree=4):
         (ins0, o0) = d.verts[0]
         flipped = TrivalentDiagram(d.legs,
                                    (((ins0[1], ins0[0]), o0),) + d.verts[1:])
-        out.append(stu_eliminate(d) + stu_eliminate(flipped))
+        out.append(_eliminated((d, 1), (flipped, 1)))
     return out
 
 
@@ -240,7 +245,7 @@ def ihx_instances():
         a = _bracket3(("xy", "z"), slots)
         b = _bracket3(("yz", "x"), slots)
         c = _bracket3(("xz", "y"), slots)
-        out.append(stu_eliminate(a) + stu_eliminate(b) - stu_eliminate(c))
+        out.append(_eliminated((a, 1), (b, 1), (c, -1)))
     return out
 
 
@@ -271,11 +276,11 @@ def cc_blocks():
             legs[p] = leg
         return TrivalentDiagram(legs, va + vb)
 
-    separated = stu_eliminate(placed((0, 1, 2)))
+    separated = placed((0, 1, 2))
     blocks = []
     for a_pos in combinations(range(1, 6), 2):
-        v = stu_eliminate(placed((0,) + a_pos)) - separated
-        if not v.is_zero():
+        v = _eliminated((placed((0,) + a_pos), 1), (separated, -1))
+        if v.terms:
             blocks.append({tuple((t - 1, h - 1) for t, h in d): c
                            for d, c in v.terms.items()})
     return tuple(blocks)

@@ -17,7 +17,7 @@ from wknots.expansion import TruncatedExpansion, wheels_reduce
 from wknots.freegroup import aut_compose
 from wknots.gauss import (GaussDiagram, _pd_crossing_sign, apply_move,
                           self_linking)
-from wknots.jacobi import (TrivalentDiagram, _commutator_block,
+from wknots.jacobi import (TrivalentDiagram, _commutator_block, concat,
                            monomial_to_arrows, stu_eliminate)
 from wknots.lieweights import lie_validate
 from wknots.linalg import RatMatrix, SparseEchelon, integral
@@ -30,6 +30,39 @@ from wknots.wbraid import FLIP, braid_action, letter_action
 def is_zero(v):
     f = getattr(v, "is_zero", None)
     return f() if f else not v
+
+
+def add_terms(acc, pairs, scale=1):
+    """Add scale times each (diagram, coefficient) of ``pairs`` into the
+    dict ``acc``, and return it: ``ArrowVector`` is a value and does not
+    add, so a sum is made in a dict and wrapped once."""
+    for d, c in pairs:
+        acc[d] = acc.get(d, 0) + c * scale
+    return acc
+
+
+def unit_expansion(skeleton, d):
+    """The expansion 1: the empty diagram, over denominator 1."""
+    return TruncatedExpansion(skeleton, [{(): 1}] + [{} for _ in range(d)], 1)
+
+
+def juxtapose(a, b):
+    """Product of two expansions on one skeleton by juxtaposition (long
+    strand, ``jacobi.concat``) or concatenation (words): the numerators
+    multiply, over the product of the denominators."""
+    if (a.skeleton, a.d) != (b.skeleton, b.d):
+        raise ValueError("mismatched expansions")
+    nums = [{} for _ in range(a.d + 1)]
+    for i in range(a.d + 1):
+        for j in range(a.d + 1 - i):
+            u, v = a.comps[i], b.comps[j]
+            if a.skeleton == LONG:
+                add_terms(nums[i + j], concat(u, v).terms.items())
+            else:
+                add_terms(nums[i + j], ((wu + wv, cu * cv)
+                                        for wu, cu in u.terms.items()
+                                        for wv, cv in v.terms.items()))
+    return TruncatedExpansion(a.skeleton, nums, a.den * b.den)
 
 
 class FractionEchelon:
@@ -276,12 +309,13 @@ def fox_derivative(word, gen):
 def concat_through_canonical_long(u, v):
     """``jacobi.concat`` passing every juxtaposed term through
     ``canonical_long``."""
-    out = ArrowVector(LONG, u.m + v.m)
+    out = {}
     for du, cu in u.terms.items():
         for dv, cv in v.terms.items():
             shifted = [(t + 2 * u.m, h + 2 * u.m) for t, h in dv]
-            out.add_term(canonical_long(list(du) + shifted), cu * cv)
-    return out
+            key = canonical_long(list(du) + shifted)
+            out[key] = out.get(key, 0) + cu * cv
+    return ArrowVector(LONG, u.m + v.m, out)
 
 
 def wirtinger_by_union_find(pd):
@@ -391,16 +425,16 @@ def expansion_exp(e):
     """exp of an expansion with zero degree-0 part, over denominator 1, by
     repeated juxtaposition with one ``Rat`` per term: the reference for
     the normalization that ``zed_knot`` folds into its int numerators."""
-    if not e.comps[0].is_zero():
+    if e.comps[0].terms:
         raise ValueError("exponential needs a zero constant term")
-    out = TruncatedExpansion.unit(e.skeleton, e.d)
-    term = TruncatedExpansion.unit(e.skeleton, e.d)
+    out = [{(): 1}] + [{} for _ in range(e.d)]
+    term = unit_expansion(e.skeleton, e.d)
     for k in range(1, e.d + 1):
-        term = term * e
+        term = juxtapose(term, e)
         scale = Rat(1, math.factorial(k) * term.den)
         for m in range(e.d + 1):
-            out.comps[m] = out.comps[m] + term.comps[m] * scale
-    return out
+            add_terms(out[m], term.comps[m].terms.items(), scale)
+    return TruncatedExpansion(e.skeleton, out, 1)
 
 
 def arrow_side_prediction(g, d, flags=frozenset({"RI"})):
@@ -409,14 +443,16 @@ def arrow_side_prediction(g, d, flags=frozenset({"RI"})):
     exponentiate it by repeated juxtaposition and read the result in wheel
     coordinates."""
     phi = series_log(laurent_at_exp(alexander_det(g).mirror(), d))
-    e = TruncatedExpansion(LONG, d)
+    nums = [{} for _ in range(d + 1)]
     if d >= 1:
-        e.comps[1].add_term(((1, 2),), Rat(self_linking(g)))
-        e.comps[1] = e.comps[1] - monomial_to_arrows((("w", 1),)) * phi[1]
+        nums[1][((1, 2),)] = Rat(self_linking(g))
+        add_terms(nums[1], monomial_to_arrows((("w", 1),)).terms.items(),
+                  -phi[1])
     for k in range(2, d + 1):
-        if phi[k]:
-            e.comps[k] = e.comps[k] + monomial_to_arrows((("w", k),)) * phi[k]
-    return wheels_reduce(expansion_exp(e), flags)
+        add_terms(nums[k], monomial_to_arrows((("w", k),)).terms.items(),
+                  phi[k])
+    return wheels_reduce(expansion_exp(TruncatedExpansion(LONG, nums, 1)),
+                         flags)
 
 
 def zed_braid_fractions(b, d):
@@ -428,22 +464,20 @@ def zed_braid_fractions(b, d):
     n = b.n
     skel = strands(n)
     pos = list(range(1, n + 1))
-    z = TruncatedExpansion.unit(skel, d)
+    z = unit_expansion(skel, d)
     for kind, i, sgn in b.letters:
         lo, hi = pos[i - 1], pos[i]
         if kind == "s":
             over, under = (lo, hi) if sgn > 0 else (hi, lo)
             letter = (over, under)
-            nz = TruncatedExpansion(skel, d)
+            nums = [{} for _ in range(d + 1)]
             for m in range(d + 1):
                 for k in range(0, m + 1):
-                    src = z.comps[m - k]
-                    if src.is_zero():
-                        continue
-                    coeff = Rat(sgn ** k, math.factorial(k))
-                    for w, c in src.terms.items():
-                        nz.comps[m].add_term(w + (letter,) * k, c * coeff)
-            z = nz
+                    tail = (letter,) * k
+                    add_terms(nums[m], ((w + tail, c) for w, c
+                                        in z.comps[m - k].terms.items()),
+                              Rat(sgn ** k, math.factorial(k)))
+            z = TruncatedExpansion(skel, nums, 1)
         pos[i - 1], pos[i] = pos[i], pos[i - 1]
     return z
 
@@ -537,29 +571,28 @@ def close_word(z, order):
     on one strand in word order.  Words that close onto one diagram sum,
     over the same denominator."""
     leg = {s: i for i, s in enumerate(order)}
-    out = TruncatedExpansion(LONG, z.d, z.den)
-    for m in range(z.d + 1):
-        acc = Counter()
+    nums = [Counter() for _ in range(z.d + 1)]
+    for m, acc in enumerate(nums):
         for w, c in z.comps[m].terms.items():
             ends = sorted((leg[s], j, e) for j, letter in enumerate(w)
                           for e, s in enumerate(letter))
             slot = {(j, e): x for x, (_, j, e) in enumerate(ends, 1)}
             acc[tuple(sorted((slot[j, 0], slot[j, 1])
                              for j in range(m)))] += c
-        out.comps[m].terms = {g: c for g, c in acc.items() if c}
-    return out
+    return TruncatedExpansion(LONG, nums, z.den)
 
 
 def zed_knot_recursive(g, d, normalize=False):
     """``zed_knot`` by recursion over the multiplicities (k_1..k_n) of all
     arrows, with one rational per node and ``canonical_long`` per leaf."""
     arrows = list(g.canonical())
-    z = TruncatedExpansion(LONG, d)
+    nums = [{} for _ in range(d + 1)]
     B = d + 2  # sub-slot scale for parallel copies
 
     def rec(idx, used, placed, coeff):
         if idx == len(arrows):
-            z.comps[used].add_term(canonical_long(placed), coeff)
+            key = canonical_long(placed)
+            nums[used][key] = nums[used].get(key, 0) + coeff
             return
         t, h, s = arrows[idx]
         k = 0
@@ -570,11 +603,12 @@ def zed_knot_recursive(g, d, normalize=False):
             k += 1
 
     rec(0, 0, [], Rat(1))
+    z = TruncatedExpansion(LONG, nums, 1)
     if normalize:
-        e = TruncatedExpansion(LONG, d)
+        e = [{} for _ in range(d + 1)]
         if d >= 1:
-            e.comps[1].add_term(((1, 2),), Rat(-self_linking(g)))
-        z = z * expansion_exp(e)
+            e[1][((1, 2),)] = Rat(-self_linking(g))
+        z = juxtapose(z, expansion_exp(TruncatedExpansion(LONG, e, 1)))
     return z
 
 
@@ -635,10 +669,8 @@ def long_relators(m, relset):
     out = []
 
     def emit(pairs):
-        v = ArrowVector(LONG, m)
-        for d, c in pairs:
-            v.add_term(d, Rat(c))
-        if not v.is_zero():
+        v = ArrowVector(LONG, m, add_terms({}, pairs, Rat(1)))
+        if v.terms:
             out.append(v)
 
     if "TC" in relset:
@@ -816,23 +848,23 @@ def cc_arrow_relators(m):
             legs[p] = leg
         return TrivalentDiagram(legs, va + vb)
 
-    separated = stu_eliminate(placed((0, 1, 2)))
+    separated = stu_eliminate(placed((0, 1, 2))).terms.items()
     bases = []
     for a_pos in combinations(range(6), 3):
-        v = stu_eliminate(placed(a_pos)) - separated
-        if not v.is_zero():
+        v = ArrowVector(LONG, 4, add_terms(
+            dict(stu_eliminate(placed(a_pos)).terms), separated, -1))
+        if v.terms:
             bases.append(v)
 
     out = []
     for ctx in enumerate_diagrams(LONG, m - 4):
         for g in range(0, 2 * (m - 4) + 1):
             for base in bases:
-                v = ArrowVector(LONG, m)
-                for d, c in base.terms.items():
-                    block = [(t - 1, h - 1) for t, h in d]
-                    v.add_term(per_product_place_long(ctx, (g,) * 8, block),
-                               c)
-                if not v.is_zero():
+                v = ArrowVector(LONG, m, add_terms({}, (
+                    (per_product_place_long(ctx, (g,) * 8,
+                                            [(t - 1, h - 1) for t, h in d]), c)
+                    for d, c in base.terms.items())))
+                if v.terms:
                     out.append(v)
     return out
 
@@ -1187,13 +1219,12 @@ def expansion_on_exponential(z, j, sign=1, first_letter_first=True):
 def delete_strand_from_expansion(z, k):
     """ε_k on an expansion over strands(n): every word with a letter on
     strand k dropped, and the strands above k numbered one lower."""
-    out = TruncatedExpansion(strands(z.skeleton[1] - 1), z.d, z.den)
-    for m, comp in z.comps.items():
-        for w, c in comp.terms.items():
-            if all(k not in letter for letter in w):
-                out.comps[m].add_term(tuple(tuple(p - (p > k) for p in letter)
-                                            for letter in w), c)
-    return out
+    nums = [add_terms({}, ((tuple(tuple(p - (p > k) for p in letter)
+                                  for letter in w), c)
+                           for w, c in comp.terms.items()
+                           if all(k not in letter for letter in w)))
+            for comp in z.comps.values()]
+    return TruncatedExpansion(strands(z.skeleton[1] - 1), nums, z.den)
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,10 @@ from pathlib import Path
 import pytest
 
 import wknots
+from wknots.alexander import knot_inventory
+from wknots.arrows import LONG, generate_relations, quotient
+from wknots.expansion import zed_knot
+from wknots.gauss import pd_to_gauss
 
 MODULES = sorted(Path(wknots.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
@@ -257,13 +261,19 @@ def test_package_data_globs_match_the_data_files():
     assert [p for p in data if not any(p.match(g) for g in globs)] == []
 
 
-def tracer_tables():
-    """``FUNCTIONS`` and ``METHODS`` of ``perfbench/trace.py``, loaded from
-    its file (its module name would shadow the standard ``trace``)."""
+def tracer_module():
+    """``perfbench/trace.py``, loaded from its file (its module name would
+    shadow the standard ``trace``)."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_trace", ROOT / "perfbench" / "trace.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def tracer_tables():
+    """``FUNCTIONS`` and ``METHODS`` of ``perfbench/trace.py``."""
+    module = tracer_module()
     return module.FUNCTIONS, module.METHODS
 
 
@@ -277,3 +287,25 @@ def test_traced_names_resolve():
     for module, cls, attr, _ in methods:
         owner = getattr(importlib.import_module(module), cls)
         assert callable(owner.__dict__[attr])
+
+
+def test_tracer_reads_relators_and_zed():
+    # what the tracer's counters read of the results it wraps: the
+    # ``terms`` of each relator, and the ``terms`` of each of Z's ``comps``;
+    # and the relators project to zero, as the quotients workload checks
+    tracer = tracer_module().Tracer()
+    relators = generate_relations(LONG, 3, {"TC", "4T"})
+    tracer._after_relators(relators)
+    up_to_sign = {frozenset({tuple(sorted(t.items())),
+                             tuple(sorted((d, -c) for d, c in t.items()))})
+                  for t in (v.terms for v in relators)}
+    assert tracer.counts["arrows.relators"] == len(relators) > 0
+    assert tracer.counts["arrows.relators_distinct"] == len(up_to_sign)
+    z = zed_knot(pd_to_gauss(knot_inventory()["4_1"]), 3)
+    tracer._after_zed(z)
+    terms = sum(len(z.comps[m].terms) for m in range(z.d + 1))
+    assert tracer.counts["expansion.zed_terms"] == terms > 0
+    q = quotient(LONG, 3, {"TC", "4T"})
+    assert not any(any(q.project(v)) for v in relators[::5])
+    assert [q.project_diagram(d) for d in q.basis] == [
+        [int(j == i) for j in range(q.dim)] for i in range(q.dim)]

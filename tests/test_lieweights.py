@@ -18,7 +18,7 @@ from wknots.lieweights import (LieData, lie_validate,
 from wknots.rings import LaurentPoly, laurent_at_exp
 from wknots.wbraid import braid_from_text
 
-from oracles import (index_vector_weight_system, series_mul,
+from oracles import (add_terms, index_vector_weight_system, series_mul,
                      stack_pbw_mul, stack_pbw_normalize)
 from test_expansion import W_BRAIDS
 
@@ -222,7 +222,7 @@ def arrow_vectors(draw, skeletons=(LONG, strands(2), strands(3))):
     m = draw(st.integers(0, 3))
     terms = draw(st.lists(st.tuples(st.sampled_from(diagrams(skel, m)),
                                     coeffs), min_size=1, max_size=4))
-    return ArrowVector(skel, m, terms)
+    return ArrowVector(skel, m, add_terms({}, terms))
 
 
 @st.composite
@@ -291,7 +291,8 @@ def test_2d_weight_of_z_is_inverse_alexander():
         z = zed_knot(g, 4, normalize=True)
         series = [0] * 5
         for m in range(5):
-            comp = z.comps[m] * Rat(1, z.den)
+            comp = ArrowVector(LONG, m, {w: Rat(c, z.den)
+                                         for w, c in z.comps[m].terms.items()})
             for mono, c in weight_system(comp, L).items():
                 if mono == phi1(len(mono)):
                     series[len(mono)] += c
